@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -688,13 +686,6 @@ def branch_error(policy: str, lhs, rhs_sum) -> float:
     raise ValueError(f"unknown branch policy {policy!r}")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ZMC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _check_guards(inst: IdentityInstance, points, margin: float) -> None:
     bad = []
     for x, y in points:
@@ -748,8 +739,8 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     """Sweep the identity over a real lattice under the branch policy.
 
     Every lattice point must clear every term's singularity margin
-    (DomainViolation otherwise).  Rows may be evaluated in parallel
-    (ZMC_THREADS); the reduction is row-ordered, so results are deterministic.
+    (DomainViolation otherwise).  Points are evaluated and reduced in
+    row-major order.
     """
     policy = policy or inst.branch_policy
     if policy not in BRANCH_POLICIES:
@@ -758,17 +749,7 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     vs = [float(v) for v in grid.v_values()]
     points = [(u, v) for u in us for v in vs]
     _check_guards(inst, points, grid.margin)
-
-    def run_row(u):
-        return _evaluate_points(inst, [(u, v) for v in vs], policy)
-
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            row_results = list(pool.map(run_row, us))
-    else:
-        row_results = [run_row(u) for u in us]
-    rows = [item for row in row_results for item in row]
+    rows = _evaluate_points(inst, points, policy)
     return _reduce_rows(inst, rows, policy, tolerance, grid, len(points))
 
 

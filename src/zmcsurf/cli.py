@@ -3,8 +3,8 @@ and the foliation, with machine-readable JSON reports.
 
 Exit codes: 0 when every requested check passes, 1 on a failed check (the
 report is still written), 2 on usage errors.  Grid specs are written
-``umin:umax:nu,vmin:vmax:nv[,margin]``.  ``ZMC_THREADS`` caps sweep
-parallelism; a JSON config file may supply any flag's value (flags win).
+``umin:umax:nu,vmin:vmax:nv[,margin]``.  A JSON config file may supply any
+flag's value (flags win).
 """
 
 from __future__ import annotations

@@ -14,3 +14,11 @@ class DomainViolation(ValueError):
 
 class EmptyGrid(ValueError):
     """A sweep produced no usable points (all invalid, or no lattice)."""
+
+
+class SingularPath(ArithmeticError):
+    """An integrand blew up (pole/branch point/overflow) at a quadrature node."""
+
+
+class NoConvergence(ArithmeticError):
+    """Composite quadrature did not settle within the segment cap."""

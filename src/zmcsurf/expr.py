@@ -10,6 +10,13 @@ stays closed over the grammar; general powers must be spelled
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Binary operators associate to the left; ``name(arg)`` is a function call.
 
+A one-variable expression evaluates through a numpy closure over
+``complex128`` arrays, compiled from the AST on first use.  Points where any
+node's value is non-finite are evaluated again by the scalar tree walk
+``_eval_node``, so a pole, branch point or overflow still raises
+``EvalDomainError`` naming the node at fault; the tree walk is otherwise the
+test oracle for the compiled path.
+
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
 """
@@ -19,7 +26,10 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
+
+import numpy as np
 
 __all__ = [
     "AnalyticExpr",
@@ -324,6 +334,88 @@ def _eval_node(node: Node, env: dict) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# compiled vector evaluation
+# ---------------------------------------------------------------------------
+
+_NUMPY_FN: dict[str, Callable] = {
+    "neg": np.negative,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "atan": np.arctan,
+    "sinh": np.sinh,
+    "cosh": np.cosh,
+    "tanh": np.tanh,
+    "sqrt": np.sqrt,
+}
+
+_NUMPY_BINARY: dict[str, Callable] = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
+}
+
+
+def _power(base, k: int):
+    """base**k by the square-and-multiply order of CPython's complex power."""
+    n = abs(k)
+    out = 1 + 0j
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return 1 / out if k < 0 else out
+
+
+def _compile(node: Node):
+    """Closure ``(w, seen) -> value`` over complex128 arrays.
+
+    Every operation node appends its value to ``seen``; the sum of those
+    values is non-finite exactly where some node's value is (IEEE sums keep
+    inf and nan), which is what the scalar path checks node by node.
+    """
+    if isinstance(node, Const):
+        value = np.complex128(node.value)
+        return lambda w, seen: value
+    if isinstance(node, Var):
+        return lambda w, seen: w
+    if isinstance(node, Unary):
+        arg = _compile(node.arg)
+        fn = _NUMPY_FN[node.op]
+
+        def unary(w, seen):
+            out = fn(arg(w, seen))
+            seen.append(out)
+            return out
+        return unary
+    if isinstance(node, Binary):
+        left = _compile(node.left)
+        right = _compile(node.right)
+        fn = _NUMPY_BINARY[node.op]
+
+        def binary(w, seen):
+            out = fn(left(w, seen), right(w, seen))
+            seen.append(out)
+            return out
+        return binary
+    if isinstance(node, Power):
+        base = _compile(node.base)
+        k = node.exponent
+
+        def power(w, seen):
+            out = _power(base(w, seen), k)
+            seen.append(out)
+            return out
+        return power
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+# ---------------------------------------------------------------------------
 # differentiation (exact within the grammar, constant folding only)
 # ---------------------------------------------------------------------------
 
@@ -482,10 +574,48 @@ class AnalyticExpr:
     root: Node
     varname: str
 
+    @cached_property
+    def _compiled(self):
+        return _compile(self.root)
+
     def eval(self, w) -> complex:
-        return _eval_node(self.root, {self.varname: complex(w)})
+        values, errors = self.eval_array(np.array([complex(w)]))
+        if errors:
+            raise errors[0]
+        return complex(values[0])
 
     __call__ = eval
+
+    def eval_array(self, w):
+        """Evaluate at every point of ``w`` (any shape) with principal branches.
+
+        Returns ``(values, errors)``: a complex128 array shaped like ``w``, and
+        a dict from the flat index of each point where the scalar evaluator
+        raises to its ``EvalDomainError`` (``values`` holds nan there).
+        """
+        w = np.asarray(w, dtype=complex)
+        values = np.empty_like(w)
+        seen = []
+        with np.errstate(all="ignore"):
+            values[...] = self._compiled(w, seen)
+            if not seen:
+                return values, {}
+            total = seen[0]
+            for v in seen[1:]:
+                total = total + v
+            bad = ~np.isfinite(total)
+        if not bad.any():
+            return values, {}
+        suspect = np.flatnonzero(np.broadcast_to(bad, w.shape))
+        errors = {}
+        flat_w, flat_values = w.reshape(-1), values.reshape(-1)
+        for k in suspect.tolist():
+            try:
+                flat_values[k] = _eval_node(self.root, {self.varname: complex(flat_w[k])})
+            except EvalDomainError as exc:
+                flat_values[k] = complex("nan")
+                errors[k] = exc
+        return values, errors
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(_fold(_d(self.root, self.varname)), self.varname)

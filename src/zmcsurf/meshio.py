@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGrid
+from .errors import DomainViolation, EmptyGrid, NoConvergence, SingularPath
+from .expr import EvalDomainError
 
 __all__ = ["GridSpec", "SurfacePatch", "sample_patch", "write_obj", "write_csv", "read_csv"]
 
@@ -110,20 +111,32 @@ class SurfacePatch:
         return int(self.valid.sum())
 
 
+# Failures that mark one lattice point invalid; anything else is a bug and propagates.
+_POINT_ERRORS = (SingularPath, NoConvergence, EvalDomainError, DomainViolation)
+
+
 def sample_patch(source, grid: GridSpec) -> SurfacePatch:
     """Evaluate ``source`` on the lattice, masking points that fail.
 
     Sources, by decreasing specificity:
-      * ``source.sample_grid(grid)`` -> (points, valid)  (e.g. inversion-based
-        height sampling with neighbor-continuation seeding);
+      * ``source.sample_grid(grid)`` -> (points, valid), row-major, the whole
+        lattice in one call (batched quadrature of the WE, TLMS and BC
+        samplers; inversion-based height sampling with neighbor-continuation
+        seeding);
       * ``source.point(u, v)`` -> (x, y, z)  (parametric samplers);
       * ``source.height_at(x, y)`` + ``source.domain_ok(x, y, margin)``
         (graph surfaces and foliation leaves).
+
+    A point is masked when it raises SingularPath, NoConvergence,
+    EvalDomainError or DomainViolation, or comes out non-finite; masked points
+    are stored as zeros.  Any other exception propagates.
     """
     n = grid.nu * grid.nv
     if hasattr(source, "sample_grid"):
         points, valid = source.sample_grid(grid)
         patch = SurfacePatch(grid.nu, grid.nv, points, valid)
+        patch.valid &= np.isfinite(patch.points).all(axis=1)
+        patch.points[~patch.valid] = 0.0
     else:
         points = np.zeros((n, 3))
         valid = np.zeros(n, dtype=bool)
@@ -137,7 +150,7 @@ def sample_patch(source, grid: GridSpec) -> SurfacePatch:
                     if hasattr(source, "domain_ok") and not source.domain_ok(u, v, grid.margin):
                         continue
                     x, y, z = u, v, source.height_at(u, v)
-            except Exception:
+            except _POINT_ERRORS:
                 continue
             if all(np.isfinite((x, y, z))):
                 points[k] = (x, y, z)

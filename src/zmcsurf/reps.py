@@ -29,12 +29,13 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Unary, Var, parse
+from .errors import NoConvergence, SingularPath
+from .expr import AnalyticExpr, Binary, Const, Power, Unary, Var, parse
 from .report import VerificationReport
 
 __all__ = [
@@ -60,17 +61,10 @@ __all__ = [
     "BCSampler",
     "InvertedGraphSampler",
     "integrate_segment",
+    "integrate_segments",
 ]
 
 WE_MODES = ("minimal", "maximal", "reduced-R")
-
-
-class SingularPath(ArithmeticError):
-    """An integrand blew up (pole/branch point/overflow) at a quadrature node."""
-
-
-class NoConvergence(ArithmeticError):
-    """Composite quadrature did not settle within the segment cap."""
 
 
 class ZeroWeight(ValueError):
@@ -94,52 +88,117 @@ class JacobianSingular(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-_GL_NODES = tuple(float(t) for t in _GL_NODES)
-_GL_WEIGHTS = tuple(float(w) for w in _GL_WEIGHTS)
+# Upper bound on nodes per vectorized evaluation; active endpoints are
+# processed in chunks that stay under it (one endpoint may exceed it).
+_MAX_NODES = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _level_rule(nseg: int):
+    """Nodes t in (0, 1) and weights of the nseg-segment composite rule, in the
+    segment-major order of the scalar loop."""
+    half = 0.5 / nseg
+    mids = (np.arange(nseg) + 0.5) / nseg
+    t = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+    weights = np.tile(_GL_WEIGHTS * half, nseg)
+    return t, weights
+
+
+def _first_singular(w, row_errors):
+    """SingularPath for one endpoint: the first failing node, integrands in order."""
+    node, idx, exc = min(row_errors)
+    err = SingularPath(f"integrand singular at node {complex(w[node])!r}: {exc}")
+    err.__cause__ = exc
+    err.__suppress_context__ = True
+    return err
+
+
+def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
+                       tol: float = 1e-10, max_segments: int = 1024):
+    """Integrate each expression along every straight segment [z0[k], z1[k]].
+
+    ``z0`` and ``z1`` broadcast to one flat array of endpoints.  Returns
+    ``(values, errors)``: ``values[i, k]`` is the integral of integrand ``i``
+    over segment ``k`` and ``errors[k]`` is None or the SingularPath /
+    NoConvergence that segment raises (its values are then 0).
+
+    32-node Gauss-Legendre per segment; the segment count doubles until two
+    successive refinements agree within ``tol`` in every integrand
+    (NoConvergence past ``max_segments``).  Singularities are detected by
+    sampling: a node where an integrand fails to evaluate finitely makes that
+    segment's SingularPath.  Each endpoint keeps its own convergence state, so
+    a segment stops at the same level, with the same value and error, whether
+    it is integrated alone or in a batch; each level evaluates the nodes of all
+    still-active segments in one call per integrand.
+    """
+    z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
+                                 np.asarray(z1, dtype=complex).reshape(-1))
+    npts = z1.size
+    values = np.zeros((len(integrands), npts), dtype=complex)
+    errors = [None] * npts
+    delta = z1 - z0
+    active = np.flatnonzero(z0 != z1)
+    prev = None
+    nseg = 1
+    while active.size:
+        t, weights = _level_rule(nseg)
+        cur = np.zeros((len(integrands), active.size), dtype=complex)
+        ok = np.ones(active.size, dtype=bool)
+        chunk = max(1, _MAX_NODES // t.size)
+        for lo in range(0, active.size, chunk):
+            pts = active[lo:lo + chunk]
+            w = z0[pts, None] + t[None, :] * delta[pts, None]
+            failed = {}
+            for idx, e in enumerate(integrands):
+                vals, errs = e.eval_array(w)
+                for flat, exc in errs.items():
+                    row, node = divmod(flat, t.size)
+                    failed.setdefault(row, []).append((node, idx, exc))
+                cur[idx, lo:lo + pts.size] = delta[pts] * (vals * weights).sum(axis=1)
+            for row, row_errors in failed.items():
+                errors[pts[row]] = _first_singular(w[row], row_errors)
+                ok[lo + row] = False
+        if prev is not None:
+            done = ok & (np.abs(cur - prev).max(axis=0) < tol)
+            values[:, active[done]] = cur[:, done]
+            ok &= ~done
+        active, prev = active[ok], cur[:, ok]
+        nseg *= 2
+        if nseg > max_segments:
+            for k in active.tolist():
+                errors[k] = NoConvergence(
+                    f"quadrature on [{complex(z0[k])!r}, {complex(z1[k])!r}] did not "
+                    f"converge within {max_segments} segments")
+            break
+    return values, errors
 
 
 def integrate_segment(integrands: Sequence[AnalyticExpr], z0: complex, z1: complex,
                       tol: float = 1e-10, max_segments: int = 1024):
     """Integrate each expression along the straight segment [z0, z1].
 
-    32-node Gauss-Legendre per segment; the segment count doubles until two
-    successive refinements agree within ``tol`` (NoConvergence past
-    ``max_segments``).  Singularities are detected by sampling: any node where
-    an integrand fails to evaluate finitely raises SingularPath.
+    A one-endpoint ``integrate_segments``: returns one complex per integrand
+    and raises that endpoint's SingularPath or NoConvergence.
     """
-    z0 = complex(z0)
-    z1 = complex(z1)
-    if z0 == z1:
-        return [0j for _ in integrands]
-    delta = z1 - z0
+    values, errors = integrate_segments(integrands, complex(z0), complex(z1), tol,
+                                        max_segments)
+    if errors[0] is not None:
+        raise errors[0]
+    return [complex(v) for v in values[:, 0]]
 
-    def composite(nseg: int):
-        acc = [0j for _ in integrands]
-        for seg in range(nseg):
-            mid = (seg + 0.5) / nseg
-            half = 0.5 / nseg
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                t = mid + half * node
-                w = z0 + t * delta
-                for idx, e in enumerate(integrands):
-                    try:
-                        val = e.eval(w)
-                    except EvalDomainError as exc:
-                        raise SingularPath(
-                            f"integrand singular at node {w!r}: {exc}") from exc
-                    acc[idx] += weight * half * val
-        return [delta * v for v in acc]
 
-    prev = composite(1)
-    nseg = 2
-    while nseg <= max_segments:
-        cur = composite(nseg)
-        if max(abs(c - p) for c, p in zip(cur, prev)) < tol:
-            return cur
-        prev = cur
-        nseg *= 2
-    raise NoConvergence(
-        f"quadrature on [{z0!r}, {z1!r}] did not converge within {max_segments} segments")
+def _succeeded(errors) -> np.ndarray:
+    return np.array([e is None for e in errors], dtype=bool)
+
+
+def _patch(coords, valid):
+    """Row-major (nu*nv, 3) points from three (nu, nv) coordinate arrays;
+    invalid points are zeroed, as the per-point path leaves them."""
+    points = np.stack([np.broadcast_to(c, valid.shape) for c in coords], axis=-1)
+    points = points.reshape(-1, 3)
+    valid = valid.reshape(-1)
+    points[~valid] = 0.0
+    return points, valid
 
 
 def _mul(*nodes):
@@ -280,32 +339,38 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence,
     if not exprs:
         raise ZeroWeight("need at least one piece")
 
-    magnitudes = [[] for _ in exprs]
     step = 2.0 * radius / (lattice - 1)
-    for i in range(lattice):
-        for j in range(lattice):
-            w = data.zeta0 + complex(-radius + i * step, -radius + j * step)
-            if abs(w - data.zeta0) > radius:
-                continue
-            try:
-                total = data.f.eval(w)
-                values = [e.eval(w) for e in exprs]
-            except EvalDomainError:
-                continue
-            if abs(sum(values) - total) > 1e-10 * (1.0 + abs(total)):
-                raise WeightSumError(
-                    f"pieces do not sum to R at {w!r}: {sum(values)!r} != {total!r}")
-            for mags, value in zip(magnitudes, values):
-                mags.append(abs(value))
-    for e, mags in zip(exprs, magnitudes):
-        if not mags:
+    offsets = -radius + np.arange(lattice) * step
+    lattice_w = np.empty((lattice, lattice), dtype=complex)
+    lattice_w.real = offsets[:, None]
+    lattice_w.imag = offsets[None, :]
+    w = data.zeta0 + lattice_w.reshape(-1)
+    w = w[np.abs(w - data.zeta0) <= radius]
+    total, errs = data.f.eval_array(w)
+    failed = set(errs)
+    values = []
+    for e in exprs:
+        vals, errs = e.eval_array(w)
+        values.append(vals)
+        failed.update(errs)
+    keep = np.ones(w.size, dtype=bool)
+    keep[list(failed)] = False
+    piece_sum = sum(values)
+    mismatch = np.flatnonzero(keep & (np.abs(piece_sum - total) > 1e-10 * (1.0 + np.abs(total))))
+    if mismatch.size:
+        k = mismatch[0]
+        raise WeightSumError(
+            f"pieces do not sum to R at {complex(w[k])!r}: "
+            f"{complex(piece_sum[k])!r} != {complex(total[k])!r}")
+    for e, vals in zip(exprs, values):
+        mags = np.sort(np.abs(vals[keep]))
+        if not mags.size:
             raise ZeroWeight(f"piece {e.source()} never evaluated on the sample disk")
-        ordered = sorted(mags)
-        median = ordered[len(ordered) // 2]
-        if ordered[0] < max(1e-9, 0.08 * median):
+        median = mags[mags.size // 2]
+        if mags[0] < max(1e-9, 0.08 * median):
             raise ZeroWeight(
                 f"piece {e.source()} vanishes (or nearly) on the sample disk: "
-                f"min |R_i| = {ordered[0]:.3e} vs median {median:.3e}")
+                f"min |R_i| = {mags[0]:.3e} vs median {median:.3e}")
     return [replace(data, f=e, offset=(0.0, 0.0, 0.0)) for e in exprs]
 
 
@@ -321,15 +386,27 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         label = {"weights": list(weights)}
     base = replace(data, offset=(0.0, 0.0, 0.0))
     rng = random.Random(seed)
-    max_err = -1.0
-    total = 0.0
-    worst = None
+    zetas = []
     for _ in range(n_samples):
         r = radius * math.sqrt(rng.random())
         phi = 2 * math.pi * rng.random()
-        zeta = data.zeta0 + r * cmath.exp(1j * phi)
-        z_parent = we_point(base, zeta)[2]
-        z_sum = sum(we_point(p, zeta)[2] for p in split)
+        zetas.append(data.zeta0 + r * cmath.exp(1j * phi))
+    # One batch per piece; the full integrand triple keeps the convergence rule.
+    heights, errors = [], []
+    for d in [base, *split]:
+        values, errs = integrate_segments(d.integrands, d.zeta0, zetas)
+        heights.append(d.offset[2] + values[2].real)
+        errors.append(errs)
+    for k in range(n_samples):
+        for errs in errors:
+            if errs[k] is not None:
+                raise errs[k]
+    z_parents = heights[0].tolist()
+    z_sums = sum(heights[1:]).tolist()
+    max_err = -1.0
+    total = 0.0
+    worst = None
+    for zeta, z_parent, z_sum in zip(zetas, z_parents, z_sums):
         err = abs(z_parent - z_sum)
         total += err
         if err > max_err:
@@ -425,6 +502,17 @@ class WESampler:
         ints = _we_integrals(self.data, zeta, self.tol)
         return tuple(self._ct * (x0 + w.real) + self._st * (x0 + w.imag)
                      for x0, w in zip(self.data.offset, ints))
+
+    def sample_grid(self, grid):
+        """The whole lattice in one batched quadrature; failing points are masked."""
+        zeta = np.empty((grid.nu, grid.nv), dtype=complex)
+        zeta.real = grid.u_values()[:, None]
+        zeta.imag = grid.v_values()[None, :]
+        ints, errors = integrate_segments(self.data.integrands, self.data.zeta0, zeta,
+                                          tol=self.tol)
+        coords = [self._ct * (x0 + w.real) + self._st * (x0 + w.imag)
+                  for x0, w in zip(self.data.offset, ints.reshape(3, grid.nu, grid.nv))]
+        return _patch(coords, _succeeded(errors).reshape(grid.nu, grid.nv))
 
     def jet(self, u: float, v: float):
         zeta = complex(u, v)
@@ -534,6 +622,8 @@ class TLMSData:
 
 
 def _assemble_tlms(qu, qv):
+    """Surface coordinates from the u- and v-integral triples (floats, or
+    arrays that broadcast to a lattice)."""
     x = -qu[0] + qv[0]
     y = -0.5 * (qu[1] + qv[1])
     z = 0.5 * (qu[2] - qv[2])
@@ -558,6 +648,14 @@ class TLMSSampler:
 
     def point(self, u: float, v: float):
         return tlms_point(self.data, u, v, tol=self.tol)
+
+    def sample_grid(self, grid):
+        """nu + nv one-dimensional integrals broadcast over the lattice."""
+        u0, v0 = self.data.base
+        qu, eu = integrate_segments(self.data.u_integrands, u0, grid.u_values(), tol=self.tol)
+        qv, ev = integrate_segments(self.data.v_integrands, v0, grid.v_values(), tol=self.tol)
+        coords = _assemble_tlms(qu.real[:, :, None], qv.real[:, None, :])
+        return _patch(coords, _succeeded(eu)[:, None] & _succeeded(ev)[None, :])
 
     def jet(self, u: float, v: float):
         x = self.point(u, v)
@@ -597,6 +695,14 @@ class BCData:
         return self.G.derivative()
 
     @cached_property
+    def f_second(self):
+        return self.f_prime.derivative()
+
+    @cached_property
+    def g_second(self):
+        return self.g_prime.derivative()
+
+    @cached_property
     def r_integrands(self):
         rvar = Var(self.F.varname)
         fp = self.f_prime.root
@@ -618,8 +724,12 @@ def bc_point(data: BCData, r: float, s: float, tol: float = 1e-10):
     z = I_r[r F'] + I_s[s G']."""
     qr = [val.real for val in integrate_segment(data.r_integrands, 0.0, r, tol=tol)]
     qs = [val.real for val in integrate_segment(data.s_integrands, 0.0, s, tol=tol)]
-    f_r = data.F.eval(r).real
-    g_s = data.G.eval(s).real
+    return _assemble_bc(qr, qs, data.F.eval(r).real, data.G.eval(s).real)
+
+
+def _assemble_bc(qr, qs, f_r, g_s):
+    """Soliton coordinates from the r- and s-integrals and F(r), G(s) (floats,
+    or arrays that broadcast to a lattice)."""
     x = 0.5 * (f_r + g_s - qs[0] - qr[0])
     y = 0.5 * (g_s - f_r - qr[0] + qs[0])
     z = qr[1] + qs[1]
@@ -636,12 +746,27 @@ class BCSampler:
     def point(self, u: float, v: float):
         return bc_point(self.data, u, v, tol=self.tol)
 
+    def sample_grid(self, grid):
+        """nr + ns one-dimensional integrals broadcast over the lattice."""
+        rs, ss = grid.u_values(), grid.v_values()
+        qr, er = integrate_segments(self.data.r_integrands, 0.0, rs, tol=self.tol)
+        qs, es = integrate_segments(self.data.s_integrands, 0.0, ss, tol=self.tol)
+        f_r, ef = self.data.F.eval_array(rs)
+        g_s, eg = self.data.G.eval_array(ss)
+        ok_r = _succeeded(er)
+        ok_r[list(ef)] = False
+        ok_s = _succeeded(es)
+        ok_s[list(eg)] = False
+        coords = _assemble_bc(qr.real[:, :, None], qs.real[:, None, :],
+                              f_r.real[:, None], g_s.real[None, :])
+        return _patch(coords, ok_r[:, None] & ok_s[None, :])
+
     def jet(self, u: float, v: float):
         x = self.point(u, v)
         fp = self.data.f_prime.eval(u).real
-        fpp = self.data.f_prime.derivative().eval(u).real
+        fpp = self.data.f_second.eval(u).real
         gp = self.data.g_prime.eval(v).real
-        gpp = self.data.g_prime.derivative().eval(v).real
+        gpp = self.data.g_second.eval(v).real
         r, s = u, v
         xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
         xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)

@@ -352,14 +352,12 @@ def test_series_unknown_kind():
 
 
 # ---------------------------------------------------------------------------
-# threading determinism
+# sweep determinism
 # ---------------------------------------------------------------------------
 
-def test_row_parallel_sweep_is_deterministic(monkeypatch):
+def test_row_parallel_sweep_is_deterministic():
     inst = identity_terms("scherk2-decomp", 3)
     grid = GridSpec(-1, 1, -1, 1, 21, 21)
-    monkeypatch.setenv("ZMC_THREADS", "1")
     first = verify_identity(inst, grid).to_dict(include_timestamp=False)
-    monkeypatch.setenv("ZMC_THREADS", "4")
     second = verify_identity(inst, grid).to_dict(include_timestamp=False)
     assert first == second

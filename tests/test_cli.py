@@ -169,10 +169,9 @@ def test_reports_identical_up_to_timestamp(tmp_path):
     assert _strip_timestamp(_load(r1)) == _strip_timestamp(_load(r2))
 
 
-def test_mesh_output_is_byte_deterministic(tmp_path, monkeypatch):
+def test_mesh_output_is_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "m1.obj", tmp_path / "m2.obj"
     argv = ["we", "mesh", "--f", "1", "--g", "w", "--grid", "-0.5:0.5:9,-0.5:0.5:9"]
     assert main(argv + ["--out", str(p1)]) == 0
-    monkeypatch.setenv("ZMC_THREADS", "3")
     assert main(argv + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()

@@ -122,6 +122,45 @@ def test_parametric_source_sampling():
     assert patch.points[patch.index(0, 0)][2] == pytest.approx(2.0)
 
 
+def test_typed_point_failures_are_masked():
+    from zmcsurf.reps import NoConvergence, SingularPath
+
+    class Failing:
+        def point(self, u, v):
+            if u > 0.5:
+                raise SingularPath("pole")
+            if v > 0.5:
+                raise NoConvergence("slow")
+            return (u, v, 0.0)
+
+    patch = sample_patch(Failing(), GridSpec(0, 1, 0, 1, 3, 3))
+    assert patch.valid.reshape(3, 3).tolist() == [[True, True, False],
+                                                 [True, True, False],
+                                                 [False, False, False]]
+    assert not patch.points[~patch.valid].any()
+
+
+def test_programming_errors_propagate_out_of_sampling():
+    class Broken:
+        def point(self, u, v):
+            raise TypeError("a bug, not an invalid vertex")
+
+    with pytest.raises(TypeError):
+        sample_patch(Broken(), GridSpec(0, 1, 0, 1, 3, 3))
+
+
+def test_non_finite_grid_points_are_masked():
+    class Grid:
+        def sample_grid(self, grid):
+            points = np.ones((grid.nu * grid.nv, 3))
+            points[0, 2] = np.inf
+            return points, np.ones(grid.nu * grid.nv, dtype=bool)
+
+    patch = sample_patch(Grid(), GridSpec(0, 1, 0, 1, 2, 2))
+    assert patch.valid.tolist() == [False, True, True, True]
+    assert patch.points[0].tolist() == [0.0, 0.0, 0.0]
+
+
 def test_representation_sampler_grid_is_fully_valid():
     from zmcsurf import reps
 
