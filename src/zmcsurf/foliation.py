@@ -107,21 +107,24 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
     """Continuity, coverage, and disjointness checks for the leaf family.
 
     (a) band-boundary continuity: straddling pairs x = (2k+1)*pi +- delta for
-        every boundary inside the grid window, max |F difference| = O(delta);
+        every boundary inside the grid window, max |F difference| = O(delta),
+        against ``boundary_tolerance``;
     (b) disjointness/coverage: for random admissible points and every t in
-        ``t_samples``, recovering t from the embedded leaf point is exact;
+        ``t_samples``, recovering t from the embedded leaf point is exact, to
+        ``roundtrip_tolerance``;
     (c) the graph property holds by construction (single-valued height).
 
-    The headline max error is the worse of (a) and (b) against
-    ``boundary_tolerance``; the roundtrip maximum is also reported separately
-    in the parameters and must meet ``roundtrip_tolerance``.
+    The report's max/mean error, tolerance and worst point are those of the
+    sub-check with the larger max error / tolerance ratio, so the report
+    passes exactly when both sub-checks pass.  Both sub-checks' max and mean
+    are also in the parameters.
     """
     t_samples = list(t_samples)
     if not t_samples:
         raise EmptyGrid("need at least one leaf shift t")
 
-    boundary_max = 0.0
-    worst = None
+    boundary_max = boundary_total = 0.0
+    boundary_worst = None
     pairs = 0
     k_lo = math.ceil((grid.u_min - math.pi) / TWO_PI)
     k_hi = math.floor((grid.u_max - math.pi) / TWO_PI)
@@ -134,14 +137,16 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
             left = leaf_height(xb - boundary_delta, y)
             right = leaf_height(xb + boundary_delta, y)
             diff = abs(left - right)
+            boundary_total += diff
             pairs += 1
             if diff >= boundary_max:
                 boundary_max = diff
-                worst = {"coords": [xb, y], "lhs": left, "rhs": right}
+                boundary_worst = {"coords": [xb, y], "lhs": left, "rhs": right}
 
     rng = random.Random(seed)
     margin = max(grid.margin, 1e-6)
-    roundtrip_max = 0.0
+    roundtrip_max = roundtrip_total = 0.0
+    roundtrip_worst = None
     checked = 0
     while checked < n_random:
         x = rng.uniform(grid.u_min, grid.u_max)
@@ -150,12 +155,24 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
             continue
         for t in t_samples:
             px, py, pz = leaf_point(x, y, t)
-            err = abs(leaf_of_point(px, py, pz) - t)
-            roundtrip_max = max(roundtrip_max, err)
+            recovered = leaf_of_point(px, py, pz)
+            err = abs(recovered - t)
+            roundtrip_total += err
+            if err >= roundtrip_max:
+                roundtrip_max = err
+                roundtrip_worst = {"coords": [x, y], "lhs": recovered, "rhs": t}
         checked += 1
 
-    max_err = max(boundary_max, roundtrip_max)
-    passed_roundtrip = roundtrip_max <= roundtrip_tolerance
+    boundary_mean = boundary_total / pairs if pairs else 0.0
+    roundtrips = checked * len(t_samples)
+    roundtrip_mean = roundtrip_total / roundtrips if roundtrips else 0.0
+    # Compare the err/tolerance ratios without dividing by a tolerance.
+    if roundtrip_max * boundary_tolerance > boundary_max * roundtrip_tolerance:
+        max_err, mean_err, worst, tolerance = (roundtrip_max, roundtrip_mean,
+                                               roundtrip_worst, roundtrip_tolerance)
+    else:
+        max_err, mean_err, worst, tolerance = (boundary_max, boundary_mean,
+                                               boundary_worst, boundary_tolerance)
     return VerificationReport(
         subject="foliation-check",
         parameters={
@@ -163,17 +180,20 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
             "boundary_pairs": pairs,
             "boundary_delta": boundary_delta,
             "boundary_max": boundary_max,
+            "boundary_mean": boundary_mean,
+            "boundary_tolerance": boundary_tolerance,
             "roundtrip_points": checked,
             "roundtrip_max": roundtrip_max,
+            "roundtrip_mean": roundtrip_mean,
             "roundtrip_tolerance": roundtrip_tolerance,
-            "roundtrip_pass": passed_roundtrip,
+            "roundtrip_pass": roundtrip_max <= roundtrip_tolerance,
             "seed": seed,
         },
         grid=grid,
-        points_checked=pairs + checked * len(t_samples),
-        max_abs_err=max_err if passed_roundtrip else max(max_err, boundary_tolerance * 2),
-        mean_abs_err=max_err,
+        points_checked=pairs + roundtrips,
+        max_abs_err=max_err,
+        mean_abs_err=mean_err,
         worst_point=worst,
         policy="principal",
-        tolerance=boundary_tolerance,
+        tolerance=tolerance,
     )

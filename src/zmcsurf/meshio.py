@@ -9,7 +9,9 @@ are byte-stable.
 
 from __future__ import annotations
 
+import math
 import os
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +20,6 @@ from .errors import DomainViolation, EmptyGrid, NoConvergence, SingularPath
 from .expr import EvalDomainError
 
 __all__ = ["GridSpec", "SurfacePatch", "sample_patch", "write_obj", "write_csv", "read_csv"]
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 @dataclass(frozen=True)
@@ -128,37 +126,56 @@ def sample_patch(source, grid: GridSpec) -> SurfacePatch:
         (graph surfaces and foliation leaves).
 
     A point is masked when it raises SingularPath, NoConvergence,
-    EvalDomainError or DomainViolation, or comes out non-finite; masked points
-    are stored as zeros.  Any other exception propagates.
+    EvalDomainError or DomainViolation, fails ``domain_ok``, or comes out
+    non-finite; one finiteness mask over the whole array applies to every
+    kind of source.  Masked points are stored as zeros.  Any other exception
+    propagates.
     """
-    n = grid.nu * grid.nv
     if hasattr(source, "sample_grid"):
         points, valid = source.sample_grid(grid)
-        patch = SurfacePatch(grid.nu, grid.nv, points, valid)
-        patch.valid &= np.isfinite(patch.points).all(axis=1)
-        patch.points[~patch.valid] = 0.0
     else:
-        points = np.zeros((n, 3))
-        valid = np.zeros(n, dtype=bool)
-        parametric = hasattr(source, "point")
-        for (i, j), (u, v) in grid.points():
-            k = i * grid.nv + j
-            try:
-                if parametric:
-                    x, y, z = source.point(u, v)
-                else:
-                    if hasattr(source, "domain_ok") and not source.domain_ok(u, v, grid.margin):
-                        continue
-                    x, y, z = u, v, source.height_at(u, v)
-            except _POINT_ERRORS:
-                continue
-            if all(np.isfinite((x, y, z))):
-                points[k] = (x, y, z)
-                valid[k] = True
-        patch = SurfacePatch(grid.nu, grid.nv, points, valid)
+        # Points failing a typed check are stored as NaN for the mask below.
+        point = getattr(source, "point", None)
+        height_at = None if point is not None else source.height_at
+        domain_ok = None if point is not None else getattr(source, "domain_ok", None)
+        margin = grid.margin
+        vs = grid.v_values().tolist()
+        coords = array("d")
+        for u in grid.u_values().tolist():
+            for v in vs:
+                try:
+                    if point is not None:
+                        x, y, z = point(u, v)
+                    elif domain_ok is None or domain_ok(u, v, margin):
+                        x, y, z = u, v, height_at(u, v)
+                    else:
+                        x = y = z = math.nan
+                except _POINT_ERRORS:
+                    x = y = z = math.nan
+                coords.extend((x, y, z))
+        points = np.array(coords, dtype=float)
+        valid = np.ones(grid.nu * grid.nv, dtype=bool)
+    patch = SurfacePatch(grid.nu, grid.nv, points, valid)
+    patch.valid &= np.isfinite(patch.points).all(axis=1)
+    patch.points[~patch.valid] = 0.0
     if patch.valid_count() == 0:
         raise EmptyGrid("no valid points in sampled patch")
     return patch
+
+
+def _fmt17(values: np.ndarray) -> np.ndarray:
+    """``'%.17g'`` text of every value, as an object array of ``values``' shape.
+
+    Each distinct binary64 bit pattern is formatted once (``-0.0`` and ``0.0``
+    stay distinct) and the strings are gathered back: lattice coordinates
+    repeat along rows and columns.  ``'%.17g' % x`` is ``format(x, '.17g')``.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    _, first, inverse = np.unique(values.reshape(-1).view(np.int64), return_index=True,
+                                  return_inverse=True)
+    distinct = values.reshape(-1)[first].tolist()
+    text = ("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")
+    return np.array(text, dtype=object)[inverse].reshape(values.shape)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -168,57 +185,64 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+# Corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) of every lattice quad, as
+# slices of the (nu, nv) lattice.
+_QUAD_CORNERS = ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(None, -1)),
+                 (slice(1, None), slice(1, None)), (slice(None, -1), slice(1, None)))
+
+
 def write_obj(patch: SurfacePatch, path: str) -> None:
     """ASCII OBJ: one ``v`` line per valid vertex (row-major), quad faces only
     when all four corners are valid.  Byte-deterministic."""
     if patch.valid_count() == 0:
         raise EmptyGrid("cannot export an all-invalid patch")
-    lines = []
-    vertex_number = {}
-    for k in range(patch.nu * patch.nv):
-        if patch.valid[k]:
-            vertex_number[k] = len(vertex_number) + 1
-            x, y, z = patch.points[k]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for i in range(patch.nu - 1):
-        for j in range(patch.nv - 1):
-            corners = (
-                patch.index(i, j),
-                patch.index(i + 1, j),
-                patch.index(i + 1, j + 1),
-                patch.index(i, j + 1),
-            )
-            if all(patch.valid[c] for c in corners):
-                a, b, c, d = (vertex_number[c] for c in corners)
-                lines.append(f"f {a} {b} {c} {d}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    valid = patch.valid.reshape(patch.nu, patch.nv)
+    number = np.cumsum(patch.valid).reshape(patch.nu, patch.nv)  # 1-based at valid points
+    quad = np.logical_and.reduce([valid[c] for c in _QUAD_CORNERS])
+    faces = np.stack([number[c][quad] for c in _QUAD_CORNERS], axis=1)
+    vertex_text = _fmt17(patch.points[patch.valid]).reshape(-1).tolist()
+    _atomic_write(path, ("v %s %s %s\n" * patch.valid_count()) % tuple(vertex_text)
+                  + ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist()))
+
+
+_CSV_HEADER = ["u_index", "v_index", "x", "y", "z", "valid"]
 
 
 def write_csv(patch: SurfacePatch, path: str) -> None:
     """CSV schema: ``u_index,v_index,x,y,z,valid`` with one row per lattice point."""
-    lines = ["u_index,v_index,x,y,z,valid"]
-    for i in range(patch.nu):
-        for j in range(patch.nv):
-            k = patch.index(i, j)
-            x, y, z = patch.points[k]
-            flag = 1 if patch.valid[k] else 0
-            lines.append(f"{i},{j},{_fmt(x)},{_fmt(y)},{_fmt(z)},{flag}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    n = patch.nu * patch.nv
+    cells = np.empty((n, 6), dtype=object)
+    cells[:, 0], cells[:, 1] = np.divmod(np.arange(n), patch.nv)
+    cells[:, 2:5] = _fmt17(patch.points)
+    cells[:, 5] = patch.valid
+    _atomic_write(path, ",".join(_CSV_HEADER) + "\n"
+                  + ("%d,%d,%s,%s,%s,%d\n" * n) % tuple(cells.reshape(-1).tolist()))
 
 
 def read_csv(path: str) -> SurfacePatch:
-    """Inverse of write_csv (17-digit decimals round-trip exactly)."""
+    """Inverse of write_csv (17-digit decimals round-trip exactly).
+
+    Blank lines are skipped and rows may come in any order; lattice points
+    without a row stay invalid zeros, and a row is valid only when its flag
+    is ``1``.
+    """
     with open(path) as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    header, body = rows[0], rows[1:]
-    if header != ["u_index", "v_index", "x", "y", "z", "valid"]:
+        lines = [line for line in (raw.strip() for raw in fh.read().split("\n")) if line]
+    header = lines[0].split(",") if lines else []
+    if header != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
-    nu = max(int(r[0]) for r in body) + 1
-    nv = max(int(r[1]) for r in body) + 1
+    rows = len(lines) - 1
+    cells = ",".join(lines[1:]).split(",") if rows else []
+    if len(cells) != 6 * rows:
+        raise ValueError(f"CSV rows in {path} must have 6 fields")
+    iu = np.array(list(map(int, cells[0::6])), dtype=np.int64)
+    iv = np.array(list(map(int, cells[1::6])), dtype=np.int64)
+    nu = int(iu.max()) + 1
+    nv = int(iv.max()) + 1
     points = np.zeros((nu * nv, 3))
     valid = np.zeros(nu * nv, dtype=bool)
-    for r in body:
-        k = int(r[0]) * nv + int(r[1])
-        points[k] = (float(r[2]), float(r[3]), float(r[4]))
-        valid[k] = r[5] == "1"
+    k = iu * nv + iv
+    for axis in range(3):
+        points[k, axis] = list(map(float, cells[2 + axis::6]))
+    valid[k] = [flag == "1" for flag in cells[5::6]]
     return SurfacePatch(nu, nv, points, valid)

@@ -95,11 +95,17 @@ _MAX_NODES = 1 << 16
 
 @lru_cache(maxsize=None)
 def _level_rule(nseg: int):
-    """Nodes t in (0, 1) and weights of the nseg-segment composite rule, in the
-    segment-major order of the scalar loop."""
+    """Nodes t in (0, 1) and weights of the nseg-segment composite rule.
+
+    The 32 * nseg Gauss nodes come first, in the segment-major order of the
+    scalar loop, and carry the weights.  The nseg - 1 interior segment
+    boundaries k / nseg follow: they are evaluated only to detect a pole that
+    the nodes, symmetric about it, would cancel into a principal value.
+    """
     half = 0.5 / nseg
     mids = (np.arange(nseg) + 0.5) / nseg
-    t = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+    gauss = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+    t = np.concatenate([gauss, np.arange(1, nseg) / nseg])
     weights = np.tile(_GL_WEIGHTS * half, nseg)
     return t, weights
 
@@ -125,11 +131,13 @@ def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
     32-node Gauss-Legendre per segment; the segment count doubles until two
     successive refinements agree within ``tol`` in every integrand
     (NoConvergence past ``max_segments``).  Singularities are detected by
-    sampling: a node where an integrand fails to evaluate finitely makes that
-    segment's SingularPath.  Each endpoint keeps its own convergence state, so
-    a segment stops at the same level, with the same value and error, whether
-    it is integrated alone or in a batch; each level evaluates the nodes of all
-    still-active segments in one call per integrand.
+    sampling: a node or an interior segment boundary where an integrand fails
+    to evaluate finitely makes that segment's SingularPath (a pole at a
+    boundary would otherwise cancel into its principal value).  Each endpoint
+    keeps its own convergence state, so a segment stops at the same level,
+    with the same value and error, whether it is integrated alone or in a
+    batch; each level evaluates the nodes of all still-active segments in one
+    call per integrand.
     """
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
                                  np.asarray(z1, dtype=complex).reshape(-1))
@@ -154,7 +162,8 @@ def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
                 for flat, exc in errs.items():
                     row, node = divmod(flat, t.size)
                     failed.setdefault(row, []).append((node, idx, exc))
-                cur[idx, lo:lo + pts.size] = delta[pts] * (vals * weights).sum(axis=1)
+                cur[idx, lo:lo + pts.size] = delta[pts] * (vals[:, :weights.size]
+                                                           * weights).sum(axis=1)
             for row, row_errors in failed.items():
                 errors[pts[row]] = _first_singular(w[row], row_errors)
                 ok[lo + row] = False

@@ -90,6 +90,21 @@ def _stencil_points(x, y, h):
             yield x + di * h, y + dj * h
 
 
+def _central_jet(f, u, v, h):
+    """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) of f(u, v)
+    with step h; f may return scalars or numpy arrays."""
+    z = f(u, v)
+    zu = sum(c * f(u + d * h, v) for d, c in _D1) / (12 * h)
+    zv = sum(c * f(u, v + d * h) for d, c in _D1) / (12 * h)
+    zuu = (-f(u + 2 * h, v) + 16 * f(u + h, v) - 30 * z
+           + 16 * f(u - h, v) - f(u - 2 * h, v)) / (12 * h * h)
+    zvv = (-f(u, v + 2 * h) + 16 * f(u, v + h) - 30 * z
+           + 16 * f(u, v - h) - f(u, v - 2 * h)) / (12 * h * h)
+    zuv = sum(ci * cj * f(u + di * h, v + dj * h)
+              for di, ci in _D1 for dj, cj in _D1) / (144 * h * h)
+    return z, zu, zv, zuu, zuv, zvv
+
+
 def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = 1e-4) -> GraphJet:
     """Second-order jet of a height surface at (x, y).
 
@@ -111,17 +126,7 @@ def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = 1e-
         if bad:
             raise DomainViolation(f"stencil leaves the domain of {surface.id!r}", bad[:5])
 
-    f = surface.height_at
-    z = f(x, y)
-    zx = sum(c * f(x + d * h, y) for d, c in _D1) / (12 * h)
-    zy = sum(c * f(x, y + d * h) for d, c in _D1) / (12 * h)
-    zxx = (-f(x + 2 * h, y) + 16 * f(x + h, y) - 30 * z
-           + 16 * f(x - h, y) - f(x - 2 * h, y)) / (12 * h * h)
-    zyy = (-f(x, y + 2 * h) + 16 * f(x, y + h) - 30 * z
-           + 16 * f(x, y - h) - f(x, y - 2 * h)) / (12 * h * h)
-    zxy = sum(ci * cj * f(x + di * h, y + dj * h)
-              for di, ci in _D1 for dj, cj in _D1) / (144 * h * h)
-    return GraphJet(z, zx, zy, zxx, zxy, zyy)
+    return GraphJet(*_central_jet(surface.height_at, x, y, h))
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +166,6 @@ LORENTZ3_PRIME = SignatureMetric((1, -1, 1))
 METRIC_NAMES = {"euclid": EUCLID3, "l3": LORENTZ3, "l3p": LORENTZ3_PRIME}
 
 
-def _fd_parametric_jet(point_fn, u, v, h):
-    def p(uu, vv):
-        return np.asarray(point_fn(uu, vv), dtype=float)
-
-    x = p(u, v)
-    xu = sum(c * p(u + d * h, v) for d, c in _D1) / (12 * h)
-    xv = sum(c * p(u, v + d * h) for d, c in _D1) / (12 * h)
-    xuu = (-p(u + 2 * h, v) + 16 * p(u + h, v) - 30 * x
-           + 16 * p(u - h, v) - p(u - 2 * h, v)) / (12 * h * h)
-    xvv = (-p(u, v + 2 * h) + 16 * p(u, v + h) - 30 * x
-           + 16 * p(u, v - h) - p(u, v - 2 * h)) / (12 * h * h)
-    xuv = sum(ci * cj * p(u + di * h, v + dj * h)
-              for di, ci in _D1 for dj, cj in _D1) / (144 * h * h)
-    return x, xu, xv, xuu, xuv, xvv
-
-
 def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: float,
                              h: float = 1e-4, use_exact_jet: bool = True) -> float:
     """Normalized mean-curvature numerator E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N>.
@@ -188,7 +177,9 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: floa
     if use_exact_jet and hasattr(sampler, "jet"):
         x, xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
     else:
-        x, xu, xv, xuu, xuv, xvv = _fd_parametric_jet(sampler.point, u, v, h)
+        point = sampler.point
+        x, xu, xv, xuu, xuv, xvv = _central_jet(
+            lambda uu, vv: np.asarray(point(uu, vv), dtype=float), u, v, h)
 
     E = metric.inner(xu, xu)
     F = metric.inner(xu, xv)

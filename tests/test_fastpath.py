@@ -35,6 +35,8 @@ from zmcsurf.reps import (
     WESampler,
     integrate_segment,
     integrate_segments,
+    tlms_point,
+    we_point,
 )
 
 # log and sqrt are cut along the negative reals, atan along the imaginary axis
@@ -125,11 +127,18 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def _reference_integrate(integrands, z0, z1, tol=1e-10, max_segments=1024):
-    """One endpoint, one node at a time, on the scalar tree walk."""
+    """One endpoint, one node at a time, on the scalar tree walk; the interior
+    segment boundaries are probed after the nodes of each level."""
     z0, z1 = complex(z0), complex(z1)
     if z0 == z1:
         return [0j for _ in integrands]
     delta = z1 - z0
+
+    def value(e, w):
+        try:
+            return _eval_node(e.root, {e.varname: w})
+        except EvalDomainError as exc:
+            raise SingularPath(f"integrand singular at node {w!r}: {exc}") from exc
 
     def composite(nseg):
         acc = [0j for _ in integrands]
@@ -139,11 +148,10 @@ def _reference_integrate(integrands, z0, z1, tol=1e-10, max_segments=1024):
             for node, weight in zip(_NODES.tolist(), _WEIGHTS.tolist()):
                 w = z0 + (mid + half * node) * delta
                 for idx, e in enumerate(integrands):
-                    try:
-                        val = _eval_node(e.root, {e.varname: w})
-                    except EvalDomainError as exc:
-                        raise SingularPath(f"integrand singular at node {w!r}: {exc}") from exc
-                    acc[idx] += weight * half * val
+                    acc[idx] += weight * half * value(e, w)
+        for k in range(1, nseg):
+            for e in integrands:
+                value(e, z0 + (k / nseg) * delta)
         return [delta * v for v in acc]
 
     prev = composite(1)
@@ -170,6 +178,9 @@ def _reference_outcome(integrands, z0, z1, max_segments):
     # the first segment passes 1e-9 from the pole at 0 and never settles
     (WEData.from_text("1/w", "w", zeta0=complex(-1, 1e-9)),
      [complex(1, 1e-9), 0.5 + 0.5j, complex(-0.9, 1e-9)]),
+    # the paths to -1 and -3 cross the pole at a segment boundary; -0.5 and
+    # 0.5 + 0.5j do not
+    (WEData.from_text("1/w", "w", zeta0=1.0), [-1.0, -3.0, -0.5, 0.5 + 0.5j]),
     (WEData.from_text("1/(w - 0.3)", "w"), [0.3 + 0.0j, 0.2 + 0.2j, 0.6 - 0.1j]),
 ])
 def test_batched_quadrature_matches_per_point_reference(data, targets):
@@ -225,12 +236,12 @@ class _PointOnly:
     (WESampler(WEData.from_text("exp(w)", "sin(w)")), GridSpec(-0.8, 0.8, -0.6, 0.7, 9, 7)),
     (WESampler(WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal", offset=(1, -2, 0.5)),
                theta=0.7), GridSpec(-0.6, 0.6, -0.6, 0.6, 7, 8)),
-    # the paths from 1 to 0 and to -0.5 meet the pole of 1/w: two masked points
+    # the paths from 1 to 0, -0.5 and -1 meet the pole of 1/w: three masked points
     (WESampler(WEData.from_text("1/w", "w", zeta0=1.0)), GridSpec(-1, 1, -0.5, 0.5, 5, 5)),
     (TLMSSampler(TLMSData.from_text("1 + u^2", "2 - v", "u", "v^2", base=(0.1, -0.2))),
      GridSpec(0, 0.8, -0.4, 0.8, 8, 6)),
-    # the paths from the base u = 1 to u = 0 and u = -0.5 meet the pole of 1/u:
-    # two masked rows
+    # the paths from the base u = 1 to u = 0, -0.5 and -1 meet the pole of 1/u:
+    # three masked rows
     (TLMSSampler(TLMSData.from_text("1/u", "1", "u", "v", base=(1.0, 0.0))),
      GridSpec(-1, 1, 0, 0.5, 5, 4)),
     (BCSampler(BCData.from_text("r + r^3", "sin(s)")), GridSpec(-0.7, 0.8, 0, 0.8, 7, 9)),
@@ -241,8 +252,53 @@ def test_sample_grid_matches_point_sampling(sampler, grid):
     fast = sample_patch(sampler, grid)
     slow = sample_patch(_PointOnly(sampler), grid)
     assert np.array_equal(fast.valid, slow.valid)
-    assert fast.valid_count() >= grid.nu * grid.nv - 2 * grid.nv
+    assert fast.valid_count() >= grid.nu * grid.nv - 3 * grid.nv
     assert np.max(np.abs(fast.points - slow.points)) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# a simple pole crossed by the path
+# ---------------------------------------------------------------------------
+
+def test_path_through_a_pole_is_singular_not_its_principal_value():
+    # The pole of 1/w sits at t = 1/2 of the path to -1 and t = 1/4 of the path
+    # to -3; Gauss nodes symmetric about it would cancel into log 1 and log 3.
+    data = WEData.from_text("1/w", "w", zeta0=1.0)
+    for end in (-1.0, -3.0):
+        with pytest.raises(SingularPath) as exc:
+            we_point(data, end)
+        assert exc.value.__cause__.value == 0j
+    # The path to -0.5 ends 0.5 past the pole, off every segment boundary.
+    with pytest.raises(NoConvergence):
+        we_point(data, -0.5)
+
+
+def test_translation_path_through_a_pole_is_singular():
+    data = TLMSData.from_text("1/u", "1", "u", "v", base=(1.0, 0.0))
+    with pytest.raises(SingularPath):
+        tlms_point(data, -1.0, 0.5)
+    grid = GridSpec(-1, 1, 0, 0.5, 5, 4)     # u = -1, -0.5, 0, 0.5, 1
+    for sampler in (TLMSSampler(data), _PointOnly(TLMSSampler(data))):
+        valid = sample_patch(sampler, grid).valid.reshape(5, 4)
+        assert valid.tolist() == [[False] * 4] * 3 + [[True] * 4] * 2
+
+
+def test_we_lattice_masks_the_paths_through_the_pole():
+    grid = GridSpec(-3, 1, -1, 1, 5, 3)      # zeta = u + i v, u = -3, -2, -1, 0, 1
+    sampler = WESampler(WEData.from_text("1/w", "w", zeta0=1.0))
+    for source in (sampler, _PointOnly(sampler)):
+        valid = sample_patch(source, grid).valid.reshape(5, 3)
+        assert valid[:, 1].tolist() == [False] * 4 + [True]   # v = 0 crosses 0
+        assert valid[:, [0, 2]].all()
+
+
+def test_boundary_probes_add_under_four_percent_of_the_nodes():
+    from zmcsurf.reps import _level_rule
+    for nseg in (1, 2, 64, 1024):
+        t, weights = _level_rule(nseg)
+        assert weights.size == 32 * nseg and t.size == 33 * nseg - 1
+        assert t.size <= 1.04 * weights.size
+        assert np.array_equal(t[weights.size:], np.arange(1, nseg) / nseg)
 
 
 def test_translation_samplers_integrate_each_axis_once(monkeypatch):

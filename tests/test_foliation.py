@@ -130,3 +130,35 @@ def test_foliation_check_report():
 def test_foliation_check_needs_leaf_shifts():
     with pytest.raises(EmptyGrid):
         foliation_check(GridSpec(-3, 3, -3, 3, 11, 11), [])
+
+
+def test_foliation_report_headline_is_one_sub_check():
+    grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
+    report = foliation_check(grid, [-1.0, 0.0, 2.5])
+    p = report.parameters
+    ratios = {"boundary": p["boundary_max"] / p["boundary_tolerance"],
+              "roundtrip": p["roundtrip_max"] / p["roundtrip_tolerance"]}
+    name = max(ratios, key=ratios.get)
+    assert report.max_abs_err == p[f"{name}_max"]
+    assert report.mean_abs_err == p[f"{name}_mean"]
+    assert report.tolerance == p[f"{name}_tolerance"]
+    assert 0.0 <= p["boundary_mean"] <= p["boundary_max"]
+    assert 0.0 <= p["roundtrip_mean"] <= p["roundtrip_max"]
+
+
+def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch):
+    real = foliation.leaf_of_point
+    monkeypatch.setattr(foliation, "leaf_of_point",
+                        lambda x, y, z: real(x, y, z) + 1e-9 * (1.0 + abs(x)))
+    grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
+    report = foliation_check(grid, [-1.0, 0.0, 2.5], n_random=200)
+    p = report.parameters
+    assert not report.passed and not p["roundtrip_pass"]
+    assert report.tolerance == p["roundtrip_tolerance"] == 1e-12
+    assert report.max_abs_err == p["roundtrip_max"]
+    assert 1e-9 < report.max_abs_err <= 1e-9 * (1.0 + 3 * PI) * (1 + 1e-6)
+    assert p["roundtrip_mean"] == report.mean_abs_err < report.max_abs_err
+    worst = report.worst_point
+    assert abs(worst["lhs"] - worst["rhs"]) == report.max_abs_err
+    assert p["boundary_max"] < p["boundary_tolerance"]
+    assert report.points_checked == p["boundary_pairs"] + 200 * 3

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +234,17 @@ def test_graph_jet_from_parametric_on_a_lift():
     direct = surf.exact_jet(0.4, -0.3)
     for name in ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy"):
         assert getattr(jet, name) == pytest.approx(getattr(direct, name), abs=1e-12)
+
+
+@pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI"])
+def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
+    # The parametric stencil of the lift (x, y, Z(x, y)) evaluates Z at the same
+    # points in the same order as the graph stencil, so its z entries agree bit
+    # for bit.
+    surf = catalog.builtin_surface(surface_id)
+    lift = zmc.GraphLiftSampler(surf, expose_jet=False)
+    for x, y in ((0.3, -0.2), (-0.45, 0.61), (0.05, 0.4)):
+        graph = zmc.graph_jet(surf, x, y, method="central-diff", h=1e-3)
+        parametric = zmc._central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
+        assert [entry[2] for entry in parametric] == [
+            graph.z, graph.z_x, graph.z_y, graph.z_xx, graph.z_xy, graph.z_yy]
