@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from . import expr as _expr
 from .errors import DomainViolation, EmptyGrid
 from .meshio import GridSpec
-from .report import VerificationReport
+from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet
 
 __all__ = [
@@ -698,37 +698,23 @@ def _check_guards(inst: IdentityInstance, points, margin: float) -> None:
             bad[:10])
 
 
-def _evaluate_points(inst: IdentityInstance, points, policy: str):
-    rows = []
-    for x, y in points:
-        lhs = inst.lhs.fn(x, y)
-        rhs = sum(t.fn(x, y) for t in inst.rhs_terms)
-        rows.append((branch_error(policy, lhs, rhs), x, y, lhs, rhs))
-    return rows
-
-
-def _reduce_rows(inst, rows, policy, tolerance, grid, n_points, extra_params=None):
-    if not rows:
-        raise EmptyGrid("identity verification saw no points")
-    max_err = -1.0
-    worst = None
-    total = 0.0
-    for err, x, y, lhs, rhs in rows:
-        total += err
-        if err > max_err:
-            max_err = err
-            worst = {"coords": [x, y], "lhs": lhs, "rhs": rhs}
-    params = {"n": inst.n, **inst.params}
-    if extra_params:
-        params.update(extra_params)
+def _sweep(inst: IdentityInstance, points, policy: str, tolerance: float, grid,
+           margin: float, extra_params=None) -> VerificationReport:
+    """Check the guards, then evaluate and reduce the points in order."""
+    _check_guards(inst, points, margin)
+    stats = ErrorStats()
+    for xy in points:
+        lhs = inst.lhs.fn(*xy)
+        rhs = sum(t.fn(*xy) for t in inst.rhs_terms)
+        stats.add(branch_error(policy, lhs, rhs), xy, lhs, rhs)
     return VerificationReport(
         subject=f"identity:{inst.id}",
-        parameters=params,
+        parameters={"n": inst.n, **inst.params, **(extra_params or {})},
         grid=grid,
-        points_checked=n_points,
-        max_abs_err=max_err,
-        mean_abs_err=total / n_points,
-        worst_point=worst,
+        points_checked=stats.count,
+        max_abs_err=stats.max,
+        mean_abs_err=stats.mean,
+        worst_point=stats.worst,
         policy=policy,
         tolerance=tolerance,
     )
@@ -745,12 +731,8 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     policy = policy or inst.branch_policy
     if policy not in BRANCH_POLICIES:
         raise ValueError(f"unknown branch policy {policy!r}")
-    us = [float(u) for u in grid.u_values()]
-    vs = [float(v) for v in grid.v_values()]
-    points = [(u, v) for u in us for v in vs]
-    _check_guards(inst, points, grid.margin)
-    rows = _evaluate_points(inst, points, policy)
-    return _reduce_rows(inst, rows, policy, tolerance, grid, len(points))
+    points = [uv for _, uv in grid.points()]
+    return _sweep(inst, points, policy, tolerance, grid, grid.margin)
 
 
 def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
@@ -762,10 +744,8 @@ def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
     points = list(points)
     if not points:
         raise EmptyGrid("no probe points supplied")
-    _check_guards(inst, points, margin)
-    rows = _evaluate_points(inst, points, policy)
-    return _reduce_rows(inst, rows, policy, tolerance, None, len(points),
-                        extra_params={"probes": len(points), "margin": margin})
+    return _sweep(inst, points, policy, tolerance, None, margin,
+                  {"probes": len(points), "margin": margin})
 
 
 # ---------------------------------------------------------------------------

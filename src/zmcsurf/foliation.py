@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import EmptyGrid
-from .report import VerificationReport
+from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet
 
 __all__ = [
@@ -123,9 +123,7 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
     if not t_samples:
         raise EmptyGrid("need at least one leaf shift t")
 
-    boundary_max = boundary_total = 0.0
-    boundary_worst = None
-    pairs = 0
+    boundary = ErrorStats()
     k_lo = math.ceil((grid.u_min - math.pi) / TWO_PI)
     k_hi = math.floor((grid.u_max - math.pi) / TWO_PI)
     for k in range(k_lo, k_hi + 1):
@@ -136,17 +134,11 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
             y = float(v)
             left = leaf_height(xb - boundary_delta, y)
             right = leaf_height(xb + boundary_delta, y)
-            diff = abs(left - right)
-            boundary_total += diff
-            pairs += 1
-            if diff >= boundary_max:
-                boundary_max = diff
-                boundary_worst = {"coords": [xb, y], "lhs": left, "rhs": right}
+            boundary.add(abs(left - right), (xb, y), left, right)
 
     rng = random.Random(seed)
     margin = max(grid.margin, 1e-6)
-    roundtrip_max = roundtrip_total = 0.0
-    roundtrip_worst = None
+    roundtrip = ErrorStats()
     checked = 0
     while checked < n_random:
         x = rng.uniform(grid.u_min, grid.u_max)
@@ -154,46 +146,38 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
         if math.hypot(x - TWO_PI * band_index(x), y) <= margin:
             continue
         for t in t_samples:
-            px, py, pz = leaf_point(x, y, t)
-            recovered = leaf_of_point(px, py, pz)
-            err = abs(recovered - t)
-            roundtrip_total += err
-            if err >= roundtrip_max:
-                roundtrip_max = err
-                roundtrip_worst = {"coords": [x, y], "lhs": recovered, "rhs": t}
+            recovered = leaf_of_point(*leaf_point(x, y, t))
+            roundtrip.add(abs(recovered - t), (x, y), recovered, t)
         checked += 1
 
-    boundary_mean = boundary_total / pairs if pairs else 0.0
-    roundtrips = checked * len(t_samples)
-    roundtrip_mean = roundtrip_total / roundtrips if roundtrips else 0.0
-    # Compare the err/tolerance ratios without dividing by a tolerance.
-    if roundtrip_max * boundary_tolerance > boundary_max * roundtrip_tolerance:
-        max_err, mean_err, worst, tolerance = (roundtrip_max, roundtrip_mean,
-                                               roundtrip_worst, roundtrip_tolerance)
+    # Compare the err/tolerance ratios without dividing by a tolerance; a NaN
+    # max heads the report whichever sub-check it is in.
+    if (roundtrip.max * boundary_tolerance > boundary.max * roundtrip_tolerance
+            or math.isnan(roundtrip.max)):
+        headline, tolerance = roundtrip, roundtrip_tolerance
     else:
-        max_err, mean_err, worst, tolerance = (boundary_max, boundary_mean,
-                                               boundary_worst, boundary_tolerance)
+        headline, tolerance = boundary, boundary_tolerance
     return VerificationReport(
         subject="foliation-check",
         parameters={
             "t_samples": t_samples,
-            "boundary_pairs": pairs,
+            "boundary_pairs": boundary.count,
             "boundary_delta": boundary_delta,
-            "boundary_max": boundary_max,
-            "boundary_mean": boundary_mean,
+            "boundary_max": boundary.max,
+            "boundary_mean": boundary.mean,
             "boundary_tolerance": boundary_tolerance,
             "roundtrip_points": checked,
-            "roundtrip_max": roundtrip_max,
-            "roundtrip_mean": roundtrip_mean,
+            "roundtrip_max": roundtrip.max,
+            "roundtrip_mean": roundtrip.mean,
             "roundtrip_tolerance": roundtrip_tolerance,
-            "roundtrip_pass": roundtrip_max <= roundtrip_tolerance,
+            "roundtrip_pass": roundtrip.max <= roundtrip_tolerance,
             "seed": seed,
         },
         grid=grid,
-        points_checked=pairs + roundtrips,
-        max_abs_err=max_err,
-        mean_abs_err=mean_err,
-        worst_point=worst,
+        points_checked=boundary.count + roundtrip.count,
+        max_abs_err=headline.max,
+        mean_abs_err=headline.mean,
+        worst_point=headline.worst,
         policy="principal",
         tolerance=tolerance,
     )

@@ -25,6 +25,35 @@ def _jsonable(value):
     return value
 
 
+class ErrorStats:
+    """Streaming max / mean / worst point of pointwise errors.
+
+    The worst point is the first maximal error in ``add`` order, and a NaN
+    error counts as maximal (the first NaN stays the worst point), so a
+    report built from a NaN ``max`` fails.  ``mean`` is the left-to-right
+    float sum divided by ``count``; it is 0.0 before the first ``add``.
+    """
+
+    __slots__ = ("count", "max", "worst", "_total")
+
+    def __init__(self):
+        self.count = 0
+        self.max = 0.0
+        self.worst = None
+        self._total = 0.0
+
+    def add(self, err, coords, lhs, rhs=0.0) -> None:
+        self.count += 1
+        self._total += err
+        if err > self.max or self.worst is None or (err != err and self.max == self.max):
+            self.max = err
+            self.worst = {"coords": list(coords), "lhs": lhs, "rhs": rhs}
+
+    @property
+    def mean(self) -> float:
+        return self._total / self.count if self.count else 0.0
+
+
 @dataclass
 class VerificationReport:
     """Outcome of one identity / residual / foliation sweep.

@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence, SingularPath
+from .errors import EmptyGrid, NoConvergence, SingularPath
 from .expr import AnalyticExpr, Binary, Const, Power, Unary, Var, parse
-from .report import VerificationReport
+from .report import ErrorStats, VerificationReport
 
 __all__ = [
     "SingularPath",
@@ -387,6 +387,8 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
                  radius: float = 0.8, seed: int = 20240801,
                  tolerance: float = 1e-10, pieces: Sequence = None) -> VerificationReport:
     """Check sum_i z_i = z at random probes around the basepoint."""
+    if n_samples < 1:
+        raise EmptyGrid("no probes in split verification")
     if pieces is not None:
         split = split_weierstrass_expressions(data, pieces, radius=radius)
         label = {"pieces": [p.f.source() for p in split]}
@@ -410,26 +412,18 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         for errs in errors:
             if errs[k] is not None:
                 raise errs[k]
-    z_parents = heights[0].tolist()
-    z_sums = sum(heights[1:]).tolist()
-    max_err = -1.0
-    total = 0.0
-    worst = None
-    for zeta, z_parent, z_sum in zip(zetas, z_parents, z_sums):
-        err = abs(z_parent - z_sum)
-        total += err
-        if err > max_err:
-            max_err = err
-            worst = {"coords": [zeta.real, zeta.imag], "lhs": z_parent, "rhs": z_sum}
+    stats = ErrorStats()
+    for zeta, z_parent, z_sum in zip(zetas, heights[0].tolist(), sum(heights[1:]).tolist()):
+        stats.add(abs(z_parent - z_sum), (zeta.real, zeta.imag), z_parent, z_sum)
     return VerificationReport(
         subject="we-split",
         parameters={**label, "samples": n_samples, "radius": radius,
                     "seed": seed, "mode": data.mode},
         grid=None,
-        points_checked=n_samples,
-        max_abs_err=max_err,
-        mean_abs_err=total / n_samples,
-        worst_point=worst,
+        points_checked=stats.count,
+        max_abs_err=stats.max,
+        mean_abs_err=stats.mean,
+        worst_point=stats.worst,
         policy="principal",
         tolerance=tolerance,
     )

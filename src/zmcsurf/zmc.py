@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, EmptyGrid
-from .report import VerificationReport
+from .report import ErrorStats, VerificationReport
 
 __all__ = [
     "GraphJet",
@@ -184,12 +184,15 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: floa
     E = metric.inner(xu, xu)
     F = metric.inner(xu, xv)
     G = metric.inner(xv, xv)
-    scale = (abs(E) + abs(F) + abs(G)) ** 2
+    n = metric.pseudo_normal(xu, xv)
+    try:
+        scale = (abs(E) + abs(F) + abs(G)) ** 2
+        n_norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
+    except OverflowError:
+        # A float ** that overflows raises; the point's value is not finite.
+        return math.nan
     if scale == 0 or abs(E * G - F * F) < 1e-12 * scale:
         raise DegenerateMetric(f"first fundamental form degenerate at ({u}, {v})")
-
-    n = metric.pseudo_normal(xu, xv)
-    n_norm = math.sqrt(n[0] ** 2 + n[1] ** 2 + n[2] ** 2)
     numerator = (E * metric.inner(xvv, n)
                  - 2 * F * metric.inner(xuv, n)
                  + G * metric.inner(xuu, n))
@@ -236,29 +239,20 @@ def residual_sweep(surface, eq: str, grid, method: str = "exact", h: float = 1e-
         raise DomainViolation(
             f"{len(bad)} grid points violate the domain of {surface.id!r}", bad[:10])
 
-    worst = None
-    max_err = 0.0
-    total = 0.0
-    count = 0
-    for _, (u, v) in grid.points():
-        jet = graph_jet(surface, u, v, method=method, h=h)
-        r = graph_residual(eq, jet)
-        err = abs(r)
-        total += err
-        count += 1
-        if err >= max_err:
-            max_err = err
-            worst = {"coords": [u, v], "lhs": r, "rhs": 0.0}
-    if count == 0:
+    stats = ErrorStats()
+    for _, uv in grid.points():
+        r = graph_residual(eq, graph_jet(surface, *uv, method=method, h=h))
+        stats.add(abs(r), uv, r)
+    if stats.count == 0:
         raise EmptyGrid("no points in residual sweep")
     return VerificationReport(
         subject=f"residual:{eq}:{surface.id}",
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": h},
         grid=grid,
-        points_checked=count,
-        max_abs_err=max_err,
-        mean_abs_err=total / count,
-        worst_point=worst,
+        points_checked=stats.count,
+        max_abs_err=stats.max,
+        mean_abs_err=stats.mean,
+        worst_point=stats.worst,
         policy="unnormalized",
         tolerance=tolerance,
     )
@@ -268,30 +262,22 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, h: float = 1e-4,
                      tolerance: float = 1e-6, use_exact_jet: bool = True,
                      subject: str = "parametric-zmc") -> VerificationReport:
     """Max/mean |normalized parametric ZMC numerator| over a (u, v) lattice."""
-    worst = None
-    max_err = 0.0
-    total = 0.0
-    count = 0
-    for _, (u, v) in grid.points():
-        value = parametric_zmc_numerator(sampler, metric, u, v, h=h,
+    stats = ErrorStats()
+    for _, uv in grid.points():
+        value = parametric_zmc_numerator(sampler, metric, *uv, h=h,
                                          use_exact_jet=use_exact_jet)
-        err = abs(value)
-        total += err
-        count += 1
-        if err >= max_err:
-            max_err = err
-            worst = {"coords": [u, v], "lhs": value, "rhs": 0.0}
-    if count == 0:
+        stats.add(abs(value), uv, value)
+    if stats.count == 0:
         raise EmptyGrid("no points in parametric sweep")
     return VerificationReport(
         subject=subject,
         parameters={"metric": list(metric.signs), "h": h,
                     "jets": "exact" if use_exact_jet else "central-diff"},
         grid=grid,
-        points_checked=count,
-        max_abs_err=max_err,
-        mean_abs_err=total / count,
-        worst_point=worst,
+        points_checked=stats.count,
+        max_abs_err=stats.max,
+        mean_abs_err=stats.mean,
+        worst_point=stats.worst,
         policy="normalized",
         tolerance=tolerance,
     )

@@ -361,3 +361,79 @@ def test_row_parallel_sweep_is_deterministic():
     first = verify_identity(inst, grid).to_dict(include_timestamp=False)
     second = verify_identity(inst, grid).to_dict(include_timestamp=False)
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# report reduction and a 50-digit oracle for the identities
+# ---------------------------------------------------------------------------
+
+def test_nan_branch_error_fails_the_identity_report(monkeypatch):
+    real = catalog.branch_error
+    calls = []
+
+    def branch_error_with_nans(policy, lhs, rhs):
+        calls.append(None)
+        # NaN at the 7th and 9th row-major points of the 5x5 lattice.
+        return math.nan if len(calls) in (7, 9) else real(policy, lhs, rhs)
+
+    monkeypatch.setattr(catalog, "branch_error", branch_error_with_nans)
+    report = verify_identity(identity_terms("scherk2-decomp", 2), GridSpec(-1, 1, -1, 1, 5, 5))
+    assert report.passed is False
+    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
+    # The first NaN is the worst point; the later one does not replace it.
+    assert report.worst_point["coords"] == [-0.5, -0.5]
+    assert report.points_checked == 25
+
+
+def _mp_scherk2_sides(mp, n, x, y):
+    lhs = mp.log(mp.cos(y) / mp.cos(x))
+    cs = [(2 * m - n + 1) * mp.pi / (2 * n) for m in range(n)]
+    return lhs, [mp.log(mp.cos(y / n - c) / mp.cos(x / n - c)) for c in cs]
+
+
+def _mp_helicoid_sides(mp, n, x, y):
+    def tower(a, b):
+        return mp.atan(mp.tanh(a) * mp.cos(b) / mp.sin(b))
+
+    ms = range(1, n)
+    terms = ([tower(y / n, (x + m * mp.pi) / n) for m in ms]
+             + [-mp.atan((y / n) / ((x + m * mp.pi) / n)) for m in ms]
+             + [tower(y / n, x / n)]
+             + [-mp.atan((y / n) / ((x + m * mp.pi) / n - mp.pi)) for m in ms]
+             + [mp.atan(y / (x + m * mp.pi)) for m in ms]
+             + [mp.atan(y / (x - m * mp.pi)) for m in ms])
+    return tower(y, x), terms
+
+
+def _mp_branch_error(mp, policy, lhs, rhs):
+    if policy == "multiplicative":
+        el, es = mp.exp(lhs), mp.exp(rhs)
+        return abs(el - es) / (1 + abs(el))
+    assert policy == "mod-pi"
+    d = lhs - rhs
+    return abs(d - mp.nint(mp.re(d) / mp.pi) * mp.pi)
+
+
+@pytest.mark.parametrize("identity_id, n, grid, mp_sides", [
+    ("scherk2-decomp", 3, GridSpec(-1, 1, -1, 1, 41, 41), _mp_scherk2_sides),
+    ("helicoid-decomp", 2, GridSpec(0.1, 2.9, -2, 2, 41, 41), _mp_helicoid_sides),
+])
+def test_decomposition_matches_a_50_digit_oracle(identity_id, n, grid, mp_sides):
+    mp = pytest.importorskip("mpmath").mp
+    tol = 1e-9  # the verify_identity default the verification suite uses
+    inst = identity_terms(identity_id, n)
+    policy = inst.branch_policy
+    points = [xy for _, xy in grid.points()][::97]
+    with mp.workdps(50):
+        for x, y in points:
+            lhs, terms = inst.lhs.fn(x, y), [t.fn(x, y) for t in inst.rhs_terms]
+            mp_lhs, mp_terms = mp_sides(mp, n, mp.mpf(x), mp.mpf(y))
+            assert len(mp_terms) == len(terms)
+            mp_rhs = mp.fsum(mp_terms)
+            # The identity holds at 50 digits, and the float64 branch error
+            # and each float64 side are within tolerance of the oracle.
+            exact = _mp_branch_error(mp, policy, mp_lhs, mp_rhs)
+            assert exact < mp.mpf("1e-40")
+            assert abs(branch_error(policy, lhs, sum(terms)) - float(exact)) <= tol
+            assert branch_error(policy, lhs, complex(mp_lhs)) <= tol
+            assert branch_error(policy, sum(terms), complex(mp_rhs)) <= tol

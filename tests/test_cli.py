@@ -175,3 +175,16 @@ def test_mesh_output_is_byte_deterministic(tmp_path):
     assert main(argv + ["--out", str(p1)]) == 0
     assert main(argv + ["--out", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["residual"],
+    ["residual", "parametric", "--source", "surface"],
+])
+def test_non_finite_residuals_fail(command, capsys):
+    # The plane's slopes overflow: NaN residuals, or an overflowing ** in
+    # the parametric normalization; both must fail, not pass or crash.
+    rc = main(command + ["--surface", "plane:1e200,1e200", "--grid=-1:1:5,-1:1:5"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("[FAIL]") and "max_abs_err=nan" in out

@@ -162,3 +162,41 @@ def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch
     assert abs(worst["lhs"] - worst["rhs"]) == report.max_abs_err
     assert p["boundary_max"] < p["boundary_tolerance"]
     assert report.points_checked == p["boundary_pairs"] + 200 * 3
+
+
+_WINDOW = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
+
+
+def test_nan_roundtrip_fails_the_report(monkeypatch):
+    real = foliation.leaf_of_point
+    calls = []
+
+    def leaf_of_point_with_nans(x, y, z):
+        calls.append([x, y])
+        return math.nan if len(calls) in (5, 50) else real(x, y, z)
+
+    monkeypatch.setattr(foliation, "leaf_of_point", leaf_of_point_with_nans)
+    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)
+    p = report.parameters
+    assert report.passed is False and p["roundtrip_pass"] is False
+    assert report.tolerance == p["roundtrip_tolerance"]
+    assert math.isnan(report.max_abs_err) and math.isnan(p["roundtrip_max"])
+    assert report.worst_point["coords"] == calls[4]  # the first NaN
+    assert p["boundary_max"] < p["boundary_tolerance"]
+
+
+def test_nan_boundary_pair_fails_the_report(monkeypatch):
+    real = foliation.leaf_height
+
+    def leaf_height_nan_at_band_boundaries(x, y):
+        near = min(abs(abs(x) - PI), abs(abs(x) - 3 * PI))
+        return math.nan if near < 1e-6 else real(x, y)
+
+    monkeypatch.setattr(foliation, "leaf_height", leaf_height_nan_at_band_boundaries)
+    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)
+    p = report.parameters
+    assert report.passed is False and p["roundtrip_pass"] is True
+    assert report.tolerance == p["boundary_tolerance"]
+    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
+    # The first pair in order: the lowest boundary x = -3*pi at the lowest y.
+    assert report.worst_point["coords"] == [-3 * PI, -3.0]

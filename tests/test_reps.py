@@ -7,6 +7,7 @@ import random
 import pytest
 
 from zmcsurf import reps, zmc
+from zmcsurf.errors import EmptyGrid
 from zmcsurf.meshio import GridSpec, sample_patch
 from zmcsurf.reps import (
     BCData,
@@ -159,6 +160,11 @@ def test_split_halves_share_the_height():
 def test_split_heights_sum_to_parent(weights):
     report = verify_split(WEData.reduced("1"), weights, n_samples=20)
     assert report.passed and report.max_abs_err < 1e-10
+
+
+def test_split_without_probes_is_empty_not_a_pass():
+    with pytest.raises(EmptyGrid):
+        verify_split(WEData.reduced("1"), (0.5, 0.5), n_samples=0)
 
 
 def test_split_rejects_zero_weight():

@@ -248,3 +248,48 @@ def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
         parametric = zmc._central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
         assert [entry[2] for entry in parametric] == [
             graph.z, graph.z_x, graph.z_y, graph.z_xx, graph.z_xy, graph.z_yy]
+
+
+# ---------------------------------------------------------------------------
+# report reduction: first maximal error wins, NaN counts as maximal
+# ---------------------------------------------------------------------------
+
+_SMALL = GridSpec(-1, 1, -1, 1, 5, 5)
+
+
+def test_non_finite_residual_fails_the_report():
+    # The exact jet of this plane overflows to inf * 0 = nan at every point.
+    report = residual_sweep(catalog.builtin_surface("plane:1e200,1e200"), "minimal", _SMALL)
+    assert report.passed is False
+    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
+    assert report.worst_point["coords"] == [-1.0, -1.0]
+    assert report.points_checked == 25
+
+
+def test_overflowing_parametric_point_is_non_finite():
+    lift = zmc.GraphLiftSampler(catalog.builtin_surface("plane:1e200,1e200"))
+    assert math.isnan(parametric_zmc_numerator(lift, EUCLID3, 0.5, 0.5))
+    report = zmc.parametric_sweep(lift, EUCLID3, _SMALL)
+    assert report.passed is False
+    assert math.isnan(report.max_abs_err)
+    assert report.worst_point["coords"] == [-1.0, -1.0]
+
+
+def test_tied_residuals_report_the_first_lattice_point():
+    surf = catalog.builtin_surface("scherk2")
+    report = residual_sweep(surf, "minimal", surf.default_grid)
+    assert report.points_checked == 1681
+    assert report.max_abs_err == 0.0
+    assert report.worst_point["coords"] == [-1.0, -1.0]
+
+
+def test_tied_parametric_maxima_report_the_first_lattice_point():
+    sampler = reps.TLMSSampler(reps.TLMSData.from_text("1", "1", "u", "v"))
+    grid = GridSpec(0.0, 0.8, 0.0, 0.8, 21, 21)
+    report = zmc.parametric_sweep(sampler, LORENTZ3, grid)
+    errors = [(abs(parametric_zmc_numerator(sampler, LORENTZ3, u, v)), [u, v])
+              for _, (u, v) in grid.points()]
+    tied = [coords for err, coords in errors if err == report.max_abs_err]
+    assert report.max_abs_err == max(err for err, _ in errors)
+    assert len(tied) > 1
+    assert report.worst_point["coords"] == tied[0]
