@@ -247,19 +247,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
         prog="zmcsurf",
         description="Construct and numerically verify zero-mean-curvature surfaces.")
     parser.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    _sub = parser.add_subparsers(dest="command", required=True)
-    _created = []
-
-    class _Sub:
-        # Subparsers parse into a fresh namespace, so config defaults must be
-        # installed per subcommand (and only after its arguments exist, since
-        # set_defaults rebinds the defaults of already-registered arguments).
-        def add_parser(self, *args, **kwargs):
-            p = _sub.add_parser(*args, **kwargs)
-            _created.append(p)
-            return p
-
-    sub = _Sub()
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("surface", help="evaluate a catalog surface")
     p.add_argument("verb", choices=["eval"])
@@ -359,9 +347,11 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.set_defaults(handler=_cmd_foliate)
 
-    if defaults:
-        for created in _created:
-            created.set_defaults(**defaults)
+    # Subparsers parse into a fresh namespace, so config defaults are installed
+    # per subcommand, after its arguments exist (set_defaults rebinds the
+    # defaults of already-registered arguments).
+    for p in sub.choices.values():
+        p.set_defaults(**defaults)
     return parser
 
 

@@ -14,8 +14,8 @@ A one-variable expression evaluates through a numpy closure over
 ``complex128`` arrays, compiled from the AST on first use.  Points where any
 node's value is non-finite are evaluated again by the scalar tree walk
 ``_eval_node``, so a pole, branch point or overflow still raises
-``EvalDomainError`` naming the node at fault; the tree walk is otherwise the
-test oracle for the compiled path.
+``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the tree
+walk itself, which is also the test oracle for the compiled path.
 
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
@@ -579,10 +579,7 @@ class AnalyticExpr:
         return _compile(self.root)
 
     def eval(self, w) -> complex:
-        values, errors = self.eval_array(np.array([complex(w)]))
-        if errors:
-            raise errors[0]
-        return complex(values[0])
+        return _eval_node(self.root, {self.varname: complex(w)})
 
     __call__ = eval
 

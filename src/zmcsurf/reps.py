@@ -19,8 +19,10 @@ densities f(u), g(v),
     z(u, v) =  (I_u[(1+q^2) f] - I_v[(1+r^2) g]) / 2
 
 which makes the surface zero-mean-curvature by construction (translation
-surface of null curves).  All samplers expose exact derivative jets: the
-derivative of a path integral is its integrand, so jets need no quadrature.
+surface of null curves).  All samplers expose exact derivative jets
+``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``: the derivative of a path
+integral is its integrand, so a jet does no quadrature and is defined even
+where the straight path to the point is singular.
 """
 
 from __future__ import annotations
@@ -282,24 +284,27 @@ class WEData:
         return tuple(e.derivative() for e in self.integrands)
 
 
-def _we_integrals(data: WEData, zeta: complex, tol: float = 1e-10):
-    return integrate_segment(data.integrands, data.zeta0, complex(zeta), tol=tol)
+def _we_integrals(data: WEData, zeta: complex):
+    return integrate_segment(data.integrands, data.zeta0, complex(zeta))
 
 
-def we_point(data: WEData, zeta: complex, tol: float = 1e-10):
+def _family_coords(offset, ints, ct, st):
+    """ct * (x0 + Re I) + st * (x0 + Im I) per coordinate: the associated-family
+    member with cos(theta) = ct, sin(theta) = st (scalars or arrays)."""
+    return tuple(ct * (x0 + v.real) + st * (x0 + v.imag) for x0, v in zip(offset, ints))
+
+
+def we_point(data: WEData, zeta: complex):
     """Surface point offset + Re of the straight-path integral triple."""
-    ints = _we_integrals(data, zeta, tol)
+    ints = _we_integrals(data, zeta)
     x0, y0, z0 = data.offset
     return (x0 + ints[0].real, y0 + ints[1].real, z0 + ints[2].real)
 
 
-def associated_family_point(data: WEData, zeta: complex, theta: float,
-                            tol: float = 1e-10):
+def associated_family_point(data: WEData, zeta: complex, theta: float):
     """cos(theta) * X + sin(theta) * X^c, where X^c takes Im of the same integrals."""
-    ints = _we_integrals(data, zeta, tol)
-    ct, st = math.cos(theta), math.sin(theta)
-    return tuple(ct * (x0 + v.real) + st * (x0 + v.imag)
-                 for x0, v in zip(data.offset, ints))
+    return _family_coords(data.offset, _we_integrals(data, zeta),
+                          math.cos(theta), math.sin(theta))
 
 
 def split_weierstrass(data: WEData, weights: Sequence[float]):
@@ -310,7 +315,7 @@ def split_weierstrass(data: WEData, weights: Sequence[float]):
     """
     if data.mode != "reduced-R":
         raise ValueError("splitting is defined for reduced-R data")
-    lams = [float(v) for v in weights]
+    lams = [] if weights is None else [float(v) for v in weights]
     if not lams:
         raise ZeroWeight("need at least one weight")
     if any(v == 0.0 for v in lams):
@@ -490,10 +495,9 @@ class WESampler:
     of the family is ZMC for the mode's ambient metric.
     """
 
-    def __init__(self, data: WEData, theta: float = 0.0, tol: float = 1e-10):
+    def __init__(self, data: WEData, theta: float = 0.0):
         self.data = data
         self.theta = float(theta)
-        self.tol = tol
         self._ct = math.cos(self.theta)
         self._st = math.sin(self.theta)
 
@@ -501,25 +505,23 @@ class WESampler:
         return self._ct * value.real + self._st * value.imag
 
     def point(self, u: float, v: float):
-        zeta = complex(u, v)
-        ints = _we_integrals(self.data, zeta, self.tol)
-        return tuple(self._ct * (x0 + w.real) + self._st * (x0 + w.imag)
-                     for x0, w in zip(self.data.offset, ints))
+        return _family_coords(self.data.offset, _we_integrals(self.data, complex(u, v)),
+                              self._ct, self._st)
 
     def sample_grid(self, grid):
         """The whole lattice in one batched quadrature; failing points are masked."""
         zeta = np.empty((grid.nu, grid.nv), dtype=complex)
         zeta.real = grid.u_values()[:, None]
         zeta.imag = grid.v_values()[None, :]
-        ints, errors = integrate_segments(self.data.integrands, self.data.zeta0, zeta,
-                                          tol=self.tol)
-        coords = [self._ct * (x0 + w.real) + self._st * (x0 + w.imag)
-                  for x0, w in zip(self.data.offset, ints.reshape(3, grid.nu, grid.nv))]
+        ints, errors = integrate_segments(self.data.integrands, self.data.zeta0, zeta)
+        coords = _family_coords(self.data.offset, ints.reshape(3, grid.nu, grid.nv),
+                                self._ct, self._st)
         return _patch(coords, _succeeded(errors).reshape(grid.nu, grid.nv))
 
     def jet(self, u: float, v: float):
+        """(X_u, X_v, X_uu, X_uv, X_vv) from the integrands and their derivatives:
+        d/du is the integrand, d/dv is i times it (no quadrature)."""
         zeta = complex(u, v)
-        x = self.point(u, v)
         phi = [e.eval(zeta) for e in self.data.integrands]
         dphi = [e.eval(zeta) for e in self.data.integrand_derivatives]
         xu = tuple(self._functional(p) for p in phi)
@@ -527,7 +529,7 @@ class WESampler:
         xuu = tuple(self._functional(dp) for dp in dphi)
         xuv = tuple(self._functional(1j * dp) for dp in dphi)
         xvv = tuple(-self._functional(dp) for dp in dphi)
-        return x, xu, xv, xuu, xuv, xvv
+        return xu, xv, xuu, xuv, xvv
 
 
 class InvertedGraphSampler:
@@ -633,35 +635,33 @@ def _assemble_tlms(qu, qv):
     return (x, y, z)
 
 
-def tlms_point(data: TLMSData, u: float, v: float, tol: float = 1e-10):
+def tlms_point(data: TLMSData, u: float, v: float):
     """Timelike-minimal surface point; the u-part and v-part are independent
     one-dimensional quadratures."""
     u0, v0 = data.base
-    qu = [val.real for val in integrate_segment(data.u_integrands, u0, u, tol=tol)]
-    qv = [val.real for val in integrate_segment(data.v_integrands, v0, v, tol=tol)]
+    qu = [val.real for val in integrate_segment(data.u_integrands, u0, u)]
+    qv = [val.real for val in integrate_segment(data.v_integrands, v0, v)]
     return _assemble_tlms(qu, qv)
 
 
 class TLMSSampler:
     """Parametric (u, v) sampler with exact jets (X_uv = 0 by construction)."""
 
-    def __init__(self, data: TLMSData, tol: float = 1e-10):
+    def __init__(self, data: TLMSData):
         self.data = data
-        self.tol = tol
 
     def point(self, u: float, v: float):
-        return tlms_point(self.data, u, v, tol=self.tol)
+        return tlms_point(self.data, u, v)
 
     def sample_grid(self, grid):
         """nu + nv one-dimensional integrals broadcast over the lattice."""
         u0, v0 = self.data.base
-        qu, eu = integrate_segments(self.data.u_integrands, u0, grid.u_values(), tol=self.tol)
-        qv, ev = integrate_segments(self.data.v_integrands, v0, grid.v_values(), tol=self.tol)
+        qu, eu = integrate_segments(self.data.u_integrands, u0, grid.u_values())
+        qv, ev = integrate_segments(self.data.v_integrands, v0, grid.v_values())
         coords = _assemble_tlms(qu.real[:, :, None], qv.real[:, None, :])
         return _patch(coords, _succeeded(eu)[:, None] & _succeeded(ev)[None, :])
 
     def jet(self, u: float, v: float):
-        x = self.point(u, v)
         ju = [e.eval(u).real for e in self.data.u_integrands]
         jv = [e.eval(v).real for e in self.data.v_integrands]
         dju = [e.eval(u).real for e in self.data.u_integrand_derivatives]
@@ -671,7 +671,7 @@ class TLMSSampler:
         xuu = (-dju[0], -0.5 * dju[1], 0.5 * dju[2])
         xvv = (djv[0], -0.5 * djv[1], -0.5 * djv[2])
         xuv = (0.0, 0.0, 0.0)
-        return x, xu, xv, xuu, xuv, xvv
+        return xu, xv, xuu, xuv, xvv
 
 
 # ---------------------------------------------------------------------------
@@ -720,13 +720,13 @@ class BCData:
                 AnalyticExpr(_mul(svar, gp), self.G.varname))
 
 
-def bc_point(data: BCData, r: float, s: float, tol: float = 1e-10):
+def bc_point(data: BCData, r: float, s: float):
     """Born-Infeld soliton point:
     x = (F + G - I_s[s^2 G'] - I_r[r^2 F'])/2,
     y = (G - F - I_r[r^2 F'] + I_s[s^2 G'])/2,
     z = I_r[r F'] + I_s[s G']."""
-    qr = [val.real for val in integrate_segment(data.r_integrands, 0.0, r, tol=tol)]
-    qs = [val.real for val in integrate_segment(data.s_integrands, 0.0, s, tol=tol)]
+    qr = [val.real for val in integrate_segment(data.r_integrands, 0.0, r)]
+    qs = [val.real for val in integrate_segment(data.s_integrands, 0.0, s)]
     return _assemble_bc(qr, qs, data.F.eval(r).real, data.G.eval(s).real)
 
 
@@ -742,18 +742,17 @@ def _assemble_bc(qr, qs, f_r, g_s):
 class BCSampler:
     """Parametric (r, s) sampler with exact jets (X_rs = 0 by construction)."""
 
-    def __init__(self, data: BCData, tol: float = 1e-10):
+    def __init__(self, data: BCData):
         self.data = data
-        self.tol = tol
 
     def point(self, u: float, v: float):
-        return bc_point(self.data, u, v, tol=self.tol)
+        return bc_point(self.data, u, v)
 
     def sample_grid(self, grid):
         """nr + ns one-dimensional integrals broadcast over the lattice."""
         rs, ss = grid.u_values(), grid.v_values()
-        qr, er = integrate_segments(self.data.r_integrands, 0.0, rs, tol=self.tol)
-        qs, es = integrate_segments(self.data.s_integrands, 0.0, ss, tol=self.tol)
+        qr, er = integrate_segments(self.data.r_integrands, 0.0, rs)
+        qs, es = integrate_segments(self.data.s_integrands, 0.0, ss)
         f_r, ef = self.data.F.eval_array(rs)
         g_s, eg = self.data.G.eval_array(ss)
         ok_r = _succeeded(er)
@@ -765,7 +764,6 @@ class BCSampler:
         return _patch(coords, ok_r[:, None] & ok_s[None, :])
 
     def jet(self, u: float, v: float):
-        x = self.point(u, v)
         fp = self.data.f_prime.eval(u).real
         fpp = self.data.f_second.eval(u).real
         gp = self.data.g_prime.eval(v).real
@@ -780,4 +778,4 @@ class BCSampler:
                0.5 * (gpp * (1 + s * s) + 2 * s * gp),
                gp + s * gpp)
         xuv = (0.0, 0.0, 0.0)
-        return x, xu, xv, xuu, xuv, xvv
+        return xu, xv, xuu, xuv, xvv

@@ -170,15 +170,16 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: floa
                              h: float = 1e-4, use_exact_jet: bool = True) -> float:
     """Normalized mean-curvature numerator E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N>.
 
-    Uses the sampler's exact jet when it exposes one (and ``use_exact_jet``),
-    otherwise 5-point central differences of ``sampler.point``.  Normalization
-    by (|E|+|F|+|G|) * |N|_euclid makes values scale-comparable.
+    Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``
+    when it has one (and ``use_exact_jet``), otherwise 5-point central
+    differences of ``sampler.point``.  Normalization by (|E|+|F|+|G|) *
+    |N|_euclid makes values scale-comparable.
     """
     if use_exact_jet and hasattr(sampler, "jet"):
-        x, xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
+        xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
     else:
         point = sampler.point
-        x, xu, xv, xuu, xuv, xvv = _central_jet(
+        _, xu, xv, xuu, xuv, xvv = _central_jet(
             lambda uu, vv: np.asarray(point(uu, vv), dtype=float), u, v, h)
 
     E = metric.inner(xu, xu)
@@ -199,8 +200,8 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: floa
     return numerator / ((abs(E) + abs(F) + abs(G)) * n_norm)
 
 
-def graph_jet_from_parametric(x, xu, xv, xuu, xuv, xvv) -> GraphJet:
-    """Jet of the local graph z = z(x, y) implied by a parametric jet.
+def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
+    """Jet of the local graph z = z(x, y) at height ``z`` implied by a parametric jet.
 
     Solves the chain-rule systems; raises DegenerateMetric when the (x, y)
     Jacobian is singular (the surface is not a graph over (x, y) there).
@@ -224,7 +225,7 @@ def graph_jet_from_parametric(x, xu, xv, xuu, xuv, xvv) -> GraphJet:
         [xv[0] ** 2, 2 * xv[0] * xv[1], xv[1] ** 2],
     ])
     z_xx, z_xy, z_yy = np.linalg.solve(a, rhs)
-    return GraphJet(x[2], float(z_x), float(z_y), float(z_xx), float(z_xy), float(z_yy))
+    return GraphJet(z, float(z_x), float(z_y), float(z_xx), float(z_xy), float(z_yy))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +287,14 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, h: float = 1e-4,
 class GraphLiftSampler:
     """Parametric view (x, y) -> (x, y, Z(x, y)) of a height surface.
 
-    The ``jet`` attribute is bound only when the surface has an exact jet and
-    ``expose_jet`` is true; otherwise the parametric checker falls back to
-    central differences of ``point``.
+    The ``jet`` attribute is bound only when the surface has an exact jet;
+    otherwise the parametric checker falls back to central differences of
+    ``point``, as it does for every sampler with ``use_exact_jet=False``.
     """
 
-    def __init__(self, surface, expose_jet: bool = True):
+    def __init__(self, surface):
         self.surface = surface
-        if expose_jet and getattr(surface, "exact_jet", None) is not None:
+        if getattr(surface, "exact_jet", None) is not None:
             self.jet = self._exact_jet
 
     def point(self, u, v):
@@ -302,7 +303,6 @@ class GraphLiftSampler:
     def _exact_jet(self, u, v):
         j = self.surface.exact_jet(u, v)
         return (
-            (u, v, j.z),
             (1.0, 0.0, j.z_x),
             (0.0, 1.0, j.z_y),
             (0.0, 0.0, j.z_xx),

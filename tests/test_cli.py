@@ -148,6 +148,15 @@ def test_missing_subcommand_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_parametric_residual_is_local_across_a_singular_path(capsys):
+    # The straight path from zeta0 = 1 to -1.2 crosses the pole of f = 1/w;
+    # the parametric check uses only the jet at each point.
+    rc = main(["residual", "parametric", "--source", "we", "--f", "1/w", "--g", "w",
+               "--zeta0", "1", "--grid", "-1.2:-0.8:3,-0.2:0.2:3"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("[PASS]")
+
+
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"tol": 1e-30}))

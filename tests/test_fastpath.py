@@ -80,15 +80,20 @@ def test_compiled_evaluator_matches_tree_walk(source, rel):
         assert abs(values[k] - want) <= rel * abs(want), (source, w, values[k], want)
 
 
-def test_scalar_eval_is_a_one_point_batch():
+def test_scalar_eval_is_the_tree_walk():
+    # Bit for bit, signed zeros included, and the same error on the cuts.
     e = parse("log(w) * sqrt(w) + atan(w)")
     for w in BRANCH_CUT_POINTS:
-        values, errors = e.eval_array(np.array([w]))
-        if errors:
-            with pytest.raises(EvalDomainError):
+        try:
+            want = _eval_node(e.root, {"w": w})
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as got:
                 e.eval(w)
-        else:
-            assert e.eval(w) == values[0]
+            assert got.value.subexpr == exc.subexpr
+            assert str(got.value) == str(exc)
+            continue
+        got = e.eval(w)
+        assert repr(got) == repr(want), w
 
 
 @pytest.mark.parametrize("source, at", [

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from zmcsurf import reps, zmc
+from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.meshio import GridSpec, sample_patch
 from zmcsurf.reps import (
@@ -167,6 +167,11 @@ def test_split_without_probes_is_empty_not_a_pass():
         verify_split(WEData.reduced("1"), (0.5, 0.5), n_samples=0)
 
 
+def test_split_needs_weights_or_pieces():
+    with pytest.raises(ZeroWeight, match="need at least one weight"):
+        verify_split(WEData.reduced("1"))
+
+
 def test_split_rejects_zero_weight():
     with pytest.raises(ZeroWeight):
         split_weierstrass(WEData.reduced("1"), [0.5, 0.5, 0.0])
@@ -307,7 +312,7 @@ def test_tlms_outputs_are_zero_mean_curvature_in_l3():
 def test_tlms_generating_curves_are_null():
     data = TLMSData.from_text("1 + u^2", "2 - v", "u", "v^2")
     sampler = reps.TLMSSampler(data)
-    _, xu, xv, _, _, _ = sampler.jet(0.4, 0.6)
+    xu, xv, _, _, _ = sampler.jet(0.4, 0.6)
     assert zmc.LORENTZ3.inner(xu, xu) == pytest.approx(0.0, abs=1e-14)
     assert zmc.LORENTZ3.inner(xv, xv) == pytest.approx(0.0, abs=1e-14)
 
@@ -340,5 +345,36 @@ def test_bc_local_graph_satisfies_the_bi_soliton_equation():
     sampler = reps.BCSampler(data)
     for u in (0.1, 0.3, 0.5):
         for v in (0.1, 0.25, 0.4):
-            jet = zmc.graph_jet_from_parametric(*sampler.jet(u, v))
+            jet = zmc.graph_jet_from_parametric(sampler.point(u, v)[2], *sampler.jet(u, v))
             assert abs(zmc.graph_residual("bi-soliton", jet)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# jets
+# ---------------------------------------------------------------------------
+
+_JET_SAMPLERS = {
+    "we-minimal": lambda: reps.WESampler(WEData.from_text("exp(w)", "sin(w)")),
+    "we-maximal": lambda: reps.WESampler(WEData.from_text("1", "w", mode="maximal")),
+    "we-family": lambda: reps.WESampler(_enneper(), theta=0.7),
+    "tlms": lambda: reps.TLMSSampler(TLMSData.from_text("1 + u^2", "2 - v", "u", "v^2")),
+    "bc": lambda: reps.BCSampler(BCData.from_text("r + r^3", "s - s^2")),
+    "graph-lift": lambda: zmc.GraphLiftSampler(catalog.builtin_surface("scherk2")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JET_SAMPLERS))
+def test_sampler_jets_do_no_quadrature(kind, monkeypatch):
+    sampler = _JET_SAMPLERS[kind]()
+    want = sampler.jet(0.3, 0.2)
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("jet reached quadrature")
+
+    monkeypatch.setattr(reps, "integrate_segments", no_quadrature)
+    if kind != "graph-lift":
+        with pytest.raises(AssertionError, match="jet reached quadrature"):
+            sampler.point(0.3, 0.2)
+    jet = sampler.jet(0.3, 0.2)
+    assert len(jet) == 5 and all(len(vec) == 3 for vec in jet)
+    assert jet == want

@@ -203,12 +203,12 @@ def test_graph_lift_cross_validates_graph_residual():
     # Finite-difference parametric numerator vanishes wherever the exact-jet
     # minimal residual vanishes.
     surf = catalog.builtin_surface("scherk2")
-    lift = zmc.GraphLiftSampler(surf, expose_jet=False)
+    lift = zmc.GraphLiftSampler(surf)
     rng = random.Random(5)
     for _ in range(15):
         u, v = rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8)
         assert abs(graph_residual("minimal", surf.exact_jet(u, v))) < 1e-12
-        assert abs(parametric_zmc_numerator(lift, EUCLID3, u, v)) < 1e-6
+        assert abs(parametric_zmc_numerator(lift, EUCLID3, u, v, use_exact_jet=False)) < 1e-6
 
 
 def test_minimal_sampler_passes_parametric_check_with_finite_differences():
@@ -230,10 +230,23 @@ def test_minimal_sampler_exact_jets_are_machine_precision():
 def test_graph_jet_from_parametric_on_a_lift():
     surf = catalog.builtin_surface("scherk2")
     lift = zmc.GraphLiftSampler(surf)
-    jet = graph_jet_from_parametric(*lift.jet(0.4, -0.3))
+    jet = graph_jet_from_parametric(lift.point(0.4, -0.3)[2], *lift.jet(0.4, -0.3))
     direct = surf.exact_jet(0.4, -0.3)
     for name in ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy"):
         assert getattr(jet, name) == pytest.approx(getattr(direct, name), abs=1e-12)
+
+
+def test_parametric_check_is_local_where_the_path_is_singular():
+    # Straight paths from zeta0 = 1 to the lattice points on the negative real
+    # axis pass through the pole of f = 1/w, so point() fails there; the exact
+    # jet needs only the integrands at each point, so the sweep still runs.
+    sampler = reps.WESampler(reps.WEData.from_text("1/w", "w", zeta0=1.0))
+    grid = GridSpec(-1.2, -0.8, -0.2, 0.2, 3, 3)
+    with pytest.raises((reps.SingularPath, reps.NoConvergence)):
+        sampler.point(-1.2, 0.0)
+    report = zmc.parametric_sweep(sampler, EUCLID3, grid)
+    assert report.points_checked == 9
+    assert report.passed and report.max_abs_err < 1e-14
 
 
 @pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI"])
@@ -242,7 +255,7 @@ def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
     # points in the same order as the graph stencil, so its z entries agree bit
     # for bit.
     surf = catalog.builtin_surface(surface_id)
-    lift = zmc.GraphLiftSampler(surf, expose_jet=False)
+    lift = zmc.GraphLiftSampler(surf)
     for x, y in ((0.3, -0.2), (-0.45, 0.61), (0.05, 0.4)):
         graph = zmc.graph_jet(surf, x, y, method="central-diff", h=1e-3)
         parametric = zmc._central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
