@@ -3,7 +3,8 @@
 Surfaces live in a registry keyed by stable string ids (``scherk2``,
 ``scherk1[:alpha]``, ``helicoid``, ``scherk2max``, ``scherkBI``,
 ``plane[:a,b]``, ``expr:<text>``).  Identities are instantiated as explicit
-term lists and verified pointwise under a branch policy, because arctan/log
+term lists and verified at every point of a lattice (one numpy call per
+term for the whole lattice) under a branch policy, because arctan/log
 identities are only true modulo their periods:
 
     principal       |L - S|
@@ -17,16 +18,17 @@ provided as independent oracles for the closed forms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import expr as _expr
 from .errors import DomainViolation, EmptyGrid
-from .meshio import GridSpec
+from .meshio import GridSpec, sample_graph
 from .report import ErrorStats, VerificationReport
-from .zmc import GraphJet
+from .zmc import GraphJet, one_point
 
 __all__ = [
     "HeightSurface",
@@ -70,44 +72,66 @@ class SingularArgument(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# singularity distances (complex-capable)
+# singularity distances (complex-capable array predicates)
 # ---------------------------------------------------------------------------
 
-def _dist_mod_pi(t: float, offset: float = 0.0) -> float:
-    r = (t - offset) % PI
-    return min(r, PI - r)
+def _dist_mod_pi(t, offset: float = 0.0):
+    r = np.mod(t - offset, PI)
+    return np.minimum(r, PI - r)
 
 
-def _cos_zero_distance(arg) -> float:
+def _cos_zero_distance(arg):
     """Distance from ``arg`` to the zero set of cos (points pi/2 + k*pi on the real axis)."""
-    a = complex(arg)
-    return math.hypot(_dist_mod_pi(a.real, PI / 2), a.imag)
+    return np.hypot(_dist_mod_pi(np.real(arg), PI / 2), np.imag(arg))
 
 
-def _cosh_zero_distance(arg) -> float:
+def _cosh_zero_distance(arg):
     """Distance from ``arg`` to the zero set of cosh (points i*(pi/2 + k*pi))."""
-    a = complex(arg)
-    return math.hypot(a.real, _dist_mod_pi(a.imag, PI / 2))
+    return np.hypot(np.real(arg), _dist_mod_pi(np.imag(arg), PI / 2))
 
 
-def _sin_zero_distance(arg) -> float:
-    a = complex(arg)
-    return math.hypot(_dist_mod_pi(a.real), a.imag)
+def _sin_zero_distance(arg):
+    return np.hypot(_dist_mod_pi(np.real(arg)), np.imag(arg))
+
+
+def _zeros_like(a):
+    return np.zeros_like(a)[()]
+
+
+def _pole(d):
+    """``d`` with its exact zeros replaced by nan, so a quotient by it is nan there
+    (where the limit would otherwise come out finite, as atan(1/0) does)."""
+    return np.where(d == 0, np.nan, d)[()]
+
+
+def _real_part(value):
+    """Heights of real points: real formulas pass through; a complex value becomes
+    its real part where the imaginary part is negligible, and nan elsewhere."""
+    if not np.iscomplexobj(value):
+        return value
+    real = np.abs(value.imag) <= 1e-9 * (1.0 + np.abs(value))
+    return np.where(real, np.real(value), np.nan)[()]
 
 
 # ---------------------------------------------------------------------------
 # surfaces
 # ---------------------------------------------------------------------------
+#
+# Every height, jet and domain predicate below is written once with numpy
+# ufuncs, and a scalar query is its one-point case (``zmc.one_point``), which
+# gives the bits of the same point in a lattice.  Real arguments give real
+# arithmetic (nan off the real domain), complex arguments complex arithmetic;
+# exact poles give nan (``_pole``).
 
 @dataclass(frozen=True)
 class HeightSurface:
     """A named graph surface z = Z(x, y).
 
-    ``height`` is the complex-capable evaluator; ``domain`` the real-point
-    validity predicate with a singularity margin; ``exact_jet`` the closed-form
-    second-order jet (None when unavailable).  For kind != generic the
-    corresponding graph PDE residual vanishes on the default grid (tested,
-    not assumed).
+    ``height`` is the formula (real or complex, arrays or scalars); ``domain``
+    the real-point validity predicate with a singularity margin; ``exact_jet``
+    the closed-form second-order jet (None when unavailable).  For kind !=
+    generic the corresponding graph PDE residual vanishes on the default grid
+    (tested, not assumed).
     """
 
     id: str
@@ -118,111 +142,108 @@ class HeightSurface:
     default_grid: GridSpec
 
     def evaluate(self, x, y):
-        value = self.height(complex(x), complex(y))
-        if isinstance(x, complex) or isinstance(y, complex):
-            return value
-        if abs(value.imag) > 1e-9 * (1.0 + abs(value)):
-            raise DomainViolation(f"{self.id} is not real-valued at ({x}, {y})", [(x, y)])
-        return value.real
+        """The height at one real or complex point: the one-point case of ``height``.
+
+        Raises DomainViolation when an input or the value is not finite, or
+        when a real point has no real height.
+        """
+        real = not (isinstance(x, complex) or isinstance(y, complex))
+        with np.errstate(all="ignore"):
+            value = complex(np.ravel(self.height(*one_point(x, y)))[0])
+        if real:
+            # As _real_part does for arrays.
+            value = value.real if abs(value.imag) <= 1e-9 * (1.0 + abs(value)) else math.nan
+        if not all(math.isfinite(part) for v in (x, y, value) for part in (v.real, v.imag)):
+            what = "real value" if real else "value"
+            raise DomainViolation(f"{self.id} has no finite {what} at ({x}, {y})", [(x, y)])
+        return value
 
     def height_at(self, x: float, y: float) -> float:
         return self.evaluate(float(x), float(y))
 
-    def domain_ok(self, x: float, y: float, margin: float = 0.0) -> bool:
-        return bool(self.domain(x, y, margin))
+    def heights(self, x, y):
+        """Real heights at real points (arrays or scalars), nan where there is none."""
+        with np.errstate(all="ignore"):
+            return _real_part(self.height(x, y))
+
+    def domain_ok(self, x, y, margin: float = 0.0):
+        """The domain predicate: a bool for one point, a bool array for arrays."""
+        ok = np.broadcast_to(self.domain(x, y, margin), np.broadcast(x, y).shape)
+        return bool(ok) if ok.ndim == 0 else ok
+
+    def sample_grid(self, grid: GridSpec):
+        return sample_graph(grid, self.domain_ok, self.heights)
 
 
-def _real_jet_if_real(x, y, entries) -> GraphJet:
-    if isinstance(x, complex) or isinstance(y, complex):
-        return GraphJet(*entries)
-    return GraphJet(*(v.real for v in entries))
+def _scherk2_height(x, y):
+    return np.log(np.cos(y) / np.cos(x))
 
 
 def _scherk2_surface() -> HeightSurface:
-    def height(x, y):
-        cx = cmath.cos(x)
-        cy = cmath.cos(y)
-        if cx == 0 or cy == 0:
-            raise DomainViolation("cosine vanishes", [(x, y)])
-        return cmath.log(cy / cx)
-
     def domain(x, y, margin):
-        if _cos_zero_distance(x) < margin or _cos_zero_distance(y) < margin:
-            return False
-        cx, cy = math.cos(x), math.cos(y)
-        return cx != 0 and cy != 0 and cy / cx > 0
+        cx, cy = np.cos(x), np.cos(y)
+        return ((_cos_zero_distance(x) >= margin) & (_cos_zero_distance(y) >= margin)
+                & (cx != 0) & (cy != 0) & (cy / cx > 0))
 
     def jet(x, y):
-        tx = cmath.tan(complex(x))
-        ty = cmath.tan(complex(y))
-        z = height(complex(x), complex(y))
-        return _real_jet_if_real(x, y, (z, tx, -ty, 1 + tx * tx, 0j, -(1 + ty * ty)))
+        tx, ty = np.tan(x), np.tan(y)
+        return GraphJet(_scherk2_height(x, y), tx, -ty, 1 + tx * tx, _zeros_like(tx + ty),
+                        -(1 + ty * ty))
 
-    return HeightSurface("scherk2", "minimal", height, domain, jet,
+    return HeightSurface("scherk2", "minimal", _scherk2_height, domain, jet,
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
-def _scherk2max_surface() -> HeightSurface:
-    def height(x, y):
-        return cmath.log(cmath.cosh(y) / cmath.cosh(x))
+def _scherk2max_height(x, y):
+    return np.log(np.cosh(y) / np.cosh(x))
 
+
+def _scherk2max_surface() -> HeightSurface:
     def domain(x, y, margin):
         # cosh has no real zeros; all real points are valid.
         return True
 
     def jet(x, y):
-        tx = cmath.tanh(complex(x))
-        ty = cmath.tanh(complex(y))
-        z = height(complex(x), complex(y))
-        return _real_jet_if_real(x, y, (z, -tx, ty, -(1 - tx * tx), 0j, 1 - ty * ty))
+        tx, ty = np.tanh(x), np.tanh(y)
+        return GraphJet(_scherk2max_height(x, y), -tx, ty, -(1 - tx * tx), _zeros_like(tx + ty),
+                        1 - ty * ty)
 
-    return HeightSurface("scherk2max", "maximal", height, domain, jet,
+    return HeightSurface("scherk2max", "maximal", _scherk2max_height, domain, jet,
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
+
+
+def _scherk_bi_height(x, y):
+    return np.log(np.cosh(y) / np.cos(x))
 
 
 def _scherk_bi_surface() -> HeightSurface:
-    def height(x, y):
-        cx = cmath.cos(x)
-        if cx == 0:
-            raise DomainViolation("cosine vanishes", [(x, y)])
-        return cmath.log(cmath.cosh(y) / cx)
-
     def domain(x, y, margin):
-        return _cos_zero_distance(x) >= margin and math.cos(x) > 0
+        return (_cos_zero_distance(x) >= margin) & (np.cos(x) > 0)
 
     def jet(x, y):
-        tx = cmath.tan(complex(x))
-        ty = cmath.tanh(complex(y))
-        z = height(complex(x), complex(y))
-        return _real_jet_if_real(x, y, (z, tx, ty, 1 + tx * tx, 0j, 1 - ty * ty))
+        tx, ty = np.tan(x), np.tanh(y)
+        return GraphJet(_scherk_bi_height(x, y), tx, ty, 1 + tx * tx, _zeros_like(tx + ty),
+                        1 - ty * ty)
 
-    return HeightSurface("scherkBI", "bi-soliton", height, domain, jet,
+    return HeightSurface("scherkBI", "bi-soliton", _scherk_bi_height, domain, jet,
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
-def _helicoid_surface() -> HeightSurface:
-    def height(x, y):
-        if x == 0:
-            raise DomainViolation("helicoid graph needs x != 0", [(x, y)])
-        return cmath.atan(y / x)
+def _helicoid_height(x, y):
+    return np.arctan(y / _pole(x))
 
+
+def _helicoid_surface() -> HeightSurface:
     def domain(x, y, margin):
-        return abs(x) > max(margin, 0.0) and (x, y) != (0.0, 0.0)
+        return np.abs(x) > max(margin, 0.0)
 
     def jet(x, y):
-        xc, yc = complex(x), complex(y)
-        r2 = xc * xc + yc * yc
-        z = height(xc, yc)
-        return _real_jet_if_real(x, y, (
-            z,
-            -yc / r2,
-            xc / r2,
-            2 * xc * yc / (r2 * r2),
-            (yc * yc - xc * xc) / (r2 * r2),
-            -2 * xc * yc / (r2 * r2),
-        ))
+        r2 = x * x + y * y
+        r4 = r2 * r2
+        return GraphJet(_helicoid_height(x, y), -y / r2, x / r2, 2 * x * y / r4,
+                        (y * y - x * x) / r4, -2 * x * y / r4)
 
-    return HeightSurface("helicoid", "minimal", height, domain, jet,
+    return HeightSurface("helicoid", "minimal", _helicoid_height, domain, jet,
                          GridSpec(0.3, 2.5, -2.0, 2.0, 41, 41))
 
 
@@ -231,12 +252,8 @@ def _scherk_first_height(x, y, alpha: float):
     s1 = math.sin(alpha) / 2.0
     s2 = math.sin(alpha / 2.0)
     sec = 1.0 / math.cos(alpha / 2.0)
-    t = cmath.tanh(s1 * complex(x))
-    sb = cmath.sin(s2 * complex(y))
-    if sb == 0:
-        raise DomainViolation("tan vanishes in the tower denominator", [(x, y)])
-    u = cmath.cos(s2 * complex(y)) / sb
-    return -sec * cmath.atan(t * u)
+    u = np.cos(s2 * y) / _pole(np.sin(s2 * y))
+    return -sec * np.arctan(np.tanh(s1 * x) * u)
 
 
 def _scherk1_surface(alpha: float) -> HeightSurface:
@@ -254,23 +271,18 @@ def _scherk1_surface(alpha: float) -> HeightSurface:
         return _dist_mod_pi(s2 * y) / abs(s2) >= max(margin, 1e-12)
 
     def jet(x, y):
-        xc, yc = complex(x), complex(y)
-        t = cmath.tanh(s1 * xc)
-        sb = cmath.sin(s2 * yc)
-        if sb == 0:
-            raise DomainViolation("tan vanishes in the tower denominator", [(x, y)])
-        u = cmath.cos(s2 * yc) / sb
+        t = np.tanh(s1 * x)
+        u = np.cos(s2 * y) / _pole(np.sin(s2 * y))
         d = 1 + t * t * u * u
         one_t = 1 - t * t
         one_u = 1 + u * u
-        phi = cmath.atan(t * u)
+        phi = np.arctan(t * u)
         phi_x = s1 * u * one_t / d
         phi_y = -s2 * t * one_u / d
         phi_xx = -2 * s1 * s1 * t * u * one_t * one_u / (d * d)
         phi_yy = 2 * s2 * s2 * t * u * one_u * one_t / (d * d)
         phi_xy = -s1 * s2 * one_t * one_u * (1 - t * t * u * u) / (d * d)
-        return _real_jet_if_real(x, y, tuple(-sec * v for v in
-                                             (phi, phi_x, phi_y, phi_xx, phi_xy, phi_yy)))
+        return GraphJet(*(-sec * v for v in (phi, phi_x, phi_y, phi_xx, phi_xy, phi_yy)))
 
     lo = 0.18 / s2
     hi = (PI - 0.18) / s2
@@ -280,11 +292,11 @@ def _scherk1_surface(alpha: float) -> HeightSurface:
 
 def _plane_surface(a: float, b: float) -> HeightSurface:
     def height(x, y):
-        return a * complex(x) + b * complex(y)
+        return a * x + b * y
 
     def jet(x, y):
-        return _real_jet_if_real(x, y, (a * complex(x) + b * complex(y),
-                                        complex(a), complex(b), 0j, 0j, 0j))
+        zero = _zeros_like(x + y)
+        return GraphJet(height(x, y), a + zero, b + zero, zero, zero, zero)
 
     return HeightSurface(f"plane:{a!r},{b!r}", "generic", height,
                          lambda x, y, margin: True, jet,
@@ -292,26 +304,32 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
 
 
 def _expr_surface(text: str) -> HeightSurface:
+    """A user graph: the tree walk at one point, the compiled numpy closure on
+    more (complex values; real points take the real part)."""
     e = _expr.parse_xy(text, "x", "y")
-    ex = e.partial("x")
-    ey = e.partial("y")
-    exx = ex.partial("x")
-    exy = ex.partial("y")
-    eyy = ey.partial("y")
+    ex, ey = e.partial("x"), e.partial("y")
+    trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
+
+    def value(tree, x, y):
+        if np.size(x) == 1 and np.size(y) == 1:
+            try:
+                v = tree.eval(np.ravel(x)[0], np.ravel(y)[0])
+            except _expr.EvalDomainError:
+                v = complex("nan")
+            return np.full(np.broadcast(x, y).shape, v)[()]
+        return tree.eval_array(x, y)[0]
 
     def height(x, y):
-        return e.eval(x, y)
+        return value(e, x, y)
 
     def domain(x, y, margin):
-        try:
-            v = e.eval(x, y)
-        except _expr.EvalDomainError:
-            return False
-        return abs(v.imag) <= 1e-9 * (1.0 + abs(v))
+        return np.isfinite(_real_part(height(x, y)))
 
     def jet(x, y):
-        vals = tuple(g.eval(x, y) for g in (e, ex, ey, exx, exy, eyy))
-        return _real_jet_if_real(x, y, vals)
+        vals = [value(tree, x, y) for tree in trees]
+        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+            vals = [v.real for v in vals]
+        return GraphJet(*vals)
 
     return HeightSurface(f"expr:{text}", "generic", height, domain, jet,
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
@@ -398,10 +416,11 @@ def c_offsets(n: int) -> list:
 
 @dataclass(frozen=True)
 class IdentityTerm:
-    """One evaluable term of an identity with its own singularity guard."""
+    """One evaluable term of an identity with its own singularity guard; both
+    are numpy formulas that take whole arrays of points."""
 
     label: str
-    fn: Callable
+    fn: Callable     # (x, y) -> value
     guard: Callable  # (x, y, margin) -> bool
 
 
@@ -417,10 +436,8 @@ class IdentityInstance:
     branch_policy: str
 
 
-def _ratio_log(num, den, at):
-    if den == 0 or num == 0:
-        raise DomainViolation("log-ratio argument vanishes", [at])
-    return cmath.log(num / den)
+def _ratio_log(num, den):
+    return np.log(num / den)
 
 
 def _scherk2_decomp(n: int, params: dict) -> IdentityInstance:
@@ -428,8 +445,8 @@ def _scherk2_decomp(n: int, params: dict) -> IdentityInstance:
 
     lhs = IdentityTerm(
         "log(cos(y)/cos(x))",
-        lambda x, y: _ratio_log(cmath.cos(y), cmath.cos(x), (x, y)),
-        lambda x, y, m: _cos_zero_distance(x) >= m and _cos_zero_distance(y) >= m,
+        lambda x, y: _ratio_log(np.cos(y), np.cos(x)),
+        lambda x, y, m: (_cos_zero_distance(x) >= m) & (_cos_zero_distance(y) >= m),
     )
     # Margins are measured in grid coordinates, so arguments scaled by 1/n get
     # their singularity distance rescaled by n.
@@ -437,9 +454,9 @@ def _scherk2_decomp(n: int, params: dict) -> IdentityInstance:
     for m, c in enumerate(cs):
         terms.append(IdentityTerm(
             f"log(cos(y/{n} - c{m})/cos(x/{n} - c{m}))",
-            lambda x, y, c=c: _ratio_log(cmath.cos(y / n - c), cmath.cos(x / n - c), (x, y)),
-            lambda x, y, mg, c=c: (n * _cos_zero_distance(x / n - c) >= mg
-                                   and n * _cos_zero_distance(y / n - c) >= mg),
+            lambda x, y, c=c: _ratio_log(np.cos(y / n - c), np.cos(x / n - c)),
+            lambda x, y, mg, c=c: ((n * _cos_zero_distance(x / n - c) >= mg)
+                                   & (n * _cos_zero_distance(y / n - c) >= mg)),
         ))
     return IdentityInstance("scherk2-decomp", n, {"c": cs}, lhs, tuple(terms), "multiplicative")
 
@@ -476,23 +493,18 @@ def _kamien_decomp(n: int, params: dict) -> IdentityInstance:
         lhs, tuple(terms), "mod-pi")
 
 
-def _arctan_tanh_cot(a, b, at):
-    sb = cmath.sin(b)
-    if sb == 0:
-        raise DomainViolation("cot argument is a multiple of pi", [at])
-    return cmath.atan(cmath.tanh(a) * cmath.cos(b) / sb)
+def _arctan_tanh_cot(a, b):
+    return np.arctan(np.tanh(a) * np.cos(b) / _pole(np.sin(b)))
 
 
-def _arctan_ratio(num, den, at):
-    if den == 0:
-        raise DomainViolation("flat arctan denominator vanishes", [at])
-    return cmath.atan(num / den)
+def _arctan_ratio(num, den):
+    return np.arctan(num / _pole(den))
 
 
 def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     lhs = IdentityTerm(
         "atan(tanh(y)*cot(x))",
-        lambda x, y: _arctan_tanh_cot(y, x, (x, y)),
+        lambda x, y: _arctan_tanh_cot(y, x),
         lambda x, y, m: _sin_zero_distance(x) >= m,
     )
     terms = []
@@ -501,41 +513,41 @@ def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     for m in range(1, n):
         terms.append(IdentityTerm(
             f"+atan(tanh(y/{n})*cot((x+{m}*pi)/{n}))",
-            lambda x, y, m=m: _arctan_tanh_cot(y / n, (x + m * PI) / n, (x, y)),
+            lambda x, y, m=m: _arctan_tanh_cot(y / n, (x + m * PI) / n),
             lambda x, y, mg, m=m: n * _sin_zero_distance((x + m * PI) / n) >= mg,
         ))
     # Group 2: subtracted flat arctans at the same scaled arguments.
     for m in range(1, n):
         terms.append(IdentityTerm(
             f"-atan((y/{n})/((x+{m}*pi)/{n}))",
-            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n, (x, y)),
-            lambda x, y, mg, m=m: abs(complex(x + m * PI)) >= mg,
+            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n),
+            lambda x, y, mg, m=m: np.abs(x + m * PI) >= mg,
         ))
     # Group 3: the lone unshifted tower term.
     terms.append(IdentityTerm(
         f"+atan(tanh(y/{n})*cot(x/{n}))",
-        lambda x, y: _arctan_tanh_cot(y / n, x / n, (x, y)),
+        lambda x, y: _arctan_tanh_cot(y / n, x / n),
         lambda x, y, mg: n * _sin_zero_distance(x / n) >= mg,
     ))
     # Group 4: subtracted flat arctans with the pi-shifted denominator.
     for m in range(1, n):
         terms.append(IdentityTerm(
             f"-atan((y/{n})/((x+{m}*pi)/{n} - pi))",
-            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n - PI, (x, y)),
-            lambda x, y, mg, m=m: abs(complex(x + m * PI - n * PI)) >= mg,
+            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n - PI),
+            lambda x, y, mg, m=m: np.abs(x + m * PI - n * PI) >= mg,
         ))
     # Groups 5 and 6: the two helicoid fans.
     for m in range(1, n):
         terms.append(IdentityTerm(
             f"+atan(y/(x+{m}*pi))",
-            lambda x, y, m=m: _arctan_ratio(y, x + m * PI, (x, y)),
-            lambda x, y, mg, m=m: abs(complex(x + m * PI)) >= mg,
+            lambda x, y, m=m: _arctan_ratio(y, x + m * PI),
+            lambda x, y, mg, m=m: np.abs(x + m * PI) >= mg,
         ))
     for m in range(1, n):
         terms.append(IdentityTerm(
             f"+atan(y/(x-{m}*pi))",
-            lambda x, y, m=m: _arctan_ratio(y, x - m * PI, (x, y)),
-            lambda x, y, mg, m=m: abs(complex(x - m * PI)) >= mg,
+            lambda x, y, m=m: _arctan_ratio(y, x - m * PI),
+            lambda x, y, mg, m=m: np.abs(x - m * PI) >= mg,
         ))
     return IdentityInstance("helicoid-decomp", n, {}, lhs, tuple(terms), "mod-pi")
 
@@ -544,17 +556,16 @@ def _scherk2max_decomp(n: int, params: dict) -> IdentityInstance:
     cs = c_offsets(n)
     lhs = IdentityTerm(
         "log(cosh(y)/cosh(x))",
-        lambda x, y: _ratio_log(cmath.cosh(y), cmath.cosh(x), (x, y)),
-        lambda x, y, m: _cosh_zero_distance(x) >= m and _cosh_zero_distance(y) >= m,
+        lambda x, y: _ratio_log(np.cosh(y), np.cosh(x)),
+        lambda x, y, m: (_cosh_zero_distance(x) >= m) & (_cosh_zero_distance(y) >= m),
     )
     terms = []
     for m, c in enumerate(cs):
         terms.append(IdentityTerm(
             f"log(cosh(y/{n} + i*c{m})/cosh(x/{n} + i*c{m}))",
-            lambda x, y, c=c: _ratio_log(cmath.cosh(y / n + 1j * c),
-                                         cmath.cosh(x / n + 1j * c), (x, y)),
-            lambda x, y, mg, c=c: (n * _cosh_zero_distance(complex(x) / n + 1j * c) >= mg
-                                   and n * _cosh_zero_distance(complex(y) / n + 1j * c) >= mg),
+            lambda x, y, c=c: _ratio_log(np.cosh(y / n + 1j * c), np.cosh(x / n + 1j * c)),
+            lambda x, y, mg, c=c: ((n * _cosh_zero_distance(x / n + 1j * c) >= mg)
+                                   & (n * _cosh_zero_distance(y / n + 1j * c) >= mg)),
         ))
     return IdentityInstance("scherk2max-decomp", n, {"c": cs}, lhs, tuple(terms), "mod-2pi-i")
 
@@ -563,17 +574,16 @@ def _scherk_bi_decomp(n: int, params: dict) -> IdentityInstance:
     cs = c_offsets(n)
     lhs = IdentityTerm(
         "log(cosh(y)/cos(x))",
-        lambda x, y: _ratio_log(cmath.cosh(y), cmath.cos(x), (x, y)),
-        lambda x, y, m: _cosh_zero_distance(y) >= m and _cos_zero_distance(x) >= m,
+        lambda x, y: _ratio_log(np.cosh(y), np.cos(x)),
+        lambda x, y, m: (_cosh_zero_distance(y) >= m) & (_cos_zero_distance(x) >= m),
     )
     terms = []
     for m, c in enumerate(cs):
         terms.append(IdentityTerm(
             f"log(cosh(y/{n} + i*c{m})/cos(x/{n} - c{m}))",
-            lambda x, y, c=c: _ratio_log(cmath.cosh(y / n + 1j * c),
-                                         cmath.cos(x / n - c), (x, y)),
-            lambda x, y, mg, c=c: (n * _cosh_zero_distance(complex(y) / n + 1j * c) >= mg
-                                   and n * _cos_zero_distance(complex(x) / n - c) >= mg),
+            lambda x, y, c=c: _ratio_log(np.cosh(y / n + 1j * c), np.cos(x / n - c)),
+            lambda x, y, mg, c=c: ((n * _cosh_zero_distance(y / n + 1j * c) >= mg)
+                                   & (n * _cos_zero_distance(x / n - c) >= mg)),
         ))
     return IdentityInstance("scherkBI-decomp", n, {"c": cs}, lhs, tuple(terms), "mod-2pi-i")
 
@@ -599,7 +609,7 @@ def _general_scaled(n: int, params: dict) -> IdentityInstance:
     lhs = IdentityTerm(
         f"{surface_id}(x, y)",
         lambda x, y: base.height(x, y),
-        lambda x, y, m: (True if isinstance(x, complex) or isinstance(y, complex)
+        lambda x, y, m: (True if np.iscomplexobj(x) or np.iscomplexobj(y)
                          else base.domain_ok(x, y, m)),
     )
     terms = []
@@ -668,45 +678,53 @@ BRANCH_POLICIES = ("principal", "mod-pi", "mod-2pi-i", "multiplicative")
 _TWO_PI = 2 * PI
 
 
-def branch_error(policy: str, lhs, rhs_sum) -> float:
-    """Distance between the two sides under the branch policy."""
-    d = complex(lhs) - complex(rhs_sum)
+def branch_error(policy: str, lhs, rhs_sum):
+    """Distance between the two sides under the branch policy (arrays or scalars)."""
+    lhs = np.asarray(lhs, dtype=complex)
+    rhs_sum = np.asarray(rhs_sum, dtype=complex)
+    d = lhs - rhs_sum
     if policy == "principal":
-        return abs(d)
+        return np.abs(d)[()]
     if policy == "mod-pi":
-        k = round(d.real / PI)
-        return abs(d - k * PI)
+        k = np.round(d.real / PI)
+        return np.abs(d - k * PI)[()]
     if policy == "mod-2pi-i":
-        k = round(d.imag / _TWO_PI)
-        return abs(d - k * _TWO_PI * 1j)
+        k = np.round(d.imag / _TWO_PI)
+        return np.abs(d - k * _TWO_PI * 1j)[()]
     if policy == "multiplicative":
-        el = cmath.exp(complex(lhs))
-        es = cmath.exp(complex(rhs_sum))
-        return abs(el - es) / (1.0 + abs(el))
+        el = np.exp(lhs)
+        es = np.exp(rhs_sum)
+        return (np.abs(el - es) / (1.0 + np.abs(el)))[()]
     raise ValueError(f"unknown branch policy {policy!r}")
 
 
-def _check_guards(inst: IdentityInstance, points, margin: float) -> None:
-    bad = []
-    for x, y in points:
-        if not inst.lhs.guard(x, y, margin) or any(
-                not t.guard(x, y, margin) for t in inst.rhs_terms):
-            bad.append((x, y))
-    if bad:
-        raise DomainViolation(
-            f"{len(bad)} probe points violate the {inst.id} singularity margin {margin}",
-            bad[:10])
-
-
-def _sweep(inst: IdentityInstance, points, policy: str, tolerance: float, grid,
+def _sweep(inst: IdentityInstance, x, y, points, policy: str, tolerance: float, grid,
            margin: float, extra_params=None) -> VerificationReport:
-    """Check the guards, then evaluate and reduce the points in order."""
-    _check_guards(inst, points, margin)
+    """Check the guards, then evaluate every point at once and reduce in order.
+
+    ``x`` and ``y`` are the coordinate arrays of ``points`` (in order); the
+    guards see them as given, the terms in complex arithmetic.
+    """
+    ok = inst.lhs.guard(x, y, margin)
+    for t in inst.rhs_terms:
+        ok = ok & t.guard(x, y, margin)
+    bad = np.flatnonzero(~np.broadcast_to(ok, x.shape))
+    if bad.size:
+        raise DomainViolation(
+            f"{bad.size} probe points violate the {inst.id} singularity margin {margin}",
+            [tuple(points[k]) for k in bad[:10]])
+    zx, zy = x.astype(complex), y.astype(complex)
+    with np.errstate(all="ignore"):
+        lhs = np.broadcast_to(inst.lhs.fn(zx, zy), x.shape)
+        rhs = np.broadcast_to(sum(t.fn(zx, zy) for t in inst.rhs_terms), x.shape)
+        bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
+        if bad.size:
+            raise DomainViolation(
+                f"{bad.size} probe points give non-finite {inst.id} terms",
+                [tuple(points[k]) for k in bad[:10]])
+        err = branch_error(policy, lhs, rhs)
     stats = ErrorStats()
-    for xy in points:
-        lhs = inst.lhs.fn(*xy)
-        rhs = sum(t.fn(*xy) for t in inst.rhs_terms)
-        stats.add(branch_error(policy, lhs, rhs), xy, lhs, rhs)
+    stats.add_many(err, points, lhs, rhs)
     return VerificationReport(
         subject=f"identity:{inst.id}",
         parameters={"n": inst.n, **inst.params, **(extra_params or {})},
@@ -724,15 +742,15 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
                     policy: Optional[str] = None) -> VerificationReport:
     """Sweep the identity over a real lattice under the branch policy.
 
-    Every lattice point must clear every term's singularity margin
-    (DomainViolation otherwise).  Points are evaluated and reduced in
-    row-major order.
+    Every lattice point must clear every term's singularity margin, and every
+    term must be finite there (DomainViolation otherwise).  The whole lattice
+    is evaluated at once and reduced in row-major order.
     """
     policy = policy or inst.branch_policy
     if policy not in BRANCH_POLICIES:
         raise ValueError(f"unknown branch policy {policy!r}")
-    points = [uv for _, uv in grid.points()]
-    return _sweep(inst, points, policy, tolerance, grid, grid.margin)
+    u, v = grid.lattice()
+    return _sweep(inst, u, v, np.column_stack([u, v]), policy, tolerance, grid, grid.margin)
 
 
 def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
@@ -744,7 +762,9 @@ def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
     points = list(points)
     if not points:
         raise EmptyGrid("no probe points supplied")
-    return _sweep(inst, points, policy, tolerance, None, margin,
+    x = np.array([p[0] for p in points])
+    y = np.array([p[1] for p in points])
+    return _sweep(inst, x, y, points, policy, tolerance, None, margin,
                   {"probes": len(points), "margin": margin})
 
 

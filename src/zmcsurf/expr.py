@@ -10,12 +10,13 @@ stays closed over the grammar; general powers must be spelled
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Binary operators associate to the left; ``name(arg)`` is a function call.
 
-A one-variable expression evaluates through a numpy closure over
-``complex128`` arrays, compiled from the AST on first use.  Points where any
-node's value is non-finite are evaluated again by the scalar tree walk
-``_eval_node``, so a pole, branch point or overflow still raises
-``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the tree
-walk itself, which is also the test oracle for the compiled path.
+An expression evaluates whole arrays through a numpy closure over
+``complex128`` arrays, compiled from the AST on first use; one compiler
+serves one- and two-variable expressions (variables are looked up by name).
+Points where any node's value is non-finite are evaluated again by the
+scalar tree walk ``_eval_node``, so a pole, branch point or overflow still
+raises ``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the
+tree walk itself, which is also the test oracle for the compiled path.
 
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
@@ -373,24 +374,27 @@ def _power(base, k: int):
 
 
 def _compile(node: Node):
-    """Closure ``(w, seen) -> value`` over complex128 arrays.
+    """Closure ``(env, total) -> value`` over complex128 arrays; ``env`` maps
+    each variable name to its array.
 
-    Every operation node appends its value to ``seen``; the sum of those
-    values is non-finite exactly where some node's value is (IEEE sums keep
-    inf and nan), which is what the scalar path checks node by node.
+    Every operation node adds its value into ``total[0]`` (None before the
+    first); that running sum is non-finite exactly where some node's value is
+    (IEEE sums keep inf and nan), which is what the scalar path checks node
+    by node.
     """
     if isinstance(node, Const):
         value = np.complex128(node.value)
-        return lambda w, seen: value
+        return lambda env, total: value
     if isinstance(node, Var):
-        return lambda w, seen: w
+        name = node.name
+        return lambda env, total: env[name]
     if isinstance(node, Unary):
         arg = _compile(node.arg)
         fn = _NUMPY_FN[node.op]
 
-        def unary(w, seen):
-            out = fn(arg(w, seen))
-            seen.append(out)
+        def unary(env, total):
+            out = fn(arg(env, total))
+            total[0] = out if total[0] is None else total[0] + out
             return out
         return unary
     if isinstance(node, Binary):
@@ -398,21 +402,52 @@ def _compile(node: Node):
         right = _compile(node.right)
         fn = _NUMPY_BINARY[node.op]
 
-        def binary(w, seen):
-            out = fn(left(w, seen), right(w, seen))
-            seen.append(out)
+        def binary(env, total):
+            out = fn(left(env, total), right(env, total))
+            total[0] = out if total[0] is None else total[0] + out
             return out
         return binary
     if isinstance(node, Power):
         base = _compile(node.base)
         k = node.exponent
 
-        def power(w, seen):
-            out = _power(base(w, seen), k)
-            seen.append(out)
+        def power(env, total):
+            out = _power(base(env, total), k)
+            total[0] = out if total[0] is None else total[0] + out
             return out
         return power
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _eval_array(root: Node, compiled, env: dict):
+    """Evaluate ``root`` at every point of the complex128 arrays in ``env``,
+    which all have one shape.
+
+    Returns ``(values, errors)``: a complex128 array of that shape, and a dict
+    from the flat index of each point where the scalar tree walk raises to
+    its ``EvalDomainError`` (``values`` holds nan there).
+    """
+    shape = next(iter(env.values())).shape
+    values = np.empty(shape, dtype=complex)
+    total = [None]
+    with np.errstate(all="ignore"):
+        values[...] = compiled(env, total)
+        if total[0] is None:
+            return values, {}
+        bad = ~np.isfinite(total[0])
+    if not bad.any():
+        return values, {}
+    suspect = np.flatnonzero(np.broadcast_to(bad, shape))
+    errors = {}
+    flat = {name: a.reshape(-1) for name, a in env.items()}
+    flat_values = values.reshape(-1)
+    for k in suspect.tolist():
+        try:
+            flat_values[k] = _eval_node(root, {name: complex(a[k]) for name, a in flat.items()})
+        except EvalDomainError as exc:
+            flat_values[k] = complex("nan")
+            errors[k] = exc
+    return values, errors
 
 
 # ---------------------------------------------------------------------------
@@ -590,29 +625,8 @@ class AnalyticExpr:
         a dict from the flat index of each point where the scalar evaluator
         raises to its ``EvalDomainError`` (``values`` holds nan there).
         """
-        w = np.asarray(w, dtype=complex)
-        values = np.empty_like(w)
-        seen = []
-        with np.errstate(all="ignore"):
-            values[...] = self._compiled(w, seen)
-            if not seen:
-                return values, {}
-            total = seen[0]
-            for v in seen[1:]:
-                total = total + v
-            bad = ~np.isfinite(total)
-        if not bad.any():
-            return values, {}
-        suspect = np.flatnonzero(np.broadcast_to(bad, w.shape))
-        errors = {}
-        flat_w, flat_values = w.reshape(-1), values.reshape(-1)
-        for k in suspect.tolist():
-            try:
-                flat_values[k] = _eval_node(self.root, {self.varname: complex(flat_w[k])})
-            except EvalDomainError as exc:
-                flat_values[k] = complex("nan")
-                errors[k] = exc
-        return values, errors
+        return _eval_array(self.root, self._compiled,
+                           {self.varname: np.asarray(w, dtype=complex)})
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(_fold(_d(self.root, self.varname)), self.varname)
@@ -636,10 +650,20 @@ class TwoVarExpr:
     xname: str
     yname: str
 
+    @cached_property
+    def _compiled(self):
+        return _compile(self.root)
+
     def eval(self, x, y) -> complex:
         return _eval_node(self.root, {self.xname: complex(x), self.yname: complex(y)})
 
     __call__ = eval
+
+    def eval_array(self, x, y):
+        """``eval`` at every point of the broadcast arrays ``x`` and ``y``, as
+        ``AnalyticExpr.eval_array`` does for one variable."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
+        return _eval_array(self.root, self._compiled, {self.xname: x, self.yname: y})
 
     def partial(self, name: str) -> "TwoVarExpr":
         if name not in (self.xname, self.yname):

@@ -17,7 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyGrid
+from .meshio import sample_graph
 from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet
 
@@ -38,35 +41,49 @@ class ExcludedPoint(ValueError):
     """The point lies on an excluded line (2*pi*k, 0, z)."""
 
 
-def band_index(x: float) -> int:
-    """k with x in [(2k-1)*pi, (2k+1)*pi] (ties at boundaries go either way)."""
-    return int(round(x / TWO_PI))
+def _band(x):
+    """(k, x - 2*pi*k) with k = round(x / 2*pi) as a float."""
+    k = np.round(np.asarray(x) / TWO_PI)
+    return k, x - TWO_PI * k
 
 
-def _band_offset(x: float, y: float):
-    k = band_index(x)
-    dx = x - TWO_PI * k
-    if y == 0.0 and abs(dx) < 1e-12:
-        raise ExcludedPoint(f"({x}, {y}) lies on the excluded line x = 2*pi*{k}, y = 0")
+def band_index(x):
+    """k with x in [(2k-1)*pi, (2k+1)*pi] (ties at boundaries go either way);
+    an int for one x, an int array for arrays."""
+    k, _ = _band(x)
+    return int(k) if np.ndim(k) == 0 else k.astype(np.int64)
+
+
+def _band_offset(x, y):
+    """``_band(x)``; raises ExcludedPoint if any point lies on an excluded line."""
+    k, dx = _band(x)
+    excluded = (np.asarray(y) == 0.0) & (np.abs(dx) < 1e-12)
+    if excluded.any():
+        px, py, pk = (np.broadcast_to(a, excluded.shape)[excluded][0] for a in (x, y, k))
+        raise ExcludedPoint(f"({px}, {py}) lies on the excluded line x = 2*pi*{int(pk)}, y = 0")
     return k, dx
 
 
-def leaf_height(x: float, y: float) -> float:
-    """The piecewise band formula; exact band boundaries return the common value."""
+def _band_sign(k):
+    return np.where(np.mod(k, 2) == 1, -1.0, 1.0)
+
+
+def leaf_height(x, y):
+    """The piecewise band formula (scalars or arrays); exact band boundaries
+    return the common value."""
     k, dx = _band_offset(x, y)
-    sign = -1.0 if k % 2 else 1.0
-    if dx == 0.0:
+    with np.errstate(all="ignore"):
         # On the band axis with y != 0 the principal arctangent saturates.
-        return sign * math.copysign(math.pi / 2, y)
-    return sign * math.atan(y / dx)
+        z = np.where(dx == 0.0, np.copysign(math.pi / 2, y), np.arctan(y / dx))
+    return (_band_sign(k) * z)[()]
 
 
-def leaf_point(x: float, y: float, t: float):
+def leaf_point(x, y, t):
     """Embedding of the admissible plane point into the leaf with shift t."""
     return (x, y, leaf_height(x, y) + t)
 
 
-def leaf_of_point(x: float, y: float, z: float) -> float:
+def leaf_of_point(x, y, z):
     """The unique shift t with (x, y, z) on the leaf z = F + t."""
     return z - leaf_height(x, y)
 
@@ -79,25 +96,33 @@ class LeafSurface:
     id: str = "foliation-leaf"
     kind: str = "minimal"
 
-    def height_at(self, x: float, y: float) -> float:
+    def heights(self, x, y):
         return leaf_height(x, y) + self.t
 
-    def domain_ok(self, x: float, y: float, margin: float = 0.0) -> bool:
-        k = band_index(x)
-        return math.hypot(x - TWO_PI * k, y) > max(margin, 1e-12)
+    def height_at(self, x: float, y: float) -> float:
+        return self.heights(x, y)
 
-    def exact_jet(self, x: float, y: float) -> GraphJet:
+    def domain_ok(self, x, y, margin: float = 0.0):
+        """Away from the excluded lines: a bool for one point, a bool array for arrays."""
+        ok = np.hypot(_band(x)[1], y) > max(margin, 1e-12)
+        return bool(ok) if np.ndim(ok) == 0 else ok
+
+    def exact_jet(self, x, y) -> GraphJet:
         k, dx = _band_offset(x, y)
-        sign = -1.0 if k % 2 else 1.0
+        sign = _band_sign(k)
         r2 = dx * dx + y * y
+        r4 = r2 * r2
         return GraphJet(
-            self.height_at(x, y),
-            sign * (-y / r2),
-            sign * (dx / r2),
-            sign * (2 * dx * y / (r2 * r2)),
-            sign * ((y * y - dx * dx) / (r2 * r2)),
-            sign * (-2 * dx * y / (r2 * r2)),
+            self.heights(x, y),
+            (sign * (-y / r2))[()],
+            (sign * (dx / r2))[()],
+            (sign * (2 * dx * y / r4))[()],
+            (sign * ((y * y - dx * dx) / r4))[()],
+            (sign * (-2 * dx * y / r4))[()],
         )
+
+    def sample_grid(self, grid):
+        return sample_graph(grid, self.domain_ok, self.heights)
 
 
 def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
@@ -124,31 +149,36 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
         raise EmptyGrid("need at least one leaf shift t")
 
     boundary = ErrorStats()
+    ys = grid.v_values()
     k_lo = math.ceil((grid.u_min - math.pi) / TWO_PI)
     k_hi = math.floor((grid.u_max - math.pi) / TWO_PI)
     for k in range(k_lo, k_hi + 1):
         xb = (2 * k + 1) * math.pi
         if not (grid.u_min <= xb <= grid.u_max):
             continue
-        for v in grid.v_values():
-            y = float(v)
-            left = leaf_height(xb - boundary_delta, y)
-            right = leaf_height(xb + boundary_delta, y)
-            boundary.add(abs(left - right), (xb, y), left, right)
+        left = leaf_height(xb - boundary_delta, ys)
+        right = leaf_height(xb + boundary_delta, ys)
+        boundary.add_many(np.abs(left - right), [(xb, y) for y in ys.tolist()], left, right)
 
+    # Draw the pairs in the order of a one-at-a-time rejection loop.
     rng = random.Random(seed)
     margin = max(grid.margin, 1e-6)
+    x = y = np.empty(0)
+    while x.size < n_random:
+        draws = np.array([(rng.uniform(grid.u_min, grid.u_max),
+                           rng.uniform(grid.v_min, grid.v_max))
+                          for _ in range(n_random - x.size)])
+        keep = np.hypot(_band(draws[:, 0])[1], draws[:, 1]) > margin
+        x, y = np.concatenate([x, draws[keep, 0]]), np.concatenate([y, draws[keep, 1]])
+    checked = x.size
+    t = np.array(t_samples, dtype=float)
+    # Entry (i, j) is point i on the leaf t[j]; row-major is the check order.
+    recovered = np.broadcast_to(leaf_of_point(*leaf_point(x[:, None], y[:, None], t)),
+                                (checked, t.size))
     roundtrip = ErrorStats()
-    checked = 0
-    while checked < n_random:
-        x = rng.uniform(grid.u_min, grid.u_max)
-        y = rng.uniform(grid.v_min, grid.v_max)
-        if math.hypot(x - TWO_PI * band_index(x), y) <= margin:
-            continue
-        for t in t_samples:
-            recovered = leaf_of_point(*leaf_point(x, y, t))
-            roundtrip.add(abs(recovered - t), (x, y), recovered, t)
-        checked += 1
+    roundtrip.add_many(np.abs(recovered - t).reshape(-1),
+                       np.repeat(np.column_stack([x, y]), t.size, axis=0),
+                       recovered.reshape(-1), np.tile(t, checked))
 
     # Compare the err/tolerance ratios without dividing by a tolerance; a NaN
     # max heads the report whichever sub-check it is in.

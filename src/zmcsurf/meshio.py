@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class GridSpec:
 
     def v_values(self) -> np.ndarray:
         return np.linspace(self.v_min, self.v_max, self.nv)
+
+    def lattice(self):
+        """Row-major (u, v) coordinate arrays of the nu*nv lattice points."""
+        u, v = np.meshgrid(self.u_values(), self.v_values(), indexing="ij")
+        return u.reshape(-1), v.reshape(-1)
 
     def points(self):
         """Row-major lattice iterator: ((i, j), (u, v))."""
@@ -97,6 +102,8 @@ class SurfacePatch:
     nv: int
     points: np.ndarray
     valid: np.ndarray
+    # (points bytes, their 17-digit text) left by the last export for the next.
+    _text: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(self.nu * self.nv, 3)
@@ -113,17 +120,28 @@ class SurfacePatch:
 _POINT_ERRORS = (SingularPath, NoConvergence, EvalDomainError, DomainViolation)
 
 
+def sample_graph(grid: GridSpec, domain_ok, heights):
+    """``sample_grid`` of a graph source: lattice points (u, v, heights(u, v))
+    and the mask of points that pass ``domain_ok(u, v, margin)``, with the
+    heights evaluated at those points only (nan elsewhere)."""
+    u, v = grid.lattice()
+    ok = np.broadcast_to(domain_ok(u, v, grid.margin), u.shape).copy()
+    z = np.full(u.shape, np.nan)
+    z[ok] = heights(u[ok], v[ok])
+    return np.column_stack([u, v, z]), ok
+
+
 def sample_patch(source, grid: GridSpec) -> SurfacePatch:
     """Evaluate ``source`` on the lattice, masking points that fail.
 
     Sources, by decreasing specificity:
       * ``source.sample_grid(grid)`` -> (points, valid), row-major, the whole
-        lattice in one call (batched quadrature of the WE, TLMS and BC
-        samplers; inversion-based height sampling with neighbor-continuation
-        seeding);
+        lattice in one call (catalog surfaces and foliation leaves through
+        ``sample_graph``; batched quadrature of the WE, TLMS and BC samplers;
+        inversion-based height sampling with neighbor-continuation seeding);
       * ``source.point(u, v)`` -> (x, y, z)  (parametric samplers);
       * ``source.height_at(x, y)`` + ``source.domain_ok(x, y, margin)``
-        (graph surfaces and foliation leaves).
+        (other graph sources).
 
     A point is masked when it raises SingularPath, NoConvergence,
     EvalDomainError or DomainViolation, fails ``domain_ok``, or comes out
@@ -178,6 +196,24 @@ def _fmt17(values: np.ndarray) -> np.ndarray:
     return np.array(text, dtype=object)[inverse].reshape(values.shape)
 
 
+def _point_text(patch: SurfacePatch) -> np.ndarray:
+    """``_fmt17(patch.points)``, formatted once for a pair of exports.
+
+    A patch is usually written as both OBJ and CSV.  The text an export
+    formats is kept on the patch for the next export, which takes it if the
+    points are still bitwise the same; taking it releases it, so no text
+    outlives the pair.
+    """
+    key = patch.points.tobytes()
+    if patch._text is not None and patch._text[0] == key:
+        text = patch._text[1]
+        patch._text = None
+        return text
+    text = _fmt17(patch.points)
+    patch._text = (key, text)
+    return text
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="\n") as fh:
@@ -200,7 +236,7 @@ def write_obj(patch: SurfacePatch, path: str) -> None:
     number = np.cumsum(patch.valid).reshape(patch.nu, patch.nv)  # 1-based at valid points
     quad = np.logical_and.reduce([valid[c] for c in _QUAD_CORNERS])
     faces = np.stack([number[c][quad] for c in _QUAD_CORNERS], axis=1)
-    vertex_text = _fmt17(patch.points[patch.valid]).reshape(-1).tolist()
+    vertex_text = _point_text(patch)[patch.valid].reshape(-1).tolist()
     _atomic_write(path, ("v %s %s %s\n" * patch.valid_count()) % tuple(vertex_text)
                   + ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist()))
 
@@ -213,7 +249,7 @@ def write_csv(patch: SurfacePatch, path: str) -> None:
     n = patch.nu * patch.nv
     cells = np.empty((n, 6), dtype=object)
     cells[:, 0], cells[:, 1] = np.divmod(np.arange(n), patch.nv)
-    cells[:, 2:5] = _fmt17(patch.points)
+    cells[:, 2:5] = _point_text(patch)
     cells[:, 5] = patch.valid
     _atomic_write(path, ",".join(_CSV_HEADER) + "\n"
                   + ("%d,%d,%s,%s,%s,%d\n" * n) % tuple(cells.reshape(-1).tolist()))

@@ -8,6 +8,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 
@@ -48,6 +50,33 @@ class ErrorStats:
         if err > self.max or self.worst is None or (err != err and self.max == self.max):
             self.max = err
             self.worst = {"coords": list(coords), "lhs": lhs, "rhs": rhs}
+
+    def add_many(self, err, coords, lhs, rhs=0.0) -> None:
+        """``add`` for every entry of the 1-d array ``err`` in order.
+
+        ``coords[i]`` are the coordinates of entry i; ``lhs`` and ``rhs``
+        broadcast against ``err``.  The running sum is ``np.cumsum``, which
+        adds left to right as ``add`` does, so the mean is the same bits.
+        """
+        err = np.asarray(err, dtype=float).reshape(-1)
+        if err.size == 0:
+            return
+        self.count += err.size
+        self._total = float(np.cumsum(np.concatenate(([self._total], err)))[-1])
+        nans = np.isnan(err)
+        if nans.any():
+            if self.max != self.max:
+                return
+            i = int(nans.argmax())
+        else:
+            i = int(err.argmax())
+            if self.worst is not None and not err[i] > self.max:
+                return
+        row = coords[i]
+        self.max = float(err[i])
+        self.worst = {"coords": row.tolist() if isinstance(row, np.ndarray) else list(row),
+                      "lhs": np.broadcast_to(lhs, err.shape)[i].item(),
+                      "rhs": np.broadcast_to(rhs, err.shape)[i].item()}
 
     @property
     def mean(self) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "ExactUnavailable",
     "DegenerateMetric",
     "graph_jet",
+    "graph_jets",
     "graph_residual",
     "parametric_zmc_numerator",
     "graph_jet_from_parametric",
@@ -66,6 +67,9 @@ class GraphJet:
     z_yy: complex
 
 
+_JET_FIELDS = ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")
+
+
 def graph_residual(eq: str, jet: GraphJet):
     """Left-hand side of the selected graph ZMC equation at the jet."""
     zx, zy = jet.z_x, jet.z_y
@@ -84,49 +88,77 @@ def graph_residual(eq: str, jet: GraphJet):
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
-def _stencil_points(x, y, h):
-    for di in range(-2, 3):
-        for dj in range(-2, 3):
-            yield x + di * h, y + dj * h
-
-
 def _central_jet(f, u, v, h):
     """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) of f(u, v)
-    with step h; f may return scalars or numpy arrays."""
-    z = f(u, v)
-    zu = sum(c * f(u + d * h, v) for d, c in _D1) / (12 * h)
-    zv = sum(c * f(u, v + d * h) for d, c in _D1) / (12 * h)
-    zuu = (-f(u + 2 * h, v) + 16 * f(u + h, v) - 30 * z
-           + 16 * f(u - h, v) - f(u - 2 * h, v)) / (12 * h * h)
-    zvv = (-f(u, v + 2 * h) + 16 * f(u, v + h) - 30 * z
-           + 16 * f(u, v - h) - f(u, v - 2 * h)) / (12 * h * h)
-    zuv = sum(ci * cj * f(u + di * h, v + dj * h)
-              for di, ci in _D1 for dj, cj in _D1) / (144 * h * h)
+    with step h; u, v and f's values may be scalars or numpy arrays.
+
+    f is called once at each of the 25 distinct stencil points.
+    """
+    memo = {}
+
+    def at(di, dj):
+        if (di, dj) not in memo:
+            memo[di, dj] = f(u + di * h if di else u, v + dj * h if dj else v)
+        return memo[di, dj]
+
+    z = at(0, 0)
+    zu = sum(c * at(d, 0) for d, c in _D1) / (12 * h)
+    zv = sum(c * at(0, d) for d, c in _D1) / (12 * h)
+    zuu = (-at(2, 0) + 16 * at(1, 0) - 30 * z + 16 * at(-1, 0) - at(-2, 0)) / (12 * h * h)
+    zvv = (-at(0, 2) + 16 * at(0, 1) - 30 * z + 16 * at(0, -1) - at(0, -2)) / (12 * h * h)
+    zuv = sum(ci * cj * at(di, dj) for di, ci in _D1 for dj, cj in _D1) / (144 * h * h)
     return z, zu, zv, zuu, zuv, zvv
 
 
-def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = 1e-4) -> GraphJet:
-    """Second-order jet of a height surface at (x, y).
+def graph_jets(surface, x, y, method: str = "exact", h: float = 1e-4) -> GraphJet:
+    """Second-order jets of a height surface at every point of the arrays x, y.
 
     ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
     ExactUnavailable when there is none (no silent fallback: the caller
-    chooses).  ``method="central-diff"`` uses 5-point stencils with step h.
+    chooses).  ``method="central-diff"`` uses 5-point stencils with step h on
+    the surface's ``heights``, and raises DomainViolation when a stencil
+    point leaves ``domain_ok``.  Entries are arrays shaped like x and y
+    (scalars for scalar x and y).
     """
     if method == "exact":
         jet_fn = getattr(surface, "exact_jet", None)
         if jet_fn is None:
             raise ExactUnavailable(f"surface {getattr(surface, 'id', surface)!r} has no exact jet")
-        return jet_fn(x, y)
+        with np.errstate(all="ignore"):
+            return jet_fn(x, y)
     if method != "central-diff":
         raise ValueError(f"unknown jet method {method!r}")
 
     domain_ok = getattr(surface, "domain_ok", None)
     if domain_ok is not None:
-        bad = [(px, py) for px, py in _stencil_points(x, y, h) if not domain_ok(px, py, 0.0)]
-        if bad:
-            raise DomainViolation(f"stencil leaves the domain of {surface.id!r}", bad[:5])
+        shape = np.broadcast(x, y).shape
+        for di in range(-2, 3):
+            for dj in range(-2, 3):
+                px, py = np.broadcast_arrays(x + di * h, y + dj * h)
+                bad = ~np.broadcast_to(domain_ok(px, py, 0.0), shape)
+                if bad.any():
+                    raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
+                                          list(zip(px[bad].tolist(), py[bad].tolist()))[:5])
+    with np.errstate(all="ignore"):
+        return GraphJet(*_central_jet(surface.heights, x, y, h))
 
-    return GraphJet(*_central_jet(surface.height_at, x, y, h))
+
+def one_point(x, y):
+    """Arguments that make a lattice formula's one-point case round as its
+    lattice entry does: real points as they are (real arithmetic rounds the
+    same on scalars and arrays), complex points as one-element arrays
+    (numpy's scalar complex product rounds differently from its array loop).
+    """
+    if isinstance(x, complex) or isinstance(y, complex):
+        return np.array([x], dtype=complex), np.array([y], dtype=complex)
+    return x, y
+
+
+def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = 1e-4) -> GraphJet:
+    """Second-order jet of a height surface at (x, y): the one-point case of
+    ``graph_jets``."""
+    jet = graph_jets(surface, *one_point(x, y), method, h)
+    return GraphJet(*(np.ravel(getattr(jet, name))[0].item() for name in _JET_FIELDS))
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +266,20 @@ def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
 
 def residual_sweep(surface, eq: str, grid, method: str = "exact", h: float = 1e-4,
                    tolerance: float = 1e-10) -> VerificationReport:
-    """Max/mean |graph residual| over a lattice that must lie in the domain."""
-    bad = [(u, v) for _, (u, v) in grid.points() if not surface.domain_ok(u, v, grid.margin)]
-    if bad:
+    """Max/mean |graph residual| over a lattice that must lie in the domain;
+    the whole lattice is evaluated at once and reduced in row-major order."""
+    u, v = grid.lattice()
+    bad = ~np.broadcast_to(surface.domain_ok(u, v, grid.margin), u.shape)
+    if bad.any():
         raise DomainViolation(
-            f"{len(bad)} grid points violate the domain of {surface.id!r}", bad[:10])
+            f"{int(bad.sum())} grid points violate the domain of {surface.id!r}",
+            list(zip(u[bad].tolist(), v[bad].tolist()))[:10])
 
+    with np.errstate(all="ignore"):
+        r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method, h=h)),
+                            u.shape)
     stats = ErrorStats()
-    for _, uv in grid.points():
-        r = graph_residual(eq, graph_jet(surface, *uv, method=method, h=h))
-        stats.add(abs(r), uv, r)
+    stats.add_many(np.abs(r), np.column_stack([u, v]), r)
     if stats.count == 0:
         raise EmptyGrid("no points in residual sweep")
     return VerificationReport(
@@ -303,9 +339,9 @@ class GraphLiftSampler:
     def _exact_jet(self, u, v):
         j = self.surface.exact_jet(u, v)
         return (
-            (1.0, 0.0, j.z_x),
-            (0.0, 1.0, j.z_y),
-            (0.0, 0.0, j.z_xx),
-            (0.0, 0.0, j.z_xy),
-            (0.0, 0.0, j.z_yy),
+            (1.0, 0.0, float(j.z_x)),
+            (0.0, 1.0, float(j.z_y)),
+            (0.0, 0.0, float(j.z_xx)),
+            (0.0, 0.0, float(j.z_xy)),
+            (0.0, 0.0, float(j.z_yy)),
         )

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,22 @@ def test_expr_defined_surface():
 def test_unknown_surface():
     with pytest.raises(UnknownSurface):
         builtin_surface("gyroid")
+
+
+@pytest.mark.parametrize("surface_id, x, y", [
+    ("scherk2max", 800.0, 0.0),         # cosh overflows
+    ("scherkBI", 0.0, 715.0),
+    ("scherk2", 0.0, math.inf),         # non-finite inputs
+    ("scherk2", 0.0, math.nan),
+    ("scherk2", complex(0.0, math.inf), 0.0),
+    ("scherk2", 2.0, 0.0),              # cos x < 0: no real height
+    ("helicoid", 0.0, 1.0),             # the graph needs x != 0
+    ("helicoid", 0.0, 0.0),
+    ("scherk1", 0.5, 0.0),              # tan pole of the tower
+])
+def test_evaluate_without_a_finite_value_raises_domain_violation(surface_id, x, y):
+    with pytest.raises(DomainViolation):
+        builtin_surface(surface_id).evaluate(x, y)
 
 
 def test_surface_domain_masks_cos_zero():
@@ -369,12 +386,12 @@ def test_row_parallel_sweep_is_deterministic():
 
 def test_nan_branch_error_fails_the_identity_report(monkeypatch):
     real = catalog.branch_error
-    calls = []
 
     def branch_error_with_nans(policy, lhs, rhs):
-        calls.append(None)
         # NaN at the 7th and 9th row-major points of the 5x5 lattice.
-        return math.nan if len(calls) in (7, 9) else real(policy, lhs, rhs)
+        err = np.array(real(policy, lhs, rhs), dtype=float)
+        err[[6, 8]] = math.nan
+        return err
 
     monkeypatch.setattr(catalog, "branch_error", branch_error_with_nans)
     report = verify_identity(identity_terms("scherk2-decomp", 2), GridSpec(-1, 1, -1, 1, 5, 5))

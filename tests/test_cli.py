@@ -197,3 +197,17 @@ def test_non_finite_residuals_fail(command, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert out.startswith("[FAIL]") and "max_abs_err=nan" in out
+
+
+@pytest.mark.parametrize("name, x, y", [
+    ("scherk2max", "800", "0"),     # cosh overflows
+    ("scherkBI", "0", "720"),
+    ("scherk2", "0", "inf"),        # non-finite input
+    ("scherk2", "0", "nan"),
+    ("helicoid", "0", "1"),         # x = 0
+    ("scherk1", "0.5", "0"),        # tan pole
+])
+def test_surface_eval_without_a_finite_value_is_a_usage_error(name, x, y, capsys):
+    assert main(["surface", "eval", "--name", name, "--x", x, "--y", y]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

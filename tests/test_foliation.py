@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,8 +173,12 @@ def test_nan_roundtrip_fails_the_report(monkeypatch):
     calls = []
 
     def leaf_of_point_with_nans(x, y, z):
-        calls.append([x, y])
-        return math.nan if len(calls) in (5, 50) else real(x, y, z)
+        # NaN at the 5th and 50th (point, t) pair in check order.
+        out = np.array(np.broadcast_to(real(x, y, z), np.shape(z)), dtype=float)
+        out.flat[[4, 49]] = math.nan
+        calls.append([np.broadcast_to(x, out.shape).flat[4],
+                      np.broadcast_to(y, out.shape).flat[4]])
+        return out
 
     monkeypatch.setattr(foliation, "leaf_of_point", leaf_of_point_with_nans)
     report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)
@@ -181,7 +186,7 @@ def test_nan_roundtrip_fails_the_report(monkeypatch):
     assert report.passed is False and p["roundtrip_pass"] is False
     assert report.tolerance == p["roundtrip_tolerance"]
     assert math.isnan(report.max_abs_err) and math.isnan(p["roundtrip_max"])
-    assert report.worst_point["coords"] == calls[4]  # the first NaN
+    assert report.worst_point["coords"] == calls[0]  # the first NaN
     assert p["boundary_max"] < p["boundary_tolerance"]
 
 
@@ -189,8 +194,8 @@ def test_nan_boundary_pair_fails_the_report(monkeypatch):
     real = foliation.leaf_height
 
     def leaf_height_nan_at_band_boundaries(x, y):
-        near = min(abs(abs(x) - PI), abs(abs(x) - 3 * PI))
-        return math.nan if near < 1e-6 else real(x, y)
+        near = np.minimum(np.abs(np.abs(x) - PI), np.abs(np.abs(x) - 3 * PI))
+        return np.where(near < 1e-6, math.nan, real(x, y))
 
     monkeypatch.setattr(foliation, "leaf_height", leaf_height_nan_at_band_boundaries)
     report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)

@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from zmcsurf import catalog
+from zmcsurf import catalog, meshio
 from zmcsurf.errors import DomainViolation, NoConvergence, SingularPath
 from zmcsurf.expr import EvalDomainError
 from zmcsurf.foliation import LeafSurface
@@ -188,6 +188,31 @@ def test_writers_match_the_per_line_reference_byte_for_byte(tmp_path, patch):
     assert (tmp_path / "p.csv").read_bytes() == reference_csv(patch)
 
 
+def test_a_patch_written_as_obj_and_csv_is_formatted_once(tmp_path, monkeypatch):
+    calls = []
+    real = meshio._fmt17
+    monkeypatch.setattr(meshio, "_fmt17", lambda values: calls.append(1) or real(values))
+    patch = _patches()[3]
+    for _ in range(2):
+        write_obj(patch, str(tmp_path / "p.obj"))
+        write_csv(patch, str(tmp_path / "p.csv"))
+    assert len(calls) == 2
+    assert (tmp_path / "p.obj").read_bytes() == reference_obj(patch)
+    assert (tmp_path / "p.csv").read_bytes() == reference_csv(patch)
+
+
+def test_a_vertex_changed_between_the_writers_reaches_the_csv(tmp_path):
+    patch = _patches()[3]
+    write_obj(patch, str(tmp_path / "p.obj"))
+    obj = (tmp_path / "p.obj").read_bytes()
+    k = int(patch.valid.argmax())
+    patch.points[k, 2] = -0.0 if patch.points[k, 2] == 0.0 else 0.0
+    write_csv(patch, str(tmp_path / "p.csv"))
+    assert (tmp_path / "p.csv").read_bytes() == reference_csv(patch)
+    assert obj != reference_obj(patch)
+    assert read_csv(str(tmp_path / "p.csv")).points[k, 2] == patch.points[k, 2]
+
+
 @pytest.mark.parametrize("patch", _patches())
 def test_read_csv_matches_the_reference_reader(tmp_path, patch):
     path = str(tmp_path / "p.csv")
@@ -271,6 +296,9 @@ class _PointOnly:
     # the window crosses x, y = +-pi/2, where scherk2 leaves its domain
     (catalog.builtin_surface("scherk2"), GridSpec(-2.2, 2.1, -2.0, 2.3, 23, 19)),
     (catalog.builtin_surface("helicoid"), GridSpec(-1.5, 1.5, -1.2, 1.4, 17, 21)),
+    (catalog.builtin_surface("scherk1"), GridSpec(-2.0, 2.0, 2.4, 6.2, 19, 23)),
+    (catalog.builtin_surface("scherk2max"), GridSpec(-1.5, 1.5, 700.0, 720.0, 11, 13)),
+    (catalog.builtin_surface("scherkBI"), GridSpec(-2.0, 2.1, -1.5, 1.5, 21, 13)),
     # the window contains the excluded line (2 pi, 0)
     (LeafSurface(0.7), GridSpec(math.pi, 3 * math.pi, -2.0, 2.0, 21, 15)),
     (_PointOnly(WESampler(WEData.from_text("1", "w"))), GridSpec(-0.8, 0.8, -0.6, 0.6, 9, 7)),

@@ -2,6 +2,10 @@
 
 import math
 
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from zmcsurf.report import ErrorStats
 
 
@@ -38,3 +42,42 @@ def test_mean_is_the_left_to_right_float_sum():
         total += err
     assert total != math.fsum(errors)  # the order matters for these values
     assert _stats(errors).mean == total / len(errors)
+
+
+# ---------------------------------------------------------------------------
+# add_many: the array form of add
+# ---------------------------------------------------------------------------
+
+_errors = st.lists(st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan, 1e-16]),
+                             st.floats(0.0, 10.0)), max_size=12)
+
+
+def _bits(stats):
+    worst = stats.worst and {k: repr(v) for k, v in stats.worst.items()}
+    return stats.count, repr(stats.max), repr(stats.mean), worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches=st.lists(_errors, max_size=4))
+def test_add_many_equals_a_loop_of_add(batches):
+    looped, batched = ErrorStats(), ErrorStats()
+    k = 0
+    for batch in batches:
+        coords = [(k + i, -(k + i)) for i in range(len(batch))]
+        lhs = [0.5 * (k + i) for i in range(len(batch))]
+        for err, xy, value in zip(batch, coords, lhs):
+            looped.add(err, xy, value, -value)
+        batched.add_many(np.array(batch, dtype=float), coords, np.array(lhs),
+                         -np.array(lhs))
+        k += len(batch)
+    assert _bits(batched) == _bits(looped)
+
+
+def test_add_many_keeps_the_first_of_tied_maxima_and_the_first_nan():
+    stats = ErrorStats()
+    stats.add_many(np.array([1.0, 3.0, 3.0]), np.arange(6.0).reshape(3, 2), 7.0)
+    assert stats.worst == {"coords": [2.0, 3.0], "lhs": 7.0, "rhs": 0.0}
+    stats.add_many(np.array([3.0, math.nan, math.nan]), np.arange(6.0, 12.0).reshape(3, 2), 7.0)
+    assert math.isnan(stats.max) and stats.worst["coords"] == [8.0, 9.0] and stats.count == 6
+    stats.add_many(np.array([]), [], 0.0)
+    assert stats.count == 6 and math.isnan(stats.mean)
