@@ -104,13 +104,17 @@ def _pole(d):
     return np.where(d == 0, np.nan, d)[()]
 
 
+def _negligible_imag(value):
+    """Whether complex heights (an array or one value) count as real."""
+    return abs(value.imag) <= 1e-9 * (1.0 + abs(value))
+
+
 def _real_part(value):
     """Heights of real points: real formulas pass through; a complex value becomes
     its real part where the imaginary part is negligible, and nan elsewhere."""
     if not np.iscomplexobj(value):
         return value
-    real = np.abs(value.imag) <= 1e-9 * (1.0 + np.abs(value))
-    return np.where(real, np.real(value), np.nan)[()]
+    return np.where(_negligible_imag(value), value.real, np.nan)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +154,8 @@ class HeightSurface:
         real = not (isinstance(x, complex) or isinstance(y, complex))
         with np.errstate(all="ignore"):
             value = complex(np.ravel(self.height(*one_point(x, y)))[0])
-        if real:
-            # As _real_part does for arrays.
-            value = value.real if abs(value.imag) <= 1e-9 * (1.0 + abs(value)) else math.nan
+        if real:  # _real_part without its array call, which costs more than the height
+            value = value.real if _negligible_imag(value) else math.nan
         if not all(math.isfinite(part) for v in (x, y, value) for part in (v.real, v.imag)):
             what = "real value" if real else "value"
             raise DomainViolation(f"{self.id} has no finite {what} at ({x}, {y})", [(x, y)])
@@ -306,7 +309,7 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
 def _expr_surface(text: str) -> HeightSurface:
     """A user graph: the tree walk at one point, the compiled numpy closure on
     more (complex values; real points take the real part)."""
-    e = _expr.parse_xy(text, "x", "y")
+    e = _expr.parse_xy(text)
     ex, ey = e.partial("x"), e.partial("y")
     trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
 
@@ -366,7 +369,7 @@ def builtin_surface(surface_id: str) -> HeightSurface:
 
 
 def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
-                    scale: float, new_id: Optional[str] = None) -> HeightSurface:
+                    scale: float) -> HeightSurface:
     """The surface z = scale * Z((x - b)/a, (y - d)/a); jets follow by the chain rule.
 
     The ZMC kind is preserved exactly when scale == a: the graph is then the
@@ -394,7 +397,7 @@ def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
     lo_u, hi_u = sorted((a * g.u_min + b, a * g.u_max + b))
     lo_v, hi_v = sorted((a * g.v_min + d, a * g.v_max + d))
     return HeightSurface(
-        new_id or f"{surface.id}~affine({a!r},{b!r},{d!r};{scale!r})",
+        f"{surface.id}~affine({a!r},{b!r},{d!r};{scale!r})",
         surface.kind, height, domain, jet if inner_jet is not None else None,
         GridSpec(lo_u, hi_u, lo_v, hi_v, g.nu, g.nv, g.margin),
     )

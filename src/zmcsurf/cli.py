@@ -75,24 +75,34 @@ def _summary(report) -> str:
 # builders shared by subcommands
 # ---------------------------------------------------------------------------
 
+# An unset --g takes its source's default: Gauss map w (WE data), density 1 (TLMS data).
+
 def _we_data(args) -> reps.WEData:
     zeta0 = parse_complex(args.zeta0)
     offset = tuple(float(t) for t in args.offset.split(",")) if args.offset else (0.0, 0.0, 0.0)
     if args.mode == "reduced-R":
         return reps.WEData.reduced(args.f, zeta0=zeta0, offset=offset)
-    return reps.WEData.from_text(args.f, args.g, zeta0=zeta0, offset=offset, mode=args.mode)
+    g = "w" if args.g is None else args.g
+    return reps.WEData.from_text(args.f, g, zeta0=zeta0, offset=offset, mode=args.mode)
+
+
+def _tlms_data(args) -> reps.TLMSData:
+    base = tuple(float(t) for t in args.base.split(","))
+    g = "1" if args.g is None else args.g
+    return reps.TLMSData.from_text(args.f, g, args.q, args.r, base=base)
+
+
+def _bc_data(args) -> reps.BCData:
+    return reps.BCData.from_text(args.big_f, args.big_g)
 
 
 def _parametric_sampler(args):
     if args.source == "we":
         return reps.WESampler(_we_data(args), theta=args.theta), f"we:{args.mode}"
     if args.source == "tlms":
-        base = tuple(float(t) for t in args.base.split(","))
-        data = reps.TLMSData.from_text(args.f, args.g, args.q, args.r, base=base)
-        return reps.TLMSSampler(data), "tlms"
+        return reps.TLMSSampler(_tlms_data(args)), "tlms"
     if args.source == "bc":
-        data = reps.BCData.from_text(args.big_f, args.big_g)
-        return reps.BCSampler(data), "bc"
+        return reps.BCSampler(_bc_data(args)), "bc"
     surf = catalog.builtin_surface(args.surface)
     return zmc.GraphLiftSampler(surf), f"graph:{surf.id}"
 
@@ -154,7 +164,7 @@ def _cmd_we(args) -> int:
             raise argparse.ArgumentTypeError("we eval needs --zeta")
         zeta = parse_complex(args.zeta)
         if args.theta:
-            pt = reps.associated_family_point(data, zeta, args.theta)
+            pt = reps.WESampler(data, args.theta).point(zeta.real, zeta.imag)
         else:
             pt = reps.we_point(data, zeta)
         print(" ".join(_fmt_real(v) for v in pt))
@@ -194,19 +204,16 @@ def _cmd_we(args) -> int:
 
 
 def _cmd_tlms(args) -> int:
-    base = tuple(float(t) for t in args.base.split(","))
-    data = reps.TLMSData.from_text(args.f, args.g, args.q, args.r, base=base)
     grid = GridSpec.parse(args.grid)
-    patch = sample_patch(reps.TLMSSampler(data), grid)
+    patch = sample_patch(reps.TLMSSampler(_tlms_data(args)), grid)
     _write_patch(patch, args.out)
     print(f"wrote {args.out} ({patch.valid_count()} vertices)")
     return 0
 
 
 def _cmd_bc(args) -> int:
-    data = reps.BCData.from_text(args.big_f, args.big_g)
     grid = GridSpec.parse(args.grid)
-    patch = sample_patch(reps.BCSampler(data), grid)
+    patch = sample_patch(reps.BCSampler(_bc_data(args)), grid)
     _write_patch(patch, args.out)
     print(f"wrote {args.out} ({patch.valid_count()} vertices)")
     return 0
@@ -279,7 +286,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=list(zmc.METRIC_NAMES), default="euclid")
     p.add_argument("--source", choices=["we", "tlms", "bc", "surface"], default="surface")
     p.add_argument("--f", default="1")
-    p.add_argument("--g", default="w")
+    p.add_argument("--g", default=None)
     p.add_argument("--q", default="u")
     p.add_argument("--r", default="v")
     p.add_argument("--F", dest="big_f", default="r")
@@ -297,7 +304,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p = sub.add_parser("we", help="Weierstrass-Enneper representation tools")
     p.add_argument("verb", choices=["eval", "mesh", "invert", "split"])
     p.add_argument("--f", required=True)
-    p.add_argument("--g", default="w")
+    p.add_argument("--g", default=None)
     p.add_argument("--mode", choices=list(reps.WE_MODES), default="minimal")
     p.add_argument("--zeta0", default="0")
     p.add_argument("--offset", default=None)
@@ -320,7 +327,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p = sub.add_parser("tlms", help="timelike minimal surface mesh")
     p.add_argument("verb", choices=["mesh"])
     p.add_argument("--f", default="1")
-    p.add_argument("--g", default="1")
+    p.add_argument("--g", default=None)
     p.add_argument("--q", default="u")
     p.add_argument("--r", default="v")
     p.add_argument("--base", default="0,0")

@@ -46,9 +46,6 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "parse_xy",
-    "evaluate",
-    "differentiate",
-    "to_source",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "atan", "sinh", "cosh", "tanh", "sqrt")
@@ -616,8 +613,6 @@ class AnalyticExpr:
     def eval(self, w) -> complex:
         return _eval_node(self.root, {self.varname: complex(w)})
 
-    __call__ = eval
-
     def eval_array(self, w):
         """Evaluate at every point of ``w`` (any shape) with principal branches.
 
@@ -632,6 +627,7 @@ class AnalyticExpr:
         return AnalyticExpr(_fold(_d(self.root, self.varname)), self.varname)
 
     def source(self) -> str:
+        """Round-trippable text: ``parse(e.source())`` evaluates identically."""
         return _to_source_node(self.root)
 
     def __str__(self) -> str:
@@ -640,35 +636,31 @@ class AnalyticExpr:
 
 @dataclass(frozen=True)
 class TwoVarExpr:
-    """An expression in two free variables, used for user-defined graphs z = Z(x, y).
+    """An expression in the free variables ``x`` and ``y``, used for
+    user-defined graphs z = Z(x, y).
 
-    The two names share one grammar; differentiation w.r.t. one name treats the
-    other as a constant leaf.
+    Differentiation w.r.t. one variable treats the other as a constant leaf.
     """
 
     root: Node
-    xname: str
-    yname: str
 
     @cached_property
     def _compiled(self):
         return _compile(self.root)
 
     def eval(self, x, y) -> complex:
-        return _eval_node(self.root, {self.xname: complex(x), self.yname: complex(y)})
-
-    __call__ = eval
+        return _eval_node(self.root, {"x": complex(x), "y": complex(y)})
 
     def eval_array(self, x, y):
         """``eval`` at every point of the broadcast arrays ``x`` and ``y``, as
         ``AnalyticExpr.eval_array`` does for one variable."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-        return _eval_array(self.root, self._compiled, {self.xname: x, self.yname: y})
+        return _eval_array(self.root, self._compiled, {"x": x, "y": y})
 
     def partial(self, name: str) -> "TwoVarExpr":
-        if name not in (self.xname, self.yname):
+        if name not in ("x", "y"):
             raise ValueError(f"{name!r} is not a variable of this expression")
-        return TwoVarExpr(_fold(_d(self.root, name)), self.xname, self.yname)
+        return TwoVarExpr(_fold(_d(self.root, name)))
 
     def source(self) -> str:
         return _to_source_node(self.root)
@@ -682,21 +674,6 @@ def parse(src: str, varname: str = "w") -> AnalyticExpr:
     return AnalyticExpr(_Parser(src, (varname,)).parse(), varname)
 
 
-def parse_xy(src: str, xname: str = "x", yname: str = "y") -> TwoVarExpr:
-    """Parse a two-variable graph expression (literal substitution of both names)."""
-    return TwoVarExpr(_Parser(src, (xname, yname)).parse(), xname, yname)
-
-
-def evaluate(e: AnalyticExpr, w) -> complex:
-    """Evaluate ``e`` at ``w`` with principal branches."""
-    return e.eval(w)
-
-
-def differentiate(e: AnalyticExpr) -> AnalyticExpr:
-    """Exact symbolic derivative of ``e`` within the grammar."""
-    return e.derivative()
-
-
-def to_source(e) -> str:
-    """Round-trippable text form: ``parse(to_source(e))`` evaluates identically."""
-    return e.source()
+def parse_xy(src: str) -> TwoVarExpr:
+    """Parse a two-variable graph expression in ``x`` and ``y``."""
+    return TwoVarExpr(_Parser(src, ("x", "y")).parse())

@@ -9,15 +9,12 @@ are byte-stable.
 
 from __future__ import annotations
 
-import math
 import os
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainViolation, EmptyGrid, NoConvergence, SingularPath
-from .expr import EvalDomainError
+from .errors import EmptyGrid
 
 __all__ = ["GridSpec", "SurfacePatch", "sample_patch", "write_obj", "write_csv", "read_csv"]
 
@@ -116,10 +113,6 @@ class SurfacePatch:
         return int(self.valid.sum())
 
 
-# Failures that mark one lattice point invalid; anything else is a bug and propagates.
-_POINT_ERRORS = (SingularPath, NoConvergence, EvalDomainError, DomainViolation)
-
-
 def sample_graph(grid: GridSpec, domain_ok, heights):
     """``sample_grid`` of a graph source: lattice points (u, v, heights(u, v))
     and the mask of points that pass ``domain_ok(u, v, margin)``, with the
@@ -134,45 +127,13 @@ def sample_graph(grid: GridSpec, domain_ok, heights):
 def sample_patch(source, grid: GridSpec) -> SurfacePatch:
     """Evaluate ``source`` on the lattice, masking points that fail.
 
-    Sources, by decreasing specificity:
-      * ``source.sample_grid(grid)`` -> (points, valid), row-major, the whole
-        lattice in one call (catalog surfaces and foliation leaves through
-        ``sample_graph``; batched quadrature of the WE, TLMS and BC samplers;
-        inversion-based height sampling with neighbor-continuation seeding);
-      * ``source.point(u, v)`` -> (x, y, z)  (parametric samplers);
-      * ``source.height_at(x, y)`` + ``source.domain_ok(x, y, margin)``
-        (other graph sources).
-
-    A point is masked when it raises SingularPath, NoConvergence,
-    EvalDomainError or DomainViolation, fails ``domain_ok``, or comes out
-    non-finite; one finiteness mask over the whole array applies to every
-    kind of source.  Masked points are stored as zeros.  Any other exception
-    propagates.
+    ``source.sample_grid(grid)`` returns the whole lattice as row-major
+    (points, valid) and masks its own failing points (a typed quadrature,
+    evaluation or Newton failure, or a point outside ``domain_ok``); one
+    finiteness mask over the whole array then applies to every source.
+    Masked points are stored as zeros.
     """
-    if hasattr(source, "sample_grid"):
-        points, valid = source.sample_grid(grid)
-    else:
-        # Points failing a typed check are stored as NaN for the mask below.
-        point = getattr(source, "point", None)
-        height_at = None if point is not None else source.height_at
-        domain_ok = None if point is not None else getattr(source, "domain_ok", None)
-        margin = grid.margin
-        vs = grid.v_values().tolist()
-        coords = array("d")
-        for u in grid.u_values().tolist():
-            for v in vs:
-                try:
-                    if point is not None:
-                        x, y, z = point(u, v)
-                    elif domain_ok is None or domain_ok(u, v, margin):
-                        x, y, z = u, v, height_at(u, v)
-                    else:
-                        x = y = z = math.nan
-                except _POINT_ERRORS:
-                    x = y = z = math.nan
-                coords.extend((x, y, z))
-        points = np.array(coords, dtype=float)
-        valid = np.ones(grid.nu * grid.nv, dtype=bool)
+    points, valid = source.sample_grid(grid)
     patch = SurfacePatch(grid.nu, grid.nv, points, valid)
     patch.valid &= np.isfinite(patch.points).all(axis=1)
     patch.points[~patch.valid] = 0.0
@@ -260,7 +221,7 @@ def read_csv(path: str) -> SurfacePatch:
 
     Blank lines are skipped and rows may come in any order; lattice points
     without a row stay invalid zeros, and a row is valid only when its flag
-    is ``1``.
+    is ``1``.  A file without rows or a row with a negative index is a ValueError.
     """
     with open(path) as fh:
         lines = [line for line in (raw.strip() for raw in fh.read().split("\n")) if line]
@@ -268,11 +229,17 @@ def read_csv(path: str) -> SurfacePatch:
     if header != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
     rows = len(lines) - 1
-    cells = ",".join(lines[1:]).split(",") if rows else []
+    if not rows:
+        raise ValueError(f"no CSV rows in {path}")
+    cells = ",".join(lines[1:]).split(",")
     if len(cells) != 6 * rows:
         raise ValueError(f"CSV rows in {path} must have 6 fields")
     iu = np.array(list(map(int, cells[0::6])), dtype=np.int64)
     iv = np.array(list(map(int, cells[1::6])), dtype=np.int64)
+    negative = np.flatnonzero((iu < 0) | (iv < 0))
+    if negative.size:
+        raise ValueError(f"negative lattice index in {path}, row {negative[0] + 1}: "
+                         f"{lines[negative[0] + 1]!r}")
     nu = int(iu.max()) + 1
     nv = int(iv.max()) + 1
     points = np.zeros((nu * nv, 3))

@@ -125,9 +125,9 @@ class VerificationReport:
     def to_json(self, include_timestamp: bool = True) -> str:
         return json.dumps(self.to_dict(include_timestamp), indent=2, sort_keys=True) + "\n"
 
-    def write(self, path: str, include_timestamp: bool = True) -> None:
+    def write(self, path: str) -> None:
         """Atomic write (temp file + rename), LF endings, deterministic key order."""
         tmp = f"{path}.tmp"
         with open(tmp, "w", newline="\n") as fh:
-            fh.write(self.to_json(include_timestamp))
+            fh.write(self.to_json())
         os.replace(tmp, path)

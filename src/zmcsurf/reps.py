@@ -51,7 +51,6 @@ __all__ = [
     "TLMSData",
     "BCData",
     "we_point",
-    "associated_family_point",
     "split_weierstrass",
     "split_weierstrass_expressions",
     "verify_split",
@@ -184,15 +183,13 @@ def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
     return values, errors
 
 
-def integrate_segment(integrands: Sequence[AnalyticExpr], z0: complex, z1: complex,
-                      tol: float = 1e-10, max_segments: int = 1024):
+def integrate_segment(integrands: Sequence[AnalyticExpr], z0: complex, z1: complex):
     """Integrate each expression along the straight segment [z0, z1].
 
     A one-endpoint ``integrate_segments``: returns one complex per integrand
     and raises that endpoint's SingularPath or NoConvergence.
     """
-    values, errors = integrate_segments(integrands, complex(z0), complex(z1), tol,
-                                        max_segments)
+    values, errors = integrate_segments(integrands, complex(z0), complex(z1))
     if errors[0] is not None:
         raise errors[0]
     return [complex(v) for v in values[:, 0]]
@@ -249,14 +246,13 @@ class WEData:
 
     @classmethod
     def from_text(cls, f_text: str, g_text: str, zeta0=0j, offset=(0.0, 0.0, 0.0),
-                  mode: str = "minimal", varname: str = "w") -> "WEData":
-        return cls(parse(f_text, varname), parse(g_text, varname), complex(zeta0),
+                  mode: str = "minimal") -> "WEData":
+        return cls(parse(f_text), parse(g_text), complex(zeta0),
                    tuple(float(v) for v in offset), mode)
 
     @classmethod
-    def reduced(cls, r_text: str, zeta0=0j, offset=(0.0, 0.0, 0.0),
-                varname: str = "w") -> "WEData":
-        return cls(parse(r_text, varname), parse(varname, varname), complex(zeta0),
+    def reduced(cls, r_text: str, zeta0=0j, offset=(0.0, 0.0, 0.0)) -> "WEData":
+        return cls(parse(r_text), parse("w"), complex(zeta0),
                    tuple(float(v) for v in offset), "reduced-R")
 
     @cached_property
@@ -284,10 +280,6 @@ class WEData:
         return tuple(e.derivative() for e in self.integrands)
 
 
-def _we_integrals(data: WEData, zeta: complex):
-    return integrate_segment(data.integrands, data.zeta0, complex(zeta))
-
-
 def _family_coords(offset, ints, ct, st):
     """ct * (x0 + Re I) + st * (x0 + Im I) per coordinate: the associated-family
     member with cos(theta) = ct, sin(theta) = st (scalars or arrays)."""
@@ -296,15 +288,9 @@ def _family_coords(offset, ints, ct, st):
 
 def we_point(data: WEData, zeta: complex):
     """Surface point offset + Re of the straight-path integral triple."""
-    ints = _we_integrals(data, zeta)
+    ints = integrate_segment(data.integrands, data.zeta0, zeta)
     x0, y0, z0 = data.offset
     return (x0 + ints[0].real, y0 + ints[1].real, z0 + ints[2].real)
-
-
-def associated_family_point(data: WEData, zeta: complex, theta: float):
-    """cos(theta) * X + sin(theta) * X^c, where X^c takes Im of the same integrals."""
-    return _family_coords(data.offset, _we_integrals(data, zeta),
-                          math.cos(theta), math.sin(theta))
 
 
 def split_weierstrass(data: WEData, weights: Sequence[float]):
@@ -330,13 +316,12 @@ def split_weierstrass(data: WEData, weights: Sequence[float]):
     return out
 
 
-def split_weierstrass_expressions(data: WEData, pieces: Sequence,
-                                  lattice: int = 32, radius: float = 0.8):
+def split_weierstrass_expressions(data: WEData, pieces: Sequence, radius: float = 0.8):
     """Split reduced data into arbitrary expression pieces R = R_1 + ... + R_n.
 
     Whether an arbitrary expression vanishes cannot be decided symbolically,
-    so both requirements are checked only by sampling a ``lattice x lattice``
-    grid (~10^3 points) on the disk of ``radius`` around the basepoint:
+    so both requirements are checked only by sampling a 32 x 32 grid
+    (~10^3 points) on the disk of ``radius`` around the basepoint:
 
     * the pieces must sum to R at every sampled point (WeightSumError);
     * no piece may come close to vanishing: a zero inside the disk drives the
@@ -353,9 +338,9 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence,
     if not exprs:
         raise ZeroWeight("need at least one piece")
 
-    step = 2.0 * radius / (lattice - 1)
-    offsets = -radius + np.arange(lattice) * step
-    lattice_w = np.empty((lattice, lattice), dtype=complex)
+    step = 2.0 * radius / 31
+    offsets = -radius + np.arange(32) * step
+    lattice_w = np.empty((32, 32), dtype=complex)
     lattice_w.real = offsets[:, None]
     lattice_w.imag = offsets[None, :]
     w = data.zeta0 + lattice_w.reshape(-1)
@@ -434,13 +419,12 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     )
 
 
-def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex,
-                           max_iter: int = 50, update_tol: float = 1e-12,
-                           residual_tol: float = 1e-10) -> complex:
+def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
     """Damped Newton for zeta with (x(zeta), y(zeta)) = (x, y).
 
     The Jacobian is exact (the derivative of the integral is the integrand);
     steps are halved up to 20 times when the residual does not decrease.
+    At most 50 iterations; update tolerance 1e-12, residual tolerance 1e-10.
     """
     phi1, phi2 = data.integrands[0], data.integrands[1]
 
@@ -451,7 +435,7 @@ def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex
     z = complex(zeta_guess)
     fx, fy = residual(z)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(50):
         p1 = phi1.eval(z)
         p2 = phi2.eval(z)
         j00, j01 = p1.real, -p1.imag
@@ -469,7 +453,7 @@ def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex
         for _ in range(20):
             z_new = z + lam * step
             gx, gy = residual(z_new)
-            if math.hypot(gx, gy) < norm0 or math.hypot(gx, gy) <= residual_tol:
+            if math.hypot(gx, gy) < norm0 or math.hypot(gx, gy) <= 1e-10:
                 accepted = True
                 break
             lam *= 0.5
@@ -477,14 +461,13 @@ def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex
             raise NewtonDiverged("residual did not decrease after 20 step halvings")
         z = z_new
         fx, fy = gx, gy
-        if lam * abs(step) < update_tol or math.hypot(fx, fy) <= 1e-13:
+        if lam * abs(step) < 1e-12 or math.hypot(fx, fy) <= 1e-13:
             converged = True
             break
     if not converged:
-        raise NewtonDiverged(f"no convergence within {max_iter} iterations")
-    if math.hypot(fx, fy) > residual_tol:
-        raise NewtonDiverged(
-            f"converged update but residual {math.hypot(fx, fy):.3e} > {residual_tol}")
+        raise NewtonDiverged("no convergence within 50 iterations")
+    if math.hypot(fx, fy) > 1e-10:
+        raise NewtonDiverged(f"converged update but residual {math.hypot(fx, fy):.3e} > 1e-10")
     return z
 
 
@@ -505,8 +488,8 @@ class WESampler:
         return self._ct * value.real + self._st * value.imag
 
     def point(self, u: float, v: float):
-        return _family_coords(self.data.offset, _we_integrals(self.data, complex(u, v)),
-                              self._ct, self._st)
+        ints = integrate_segment(self.data.integrands, self.data.zeta0, complex(u, v))
+        return _family_coords(self.data.offset, ints, self._ct, self._st)
 
     def sample_grid(self, grid):
         """The whole lattice in one batched quadrature; failing points are masked."""
@@ -601,21 +584,11 @@ class TLMSData:
 
     @cached_property
     def u_integrands(self):
-        f, q = self.f_u.root, self.q_u.root
-        q2 = Power(q, 2)
-        shapes = (_mul(q, f),
-                  _mul(Binary("sub", _ONE, q2), f),
-                  _mul(Binary("add", _ONE, q2), f))
-        return tuple(AnalyticExpr(s, self.f_u.varname) for s in shapes)
+        return _null_curve_integrands(self.f_u, self.q_u)
 
     @cached_property
     def v_integrands(self):
-        g, r = self.g_v.root, self.r_v.root
-        r2 = Power(r, 2)
-        shapes = (_mul(r, g),
-                  _mul(Binary("sub", _ONE, r2), g),
-                  _mul(Binary("add", _ONE, r2), g))
-        return tuple(AnalyticExpr(s, self.g_v.varname) for s in shapes)
+        return _null_curve_integrands(self.g_v, self.r_v)
 
     @cached_property
     def u_integrand_derivatives(self):
@@ -624,6 +597,16 @@ class TLMSData:
     @cached_property
     def v_integrand_derivatives(self):
         return tuple(e.derivative() for e in self.v_integrands)
+
+
+def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
+    """(q f, (1 - q^2) f, (1 + q^2) f) for a density f and Gauss map q of one variable."""
+    f, q = density.root, gauss.root
+    q2 = Power(q, 2)
+    shapes = (_mul(q, f),
+              _mul(Binary("sub", _ONE, q2), f),
+              _mul(Binary("add", _ONE, q2), f))
+    return tuple(AnalyticExpr(s, density.varname) for s in shapes)
 
 
 def _assemble_tlms(qu, qv):
@@ -707,17 +690,18 @@ class BCData:
 
     @cached_property
     def r_integrands(self):
-        rvar = Var(self.F.varname)
-        fp = self.f_prime.root
-        return (AnalyticExpr(_mul(Power(rvar, 2), fp), self.F.varname),
-                AnalyticExpr(_mul(rvar, fp), self.F.varname))
+        return _soliton_integrands(self.F.varname, self.f_prime)
 
     @cached_property
     def s_integrands(self):
-        svar = Var(self.G.varname)
-        gp = self.g_prime.root
-        return (AnalyticExpr(_mul(Power(svar, 2), gp), self.G.varname),
-                AnalyticExpr(_mul(svar, gp), self.G.varname))
+        return _soliton_integrands(self.G.varname, self.g_prime)
+
+
+def _soliton_integrands(name: str, prime: AnalyticExpr):
+    """(t^2 F'(t), t F'(t)) in the variable ``name`` = t of F."""
+    t = Var(name)
+    return (AnalyticExpr(_mul(Power(t, 2), prime.root), name),
+            AnalyticExpr(_mul(t, prime.root), name))
 
 
 def bc_point(data: BCData, r: float, s: float):

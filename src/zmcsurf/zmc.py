@@ -78,7 +78,7 @@ def graph_residual(eq: str, jet: GraphJet):
         return (1 + zx * zx) * zyy - 2 * zx * zy * zxy + (1 + zy * zy) * zxx
     if eq == "maximal":
         return (1 - zx * zx) * zyy + 2 * zx * zy * zxy + (1 - zy * zy) * zxx
-    if eq in ("bi-soliton", "bi"):
+    if eq == "bi-soliton":
         return (1 - zy * zy) * zxx + 2 * zx * zy * zxy - (1 + zx * zx) * zyy
     raise ValueError(f"unknown equation {eq!r}; expected one of {EQUATIONS}")
 

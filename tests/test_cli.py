@@ -81,6 +81,13 @@ def test_residual_parametric():
     assert rc == 0
 
 
+def test_residual_parametric_tlms_takes_the_tlms_mesh_defaults(capsys):
+    rc = main(["residual", "parametric", "--source", "tlms", "--metric", "l3",
+               "--grid", "0:0.8:5,0:0.8:5"])
+    assert rc == 0
+    assert "[PASS] parametric-zmc:tlms" in capsys.readouterr().out
+
+
 def test_we_eval_prints_point(capsys):
     rc = main(["we", "eval", "--f", "1", "--g", "w", "--zeta", "1"])
     assert rc == 0

@@ -3,7 +3,8 @@
 * compiled expression evaluation against the tree walk ``expr._eval_node``;
 * batched quadrature against the per-point refinement loop, kept below as a
   reference on the tree walk;
-* ``sample_grid`` lattices against per-point ``point()`` sampling;
+* ``sample_grid`` lattices against per-point ``point()`` sampling (the
+  ``reference_sample`` loop of ``test_meshio_arrays``);
 * quadrature against 50-digit mpmath integrals.
 """
 
@@ -11,6 +12,7 @@ import cmath
 
 import numpy as np
 import pytest
+from test_meshio_arrays import reference_sample
 
 from zmcsurf.expr import (
     FUNCTIONS,
@@ -230,13 +232,6 @@ def test_batch_result_does_not_depend_on_its_companions():
 # whole-lattice samplers against per-point sampling
 # ---------------------------------------------------------------------------
 
-class _PointOnly:
-    """Hides ``sample_grid`` so that sample_patch takes the per-point path."""
-
-    def __init__(self, sampler):
-        self.point = sampler.point
-
-
 @pytest.mark.parametrize("sampler, grid", [
     (WESampler(WEData.from_text("exp(w)", "sin(w)")), GridSpec(-0.8, 0.8, -0.6, 0.7, 9, 7)),
     (WESampler(WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal", offset=(1, -2, 0.5)),
@@ -255,7 +250,7 @@ class _PointOnly:
 ])
 def test_sample_grid_matches_point_sampling(sampler, grid):
     fast = sample_patch(sampler, grid)
-    slow = sample_patch(_PointOnly(sampler), grid)
+    slow = reference_sample(sampler, grid)
     assert np.array_equal(fast.valid, slow.valid)
     assert fast.valid_count() >= grid.nu * grid.nv - 3 * grid.nv
     assert np.max(np.abs(fast.points - slow.points)) <= 1e-14
@@ -283,16 +278,17 @@ def test_translation_path_through_a_pole_is_singular():
     with pytest.raises(SingularPath):
         tlms_point(data, -1.0, 0.5)
     grid = GridSpec(-1, 1, 0, 0.5, 5, 4)     # u = -1, -0.5, 0, 0.5, 1
-    for sampler in (TLMSSampler(data), _PointOnly(TLMSSampler(data))):
-        valid = sample_patch(sampler, grid).valid.reshape(5, 4)
+    sampler = TLMSSampler(data)
+    for patch in (sample_patch(sampler, grid), reference_sample(sampler, grid)):
+        valid = patch.valid.reshape(5, 4)
         assert valid.tolist() == [[False] * 4] * 3 + [[True] * 4] * 2
 
 
 def test_we_lattice_masks_the_paths_through_the_pole():
     grid = GridSpec(-3, 1, -1, 1, 5, 3)      # zeta = u + i v, u = -3, -2, -1, 0, 1
     sampler = WESampler(WEData.from_text("1/w", "w", zeta0=1.0))
-    for source in (sampler, _PointOnly(sampler)):
-        valid = sample_patch(source, grid).valid.reshape(5, 3)
+    for patch in (sample_patch(sampler, grid), reference_sample(sampler, grid)):
+        valid = patch.valid.reshape(5, 3)
         assert valid[:, 1].tolist() == [False] * 4 + [True]   # v = 0 crosses 0
         assert valid[:, [0, 2]].all()
 

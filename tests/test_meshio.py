@@ -112,43 +112,6 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.valid, patch.valid)
 
 
-def test_parametric_source_sampling():
-    class Paraboloid:
-        def point(self, u, v):
-            return (u, v, u * u + v * v)
-
-    patch = sample_patch(Paraboloid(), GridSpec(-1, 1, -1, 1, 5, 5))
-    assert patch.valid_count() == 25
-    assert patch.points[patch.index(0, 0)][2] == pytest.approx(2.0)
-
-
-def test_typed_point_failures_are_masked():
-    from zmcsurf.reps import NoConvergence, SingularPath
-
-    class Failing:
-        def point(self, u, v):
-            if u > 0.5:
-                raise SingularPath("pole")
-            if v > 0.5:
-                raise NoConvergence("slow")
-            return (u, v, 0.0)
-
-    patch = sample_patch(Failing(), GridSpec(0, 1, 0, 1, 3, 3))
-    assert patch.valid.reshape(3, 3).tolist() == [[True, True, False],
-                                                 [True, True, False],
-                                                 [False, False, False]]
-    assert not patch.points[~patch.valid].any()
-
-
-def test_programming_errors_propagate_out_of_sampling():
-    class Broken:
-        def point(self, u, v):
-            raise TypeError("a bug, not an invalid vertex")
-
-    with pytest.raises(TypeError):
-        sample_patch(Broken(), GridSpec(0, 1, 0, 1, 3, 3))
-
-
 def test_non_finite_grid_points_are_masked():
     class Grid:
         def sample_grid(self, grid):

@@ -17,8 +17,8 @@ from zmcsurf.reps import (
     TLMSData,
     WEData,
     WeightSumError,
+    WESampler,
     ZeroWeight,
-    associated_family_point,
     bc_point,
     integrate_segment,
     invert_parametrization,
@@ -120,12 +120,12 @@ def test_reduced_mode_pins_g_to_identity():
 
 def test_family_at_zero_is_the_surface():
     zeta = 0.3 - 0.2j
-    assert associated_family_point(_enneper(), zeta, 0.0) == pytest.approx(
+    assert WESampler(_enneper(), 0.0).point(zeta.real, zeta.imag) == pytest.approx(
         we_point(_enneper(), zeta), abs=1e-14)
 
 
 def test_family_at_quarter_turn_is_the_conjugate():
-    got = associated_family_point(_enneper(), 1, math.pi / 2)
+    got = WESampler(_enneper(), math.pi / 2).point(1.0, 0.0)
     assert got == pytest.approx((0.0, 4 / 3, 0.0), abs=1e-10)
 
 
