@@ -18,6 +18,7 @@ provided as independent oracles for the closed forms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .errors import DomainViolation, EmptyGrid
+from .errors import DomainViolation
 from .meshio import GridSpec, sample_graph
 from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet, one_point
@@ -178,58 +179,65 @@ class HeightSurface:
         return sample_graph(grid, self.domain_ok, self.heights)
 
 
-def _scherk2_height(x, y):
-    return np.log(np.cos(y) / np.cos(x))
+@dataclass(frozen=True)
+class _Factor:
+    """cos or cosh as a factor of the log-ratio family z = log(F(y) / G(x))."""
+
+    name: str
+    fn: Callable             # the ufunc
+    log_slopes: Callable     # a -> (log fn)'(a), (log fn)''(a)
+    zero_distance: Callable  # a -> distance of a to the zeros of fn
+    shift: Callable          # (a, c) -> the argument of a decomposition term
+    shift_text: str
+    real_zeros: bool
 
 
-def _scherk2_surface() -> HeightSurface:
+def _cos_log_slopes(a):
+    t = np.tan(a)
+    return -t, -(1 + t * t)
+
+
+def _cosh_log_slopes(a):
+    t = np.tanh(a)
+    return t, 1 - t * t
+
+
+_COS = _Factor("cos", np.cos, _cos_log_slopes, _cos_zero_distance,
+               lambda a, c: a - c, " - c", True)
+_COSH = _Factor("cosh", np.cosh, _cosh_log_slopes, _cosh_zero_distance,
+                lambda a, c: a + 1j * c, " + i*c", False)
+
+# Scherk's second surface and its maximal and Born-Infeld relatives:
+# id -> (numerator factor F of y, denominator factor G of x, kind, branch
+# policy of the ``<id>-decomp`` identity).
+_LOG_RATIO_FAMILY = {
+    "scherk2": (_COS, _COS, "minimal", "multiplicative"),
+    "scherk2max": (_COSH, _COSH, "maximal", "mod-2pi-i"),
+    "scherkBI": (_COSH, _COS, "bi-soliton", "mod-2pi-i"),
+}
+
+
+def _log_ratio_surface(name: str) -> HeightSurface:
+    num, den, kind, _ = _LOG_RATIO_FAMILY[name]
+
+    def height(x, y):
+        return np.log(num.fn(y) / den.fn(x))
+
     def domain(x, y, margin):
-        cx, cy = np.cos(x), np.cos(y)
-        return ((_cos_zero_distance(x) >= margin) & (_cos_zero_distance(y) >= margin)
-                & (cx != 0) & (cy != 0) & (cy / cx > 0))
+        # The real height exists where the cos factors' product is positive.
+        ok, product = True, 1.0
+        for factor, a in ((num, y), (den, x)):
+            if factor.real_zeros:
+                ok = ok & (factor.zero_distance(a) >= margin)
+                product = product * factor.fn(a)
+        return ok & (product > 0)
 
     def jet(x, y):
-        tx, ty = np.tan(x), np.tan(y)
-        return GraphJet(_scherk2_height(x, y), tx, -ty, 1 + tx * tx, _zeros_like(tx + ty),
-                        -(1 + ty * ty))
+        gx, gxx = den.log_slopes(x)
+        fy, fyy = num.log_slopes(y)
+        return GraphJet(height(x, y), -gx, fy, -gxx, _zeros_like(gx + fy), fyy)
 
-    return HeightSurface("scherk2", "minimal", _scherk2_height, domain, jet,
-                         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
-
-
-def _scherk2max_height(x, y):
-    return np.log(np.cosh(y) / np.cosh(x))
-
-
-def _scherk2max_surface() -> HeightSurface:
-    def domain(x, y, margin):
-        # cosh has no real zeros; all real points are valid.
-        return True
-
-    def jet(x, y):
-        tx, ty = np.tanh(x), np.tanh(y)
-        return GraphJet(_scherk2max_height(x, y), -tx, ty, -(1 - tx * tx), _zeros_like(tx + ty),
-                        1 - ty * ty)
-
-    return HeightSurface("scherk2max", "maximal", _scherk2max_height, domain, jet,
-                         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
-
-
-def _scherk_bi_height(x, y):
-    return np.log(np.cosh(y) / np.cos(x))
-
-
-def _scherk_bi_surface() -> HeightSurface:
-    def domain(x, y, margin):
-        return (_cos_zero_distance(x) >= margin) & (np.cos(x) > 0)
-
-    def jet(x, y):
-        tx, ty = np.tan(x), np.tanh(y)
-        return GraphJet(_scherk_bi_height(x, y), tx, ty, 1 + tx * tx, _zeros_like(tx + ty),
-                        1 - ty * ty)
-
-    return HeightSurface("scherkBI", "bi-soliton", _scherk_bi_height, domain, jet,
-                         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
+    return HeightSurface(name, kind, height, domain, jet, GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
 def _helicoid_height(x, y):
@@ -338,34 +346,39 @@ def _expr_surface(text: str) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
-BUILTIN_SURFACES = ("scherk2", "scherk1", "helicoid", "scherk2max", "scherkBI", "plane")
+def _fixed(build: Callable) -> Callable:
+    """The registry entry of a surface without parameters: it takes no suffix."""
+    def parse(rest):
+        if rest is not None:
+            raise ValueError(f"takes no parameters, got {rest!r}")
+        return build()
+    return parse
+
+
+# id -> builder of the text after "id:" (None when the id has no colon).
+_SURFACES = {
+    "scherk2": _fixed(lambda: _log_ratio_surface("scherk2")),
+    "scherk1": lambda rest: _scherk1_surface(float(rest) if rest else PI / 2),
+    "helicoid": _fixed(_helicoid_surface),
+    "scherk2max": _fixed(lambda: _log_ratio_surface("scherk2max")),
+    "scherkBI": _fixed(lambda: _log_ratio_surface("scherkBI")),
+    "plane": lambda rest: _plane_surface(*(map(float, rest.split(",")) if rest else (0.0, 0.0))),
+}
+
+BUILTIN_SURFACES = tuple(_SURFACES)
 
 
 def builtin_surface(surface_id: str) -> HeightSurface:
     """Look up (and parameterize) a surface by its registry id."""
     if surface_id.startswith("expr:"):
         return _expr_surface(surface_id[len("expr:"):])
-    name, _, rest = surface_id.partition(":")
+    name, colon, rest = surface_id.partition(":")
+    if name not in _SURFACES:
+        raise UnknownSurface(surface_id)
     try:
-        if name == "scherk2":
-            return _scherk2_surface()
-        if name == "scherk2max":
-            return _scherk2max_surface()
-        if name == "scherkBI":
-            return _scherk_bi_surface()
-        if name == "helicoid":
-            return _helicoid_surface()
-        if name == "scherk1":
-            alpha = float(rest) if rest else PI / 2
-            return _scherk1_surface(alpha)
-        if name == "plane":
-            if rest:
-                a_txt, b_txt = rest.split(",")
-                return _plane_surface(float(a_txt), float(b_txt))
-            return _plane_surface(0.0, 0.0)
+        return _SURFACES[name](rest if colon else None)
     except (ValueError, TypeError) as exc:
         raise UnknownSurface(f"bad surface id {surface_id!r}: {exc}") from exc
-    raise UnknownSurface(surface_id)
 
 
 def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
@@ -439,29 +452,25 @@ class IdentityInstance:
     branch_policy: str
 
 
-def _ratio_log(num, den):
-    return np.log(num / den)
-
-
-def _scherk2_decomp(n: int, params: dict) -> IdentityInstance:
+def _log_ratio_decomp(name: str, n: int, params: dict) -> IdentityInstance:
+    num, den, _, policy = _LOG_RATIO_FAMILY[name]
     cs = c_offsets(n)
-
     lhs = IdentityTerm(
-        "log(cos(y)/cos(x))",
-        lambda x, y: _ratio_log(np.cos(y), np.cos(x)),
-        lambda x, y, m: (_cos_zero_distance(x) >= m) & (_cos_zero_distance(y) >= m),
+        f"log({num.name}(y)/{den.name}(x))",
+        _log_ratio_surface(name).height,
+        lambda x, y, m: (den.zero_distance(x) >= m) & (num.zero_distance(y) >= m),
     )
     # Margins are measured in grid coordinates, so arguments scaled by 1/n get
     # their singularity distance rescaled by n.
     terms = []
     for m, c in enumerate(cs):
         terms.append(IdentityTerm(
-            f"log(cos(y/{n} - c{m})/cos(x/{n} - c{m}))",
-            lambda x, y, c=c: _ratio_log(np.cos(y / n - c), np.cos(x / n - c)),
-            lambda x, y, mg, c=c: ((n * _cos_zero_distance(x / n - c) >= mg)
-                                   & (n * _cos_zero_distance(y / n - c) >= mg)),
+            f"log({num.name}(y/{n}{num.shift_text}{m})/{den.name}(x/{n}{den.shift_text}{m}))",
+            lambda x, y, c=c: np.log(num.fn(num.shift(y / n, c)) / den.fn(den.shift(x / n, c))),
+            lambda x, y, mg, c=c: ((n * den.zero_distance(den.shift(x / n, c)) >= mg)
+                                   & (n * num.zero_distance(num.shift(y / n, c)) >= mg)),
         ))
-    return IdentityInstance("scherk2-decomp", n, {"c": cs}, lhs, tuple(terms), "multiplicative")
+    return IdentityInstance(f"{name}-decomp", n, {"c": cs}, lhs, tuple(terms), policy)
 
 
 def _kamien_decomp(n: int, params: dict) -> IdentityInstance:
@@ -555,42 +564,6 @@ def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     return IdentityInstance("helicoid-decomp", n, {}, lhs, tuple(terms), "mod-pi")
 
 
-def _scherk2max_decomp(n: int, params: dict) -> IdentityInstance:
-    cs = c_offsets(n)
-    lhs = IdentityTerm(
-        "log(cosh(y)/cosh(x))",
-        lambda x, y: _ratio_log(np.cosh(y), np.cosh(x)),
-        lambda x, y, m: (_cosh_zero_distance(x) >= m) & (_cosh_zero_distance(y) >= m),
-    )
-    terms = []
-    for m, c in enumerate(cs):
-        terms.append(IdentityTerm(
-            f"log(cosh(y/{n} + i*c{m})/cosh(x/{n} + i*c{m}))",
-            lambda x, y, c=c: _ratio_log(np.cosh(y / n + 1j * c), np.cosh(x / n + 1j * c)),
-            lambda x, y, mg, c=c: ((n * _cosh_zero_distance(x / n + 1j * c) >= mg)
-                                   & (n * _cosh_zero_distance(y / n + 1j * c) >= mg)),
-        ))
-    return IdentityInstance("scherk2max-decomp", n, {"c": cs}, lhs, tuple(terms), "mod-2pi-i")
-
-
-def _scherk_bi_decomp(n: int, params: dict) -> IdentityInstance:
-    cs = c_offsets(n)
-    lhs = IdentityTerm(
-        "log(cosh(y)/cos(x))",
-        lambda x, y: _ratio_log(np.cosh(y), np.cos(x)),
-        lambda x, y, m: (_cosh_zero_distance(y) >= m) & (_cos_zero_distance(x) >= m),
-    )
-    terms = []
-    for m, c in enumerate(cs):
-        terms.append(IdentityTerm(
-            f"log(cosh(y/{n} + i*c{m})/cos(x/{n} - c{m}))",
-            lambda x, y, c=c: _ratio_log(np.cosh(y / n + 1j * c), np.cos(x / n - c)),
-            lambda x, y, mg, c=c: ((n * _cosh_zero_distance(y / n + 1j * c) >= mg)
-                                   & (n * _cos_zero_distance(x / n - c) >= mg)),
-        ))
-    return IdentityInstance("scherkBI-decomp", n, {"c": cs}, lhs, tuple(terms), "mod-2pi-i")
-
-
 def _general_scaled(n: int, params: dict) -> IdentityInstance:
     surface_id = str(params.get("surface", "scherk2"))
     base = builtin_surface(surface_id)
@@ -652,11 +625,9 @@ def rescaled_component(inst: IdentityInstance, m: int) -> HeightSurface:
 
 
 _IDENTITY_BUILDERS = {
-    "scherk2-decomp": _scherk2_decomp,
+    **{f"{name}-decomp": functools.partial(_log_ratio_decomp, name) for name in _LOG_RATIO_FAMILY},
     "kamien-decomp": _kamien_decomp,
     "helicoid-decomp": _helicoid_decomp,
-    "scherk2max-decomp": _scherk2max_decomp,
-    "scherkBI-decomp": _scherk_bi_decomp,
     "general-scaled": _general_scaled,
 }
 
@@ -677,6 +648,8 @@ def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> I
 # ---------------------------------------------------------------------------
 
 BRANCH_POLICIES = ("principal", "mod-pi", "mod-2pi-i", "multiplicative")
+
+PROBE_MARGIN = 0.05
 
 _TWO_PI = 2 * PI
 
@@ -701,13 +674,17 @@ def branch_error(policy: str, lhs, rhs_sum):
     raise ValueError(f"unknown branch policy {policy!r}")
 
 
-def _sweep(inst: IdentityInstance, x, y, points, policy: str, tolerance: float, grid,
+def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], tolerance: float, grid,
            margin: float, extra_params=None) -> VerificationReport:
     """Check the guards, then evaluate every point at once and reduce in order.
 
     ``x`` and ``y`` are the coordinate arrays of ``points`` (in order); the
-    guards see them as given, the terms in complex arithmetic.
+    guards see them as given, the terms in complex arithmetic.  ``policy``
+    defaults to the identity's own.
     """
+    policy = policy or inst.branch_policy
+    if policy not in BRANCH_POLICIES:
+        raise ValueError(f"unknown branch policy {policy!r}")
     ok = inst.lhs.guard(x, y, margin)
     for t in inst.rhs_terms:
         ok = ok & t.guard(x, y, margin)
@@ -728,17 +705,10 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: str, tolerance: float, 
         err = branch_error(policy, lhs, rhs)
     stats = ErrorStats()
     stats.add_many(err, points, lhs, rhs)
-    return VerificationReport(
-        subject=f"identity:{inst.id}",
+    return VerificationReport.of(
+        stats, subject=f"identity:{inst.id}",
         parameters={"n": inst.n, **inst.params, **(extra_params or {})},
-        grid=grid,
-        points_checked=stats.count,
-        max_abs_err=stats.max,
-        mean_abs_err=stats.mean,
-        worst_point=stats.worst,
-        policy=policy,
-        tolerance=tolerance,
-    )
+        grid=grid, policy=policy, tolerance=tolerance)
 
 
 def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1e-9,
@@ -749,26 +719,19 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     term must be finite there (DomainViolation otherwise).  The whole lattice
     is evaluated at once and reduced in row-major order.
     """
-    policy = policy or inst.branch_policy
-    if policy not in BRANCH_POLICIES:
-        raise ValueError(f"unknown branch policy {policy!r}")
     u, v = grid.lattice()
     return _sweep(inst, u, v, np.column_stack([u, v]), policy, tolerance, grid, grid.margin)
 
 
 def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
-                       policy: Optional[str] = None, margin: float = 0.05) -> VerificationReport:
-    """Verify at explicit probe points (real or complex pairs)."""
-    policy = policy or inst.branch_policy
-    if policy not in BRANCH_POLICIES:
-        raise ValueError(f"unknown branch policy {policy!r}")
+                       policy: Optional[str] = None) -> VerificationReport:
+    """Verify at explicit probe points (real or complex pairs), which must clear
+    every term's singularity margin ``PROBE_MARGIN``."""
     points = list(points)
-    if not points:
-        raise EmptyGrid("no probe points supplied")
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
-    return _sweep(inst, x, y, points, policy, tolerance, None, margin,
-                  {"probes": len(points), "margin": margin})
+    return _sweep(inst, x, y, points, policy, tolerance, None, PROBE_MARGIN,
+                  {"probes": len(points), "margin": PROBE_MARGIN})
 
 
 # ---------------------------------------------------------------------------

@@ -125,24 +125,30 @@ class LeafSurface:
         return sample_graph(grid, self.domain_ok, self.heights)
 
 
-def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
-                    boundary_delta: float = 1e-7,
-                    boundary_tolerance: float = 1e-6,
-                    roundtrip_tolerance: float = 1e-12) -> VerificationReport:
+# Half-width of the pairs straddling a band boundary, and the tolerances of
+# the two sub-checks of ``foliation_check``.
+BOUNDARY_DELTA = 1e-7
+BOUNDARY_TOLERANCE = 1e-6
+ROUNDTRIP_TOLERANCE = 1e-12
+
+
+def foliation_check(grid, t_samples, n_random: int = 2000,
+                    seed: int = 20240901) -> VerificationReport:
     """Continuity, coverage, and disjointness checks for the leaf family.
 
     (a) band-boundary continuity: straddling pairs x = (2k+1)*pi +- delta for
         every boundary inside the grid window, max |F difference| = O(delta),
-        against ``boundary_tolerance``;
+        against ``BOUNDARY_TOLERANCE``;
     (b) disjointness/coverage: for random admissible points and every t in
         ``t_samples``, recovering t from the embedded leaf point is exact, to
-        ``roundtrip_tolerance``;
+        ``ROUNDTRIP_TOLERANCE``;
     (c) the graph property holds by construction (single-valued height).
 
     The report's max/mean error, tolerance and worst point are those of the
     sub-check with the larger max error / tolerance ratio, so the report
     passes exactly when both sub-checks pass.  Both sub-checks' max and mean
-    are also in the parameters.
+    are also in the parameters.  A window without boundaries and
+    ``n_random=0`` checks nothing (EmptyGrid).
     """
     t_samples = list(t_samples)
     if not t_samples:
@@ -156,8 +162,8 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
         xb = (2 * k + 1) * math.pi
         if not (grid.u_min <= xb <= grid.u_max):
             continue
-        left = leaf_height(xb - boundary_delta, ys)
-        right = leaf_height(xb + boundary_delta, ys)
+        left = leaf_height(xb - BOUNDARY_DELTA, ys)
+        right = leaf_height(xb + BOUNDARY_DELTA, ys)
         boundary.add_many(np.abs(left - right), [(xb, y) for y in ys.tolist()], left, right)
 
     # Draw the pairs in the order of a one-at-a-time rejection loop.
@@ -182,25 +188,25 @@ def foliation_check(grid, t_samples, n_random: int = 2000, seed: int = 20240901,
 
     # Compare the err/tolerance ratios without dividing by a tolerance; a NaN
     # max heads the report whichever sub-check it is in.
-    if (roundtrip.max * boundary_tolerance > boundary.max * roundtrip_tolerance
+    if (roundtrip.max * BOUNDARY_TOLERANCE > boundary.max * ROUNDTRIP_TOLERANCE
             or math.isnan(roundtrip.max)):
-        headline, tolerance = roundtrip, roundtrip_tolerance
+        headline, tolerance = roundtrip, ROUNDTRIP_TOLERANCE
     else:
-        headline, tolerance = boundary, boundary_tolerance
+        headline, tolerance = boundary, BOUNDARY_TOLERANCE
     return VerificationReport(
         subject="foliation-check",
         parameters={
             "t_samples": t_samples,
             "boundary_pairs": boundary.count,
-            "boundary_delta": boundary_delta,
+            "boundary_delta": BOUNDARY_DELTA,
             "boundary_max": boundary.max,
             "boundary_mean": boundary.mean,
-            "boundary_tolerance": boundary_tolerance,
+            "boundary_tolerance": BOUNDARY_TOLERANCE,
             "roundtrip_points": checked,
             "roundtrip_max": roundtrip.max,
             "roundtrip_mean": roundtrip.mean,
-            "roundtrip_tolerance": roundtrip_tolerance,
-            "roundtrip_pass": roundtrip.max <= roundtrip_tolerance,
+            "roundtrip_tolerance": ROUNDTRIP_TOLERANCE,
+            "roundtrip_pass": roundtrip.max <= ROUNDTRIP_TOLERANCE,
             "seed": seed,
         },
         grid=grid,

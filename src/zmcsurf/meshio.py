@@ -175,7 +175,8 @@ def _point_text(patch: SurfacePatch) -> np.ndarray:
     return text
 
 
-def _atomic_write(path: str, text: str) -> None:
+def atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to a temp file with LF endings, then rename it over ``path``."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="\n") as fh:
         fh.write(text)
@@ -198,8 +199,8 @@ def write_obj(patch: SurfacePatch, path: str) -> None:
     quad = np.logical_and.reduce([valid[c] for c in _QUAD_CORNERS])
     faces = np.stack([number[c][quad] for c in _QUAD_CORNERS], axis=1)
     vertex_text = _point_text(patch)[patch.valid].reshape(-1).tolist()
-    _atomic_write(path, ("v %s %s %s\n" * patch.valid_count()) % tuple(vertex_text)
-                  + ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist()))
+    atomic_write(path, ("v %s %s %s\n" * patch.valid_count()) % tuple(vertex_text)
+                 + ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist()))
 
 
 _CSV_HEADER = ["u_index", "v_index", "x", "y", "z", "valid"]
@@ -212,8 +213,8 @@ def write_csv(patch: SurfacePatch, path: str) -> None:
     cells[:, 0], cells[:, 1] = np.divmod(np.arange(n), patch.nv)
     cells[:, 2:5] = _point_text(patch)
     cells[:, 5] = patch.valid
-    _atomic_write(path, ",".join(_CSV_HEADER) + "\n"
-                  + ("%d,%d,%s,%s,%s,%d\n" * n) % tuple(cells.reshape(-1).tolist()))
+    atomic_write(path, ",".join(_CSV_HEADER) + "\n"
+                 + ("%d,%d,%s,%s,%s,%d\n" * n) % tuple(cells.reshape(-1).tolist()))
 
 
 def read_csv(path: str) -> SurfacePatch:

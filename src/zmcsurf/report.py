@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .errors import EmptyGrid
+from .meshio import atomic_write
 
 SCHEMA_VERSION = 1
 
@@ -87,7 +89,8 @@ class ErrorStats:
 class VerificationReport:
     """Outcome of one identity / residual / foliation sweep.
 
-    Invariant: ``passed`` is exactly ``max_abs_err <= tolerance``.
+    Invariants: ``passed`` is exactly ``max_abs_err <= tolerance``, and at
+    least one point was checked (EmptyGrid otherwise).
     """
 
     subject: str
@@ -102,7 +105,15 @@ class VerificationReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        if self.points_checked == 0:
+            raise EmptyGrid(f"{self.subject}: no points checked")
         self.passed = bool(self.max_abs_err <= self.tolerance)
+
+    @classmethod
+    def of(cls, stats: ErrorStats, **fields) -> "VerificationReport":
+        """The report of the errors in ``stats``: their count, max, mean and worst point."""
+        return cls(points_checked=stats.count, max_abs_err=stats.max, mean_abs_err=stats.mean,
+                   worst_point=stats.worst, **fields)
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
         out = {
@@ -127,7 +138,4 @@ class VerificationReport:
 
     def write(self, path: str) -> None:
         """Atomic write (temp file + rename), LF endings, deterministic key order."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(self.to_json())
-        os.replace(tmp, path)
+        atomic_write(path, self.to_json())

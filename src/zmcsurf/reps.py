@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, NoConvergence, SingularPath
+from .errors import NoConvergence, SingularPath
 from .expr import AnalyticExpr, Binary, Const, Power, Unary, Var, parse
 from .report import ErrorStats, VerificationReport
 
@@ -293,6 +293,10 @@ def we_point(data: WEData, zeta: complex):
     return (x0 + ints[0].real, y0 + ints[1].real, z0 + ints[2].real)
 
 
+# Radius of the disk around the basepoint on which splits are sampled and checked.
+SPLIT_RADIUS = 0.8
+
+
 def split_weierstrass(data: WEData, weights: Sequence[float]):
     """Split reduced data R into scalar multiples lambda_i * R (offsets zeroed).
 
@@ -316,12 +320,12 @@ def split_weierstrass(data: WEData, weights: Sequence[float]):
     return out
 
 
-def split_weierstrass_expressions(data: WEData, pieces: Sequence, radius: float = 0.8):
+def split_weierstrass_expressions(data: WEData, pieces: Sequence):
     """Split reduced data into arbitrary expression pieces R = R_1 + ... + R_n.
 
     Whether an arbitrary expression vanishes cannot be decided symbolically,
     so both requirements are checked only by sampling a 32 x 32 grid
-    (~10^3 points) on the disk of ``radius`` around the basepoint:
+    (~10^3 points) on the disk of ``SPLIT_RADIUS`` around the basepoint:
 
     * the pieces must sum to R at every sampled point (WeightSumError);
     * no piece may come close to vanishing: a zero inside the disk drives the
@@ -338,13 +342,13 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence, radius: float 
     if not exprs:
         raise ZeroWeight("need at least one piece")
 
-    step = 2.0 * radius / 31
-    offsets = -radius + np.arange(32) * step
+    step = 2.0 * SPLIT_RADIUS / 31
+    offsets = -SPLIT_RADIUS + np.arange(32) * step
     lattice_w = np.empty((32, 32), dtype=complex)
     lattice_w.real = offsets[:, None]
     lattice_w.imag = offsets[None, :]
     w = data.zeta0 + lattice_w.reshape(-1)
-    w = w[np.abs(w - data.zeta0) <= radius]
+    w = w[np.abs(w - data.zeta0) <= SPLIT_RADIUS]
     total, errs = data.f.eval_array(w)
     failed = set(errs)
     values = []
@@ -374,13 +378,11 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence, radius: float 
 
 
 def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int = 50,
-                 radius: float = 0.8, seed: int = 20240801,
-                 tolerance: float = 1e-10, pieces: Sequence = None) -> VerificationReport:
-    """Check sum_i z_i = z at random probes around the basepoint."""
-    if n_samples < 1:
-        raise EmptyGrid("no probes in split verification")
+                 seed: int = 20240801, tolerance: float = 1e-10,
+                 pieces: Sequence = None) -> VerificationReport:
+    """Check sum_i z_i = z at random probes within ``SPLIT_RADIUS`` of the basepoint."""
     if pieces is not None:
-        split = split_weierstrass_expressions(data, pieces, radius=radius)
+        split = split_weierstrass_expressions(data, pieces)
         label = {"pieces": [p.f.source() for p in split]}
     else:
         split = split_weierstrass(data, weights)
@@ -389,7 +391,7 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     rng = random.Random(seed)
     zetas = []
     for _ in range(n_samples):
-        r = radius * math.sqrt(rng.random())
+        r = SPLIT_RADIUS * math.sqrt(rng.random())
         phi = 2 * math.pi * rng.random()
         zetas.append(data.zeta0 + r * cmath.exp(1j * phi))
     # One batch per piece; the full integrand triple keeps the convergence rule.
@@ -405,18 +407,11 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     stats = ErrorStats()
     for zeta, z_parent, z_sum in zip(zetas, heights[0].tolist(), sum(heights[1:]).tolist()):
         stats.add(abs(z_parent - z_sum), (zeta.real, zeta.imag), z_parent, z_sum)
-    return VerificationReport(
-        subject="we-split",
-        parameters={**label, "samples": n_samples, "radius": radius,
+    return VerificationReport.of(
+        stats, subject="we-split",
+        parameters={**label, "samples": n_samples, "radius": SPLIT_RADIUS,
                     "seed": seed, "mode": data.mode},
-        grid=None,
-        points_checked=stats.count,
-        max_abs_err=stats.max,
-        mean_abs_err=stats.mean,
-        worst_point=stats.worst,
-        policy="principal",
-        tolerance=tolerance,
-    )
+        grid=None, policy="principal", tolerance=tolerance)
 
 
 def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:

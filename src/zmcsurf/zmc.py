@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DomainViolation, EmptyGrid
+from .errors import DomainViolation
 from .report import ErrorStats, VerificationReport
 
 __all__ = [
@@ -83,8 +83,9 @@ def graph_residual(eq: str, jet: GraphJet):
     raise ValueError(f"unknown equation {eq!r}; expected one of {EQUATIONS}")
 
 
-# 5-point central-difference coefficients for f' (divide by 12h) and the
-# offsets they belong to.
+# The central-difference step of every sweep, and the 5-point coefficients
+# for f' (divide by 12h) with the offsets they belong to.
+FD_STEP = 1e-4
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
@@ -110,7 +111,7 @@ def _central_jet(f, u, v, h):
     return z, zu, zv, zuu, zuv, zvv
 
 
-def graph_jets(surface, x, y, method: str = "exact", h: float = 1e-4) -> GraphJet:
+def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> GraphJet:
     """Second-order jets of a height surface at every point of the arrays x, y.
 
     ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
@@ -154,7 +155,7 @@ def one_point(x, y):
     return x, y
 
 
-def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = 1e-4) -> GraphJet:
+def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = FD_STEP) -> GraphJet:
     """Second-order jet of a height surface at (x, y): the one-point case of
     ``graph_jets``."""
     jet = graph_jets(surface, *one_point(x, y), method, h)
@@ -199,7 +200,7 @@ METRIC_NAMES = {"euclid": EUCLID3, "l3": LORENTZ3, "l3p": LORENTZ3_PRIME}
 
 
 def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: float,
-                             h: float = 1e-4, use_exact_jet: bool = True) -> float:
+                             use_exact_jet: bool = True) -> float:
     """Normalized mean-curvature numerator E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N>.
 
     Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``
@@ -212,7 +213,7 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u: float, v: floa
     else:
         point = sampler.point
         _, xu, xv, xuu, xuv, xvv = _central_jet(
-            lambda uu, vv: np.asarray(point(uu, vv), dtype=float), u, v, h)
+            lambda uu, vv: np.asarray(point(uu, vv), dtype=float), u, v, FD_STEP)
 
     E = metric.inner(xu, xu)
     F = metric.inner(xu, xv)
@@ -264,7 +265,7 @@ def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def residual_sweep(surface, eq: str, grid, method: str = "exact", h: float = 1e-4,
+def residual_sweep(surface, eq: str, grid, method: str = "exact",
                    tolerance: float = 1e-10) -> VerificationReport:
     """Max/mean |graph residual| over a lattice that must lie in the domain;
     the whole lattice is evaluated at once and reduced in row-major order."""
@@ -276,48 +277,29 @@ def residual_sweep(surface, eq: str, grid, method: str = "exact", h: float = 1e-
             list(zip(u[bad].tolist(), v[bad].tolist()))[:10])
 
     with np.errstate(all="ignore"):
-        r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method, h=h)),
+        r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
                             u.shape)
     stats = ErrorStats()
     stats.add_many(np.abs(r), np.column_stack([u, v]), r)
-    if stats.count == 0:
-        raise EmptyGrid("no points in residual sweep")
-    return VerificationReport(
-        subject=f"residual:{eq}:{surface.id}",
-        parameters={"equation": eq, "surface": surface.id, "method": method, "h": h},
-        grid=grid,
-        points_checked=stats.count,
-        max_abs_err=stats.max,
-        mean_abs_err=stats.mean,
-        worst_point=stats.worst,
-        policy="unnormalized",
-        tolerance=tolerance,
-    )
+    return VerificationReport.of(
+        stats, subject=f"residual:{eq}:{surface.id}",
+        parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},
+        grid=grid, policy="unnormalized", tolerance=tolerance)
 
 
-def parametric_sweep(sampler, metric: SignatureMetric, grid, h: float = 1e-4,
-                     tolerance: float = 1e-6, use_exact_jet: bool = True,
+def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 1e-6,
+                     use_exact_jet: bool = True,
                      subject: str = "parametric-zmc") -> VerificationReport:
     """Max/mean |normalized parametric ZMC numerator| over a (u, v) lattice."""
     stats = ErrorStats()
     for _, uv in grid.points():
-        value = parametric_zmc_numerator(sampler, metric, *uv, h=h,
-                                         use_exact_jet=use_exact_jet)
+        value = parametric_zmc_numerator(sampler, metric, *uv, use_exact_jet=use_exact_jet)
         stats.add(abs(value), uv, value)
-    if stats.count == 0:
-        raise EmptyGrid("no points in parametric sweep")
-    return VerificationReport(
-        subject=subject,
-        parameters={"metric": list(metric.signs), "h": h,
+    return VerificationReport.of(
+        stats, subject=subject,
+        parameters={"metric": list(metric.signs), "h": FD_STEP,
                     "jets": "exact" if use_exact_jet else "central-diff"},
-        grid=grid,
-        points_checked=stats.count,
-        max_abs_err=stats.max,
-        mean_abs_err=stats.mean,
-        worst_point=stats.worst,
-        policy="normalized",
-        tolerance=tolerance,
-    )
+        grid=grid, policy="normalized", tolerance=tolerance)
 
 
 class GraphLiftSampler:

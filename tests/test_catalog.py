@@ -87,6 +87,31 @@ def test_unknown_surface():
         builtin_surface("gyroid")
 
 
+@pytest.mark.parametrize("surface_id", [
+    "scherk2:7", "scherk2:", "scherk2max:1", "scherkBI:1,2", "helicoid:abc",
+])
+def test_surface_without_parameters_rejects_a_suffix(surface_id):
+    with pytest.raises(UnknownSurface, match="takes no parameters"):
+        builtin_surface(surface_id)
+
+
+@pytest.mark.parametrize("surface_id, want", [
+    ("scherk1", "scherk1:1.5707963267948966"),
+    ("scherk1:", "scherk1:1.5707963267948966"),
+    ("scherk1:1.0", "scherk1:1.0"),
+    ("plane", "plane:0.0,0.0"),
+    ("plane:1,2", "plane:1.0,2.0"),
+])
+def test_parameterized_surface_ids(surface_id, want):
+    assert builtin_surface(surface_id).id == want
+
+
+@pytest.mark.parametrize("surface_id", ["plane:1", "plane:1,2,3", "scherk1:x"])
+def test_bad_surface_parameters(surface_id):
+    with pytest.raises(UnknownSurface, match="bad surface id"):
+        builtin_surface(surface_id)
+
+
 @pytest.mark.parametrize("surface_id, x, y", [
     ("scherk2max", 800.0, 0.0),         # cosh overflows
     ("scherkBI", 0.0, 715.0),
@@ -108,6 +133,68 @@ def test_surface_domain_masks_cos_zero():
     assert surf.domain_ok(0.3, 0.2, 0.05)
     assert not surf.domain_ok(PI / 2, 0.0, 0.05)
     assert not surf.domain_ok(2.0, 0.0, 0.05)  # cos x < 0: ratio not positive
+
+
+_LOG_RATIO = ("scherk2", "scherk2max", "scherkBI")
+
+# domain_ok of (scherk2, scherk2max, scherkBI) at margin 0 and at margin 0.05.
+# The domain is: every cos factor clears its zeros by the margin, and the cos
+# factors' product is positive; a cosh factor never restricts it, even at a
+# nan or infinite argument.
+_DOMAIN_PINS = [
+    (PI / 2 + 1e-12, 0.0, (False, True, False), (False, True, False)),
+    (PI / 2 - 1e-12, 0.0, (True, True, True), (False, True, False)),
+    (-PI / 2 + 1e-12, 0.0, (True, True, True), (False, True, False)),
+    (-PI / 2 - 1e-12, 0.0, (False, True, False), (False, True, False)),
+    (0.0, PI / 2 + 1e-12, (False, True, True), (False, True, True)),
+    (0.0, PI / 2 - 1e-12, (True, True, True), (False, True, True)),
+    (3.0, 3.0, (True, True, False), (True, True, False)),  # cos x < 0 and cos y < 0
+    (3.0, 0.0, (False, True, False), (False, True, False)),
+    (0.0, 3.0, (False, True, True), (False, True, True)),
+    (800.0, 0.0, (False, True, False), (False, True, False)),  # cos 800 < 0
+    (-800.0, 0.0, (False, True, False), (False, True, False)),
+    (0.0, 800.0, (False, True, True), (False, True, True)),
+    (0.0, -800.0, (False, True, True), (False, True, True)),
+    (800.0, 800.0, (True, True, False), (True, True, False)),
+    (math.inf, 0.0, (False, True, False), (False, True, False)),
+    (-math.inf, 0.0, (False, True, False), (False, True, False)),
+    (math.nan, 0.0, (False, True, False), (False, True, False)),
+    (0.0, math.inf, (False, True, True), (False, True, True)),
+    (0.0, -math.inf, (False, True, True), (False, True, True)),
+    (0.0, math.nan, (False, True, True), (False, True, True)),
+]
+
+
+@pytest.mark.parametrize("x, y, at_zero, at_margin", _DOMAIN_PINS)
+def test_log_ratio_domain_edge_cases(x, y, at_zero, at_margin):
+    for margin, want in ((0.0, at_zero), (0.05, at_margin)):
+        for surface_id, ok in zip(_LOG_RATIO, want):
+            surf = builtin_surface(surface_id)
+            with np.errstate(all="ignore"):
+                assert surf.domain_ok(x, y, margin) is ok, (surface_id, margin)
+                assert surf.domain_ok(np.array([x, 0.1]), np.array([y, 0.1]), margin).tolist() \
+                    == [ok, True], (surface_id, margin)
+
+
+@pytest.mark.parametrize("surface_id, kind, policy", [
+    ("scherk2", "minimal", "multiplicative"),
+    ("scherk2max", "maximal", "mod-2pi-i"),
+    ("scherkBI", "bi-soliton", "mod-2pi-i"),
+])
+def test_log_ratio_height_is_its_decomposition_lhs(surface_id, kind, policy):
+    surf = builtin_surface(surface_id)
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-4, 4, (2, 500))
+    x[:4] = [PI / 2, -PI / 2, 800.0, math.nan]
+    y[4:8] = [PI / 2, math.inf, -800.0, math.nan]
+    assert surf.kind == kind
+    for n in (1, 3):
+        inst = identity_terms(f"{surface_id}-decomp", n)
+        assert inst.branch_policy == policy
+        with np.errstate(all="ignore"):
+            for xs, ys in ((x, y), (x + 0.3j * y, y - 0.2j * x)):
+                want, got = surf.height(xs, ys), inst.lhs.fn(xs, ys)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

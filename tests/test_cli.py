@@ -145,6 +145,20 @@ def test_unknown_surface_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "eval", "--name", "scherk2:7", "--x", "0.3", "--y", "0.2"],
+    ["surface", "eval", "--name", "helicoid:abc", "--x", "1", "--y", "1"],
+    ["surface", "eval", "--name", "scherkBI:1,2", "--x", "0.3", "--y", "0.2"],
+    ["residual", "--equation", "minimal", "--surface", "scherk2:7", "--grid", "-1:1:5,-1:1:5"],
+])
+def test_suffix_on_a_surface_without_parameters_is_a_usage_error(argv, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "takes no parameters" in captured.err and captured.out == ""
+
+
 def test_bad_grid_is_a_usage_error():
     assert main(["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
                  "--grid", "nonsense"]) == 2

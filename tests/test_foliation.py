@@ -133,6 +133,12 @@ def test_foliation_check_needs_leaf_shifts():
         foliation_check(GridSpec(-3, 3, -3, 3, 11, 11), [])
 
 
+def test_foliation_check_that_checks_nothing_is_empty():
+    # No band boundary lies in (0.1, 1) and no random point is drawn.
+    with pytest.raises(EmptyGrid):
+        foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0], n_random=0)
+
+
 def test_foliation_report_headline_is_one_sub_check():
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
     report = foliation_check(grid, [-1.0, 0.0, 2.5])

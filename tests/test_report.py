@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zmcsurf.report import ErrorStats
+from zmcsurf.errors import EmptyGrid
+from zmcsurf.report import ErrorStats, VerificationReport
 
 
 def _stats(errors):
@@ -81,3 +83,19 @@ def test_add_many_keeps_the_first_of_tied_maxima_and_the_first_nan():
     assert math.isnan(stats.max) and stats.worst["coords"] == [8.0, 9.0] and stats.count == 6
     stats.add_many(np.array([]), [], 0.0)
     assert stats.count == 6 and math.isnan(stats.mean)
+
+
+_FIELDS = {"subject": "check", "parameters": {}, "grid": None, "policy": "principal",
+           "tolerance": 1.0}
+
+
+def test_report_of_stats_carries_count_max_mean_and_worst_point():
+    report = VerificationReport.of(_stats([0.5, 2.0, 1.0]), **_FIELDS)
+    assert (report.points_checked, report.max_abs_err, report.mean_abs_err) == (3, 2.0, 3.5 / 3)
+    assert report.worst_point == {"coords": [1, 0], "lhs": 2.0, "rhs": 0.0}
+    assert report.passed is False
+
+
+def test_a_report_that_checked_nothing_is_empty():
+    with pytest.raises(EmptyGrid, match="check: no points checked"):
+        VerificationReport.of(ErrorStats(), **_FIELDS)
