@@ -145,8 +145,9 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     (c) the graph property holds by construction (single-valued height).
 
     The report's max/mean error, tolerance and worst point are those of the
-    sub-check with the larger max error / tolerance ratio, so the report
-    passes exactly when both sub-checks pass.  Both sub-checks' max and mean
+    sub-check with the larger max error / tolerance ratio (the roundtrip when
+    the window holds no band boundary), so the report passes exactly when both
+    sub-checks pass.  Both sub-checks' max and mean
     are also in the parameters.  A window without boundaries and
     ``n_random=0`` checks nothing (EmptyGrid).
     """
@@ -187,9 +188,10 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
                        recovered.reshape(-1), np.tile(t, checked))
 
     # Compare the err/tolerance ratios without dividing by a tolerance; a NaN
-    # max heads the report whichever sub-check it is in.
+    # max heads the report whichever sub-check it is in, and a window without
+    # band boundaries has only the roundtrip sub-check to report.
     if (roundtrip.max * BOUNDARY_TOLERANCE > boundary.max * ROUNDTRIP_TOLERANCE
-            or math.isnan(roundtrip.max)):
+            or math.isnan(roundtrip.max) or boundary.count == 0):
         headline, tolerance = roundtrip, ROUNDTRIP_TOLERANCE
     else:
         headline, tolerance = boundary, BOUNDARY_TOLERANCE

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -414,56 +415,74 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         grid=None, policy="principal", tolerance=tolerance)
 
 
-def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
-    """Damped Newton for zeta with (x(zeta), y(zeta)) = (x, y).
-
-    The Jacobian is exact (the derivative of the integral is the integrand);
-    steps are halved up to 20 times when the residual does not decrease.
-    At most 50 iterations; update tolerance 1e-12, residual tolerance 1e-10.
+def _newton(phi1, phi2, z: complex):
+    """Damped Newton for one point, as a coroutine: it yields each zeta whose
+    residual (x(zeta) - x, y(zeta) - y) it needs, is sent it, and returns the
+    root.  The Jacobian is exact (the derivative of the integral is the
+    integrand); steps are halved up to 20 times when the residual does not
+    decrease.  At most 50 iterations; update tolerance 1e-12, residual
+    tolerance 1e-10.
     """
-    phi1, phi2 = data.integrands[0], data.integrands[1]
-
-    def residual(z):
-        px, py, _ = we_point(data, z)
-        return px - x, py - y
-
-    z = complex(zeta_guess)
-    fx, fy = residual(z)
-    converged = False
+    fx, fy = yield z
     for _ in range(50):
-        p1 = phi1.eval(z)
-        p2 = phi2.eval(z)
-        j00, j01 = p1.real, -p1.imag
-        j10, j11 = p2.real, -p2.imag
+        p1, p2 = phi1.eval(z), phi2.eval(z)
+        j00, j01, j10, j11 = p1.real, -p1.imag, p2.real, -p2.imag
         det = j00 * j11 - j01 * j10
         if abs(det) < 1e-14:
             raise JacobianSingular(
                 f"|det| = {abs(det):.3e} at zeta = {z!r} (R vanishes or the graph folds)")
-        d1 = (-fx * j11 + fy * j01) / det
-        d2 = (-fy * j00 + fx * j10) / det
-        step = complex(d1, d2)
-        lam = 1.0
-        accepted = False
-        norm0 = math.hypot(fx, fy)
+        step = complex((-fx * j11 + fy * j01) / det, (-fy * j00 + fx * j10) / det)
+        lam, norm0 = 1.0, math.hypot(fx, fy)
         for _ in range(20):
             z_new = z + lam * step
-            gx, gy = residual(z_new)
+            gx, gy = yield z_new
             if math.hypot(gx, gy) < norm0 or math.hypot(gx, gy) <= 1e-10:
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             raise NewtonDiverged("residual did not decrease after 20 step halvings")
-        z = z_new
-        fx, fy = gx, gy
+        z, fx, fy = z_new, gx, gy
         if lam * abs(step) < 1e-12 or math.hypot(fx, fy) <= 1e-13:
-            converged = True
             break
-    if not converged:
+    else:
         raise NewtonDiverged("no convergence within 50 iterations")
     if math.hypot(fx, fy) > 1e-10:
         raise NewtonDiverged(f"converged update but residual {math.hypot(fx, fy):.3e} > 1e-10")
     return z
+
+
+def _invert(data: WEData, targets, guesses):
+    """Newton-invert every (x, y) of ``targets`` from its guess, with one
+    ``integrate_segments`` call per round over all still-iterating points.
+    Returns per target its root and height (from the last accepted step's
+    quadrature, at that root), or None and its typed error, as three lists."""
+    runs = [_newton(*data.integrands[:2], complex(g)) for g in guesses]
+    zetas, heights, errors = [None] * len(runs), [None] * len(runs), [None] * len(runs)
+    asks = {k: next(run) for k, run in enumerate(runs)}
+    while asks:
+        values, errs = integrate_segments(data.integrands, data.zeta0, list(asks.values()))
+        coords = (np.array(data.offset)[:, None] + values.real).tolist()
+        for k, px, py, pz, err in zip(list(asks), *coords, errs):
+            x, y = targets[k]
+            try:  # a failed quadrature fails its Newton where the residual was asked
+                asks[k] = runs[k].throw(err) if err else runs[k].send((px - x, py - y))
+                continue
+            except StopIteration as done:
+                zetas[k], heights[k] = done.value, pz
+            except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence) as exc:
+                errors[k] = exc
+            del asks[k]
+    return zetas, heights, errors
+
+
+def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
+    """The zeta with (x(zeta), y(zeta)) = (x, y), by damped Newton from the guess:
+    the one-point case of ``InvertedGraphSampler``'s batched Newton.  Raises
+    NewtonDiverged, JacobianSingular, SingularPath or NoConvergence."""
+    zetas, _, errors = _invert(data, [(x, y)], [zeta_guess])
+    if errors[0] is not None:
+        raise errors[0]
+    return zetas[0]
 
 
 class WESampler:
@@ -514,39 +533,35 @@ class InvertedGraphSampler:
     """Height sampling z = Z(x, y) of a representation by Newton inversion.
 
     Implements ``sample_grid``: each lattice point's zeta-guess is seeded from
-    its left neighbor, then its lower neighbor, then the caller's seed
-    (grid continuation); points where Newton diverges are marked invalid.
+    its left neighbor, then its lower neighbor, then the caller's seed; both
+    lie on the previous anti-diagonal, so each anti-diagonal is inverted in one
+    batched Newton.  Failed points are marked invalid; ``rejected`` counts the
+    last grid's dropped points per error type.
     """
 
     def __init__(self, data: WEData, zeta_seed: Optional[complex] = None):
         self.data = data
         self.zeta_seed = complex(zeta_seed if zeta_seed is not None else data.zeta0)
+        self.rejected = Counter()
 
     def sample_grid(self, grid):
         nu, nv = grid.nu, grid.nv
         points = np.zeros((nu * nv, 3))
         valid = np.zeros(nu * nv, dtype=bool)
-        zetas = [[None] * nv for _ in range(nu)]
-        us = [float(t) for t in grid.u_values()]
-        vs = [float(t) for t in grid.v_values()]
-        for i in range(nu):
-            for j in range(nv):
-                guess = None
-                if j > 0 and zetas[i][j - 1] is not None:
-                    guess = zetas[i][j - 1]
-                elif i > 0 and zetas[i - 1][j] is not None:
-                    guess = zetas[i - 1][j]
-                if guess is None:
-                    guess = self.zeta_seed
-                try:
-                    zeta = invert_parametrization(self.data, us[i], vs[j], guess)
-                    z = we_point(self.data, zeta)[2]
-                except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence):
+        zetas, self.rejected = {}, Counter()
+        us, vs = grid.u_values().tolist(), grid.v_values().tolist()
+        for d in range(nu + nv - 1):
+            cells = [(i, d - i) for i in range(max(0, d - nv + 1), min(nu, d + 1))]
+            guesses = [zetas.get((i, j - 1), zetas.get((i - 1, j), self.zeta_seed))
+                       for i, j in cells]
+            found = _invert(self.data, [(us[i], vs[j]) for i, j in cells], guesses)
+            for (i, j), zeta, z, err in zip(cells, *found):
+                if err is not None:
+                    self.rejected[type(err).__name__] += 1
                     continue
-                zetas[i][j] = zeta
-                k = i * nv + j
-                points[k] = (us[i], vs[j], z)
-                valid[k] = True
+                zetas[i, j] = zeta
+                points[i * nv + j] = (us[i], vs[j], z)
+                valid[i * nv + j] = True
         return points, valid
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zmcsurf import foliation, zmc
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.foliation import (
+    ROUNDTRIP_TOLERANCE,
     ExcludedPoint,
     LeafSurface,
     band_index,
@@ -151,6 +152,19 @@ def test_foliation_report_headline_is_one_sub_check():
     assert report.tolerance == p[f"{name}_tolerance"]
     assert 0.0 <= p["boundary_mean"] <= p["boundary_max"]
     assert 0.0 <= p["roundtrip_mean"] <= p["roundtrip_max"]
+
+
+def test_window_without_boundaries_reports_the_roundtrip():
+    # No band boundary lies in (0.1, 1): only roundtrip points are checked.
+    report = foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0], n_random=5)
+    p = report.parameters
+    assert p["boundary_pairs"] == 0 and report.points_checked == 5
+    assert report.tolerance == ROUNDTRIP_TOLERANCE
+    assert (report.max_abs_err, report.mean_abs_err) == (p["roundtrip_max"], p["roundtrip_mean"])
+    x, y = report.worst_point["coords"]
+    assert 0.1 <= x <= 1 and -1 <= y <= 1
+    assert report.worst_point["lhs"] == report.worst_point["rhs"] == 0.0
+    assert report.passed
 
 
 def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch):

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zmcsurf import catalog, reps, zmc
@@ -12,6 +13,7 @@ from zmcsurf.meshio import GridSpec, sample_patch
 from zmcsurf.reps import (
     BCData,
     JacobianSingular,
+    NewtonDiverged,
     NoConvergence,
     SingularPath,
     TLMSData,
@@ -263,13 +265,68 @@ def test_inverted_graph_sampler_continuation():
     assert center[2] == pytest.approx(0.0, abs=1e-10)
 
 
+# With density R = w, eta = x - i y is about zeta^2 / 2.  The centre (0, h/2)
+# of this window has the negated eta of its left neighbour (0, -h/2), so the
+# full Newton step from the neighbour's root lands next to zeta = 0, where the
+# Jacobian vanishes; the centre's right neighbour then falls back to the seed of
+# its lower neighbour.
+_SINGULAR_CENTRE = GridSpec(-1e-5, 1e-5, -5e-6, 1.5e-5, 3, 3)
+
+
 def test_inverted_graph_sampler_marks_failures_invalid():
-    # With density R = w the Jacobian vanishes at the origin: the center point
-    # of a window around the image of zeta = 0 cannot be inverted.
+    sampler = reps.InvertedGraphSampler(WEData.reduced("w"), zeta_seed=0.01)
+    points, valid = sampler.sample_grid(_SINGULAR_CENTRE)
+    assert valid.tolist() == [True] * 4 + [False] + [True] * 4
+    assert points[4].tolist() == [0.0, 0.0, 0.0]
+    assert sampler.rejected == {"JacobianSingular": 1}
+
+
+def test_inverted_graph_sampler_counts_rejections_per_grid():
+    # From the seed zeta = 0, where R = w vanishes, no point starts: each one's
+    # guess is the seed, since no neighbour succeeds.
     sampler = reps.InvertedGraphSampler(WEData.reduced("w"), zeta_seed=0.0)
-    grid = GridSpec(-0.01, 0.01, -0.01, 0.01, 3, 3)
+    assert sampler.rejected == {}
+    _, valid = sampler.sample_grid(GridSpec(-0.01, 0.01, -0.01, 0.01, 3, 3))
+    assert not valid.any()
+    assert sampler.rejected == {"JacobianSingular": 9}
+    sampler.zeta_seed = 0.1
+    _, valid = sampler.sample_grid(GridSpec(0.01, 0.02, 0.01, 0.02, 2, 2))
+    assert valid.all()
+    assert sampler.rejected == {}
+
+
+def _per_point_inversion(sampler, grid):
+    """The per-point loop the wavefront replaces: lattice points in row-major
+    order, each seeded from its left, then its lower neighbour, then the seed."""
+    points = np.zeros((grid.nu * grid.nv, 3))
+    valid = np.zeros(grid.nu * grid.nv, dtype=bool)
+    zetas = {}
+    for i, x in enumerate(grid.u_values().tolist()):
+        for j, y in enumerate(grid.v_values().tolist()):
+            guess = zetas.get((i, j - 1), zetas.get((i - 1, j), sampler.zeta_seed))
+            try:
+                zeta = invert_parametrization(sampler.data, x, y, guess)
+                z = we_point(sampler.data, zeta)[2]
+            except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence):
+                continue
+            zetas[i, j] = zeta
+            points[i * grid.nv + j] = (x, y, z)
+            valid[i * grid.nv + j] = True
+    return points, valid
+
+
+@pytest.mark.parametrize("data, seed, grid", [
+    (WEData.from_text("1", "w"), 0.05 + 0.02j, GridSpec(-0.4, 0.4, -0.4, 0.4, 9, 9)),
+    (WEData.from_text("1.03 + 0.07*w", "0.85*w"), 0.03 - 0.02j,
+     GridSpec(-0.31, 0.29, -0.27, 0.33, 7, 5)),
+    (WEData.reduced("w"), 0.01, _SINGULAR_CENTRE),
+], ids=["enneper", "near-enneper", "singular-centre"])
+def test_wavefront_matches_the_per_point_loop(data, seed, grid):
+    sampler = reps.InvertedGraphSampler(data, zeta_seed=seed)
     points, valid = sampler.sample_grid(grid)
-    assert not valid.all()
+    want_points, want_valid = _per_point_inversion(sampler, grid)
+    assert points.tobytes() == want_points.tobytes()
+    assert valid.tolist() == want_valid.tolist()
 
 
 # ---------------------------------------------------------------------------
