@@ -147,9 +147,9 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     The report's max/mean error, tolerance and worst point are those of the
     sub-check with the larger max error / tolerance ratio (the roundtrip when
     the window holds no band boundary), so the report passes exactly when both
-    sub-checks pass.  Both sub-checks' max and mean
-    are also in the parameters.  A window without boundaries and
-    ``n_random=0`` checks nothing (EmptyGrid).
+    sub-checks pass.  Both sub-checks' max and mean are also in the
+    parameters.  A window without boundaries and ``n_random=0`` checks
+    nothing (EmptyGrid).
     """
     t_samples = list(t_samples)
     if not t_samples:
