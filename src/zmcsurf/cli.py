@@ -16,6 +16,7 @@ import sys
 
 from . import catalog, foliation, reps, zmc
 from .errors import DomainViolation, EmptyGrid
+from .expr import EvalDomainError
 from .meshio import GridSpec, sample_patch, write_csv, write_obj
 
 __all__ = ["main", "build_parser", "parse_complex"]
@@ -59,16 +60,15 @@ def _parse_param_items(items):
     return params
 
 
-def _write_report(report, path) -> None:
+def _finish(report, path) -> int:
+    """Write the report (if ``path``), print its summary; exit 0 iff it passed."""
     if path:
         report.write(path)
-
-
-def _summary(report) -> str:
     flag = "PASS" if report.passed else "FAIL"
-    return (f"[{flag}] {report.subject}: max_abs_err={report.max_abs_err:.3e} "
-            f"mean={report.mean_abs_err:.3e} tol={report.tolerance:.1e} "
-            f"points={report.points_checked} policy={report.policy}")
+    print(f"[{flag}] {report.subject}: max_abs_err={report.max_abs_err:.3e} "
+          f"mean={report.mean_abs_err:.3e} tol={report.tolerance:.1e} "
+          f"points={report.points_checked} policy={report.policy}")
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -86,23 +86,23 @@ def _we_data(args) -> reps.WEData:
     return reps.WEData.from_text(args.f, g, zeta0=zeta0, offset=offset, mode=args.mode)
 
 
-def _tlms_data(args) -> reps.TLMSData:
+def _tlms_sampler(args) -> reps.TLMSSampler:
     base = tuple(float(t) for t in args.base.split(","))
     g = "1" if args.g is None else args.g
-    return reps.TLMSData.from_text(args.f, g, args.q, args.r, base=base)
+    return reps.TLMSSampler(reps.TLMSData.from_text(args.f, g, args.q, args.r, base=base))
 
 
-def _bc_data(args) -> reps.BCData:
-    return reps.BCData.from_text(args.big_f, args.big_g)
+def _bc_sampler(args) -> reps.BCSampler:
+    return reps.BCSampler(reps.BCData.from_text(args.big_f, args.big_g))
 
 
 def _parametric_sampler(args):
     if args.source == "we":
         return reps.WESampler(_we_data(args), theta=args.theta), f"we:{args.mode}"
     if args.source == "tlms":
-        return reps.TLMSSampler(_tlms_data(args)), "tlms"
+        return _tlms_sampler(args), "tlms"
     if args.source == "bc":
-        return reps.BCSampler(_bc_data(args)), "bc"
+        return _bc_sampler(args), "bc"
     surf = catalog.builtin_surface(args.surface)
     return zmc.GraphLiftSampler(surf), f"graph:{surf.id}"
 
@@ -112,6 +112,15 @@ def _write_patch(patch, path: str) -> None:
         write_csv(patch, path)
     else:
         write_obj(patch, path)
+
+
+def _mesh(args, make_sampler) -> int:
+    """Mesh --grid of ``make_sampler(args)`` to --out; print the vertex count."""
+    grid = GridSpec.parse(args.grid)
+    patch = sample_patch(make_sampler(args), grid)
+    _write_patch(patch, args.out)
+    print(f"wrote {args.out} ({patch.valid_count()} vertices)")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +143,7 @@ def _cmd_identity(args) -> int:
     grid = GridSpec.parse(args.grid)
     tol = args.tol if args.tol is not None else 1e-9
     report = catalog.verify_identity(inst, grid, tolerance=tol, policy=args.policy)
-    _write_report(report, args.report)
-    print(_summary(report))
-    return 0 if report.passed else 1
+    return _finish(report, args.report)
 
 
 def _cmd_residual(args) -> int:
@@ -152,9 +159,7 @@ def _cmd_residual(args) -> int:
         surf = catalog.builtin_surface(args.surface)
         tol = args.tol if args.tol is not None else 1e-10
         report = zmc.residual_sweep(surf, eq, grid, method=args.method, tolerance=tol)
-    _write_report(report, args.report)
-    print(_summary(report))
-    return 0 if report.passed else 1
+    return _finish(report, args.report)
 
 
 def _cmd_we(args) -> int:
@@ -170,11 +175,7 @@ def _cmd_we(args) -> int:
         print(" ".join(_fmt_real(v) for v in pt))
         return 0
     if args.verb == "mesh":
-        grid = GridSpec.parse(args.grid)
-        patch = sample_patch(reps.WESampler(data, theta=args.theta), grid)
-        _write_patch(patch, args.out)
-        print(f"wrote {args.out} ({patch.valid_count()} vertices)")
-        return 0
+        return _mesh(args, lambda a: reps.WESampler(data, theta=a.theta))
     if args.verb == "invert":
         guess = parse_complex(args.guess)
         zeta = reps.invert_parametrization(data, float(args.x), float(args.y), guess)
@@ -197,26 +198,8 @@ def _cmd_we(args) -> int:
             return 0
         tol = args.tol if args.tol is not None else 1e-10
         report = reps.verify_split(data, weights, tolerance=tol, pieces=pieces)
-        _write_report(report, args.report)
-        print(_summary(report))
-        return 0 if report.passed else 1
+        return _finish(report, args.report)
     raise argparse.ArgumentTypeError(f"unknown we verb {args.verb!r}")
-
-
-def _cmd_tlms(args) -> int:
-    grid = GridSpec.parse(args.grid)
-    patch = sample_patch(reps.TLMSSampler(_tlms_data(args)), grid)
-    _write_patch(patch, args.out)
-    print(f"wrote {args.out} ({patch.valid_count()} vertices)")
-    return 0
-
-
-def _cmd_bc(args) -> int:
-    grid = GridSpec.parse(args.grid)
-    patch = sample_patch(reps.BCSampler(_bc_data(args)), grid)
-    _write_patch(patch, args.out)
-    print(f"wrote {args.out} ({patch.valid_count()} vertices)")
-    return 0
 
 
 def _cmd_foliate(args) -> int:
@@ -237,9 +220,7 @@ def _cmd_foliate(args) -> int:
     if not args.check:
         return 0
     report = foliation.foliation_check(grid, ts)
-    _write_report(report, os.path.join(args.out, "foliation_check.json"))
-    print(_summary(report))
-    return 0 if report.passed else 1
+    return _finish(report, os.path.join(args.out, "foliation_check.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +314,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--base", default="0,0")
     p.add_argument("--grid", default="0:0.8:21,0:0.8:21")
     p.add_argument("--out", default="tlms_mesh.obj")
-    p.set_defaults(handler=_cmd_tlms)
+    p.set_defaults(handler=lambda args: _mesh(args, _tlms_sampler))
 
     p = sub.add_parser("bc", help="Born-Infeld soliton mesh")
     p.add_argument("verb", choices=["mesh"])
@@ -341,7 +322,7 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     p.add_argument("--G", dest="big_g", required=True)
     p.add_argument("--grid", default="0:0.8:21,0:0.8:21")
     p.add_argument("--out", default="bc_mesh.obj")
-    p.set_defaults(handler=_cmd_bc)
+    p.set_defaults(handler=lambda args: _mesh(args, _bc_sampler))
 
     p = sub.add_parser("foliate", help="export shifted-helicoid leaves and checks")
     p.add_argument("--t", required=True, help="comma list of leaf shifts")
@@ -412,7 +393,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (reps.SingularPath, reps.NoConvergence, reps.NewtonDiverged,
-            reps.JacobianSingular, zmc.ExactUnavailable, zmc.DegenerateMetric) as exc:
+            reps.JacobianSingular, EvalDomainError, zmc.ExactUnavailable,
+            zmc.DegenerateMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,8 +38,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NoConvergence, SingularPath
-from .expr import AnalyticExpr, Binary, Const, Power, Unary, Var, parse
+from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Unary, Var, parse
 from .report import ErrorStats, VerificationReport
+from .zmc import array_jet
 
 __all__ = [
     "SingularPath",
@@ -401,13 +402,13 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         values, errs = integrate_segments(d.integrands, d.zeta0, zetas)
         heights.append(d.offset[2] + values[2].real)
         errors.append(errs)
-    for k in range(n_samples):
-        for errs in errors:
-            if errs[k] is not None:
-                raise errs[k]
+    failure = next((err for row in zip(*errors) for err in row if err is not None), None)
+    if failure is not None:
+        raise failure
+    z_parent, z_sum = heights[0], sum(heights[1:])
     stats = ErrorStats()
-    for zeta, z_parent, z_sum in zip(zetas, heights[0].tolist(), sum(heights[1:]).tolist()):
-        stats.add(abs(z_parent - z_sum), (zeta.real, zeta.imag), z_parent, z_sum)
+    stats.add_many(np.abs(z_parent - z_sum), np.column_stack([np.real(zetas), np.imag(zetas)]),
+                   z_parent, z_sum)
     return VerificationReport.of(
         stats, subject="we-split",
         parameters={**label, "samples": n_samples, "radius": SPLIT_RADIUS,
@@ -469,7 +470,8 @@ def _invert(data: WEData, targets, guesses):
                 continue
             except StopIteration as done:
                 zetas[k], heights[k] = done.value, pz
-            except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence) as exc:
+            except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence,
+                    EvalDomainError) as exc:
                 errors[k] = exc
             del asks[k]
     return zetas, heights, errors
@@ -478,7 +480,8 @@ def _invert(data: WEData, targets, guesses):
 def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
     """The zeta with (x(zeta), y(zeta)) = (x, y), by damped Newton from the guess:
     the one-point case of ``InvertedGraphSampler``'s batched Newton.  Raises
-    NewtonDiverged, JacobianSingular, SingularPath or NoConvergence."""
+    NewtonDiverged, JacobianSingular, SingularPath, NoConvergence or
+    EvalDomainError."""
     zetas, _, errors = _invert(data, [(x, y)], [zeta_guess])
     if errors[0] is not None:
         raise errors[0]
@@ -498,9 +501,6 @@ class WESampler:
         self._ct = math.cos(self.theta)
         self._st = math.sin(self.theta)
 
-    def _functional(self, value: complex) -> float:
-        return self._ct * value.real + self._st * value.imag
-
     def point(self, u: float, v: float):
         ints = integrate_segment(self.data.integrands, self.data.zeta0, complex(u, v))
         return _family_coords(self.data.offset, ints, self._ct, self._st)
@@ -515,18 +515,18 @@ class WESampler:
                                 self._ct, self._st)
         return _patch(coords, _succeeded(errors).reshape(grid.nu, grid.nv))
 
-    def jet(self, u: float, v: float):
+    @array_jet
+    def jet(self, u, v):
         """(X_u, X_v, X_uu, X_uv, X_vv) from the integrands and their derivatives:
-        d/du is the integrand, d/dv is i times it (no quadrature)."""
-        zeta = complex(u, v)
-        phi = [e.eval(zeta) for e in self.data.integrands]
-        dphi = [e.eval(zeta) for e in self.data.integrand_derivatives]
-        xu = tuple(self._functional(p) for p in phi)
-        xv = tuple(self._functional(1j * p) for p in phi)
-        xuu = tuple(self._functional(dp) for dp in dphi)
-        xuv = tuple(self._functional(1j * dp) for dp in dphi)
-        xvv = tuple(-self._functional(dp) for dp in dphi)
-        return xu, xv, xuu, xuv, xvv
+        d/du is the integrand, d/dv is i times it (no quadrature), each taken
+        to the family member as the integrals are, without the offset."""
+        zeta = np.array(u, dtype=complex)
+        zeta.imag = v
+        phi = [e.eval_array(zeta)[0] for e in self.data.integrands]
+        dphi = [e.eval_array(zeta)[0] for e in self.data.integrand_derivatives]
+        xu, xv, xuu, xuv = (_family_coords((0.0, 0.0, 0.0), d, self._ct, self._st)
+                            for d in (phi, [1j * p for p in phi], dphi, [1j * p for p in dphi]))
+        return xu, xv, xuu, xuv, tuple(-c for c in xuu)
 
 
 class InvertedGraphSampler:
@@ -654,17 +654,16 @@ class TLMSSampler:
         coords = _assemble_tlms(qu.real[:, :, None], qv.real[:, None, :])
         return _patch(coords, _succeeded(eu)[:, None] & _succeeded(ev)[None, :])
 
-    def jet(self, u: float, v: float):
-        ju = [e.eval(u).real for e in self.data.u_integrands]
-        jv = [e.eval(v).real for e in self.data.v_integrands]
-        dju = [e.eval(u).real for e in self.data.u_integrand_derivatives]
-        djv = [e.eval(v).real for e in self.data.v_integrand_derivatives]
-        xu = (-ju[0], -0.5 * ju[1], 0.5 * ju[2])
-        xv = (jv[0], -0.5 * jv[1], -0.5 * jv[2])
-        xuu = (-dju[0], -0.5 * dju[1], 0.5 * dju[2])
-        xvv = (djv[0], -0.5 * djv[1], -0.5 * djv[2])
-        xuv = (0.0, 0.0, 0.0)
-        return xu, xv, xuu, xuv, xvv
+    @array_jet
+    def jet(self, u, v):
+        ju = [e.eval_array(u)[0].real for e in self.data.u_integrands]
+        jv = [e.eval_array(v)[0].real for e in self.data.v_integrands]
+        dju = [e.eval_array(u)[0].real for e in self.data.u_integrand_derivatives]
+        djv = [e.eval_array(v)[0].real for e in self.data.v_integrand_derivatives]
+        # X is linear in the two integral triples: assemble their derivatives.
+        zero = (0.0, 0.0, 0.0)
+        return (_assemble_tlms(ju, zero), _assemble_tlms(zero, jv),
+                _assemble_tlms(dju, zero), zero, _assemble_tlms(zero, djv))
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +720,11 @@ def bc_point(data: BCData, r: float, s: float):
     z = I_r[r F'] + I_s[s G']."""
     qr = [val.real for val in integrate_segment(data.r_integrands, 0.0, r)]
     qs = [val.real for val in integrate_segment(data.s_integrands, 0.0, s)]
-    return _assemble_bc(qr, qs, data.F.eval(r).real, data.G.eval(s).real)
+    # F(r) and G(s) on the compiled path, which sample_grid takes too
+    (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([r]), data.G.eval_array([s])
+    if f_errors or g_errors:
+        raise (f_errors or g_errors)[0]
+    return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
 
 
 def _assemble_bc(qr, qs, f_r, g_s):
@@ -757,11 +760,12 @@ class BCSampler:
                               f_r.real[:, None], g_s.real[None, :])
         return _patch(coords, ok_r[:, None] & ok_s[None, :])
 
-    def jet(self, u: float, v: float):
-        fp = self.data.f_prime.eval(u).real
-        fpp = self.data.f_second.eval(u).real
-        gp = self.data.g_prime.eval(v).real
-        gpp = self.data.g_second.eval(v).real
+    @array_jet
+    def jet(self, u, v):
+        fp = self.data.f_prime.eval_array(u)[0].real
+        fpp = self.data.f_second.eval_array(u)[0].real
+        gp = self.data.g_prime.eval_array(v)[0].real
+        gpp = self.data.g_second.eval_array(v)[0].real
         r, s = u, v
         xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
         xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)

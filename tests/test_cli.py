@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import math
 
 import pytest
 
@@ -100,6 +101,30 @@ def test_we_invert_round_trip(capsys):
                "--x", "0.1", "--y", "0.2", "--guess", "0.1"])
     assert rc == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_we_invert_from_a_pole_is_a_one_line_failure(capsys):
+    # The Newton Jacobian is the integrand, and f = 1/w has its pole at the guess.
+    rc = main(["we", "invert", "--f", "1/w", "--g", "w",
+               "--x", "0.3", "--y", "0.1", "--guess", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: division by zero in (1.0 / w) at 0j\n"
+
+
+@pytest.mark.parametrize("source", [
+    ["--source", "we", "--f", "1/w", "--zeta0", "1", "--grid=-0.2:0.2:3,-0.2:0.2:3"],
+    ["--source", "bc", "--F", "log(r)", "--grid", "0:0.8:3,0:0.8:3"],
+], ids=["we", "bc"])
+def test_pole_in_a_parametric_jet_writes_a_failing_report(source, tmp_path, capsys):
+    report = tmp_path / "pole.json"
+    rc = main(["residual", "parametric", *source, "--report", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out.startswith("[FAIL]") and captured.err == ""
+    data = _load(report)
+    assert data["pass"] is False and data["points_checked"] == 9
+    assert math.isnan(data["max_abs_err"])
+    assert data["worst_point"]["coords"] == [0.0, 0.0]
 
 
 def test_we_split_verify(tmp_path):
@@ -212,8 +237,8 @@ def test_mesh_output_is_byte_deterministic(tmp_path):
     ["residual", "parametric", "--source", "surface"],
 ])
 def test_non_finite_residuals_fail(command, capsys):
-    # The plane's slopes overflow: NaN residuals, or an overflowing ** in
-    # the parametric normalization; both must fail, not pass or crash.
+    # The plane's slopes overflow: NaN residuals, or an overflow in the
+    # parametric normalization; both must fail, not pass or crash.
     rc = main(command + ["--surface", "plane:1e200,1e200", "--grid=-1:1:5,-1:1:5"])
     out = capsys.readouterr().out
     assert rc == 1

@@ -12,7 +12,7 @@ import cmath
 
 import numpy as np
 import pytest
-from test_meshio_arrays import reference_sample
+from test_meshio_arrays import _same_patch, reference_sample
 
 from zmcsurf.expr import (
     FUNCTIONS,
@@ -247,13 +247,15 @@ def test_batch_result_does_not_depend_on_its_companions():
     (BCSampler(BCData.from_text("r + r^3", "sin(s)")), GridSpec(-0.7, 0.8, 0, 0.8, 7, 9)),
     # F = log(r) itself fails at r = 0: one masked row
     (BCSampler(BCData.from_text("log(r)", "s")), GridSpec(-0.5, 1, 0.1, 0.9, 4, 5)),
+    # numpy's complex tan rounds differently from cmath's
+    (BCSampler(BCData.from_text("0.3*r^2 + tan(r)", "cosh(s)*s")),
+     GridSpec(0.05, 0.9, 0.1, 0.85, 13, 11)),
 ])
 def test_sample_grid_matches_point_sampling(sampler, grid):
     fast = sample_patch(sampler, grid)
     slow = reference_sample(sampler, grid)
-    assert np.array_equal(fast.valid, slow.valid)
     assert fast.valid_count() >= grid.nu * grid.nv - 3 * grid.nv
-    assert np.max(np.abs(fast.points - slow.points)) <= 1e-14
+    assert _same_patch(fast, slow)
 
 
 # ---------------------------------------------------------------------------

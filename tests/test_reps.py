@@ -9,7 +9,9 @@ import pytest
 
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import EmptyGrid
+from zmcsurf.expr import EvalDomainError
 from zmcsurf.meshio import GridSpec, sample_patch
+from zmcsurf.report import ErrorStats
 from zmcsurf.reps import (
     BCData,
     JacobianSingular,
@@ -435,3 +437,51 @@ def test_sampler_jets_do_no_quadrature(kind, monkeypatch):
     jet = sampler.jet(0.3, 0.2)
     assert len(jet) == 5 and all(len(vec) == 3 for vec in jet)
     assert jet == want
+
+
+# A scalar jet is the one-point case of the lattice jet: the same formula on
+# one-element arrays, so every entry is the lattice entry's float.
+_JET_GRID = GridSpec(0.05, 0.7, -0.6, 0.65, 7, 6)
+
+
+@pytest.mark.parametrize("kind", sorted(_JET_SAMPLERS))
+def test_scalar_jet_is_its_lattice_entry(kind):
+    sampler = _JET_SAMPLERS[kind]()
+    u, v = _JET_GRID.lattice()
+    lattice = sampler.jet(u, v)
+    for k in range(u.size):
+        jet = sampler.jet(float(u[k]), float(v[k]))
+        assert all(type(entry) is float for vec in jet for entry in vec)
+        want = tuple(tuple(np.broadcast_to(c, u.shape)[k].item() for c in vec)
+                     for vec in lattice)
+        assert repr(jet) == repr(want)
+
+
+_JET_METRICS = {"we-maximal": zmc.LORENTZ3, "tlms": zmc.LORENTZ3, "bc": zmc.LORENTZ3_PRIME}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "central-diff"])
+@pytest.mark.parametrize("kind", sorted(_JET_SAMPLERS))
+def test_parametric_sweep_is_the_per_point_loop(kind, exact):
+    sampler = _JET_SAMPLERS[kind]()
+    metric = _JET_METRICS.get(kind, zmc.EUCLID3)
+    grid = GridSpec(0.05, 0.7, -0.6, 0.65, 4, 3)
+    report = zmc.parametric_sweep(sampler, metric, grid, use_exact_jet=exact)
+    stats = ErrorStats()
+    for _, uv in grid.points():
+        value = zmc.parametric_zmc_numerator(sampler, metric, *uv, use_exact_jet=exact)
+        stats.add(abs(value), uv, value)
+    assert report.points_checked == stats.count == 12
+    assert repr((report.max_abs_err, report.mean_abs_err, report.worst_point)) == repr(
+        (stats.max, stats.mean, stats.worst))
+
+
+def test_inverted_graph_sampler_rejects_a_pole_of_the_integrands():
+    # The Newton Jacobian is the integrand pair, and f = 1/w has its pole at
+    # the seed: every point fails there, and none is seeded from a neighbour.
+    sampler = reps.InvertedGraphSampler(WEData.from_text("1/w", "w"), zeta_seed=0)
+    points, valid = sampler.sample_grid(GridSpec(0.1, 0.2, 0.1, 0.2, 3, 3))
+    assert not valid.any() and not points.any()
+    assert sampler.rejected == {"EvalDomainError": 9}
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        invert_parametrization(WEData.from_text("1/w", "w"), 0.3, 0.1, 0)

@@ -185,6 +185,13 @@ class _Pinched:
         return (u, u, 0.0)
 
 
+class _Creased:
+    """Degenerate along u = 0, where X_v vanishes."""
+
+    def point(self, u, v):
+        return (u, u * v, 0.0)
+
+
 def test_plane_numerator_is_exactly_zero():
     for metric in (EUCLID3, LORENTZ3, LORENTZ3_PRIME):
         assert parametric_zmc_numerator(_Plane(), metric, 0.3, -0.8) == 0.0
@@ -284,6 +291,52 @@ def test_overflowing_parametric_point_is_non_finite():
     assert math.isnan(parametric_zmc_numerator(lift, EUCLID3, 0.5, 0.5))
     report = zmc.parametric_sweep(lift, EUCLID3, _SMALL)
     assert report.passed is False
+    assert math.isnan(report.max_abs_err)
+    assert report.worst_point["coords"] == [-1.0, -1.0]
+
+
+def test_degenerate_sweep_names_the_first_degenerate_lattice_point():
+    with pytest.raises(DegenerateMetric, match=r"degenerate at \(-1\.0, -1\.0\)$"):
+        zmc.parametric_sweep(_Pinched(), EUCLID3, _SMALL)
+    with pytest.raises(DegenerateMetric, match=r"degenerate at \(0\.0, -1\.0\)$"):
+        zmc.parametric_sweep(_Creased(), EUCLID3, _SMALL)
+
+
+@pytest.mark.parametrize("sampler, metric, grid", [
+    # f = 1/w has its pole at the lattice point 0
+    (reps.WESampler(reps.WEData.from_text("1/w", "w", zeta0=1.0)), EUCLID3,
+     GridSpec(-0.2, 0.2, -0.2, 0.2, 3, 3)),
+    # F' = 1/r has its pole along the lattice row r = 0
+    (reps.BCSampler(reps.BCData.from_text("log(r)", "s")), LORENTZ3_PRIME,
+     GridSpec(0, 0.8, 0, 0.8, 3, 3)),
+], ids=["we", "bc"])
+def test_pole_in_a_parametric_jet_fails_the_report(sampler, metric, grid):
+    report = zmc.parametric_sweep(sampler, metric, grid)
+    assert report.points_checked == 9
+    assert report.passed is False
+    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
+    assert report.worst_point["coords"] == [0.0, 0.0]
+    assert math.isnan(report.worst_point["lhs"])
+
+
+class _HugePlane:
+    """The plane (1e100 u, 1e100 v, 0), with a constant jet: E = G = 1e200."""
+
+    def point(self, u, v):
+        return (1e100 * u, 1e100 * v, 0.0)
+
+    def jet(self, u, v):
+        return ((1e100, 0.0, 0.0), (0.0, 1e100, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "central-diff"])
+def test_overflowing_normalization_is_nan_not_zero(exact):
+    # The numerator is 0, but (|E|+|F|+|G|)^2 = (2e200)^2 overflows.
+    assert math.isnan(parametric_zmc_numerator(_HugePlane(), EUCLID3, 0.3, 0.2,
+                                               use_exact_jet=exact))
+    report = zmc.parametric_sweep(_HugePlane(), EUCLID3, _SMALL, use_exact_jet=exact)
+    assert report.points_checked == 25 and report.passed is False
     assert math.isnan(report.max_abs_err)
     assert report.worst_point["coords"] == [-1.0, -1.0]
 
