@@ -315,11 +315,16 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
 
 
 def _expr_surface(text: str) -> HeightSurface:
-    """A user graph: the tree walk at one point, the compiled numpy closure on
-    more (complex values; real points take the real part)."""
+    """A user graph: the tree walk at one point, tapes on more (complex values;
+    real points take the real part).  A lattice jet evaluates the six jet
+    trees on one tape, built on first use."""
     e = _expr.parse_xy(text)
     ex, ey = e.partial("x"), e.partial("y")
     trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
+
+    @functools.cache
+    def jet_tape():
+        return _expr.Tape(trees)
 
     def value(tree, x, y):
         if np.size(x) == 1 and np.size(y) == 1:
@@ -337,7 +342,10 @@ def _expr_surface(text: str) -> HeightSurface:
         return np.isfinite(_real_part(height(x, y)))
 
     def jet(x, y):
-        vals = [value(tree, x, y) for tree in trees]
+        if np.size(x) == 1 and np.size(y) == 1:
+            vals = [value(tree, x, y) for tree in trees]
+        else:
+            vals = list(jet_tape()(x, y)[0])
         if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
             vals = [v.real for v in vals]
         return GraphJet(*vals)

@@ -10,13 +10,14 @@ stays closed over the grammar; general powers must be spelled
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Binary operators associate to the left; ``name(arg)`` is a function call.
 
-An expression evaluates whole arrays through a numpy closure over
-``complex128`` arrays, compiled from the AST on first use; one compiler
-serves one- and two-variable expressions (variables are looked up by name).
-Points where any node's value is non-finite are evaluated again by the
-scalar tree walk ``_eval_node``, so a pole, branch point or overflow still
-raises ``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the
-tree walk itself, which is also the test oracle for the compiled path.
+Whole arrays are evaluated by a ``Tape``: a set of expressions in the same
+variables, compiled once into one straight-line numpy program over
+``complex128`` arrays that runs each distinct subtree of the set once.
+``eval_array`` is the tape of one expression.  Points where one of an
+expression's own values is non-finite are evaluated again by the scalar tree
+walk ``_eval_node``, so a pole, branch point or overflow still raises
+``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the tree
+walk itself, which is also the test oracle for the tape.
 
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
     "EvalDomainError",
     "parse",
     "parse_xy",
+    "Tape",
 ]
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "atan", "sinh", "cosh", "tanh", "sqrt")
@@ -332,7 +334,7 @@ def _eval_node(node: Node, env: dict) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# compiled vector evaluation
+# array evaluation: one tape per set of expressions
 # ---------------------------------------------------------------------------
 
 _NUMPY_FN: dict[str, Callable] = {
@@ -370,81 +372,157 @@ def _power(base, k: int):
     return 1 / out if k < 0 else out
 
 
-def _compile(node: Node):
-    """Closure ``(env, total) -> value`` over complex128 arrays; ``env`` maps
-    each variable name to its array.
+class Tape:
+    """Expressions in the same variables, compiled together once into one
+    straight-line program over complex128 arrays.
 
-    Every operation node adds its value into ``total[0]`` (None before the
-    first); that running sum is non-finite exactly where some node's value is
-    (IEEE sums keep inf and nan), which is what the scalar path checks node
-    by node.
+    Each structurally distinct subtree of the set is one instruction, run once
+    per evaluation; constants are told apart by their bits, since
+    ``Const(0j) == Const(-0j)``.  Each value is dropped after its last use.
+
+    Every instruction's value is added into one running sum.  IEEE sums keep
+    inf and nan, so the sum is non-finite wherever some value is; it can also
+    overflow where every value is finite, as for ``(w*1.5) - (w*1.4)`` at
+    1e308.  So its non-finite points are only suspects: there the program
+    runs again, and each expression with a non-finite value among its own
+    instructions is evaluated by the scalar tree walk ``_eval_node``.  A pole, branch point or
+    overflow thus still raises ``EvalDomainError`` naming the node at fault,
+    and no expression's values or errors depend on the rest of the set.
     """
-    if isinstance(node, Const):
-        value = np.complex128(node.value)
-        return lambda env, total: value
-    if isinstance(node, Var):
-        name = node.name
-        return lambda env, total: env[name]
-    if isinstance(node, Unary):
-        arg = _compile(node.arg)
-        fn = _NUMPY_FN[node.op]
 
-        def unary(env, total):
-            out = fn(arg(env, total))
-            total[0] = out if total[0] is None else total[0] + out
-            return out
-        return unary
-    if isinstance(node, Binary):
-        left = _compile(node.left)
-        right = _compile(node.right)
-        fn = _NUMPY_BINARY[node.op]
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self.varnames = self.exprs[0].varnames
+        if any(e.varnames != self.varnames for e in self.exprs):
+            raise ValueError("the expressions of a tape must share their variables")
+        nvars = len(self.varnames)
+        keys = {("var", name): -1 - k for k, name in enumerate(self.varnames)}
+        seen, consts, code = {}, [], []
 
-        def binary(env, total):
-            out = fn(left(env, total), right(env, total))
-            total[0] = out if total[0] is None else total[0] + out
-            return out
-        return binary
-    if isinstance(node, Power):
-        base = _compile(node.base)
-        k = node.exponent
+        def ref(node):
+            """Where a node's value is: leaf -1, -2, ... (the variables first) or
+            instruction 0, 1, ..."""
+            got = seen.get(id(node))
+            if got is not None:
+                return got
+            if isinstance(node, Var):
+                key = ("var", node.name)
+            elif isinstance(node, Const):
+                key = ("const", np.complex128(node.value).tobytes())
+            elif isinstance(node, Unary):
+                args = (ref(node.arg),)
+                key, fn = (node.op, *args), _NUMPY_FN[node.op]
+            elif isinstance(node, Binary):
+                args = (ref(node.left), ref(node.right))
+                key, fn = (node.op, *args), _NUMPY_BINARY[node.op]
+            elif isinstance(node, Power):
+                args = (ref(node.base),)
+                key, fn = ("pow", node.exponent, *args), partial(_power, k=node.exponent)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            got = keys.get(key)
+            if got is None:
+                if isinstance(node, Var):
+                    raise ValueError(f"{node.name!r} is not one of the variables {self.varnames}")
+                if isinstance(node, Const):
+                    consts.append(np.complex128(node.value))
+                    got = -nvars - len(consts)
+                else:
+                    code.append((fn, args))
+                    got = len(code) - 1
+                keys[key] = got
+            seen[id(node)] = got
+            return got
 
-        def power(env, total):
-            out = _power(base(env, total), k)
-            total[0] = out if total[0] is None else total[0] + out
-            return out
-        return power
-    raise TypeError(f"not an expression node: {node!r}")
+        refs = [ref(e.root) for e in self.exprs]
+        nleaves = nvars + len(consts)
+        last = {}  # instruction -> the instruction after which its value is dropped
+        for j, (_, args) in enumerate(code):
+            last.update((a, j) for a in args if a >= 0)
+        rows, drops = [[] for _ in code], [[] for _ in code]
+        for i, r in enumerate(refs):
+            if r >= 0:  # a root is written out by its own instruction
+                rows[r].append(i)
+                last.setdefault(r, r)
+        for a, j in last.items():
+            drops[j].append(nleaves + a)
+        self._consts = consts
+        self._refs = refs
+        self._args = [args for _, args in code]
+        self._leaf_roots = [(i, -1 - r) for i, r in enumerate(refs) if r < 0]
+        self._code = [(fn, *(-1 - a if a < 0 else nleaves + a for a in args),
+                       *(None,) * (2 - len(args)), tuple(rows[j]), tuple(drops[j]))
+                      for j, (fn, args) in enumerate(code)]
 
+    def __len__(self):
+        return len(self.exprs)
 
-def _eval_array(root: Node, compiled, env: dict):
-    """Evaluate ``root`` at every point of the complex128 arrays in ``env``,
-    which all have one shape.
+    def __call__(self, *arrays):
+        """Evaluate every expression at every point of ``arrays``, one per
+        variable in ``varnames`` order, broadcast to one shape.
 
-    Returns ``(values, errors)``: a complex128 array of that shape, and a dict
-    from the flat index of each point where the scalar tree walk raises to
-    its ``EvalDomainError`` (``values`` holds nan there).
-    """
-    shape = next(iter(env.values())).shape
-    values = np.empty(shape, dtype=complex)
-    total = [None]
-    with np.errstate(all="ignore"):
-        values[...] = compiled(env, total)
-        if total[0] is None:
-            return values, {}
-        bad = ~np.isfinite(total[0])
-    if not bad.any():
-        return values, {}
-    suspect = np.flatnonzero(np.broadcast_to(bad, shape))
-    errors = {}
-    flat = {name: a.reshape(-1) for name, a in env.items()}
-    flat_values = values.reshape(-1)
-    for k in suspect.tolist():
-        try:
-            flat_values[k] = _eval_node(root, {name: complex(a[k]) for name, a in flat.items()})
-        except EvalDomainError as exc:
-            flat_values[k] = complex("nan")
-            errors[k] = exc
-    return values, errors
+        Returns ``(values, errors)``: complex128 values of shape
+        ``(len(self), *shape)``, and per expression a dict from the flat index
+        of each point where its scalar tree walk raises to that
+        ``EvalDomainError`` (its value is nan there).
+        """
+        if len(arrays) > 1:
+            arrays = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in arrays))
+        else:
+            arrays = [np.asarray(arrays[0], dtype=complex)]
+        shape = arrays[0].shape
+        values = np.empty((len(self.exprs), *shape), dtype=complex)
+        total = np.zeros(shape, dtype=complex)
+        s = [*arrays, *self._consts]
+        add = np.add
+        with np.errstate(all="ignore"):
+            for i, k in self._leaf_roots:
+                values[i] = s[k]
+            for fn, a, b, rows, drop in self._code:
+                v = fn(s[a]) if b is None else fn(s[a], s[b])
+                add(total, v, total)
+                s.append(v)
+                for i in rows:
+                    values[i] = v
+                for k in drop:
+                    s[k] = None
+            finite = cmath.isfinite(total.sum())  # one reduction, no mask, in most calls
+        errors = [{} for _ in self.exprs]
+        if not finite:
+            suspects = np.flatnonzero(~np.isfinite(total))
+            if suspects.size:
+                self._walk_suspects(arrays, suspects, values, errors)
+        return values, errors
+
+    def _walk_suspects(self, arrays, suspects, values, errors):
+        """Run the program again at the suspect flat indices, and evaluate each
+        expression by ``_eval_node`` where one of its instructions is not finite."""
+        flat = [np.ravel(a) for a in arrays]
+        s = [*(f[suspects] for f in flat), *self._consts]
+        nonfinite = []
+        with np.errstate(all="ignore"):
+            for fn, a, b, _, _ in self._code:
+                v = fn(s[a]) if b is None else fn(s[a], s[b])
+                s.append(v)
+                nonfinite.append(np.broadcast_to(~np.isfinite(v), suspects.shape))
+        flat_values = values.reshape(len(self.exprs), -1)
+        for i, (e, r) in enumerate(zip(self.exprs, self._refs)):
+            own, todo = set(), [r] if r >= 0 else []
+            while todo:  # the instructions of expression i
+                j = todo.pop()
+                if j not in own:
+                    own.add(j)
+                    todo.extend(a for a in self._args[j] if a >= 0)
+            if not own:
+                continue
+            hit = np.logical_or.reduce([nonfinite[j] for j in own])
+            for k in suspects[hit].tolist():
+                env = {name: complex(f[k]) for name, f in zip(self.varnames, flat)}
+                try:
+                    flat_values[i, k] = _eval_node(e.root, env)
+                except EvalDomainError as exc:
+                    flat_values[i, k] = complex("nan")
+                    errors[i][k] = exc
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +684,13 @@ class AnalyticExpr:
     root: Node
     varname: str
 
+    @property
+    def varnames(self):
+        return (self.varname,)
+
     @cached_property
-    def _compiled(self):
-        return _compile(self.root)
+    def _tape(self):
+        return Tape((self,))
 
     def eval(self, w) -> complex:
         return _eval_node(self.root, {self.varname: complex(w)})
@@ -620,8 +702,8 @@ class AnalyticExpr:
         a dict from the flat index of each point where the scalar evaluator
         raises to its ``EvalDomainError`` (``values`` holds nan there).
         """
-        return _eval_array(self.root, self._compiled,
-                           {self.varname: np.asarray(w, dtype=complex)})
+        values, errors = self._tape(w)
+        return values[0], errors[0]
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(_fold(_d(self.root, self.varname)), self.varname)
@@ -644,9 +726,11 @@ class TwoVarExpr:
 
     root: Node
 
+    varnames = ("x", "y")
+
     @cached_property
-    def _compiled(self):
-        return _compile(self.root)
+    def _tape(self):
+        return Tape((self,))
 
     def eval(self, x, y) -> complex:
         return _eval_node(self.root, {"x": complex(x), "y": complex(y)})
@@ -654,8 +738,8 @@ class TwoVarExpr:
     def eval_array(self, x, y):
         """``eval`` at every point of the broadcast arrays ``x`` and ``y``, as
         ``AnalyticExpr.eval_array`` does for one variable."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex))
-        return _eval_array(self.root, self._compiled, {"x": x, "y": y})
+        values, errors = self._tape(x, y)
+        return values[0], errors[0]
 
     def partial(self, name: str) -> "TwoVarExpr":
         if name not in ("x", "y"):

@@ -27,6 +27,7 @@ where the straight path to the point is singular.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import random
@@ -38,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NoConvergence, SingularPath
-from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Unary, Var, parse
+from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Tape, Unary, Var, parse
 from .report import ErrorStats, VerificationReport
 from .zmc import array_jet
 
@@ -113,6 +114,15 @@ def _level_rule(nseg: int):
     return t, weights
 
 
+@lru_cache(maxsize=None)
+def _pass_rule(levels: tuple):
+    """The nodes of several levels side by side: (nodes, first column of each
+    level and one past the last, weights of each level)."""
+    rules = [_level_rule(nseg) for nseg in levels]
+    starts = np.cumsum([0] + [t.size for t, _ in rules]).tolist()
+    return np.concatenate([t for t, _ in rules]), starts, [w for _, w in rules]
+
+
 def _first_singular(w, row_errors):
     """SingularPath for one endpoint: the first failing node, integrands in order."""
     node, idx, exc = min(row_errors)
@@ -122,10 +132,10 @@ def _first_singular(w, row_errors):
     return err
 
 
-def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
-                       tol: float = 1e-10, max_segments: int = 1024):
+def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int = 1024):
     """Integrate each expression along every straight segment [z0[k], z1[k]].
 
+    ``integrands`` is a ``Tape`` or a sequence of expressions in one variable.
     ``z0`` and ``z1`` broadcast to one flat array of endpoints.  Returns
     ``(values, errors)``: ``values[i, k]`` is the integral of integrand ``i``
     over segment ``k`` and ``errors[k]`` is None or the SingularPath /
@@ -139,57 +149,72 @@ def integrate_segments(integrands: Sequence[AnalyticExpr], z0, z1,
     boundary would otherwise cancel into its principal value).  Each endpoint
     keeps its own convergence state, so a segment stops at the same level,
     with the same value and error, whether it is integrated alone or in a
-    batch; each level evaluates the nodes of all still-active segments in one
-    call per integrand.
+    batch.  Each pass evaluates the nodes of all still-active segments in one
+    tape call; no segment can stop before level 2, so the first pass takes
+    levels 1 and 2 together.
     """
+    tape = integrands if isinstance(integrands, Tape) else Tape(integrands)
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
                                  np.asarray(z1, dtype=complex).reshape(-1))
     npts = z1.size
-    values = np.zeros((len(integrands), npts), dtype=complex)
+    values = np.zeros((len(tape), npts), dtype=complex)
     errors = [None] * npts
     delta = z1 - z0
     active = np.flatnonzero(z0 != z1)
     prev = None
     nseg = 1
     while active.size:
-        t, weights = _level_rule(nseg)
-        cur = np.zeros((len(integrands), active.size), dtype=complex)
-        ok = np.ones(active.size, dtype=bool)
+        levels = (nseg,) if prev is not None or 2 * nseg > max_segments else (nseg, 2 * nseg)
+        t, starts, weights = _pass_rule(levels)
+        cur = np.empty((len(levels), len(tape), active.size), dtype=complex)
+        singular = {}  # endpoint row -> (its first failing level, SingularPath)
         chunk = max(1, _MAX_NODES // t.size)
         for lo in range(0, active.size, chunk):
             pts = active[lo:lo + chunk]
             w = z0[pts, None] + t[None, :] * delta[pts, None]
+            vals, errs = tape(w)
+            for level, (start, wts) in enumerate(zip(starts, weights)):
+                cur[level, :, lo:lo + pts.size] = delta[pts] * (
+                    vals[:, :, start:start + wts.size] * wts).sum(axis=2)
             failed = {}
-            for idx, e in enumerate(integrands):
-                vals, errs = e.eval_array(w)
-                for flat, exc in errs.items():
-                    row, node = divmod(flat, t.size)
-                    failed.setdefault(row, []).append((node, idx, exc))
-                cur[idx, lo:lo + pts.size] = delta[pts] * (vals[:, :weights.size]
-                                                           * weights).sum(axis=1)
-            for row, row_errors in failed.items():
-                errors[pts[row]] = _first_singular(w[row], row_errors)
-                ok[lo + row] = False
-        if prev is not None:
-            done = ok & (np.abs(cur - prev).max(axis=0) < tol)
-            values[:, active[done]] = cur[:, done]
-            ok &= ~done
-        active, prev = active[ok], cur[:, ok]
-        nseg *= 2
-        if nseg > max_segments:
-            for k in active.tolist():
-                errors[k] = NoConvergence(
-                    f"quadrature on [{complex(z0[k])!r}, {complex(z1[k])!r}] did not "
-                    f"converge within {max_segments} segments")
-            break
+            for idx, errs_i in enumerate(errs):
+                for flat, exc in errs_i.items():
+                    row, col = divmod(flat, t.size)
+                    level = bisect.bisect_right(starts, col) - 1
+                    failed.setdefault((lo + row, level), []).append((col - starts[level], idx, exc))
+            for (row, level), row_errors in failed.items():
+                if level < singular.get(row, (len(levels),))[0]:
+                    node_w = w[row - lo, starts[level]:starts[level + 1]]
+                    singular[row] = level, _first_singular(node_w, row_errors)
+        alive = np.ones(active.size, dtype=bool)
+        for level, level_cur in enumerate(cur):
+            for row, (at, err) in singular.items():
+                if at == level and alive[row]:
+                    errors[active[row]] = err
+                    alive[row] = False
+            if prev is not None:
+                done = alive & (np.abs(level_cur - prev).max(axis=0) < tol)
+                values[:, active[done]] = level_cur[:, done]
+                alive &= ~done
+            prev = level_cur
+            nseg *= 2
+            if nseg > max_segments:
+                for k in active[alive].tolist():
+                    errors[k] = NoConvergence(
+                        f"quadrature on [{complex(z0[k])!r}, {complex(z1[k])!r}] did not "
+                        f"converge within {max_segments} segments")
+                alive[:] = False
+                break
+        active, prev = active[alive], prev[:, alive]
     return values, errors
 
 
-def integrate_segment(integrands: Sequence[AnalyticExpr], z0: complex, z1: complex):
+def integrate_segment(integrands, z0: complex, z1: complex):
     """Integrate each expression along the straight segment [z0, z1].
 
-    A one-endpoint ``integrate_segments``: returns one complex per integrand
-    and raises that endpoint's SingularPath or NoConvergence.
+    A one-endpoint ``integrate_segments`` (``integrands`` is a ``Tape`` or a
+    sequence of expressions): returns one complex per integrand and raises
+    that endpoint's SingularPath or NoConvergence.
     """
     values, errors = integrate_segments(integrands, complex(z0), complex(z1))
     if errors[0] is not None:
@@ -209,6 +234,11 @@ def _patch(coords, valid):
     valid = valid.reshape(-1)
     points[~valid] = 0.0
     return points, valid
+
+
+def _with_derivatives(exprs):
+    """One tape of the expressions, then their derivatives (for jets)."""
+    return Tape(exprs + tuple(e.derivative() for e in exprs))
 
 
 def _mul(*nodes):
@@ -278,8 +308,12 @@ class WEData:
         return tuple(AnalyticExpr(p, w) for p in phi)
 
     @cached_property
-    def integrand_derivatives(self):
-        return tuple(e.derivative() for e in self.integrands)
+    def integrand_tape(self):
+        return Tape(self.integrands)
+
+    @cached_property
+    def jet_tape(self):
+        return _with_derivatives(self.integrands)
 
 
 def _family_coords(offset, ints, ct, st):
@@ -290,7 +324,7 @@ def _family_coords(offset, ints, ct, st):
 
 def we_point(data: WEData, zeta: complex):
     """Surface point offset + Re of the straight-path integral triple."""
-    ints = integrate_segment(data.integrands, data.zeta0, zeta)
+    ints = integrate_segment(data.integrand_tape, data.zeta0, zeta)
     x0, y0, z0 = data.offset
     return (x0 + ints[0].real, y0 + ints[1].real, z0 + ints[2].real)
 
@@ -399,7 +433,7 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     # One batch per piece; the full integrand triple keeps the convergence rule.
     heights, errors = [], []
     for d in [base, *split]:
-        values, errs = integrate_segments(d.integrands, d.zeta0, zetas)
+        values, errs = integrate_segments(d.integrand_tape, d.zeta0, zetas)
         heights.append(d.offset[2] + values[2].real)
         errors.append(errs)
     failure = next((err for row in zip(*errors) for err in row if err is not None), None)
@@ -452,29 +486,40 @@ def _newton(phi1, phi2, z: complex):
     return z
 
 
-def _invert(data: WEData, targets, guesses):
+def _invert(data: WEData, targets, guesses, known=None):
     """Newton-invert every (x, y) of ``targets`` from its guess, with one
     ``integrate_segments`` call per round over all still-iterating points.
-    Returns per target its root and height (from the last accepted step's
-    quadrature, at that root), or None and its typed error, as three lists."""
+
+    ``known[k]``, when given, is the surface point already integrated at
+    ``guesses[k]`` (a neighbour's accepted root): it is the first residual,
+    so that endpoint is not integrated again.  Returns per target its root and
+    the surface point there (from the last accepted step's quadrature), or
+    None and its typed error, as three lists.
+    """
     runs = [_newton(*data.integrands[:2], complex(g)) for g in guesses]
-    zetas, heights, errors = [None] * len(runs), [None] * len(runs), [None] * len(runs)
+    zetas, points, errors = [None] * len(runs), [None] * len(runs), [None] * len(runs)
     asks = {k: next(run) for k, run in enumerate(runs)}
+    replies = {k: (p, None) for k, p in enumerate(known or ()) if p is not None}
     while asks:
-        values, errs = integrate_segments(data.integrands, data.zeta0, list(asks.values()))
-        coords = (np.array(data.offset)[:, None] + values.real).tolist()
-        for k, px, py, pz, err in zip(list(asks), *coords, errs):
+        todo = [k for k in asks if k not in replies]
+        if todo:
+            values, errs = integrate_segments(data.integrand_tape, data.zeta0,
+                                              [asks[k] for k in todo])
+            coords = (np.array(data.offset)[:, None] + values.real).T.tolist()
+            replies.update(zip(todo, zip(coords, errs)))
+        for k, (p, err) in replies.items():
             x, y = targets[k]
             try:  # a failed quadrature fails its Newton where the residual was asked
-                asks[k] = runs[k].throw(err) if err else runs[k].send((px - x, py - y))
+                asks[k] = runs[k].throw(err) if err else runs[k].send((p[0] - x, p[1] - y))
                 continue
             except StopIteration as done:
-                zetas[k], heights[k] = done.value, pz
+                zetas[k], points[k] = done.value, p
             except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence,
                     EvalDomainError) as exc:
                 errors[k] = exc
             del asks[k]
-    return zetas, heights, errors
+        replies = {}
+    return zetas, points, errors
 
 
 def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
@@ -502,7 +547,7 @@ class WESampler:
         self._st = math.sin(self.theta)
 
     def point(self, u: float, v: float):
-        ints = integrate_segment(self.data.integrands, self.data.zeta0, complex(u, v))
+        ints = integrate_segment(self.data.integrand_tape, self.data.zeta0, complex(u, v))
         return _family_coords(self.data.offset, ints, self._ct, self._st)
 
     def sample_grid(self, grid):
@@ -510,7 +555,7 @@ class WESampler:
         zeta = np.empty((grid.nu, grid.nv), dtype=complex)
         zeta.real = grid.u_values()[:, None]
         zeta.imag = grid.v_values()[None, :]
-        ints, errors = integrate_segments(self.data.integrands, self.data.zeta0, zeta)
+        ints, errors = integrate_segments(self.data.integrand_tape, self.data.zeta0, zeta)
         coords = _family_coords(self.data.offset, ints.reshape(3, grid.nu, grid.nv),
                                 self._ct, self._st)
         return _patch(coords, _succeeded(errors).reshape(grid.nu, grid.nv))
@@ -522,8 +567,8 @@ class WESampler:
         to the family member as the integrals are, without the offset."""
         zeta = np.array(u, dtype=complex)
         zeta.imag = v
-        phi = [e.eval_array(zeta)[0] for e in self.data.integrands]
-        dphi = [e.eval_array(zeta)[0] for e in self.data.integrand_derivatives]
+        values = self.data.jet_tape(zeta)[0]
+        phi, dphi = values[:3], values[3:]
         xu, xv, xuu, xuv = (_family_coords((0.0, 0.0, 0.0), d, self._ct, self._st)
                             for d in (phi, [1j * p for p in phi], dphi, [1j * p for p in dphi]))
         return xu, xv, xuu, xuv, tuple(-c for c in xuu)
@@ -548,19 +593,19 @@ class InvertedGraphSampler:
         nu, nv = grid.nu, grid.nv
         points = np.zeros((nu * nv, 3))
         valid = np.zeros(nu * nv, dtype=bool)
-        zetas, self.rejected = {}, Counter()
+        roots, self.rejected = {}, Counter()  # (i, j) -> (zeta, surface point there)
         us, vs = grid.u_values().tolist(), grid.v_values().tolist()
+        seed = (self.zeta_seed, None)
         for d in range(nu + nv - 1):
             cells = [(i, d - i) for i in range(max(0, d - nv + 1), min(nu, d + 1))]
-            guesses = [zetas.get((i, j - 1), zetas.get((i - 1, j), self.zeta_seed))
-                       for i, j in cells]
-            found = _invert(self.data, [(us[i], vs[j]) for i, j in cells], guesses)
-            for (i, j), zeta, z, err in zip(cells, *found):
+            starts = [roots.get((i, j - 1), roots.get((i - 1, j), seed)) for i, j in cells]
+            found = _invert(self.data, [(us[i], vs[j]) for i, j in cells], *zip(*starts))
+            for (i, j), zeta, p, err in zip(cells, *found):
                 if err is not None:
                     self.rejected[type(err).__name__] += 1
                     continue
-                zetas[i, j] = zeta
-                points[i * nv + j] = (us[i], vs[j], z)
+                roots[i, j] = (zeta, p)
+                points[i * nv + j] = (us[i], vs[j], p[2])
                 valid[i * nv + j] = True
         return points, valid
 
@@ -593,20 +638,20 @@ class TLMSData:
                    tuple(float(t) for t in base))
 
     @cached_property
-    def u_integrands(self):
-        return _null_curve_integrands(self.f_u, self.q_u)
+    def u_tape(self):
+        return Tape(_null_curve_integrands(self.f_u, self.q_u))
 
     @cached_property
-    def v_integrands(self):
-        return _null_curve_integrands(self.g_v, self.r_v)
+    def v_tape(self):
+        return Tape(_null_curve_integrands(self.g_v, self.r_v))
 
     @cached_property
-    def u_integrand_derivatives(self):
-        return tuple(e.derivative() for e in self.u_integrands)
+    def u_jet_tape(self):
+        return _with_derivatives(self.u_tape.exprs)
 
     @cached_property
-    def v_integrand_derivatives(self):
-        return tuple(e.derivative() for e in self.v_integrands)
+    def v_jet_tape(self):
+        return _with_derivatives(self.v_tape.exprs)
 
 
 def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
@@ -632,8 +677,8 @@ def tlms_point(data: TLMSData, u: float, v: float):
     """Timelike-minimal surface point; the u-part and v-part are independent
     one-dimensional quadratures."""
     u0, v0 = data.base
-    qu = [val.real for val in integrate_segment(data.u_integrands, u0, u)]
-    qv = [val.real for val in integrate_segment(data.v_integrands, v0, v)]
+    qu = [val.real for val in integrate_segment(data.u_tape, u0, u)]
+    qv = [val.real for val in integrate_segment(data.v_tape, v0, v)]
     return _assemble_tlms(qu, qv)
 
 
@@ -649,17 +694,15 @@ class TLMSSampler:
     def sample_grid(self, grid):
         """nu + nv one-dimensional integrals broadcast over the lattice."""
         u0, v0 = self.data.base
-        qu, eu = integrate_segments(self.data.u_integrands, u0, grid.u_values())
-        qv, ev = integrate_segments(self.data.v_integrands, v0, grid.v_values())
+        qu, eu = integrate_segments(self.data.u_tape, u0, grid.u_values())
+        qv, ev = integrate_segments(self.data.v_tape, v0, grid.v_values())
         coords = _assemble_tlms(qu.real[:, :, None], qv.real[:, None, :])
         return _patch(coords, _succeeded(eu)[:, None] & _succeeded(ev)[None, :])
 
     @array_jet
     def jet(self, u, v):
-        ju = [e.eval_array(u)[0].real for e in self.data.u_integrands]
-        jv = [e.eval_array(v)[0].real for e in self.data.v_integrands]
-        dju = [e.eval_array(u)[0].real for e in self.data.u_integrand_derivatives]
-        djv = [e.eval_array(v)[0].real for e in self.data.v_integrand_derivatives]
+        ju, dju = np.split(self.data.u_jet_tape(u)[0].real, 2)
+        jv, djv = np.split(self.data.v_jet_tape(v)[0].real, 2)
         # X is linear in the two integral triples: assemble their derivatives.
         zero = (0.0, 0.0, 0.0)
         return (_assemble_tlms(ju, zero), _assemble_tlms(zero, jv),
@@ -698,12 +741,20 @@ class BCData:
         return self.g_prime.derivative()
 
     @cached_property
-    def r_integrands(self):
-        return _soliton_integrands(self.F.varname, self.f_prime)
+    def r_tape(self):
+        return Tape(_soliton_integrands(self.F.varname, self.f_prime))
 
     @cached_property
-    def s_integrands(self):
-        return _soliton_integrands(self.G.varname, self.g_prime)
+    def s_tape(self):
+        return Tape(_soliton_integrands(self.G.varname, self.g_prime))
+
+    @cached_property
+    def r_jet_tape(self):
+        return Tape((self.f_prime, self.f_second))
+
+    @cached_property
+    def s_jet_tape(self):
+        return Tape((self.g_prime, self.g_second))
 
 
 def _soliton_integrands(name: str, prime: AnalyticExpr):
@@ -718,9 +769,9 @@ def bc_point(data: BCData, r: float, s: float):
     x = (F + G - I_s[s^2 G'] - I_r[r^2 F'])/2,
     y = (G - F - I_r[r^2 F'] + I_s[s^2 G'])/2,
     z = I_r[r F'] + I_s[s G']."""
-    qr = [val.real for val in integrate_segment(data.r_integrands, 0.0, r)]
-    qs = [val.real for val in integrate_segment(data.s_integrands, 0.0, s)]
-    # F(r) and G(s) on the compiled path, which sample_grid takes too
+    qr = [val.real for val in integrate_segment(data.r_tape, 0.0, r)]
+    qs = [val.real for val in integrate_segment(data.s_tape, 0.0, s)]
+    # F(r) and G(s) by eval_array, as sample_grid evaluates them
     (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([r]), data.G.eval_array([s])
     if f_errors or g_errors:
         raise (f_errors or g_errors)[0]
@@ -748,8 +799,8 @@ class BCSampler:
     def sample_grid(self, grid):
         """nr + ns one-dimensional integrals broadcast over the lattice."""
         rs, ss = grid.u_values(), grid.v_values()
-        qr, er = integrate_segments(self.data.r_integrands, 0.0, rs)
-        qs, es = integrate_segments(self.data.s_integrands, 0.0, ss)
+        qr, er = integrate_segments(self.data.r_tape, 0.0, rs)
+        qs, es = integrate_segments(self.data.s_tape, 0.0, ss)
         f_r, ef = self.data.F.eval_array(rs)
         g_s, eg = self.data.G.eval_array(ss)
         ok_r = _succeeded(er)
@@ -762,10 +813,8 @@ class BCSampler:
 
     @array_jet
     def jet(self, u, v):
-        fp = self.data.f_prime.eval_array(u)[0].real
-        fpp = self.data.f_second.eval_array(u)[0].real
-        gp = self.data.g_prime.eval_array(v)[0].real
-        gpp = self.data.g_second.eval_array(v)[0].real
+        fp, fpp = self.data.r_jet_tape(u)[0].real
+        gp, gpp = self.data.s_jet_tape(v)[0].real
         r, s = u, v
         xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
         xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)
