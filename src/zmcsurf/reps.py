@@ -183,7 +183,7 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
                     level = bisect.bisect_right(starts, col) - 1
                     failed.setdefault((lo + row, level), []).append((col - starts[level], idx, exc))
             for (row, level), row_errors in failed.items():
-                if level < singular.get(row, (len(levels),))[0]:
+                if row not in singular or level < singular[row][0]:
                     node_w = w[row - lo, starts[level]:starts[level + 1]]
                     singular[row] = level, _first_singular(node_w, row_errors)
         alive = np.ones(active.size, dtype=bool)

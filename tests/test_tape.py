@@ -35,7 +35,7 @@ def _assert_joint_is_alone(tape, *arrays):
         want, want_errors = e.eval_array(*arrays)
         assert got.tobytes() == want.tobytes()
         assert list(got_errors) == list(want_errors)
-        assert [str(e) for e in got_errors.values()] == [str(e) for e in want_errors.values()]
+        assert [str(x) for x in got_errors.values()] == [str(x) for x in want_errors.values()]
     return values, errors
 
 
