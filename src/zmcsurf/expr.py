@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -400,15 +400,13 @@ class Tape:
         seen, consts, code = {}, [], []
 
         def ref(node):
-            """Where a node's value (or a power's exponent) is: leaf -1, -2, ...
-            (the variables first) or instruction 0, 1, ..."""
+            """Where a node's value is: leaf -1, -2, ... (the variables first) or
+            instruction 0, 1, ..."""
             got = seen.get(id(node))
             if got is not None:
                 return got
             if isinstance(node, Var):
                 key = ("var", node.name)
-            elif isinstance(node, int):
-                key = ("int", node)
             elif isinstance(node, Const):
                 key = ("const", np.complex128(node.value).tobytes())
             elif isinstance(node, Unary):
@@ -418,16 +416,16 @@ class Tape:
                 args = (ref(node.left), ref(node.right))
                 key, fn = (node.op, *args), _NUMPY_BINARY[node.op]
             elif isinstance(node, Power):
-                args = (ref(node.base), ref(node.exponent))
-                key, fn = ("pow", *args), _power
+                args = (ref(node.base),)
+                key, fn = ("pow", node.exponent, *args), partial(_power, k=node.exponent)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             got = keys.get(key)
             if got is None:
                 if isinstance(node, Var):
                     raise ValueError(f"{node.name!r} is not one of the variables {self.varnames}")
-                if isinstance(node, (Const, int)):
-                    consts.append(node if isinstance(node, int) else np.complex128(node.value))
+                if isinstance(node, Const):
+                    consts.append(np.complex128(node.value))
                     got = -nvars - len(consts)
                 else:
                     code.append((fn, args))
