@@ -153,6 +153,7 @@ def _cmd_residual(args) -> int:
         metric = zmc.METRIC_NAMES[args.metric]
         tol = args.tol if args.tol is not None else 1e-6
         report = zmc.parametric_sweep(sampler, metric, grid, tolerance=tol,
+                                      use_exact_jet=args.method == "exact",
                                       subject=f"parametric-zmc:{label}")
     else:
         eq = {"bi": "bi-soliton"}.get(args.equation, args.equation)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import NoConvergence, SingularPath
 from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Tape, Unary, Var, parse
 from .report import ErrorStats, VerificationReport
-from .zmc import array_jet
+from .zmc import array_jet, point_from
 
 __all__ = [
     "SingularPath",
@@ -222,18 +222,17 @@ def integrate_segment(integrands, z0: complex, z1: complex):
     return [complex(v) for v in values[:, 0]]
 
 
-def _succeeded(errors) -> np.ndarray:
-    return np.array([e is None for e in errors], dtype=bool)
+def _distinct(t):
+    """Distinct entries of t by their bits (0.0 and -0.0 apart), and each entry's index."""
+    bits, inverse = np.unique(np.asarray(t, dtype=float).view(np.int64), return_inverse=True)
+    return bits.view(float), inverse.reshape(-1)
 
 
-def _patch(coords, valid):
-    """Row-major (nu*nv, 3) points from three (nu, nv) coordinate arrays;
-    invalid points are zeroed, as the per-point path leaves them."""
-    points = np.stack([np.broadcast_to(c, valid.shape) for c in coords], axis=-1)
-    points = points.reshape(-1, 3)
-    valid = valid.reshape(-1)
-    points[~valid] = 0.0
-    return points, valid
+def _sample_grid(sampler, grid):
+    """``sample_grid`` from ``points``: row-major (points, valid), failing points zeroed."""
+    coords, errors = sampler.points(*grid.lattice())
+    valid = np.array([e is None for e in errors], dtype=bool)
+    return np.where(valid[:, None], np.column_stack(coords), 0.0), valid
 
 
 def _with_derivatives(exprs):
@@ -546,19 +545,15 @@ class WESampler:
         self._ct = math.cos(self.theta)
         self._st = math.sin(self.theta)
 
-    def point(self, u: float, v: float):
-        ints = integrate_segment(self.data.integrand_tape, self.data.zeta0, complex(u, v))
-        return _family_coords(self.data.offset, ints, self._ct, self._st)
-
-    def sample_grid(self, grid):
-        """The whole lattice in one batched quadrature; failing points are masked."""
-        zeta = np.empty((grid.nu, grid.nv), dtype=complex)
-        zeta.real = grid.u_values()[:, None]
-        zeta.imag = grid.v_values()[None, :]
+    def points(self, u, v):
+        """The points at zeta = u + i v and their errors, in one batched quadrature."""
+        zeta = np.array(u, dtype=complex)
+        zeta.imag = v  # u + 1j * v would turn a -0.0 of u into 0.0
         ints, errors = integrate_segments(self.data.integrand_tape, self.data.zeta0, zeta)
-        coords = _family_coords(self.data.offset, ints.reshape(3, grid.nu, grid.nv),
-                                self._ct, self._st)
-        return _patch(coords, _succeeded(errors).reshape(grid.nu, grid.nv))
+        return _family_coords(self.data.offset, ints, self._ct, self._st), errors
+
+    point = point_from(points)
+    sample_grid = _sample_grid
 
     @array_jet
     def jet(self, u, v):
@@ -665,8 +660,7 @@ def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
 
 
 def _assemble_tlms(qu, qv):
-    """Surface coordinates from the u- and v-integral triples (floats, or
-    arrays that broadcast to a lattice)."""
+    """Surface coordinates from the u- and v-integral triples (arrays or floats)."""
     x = -qu[0] + qv[0]
     y = -0.5 * (qu[1] + qv[1])
     z = 0.5 * (qu[2] - qv[2])
@@ -674,12 +668,8 @@ def _assemble_tlms(qu, qv):
 
 
 def tlms_point(data: TLMSData, u: float, v: float):
-    """Timelike-minimal surface point; the u-part and v-part are independent
-    one-dimensional quadratures."""
-    u0, v0 = data.base
-    qu = [val.real for val in integrate_segment(data.u_tape, u0, u)]
-    qv = [val.real for val in integrate_segment(data.v_tape, v0, v)]
-    return _assemble_tlms(qu, qv)
+    """Timelike-minimal surface point: the one-point case of ``TLMSSampler.points``."""
+    return TLMSSampler(data).point(u, v)
 
 
 class TLMSSampler:
@@ -688,16 +678,17 @@ class TLMSSampler:
     def __init__(self, data: TLMSData):
         self.data = data
 
-    def point(self, u: float, v: float):
-        return tlms_point(self.data, u, v)
+    def points(self, u, v):
+        """Each distinct u and v is integrated once (a lattice costs nu + nv
+        integrals); a point's error is its u-integral's, else its v-integral's."""
+        (us, iu), (vs, iv) = _distinct(u), _distinct(v)
+        qu, eu = integrate_segments(self.data.u_tape, self.data.base[0], us)
+        qv, ev = integrate_segments(self.data.v_tape, self.data.base[1], vs)
+        errors = [eu[i] or ev[j] for i, j in zip(iu.tolist(), iv.tolist())]
+        return _assemble_tlms(qu.real[:, iu], qv.real[:, iv]), errors
 
-    def sample_grid(self, grid):
-        """nu + nv one-dimensional integrals broadcast over the lattice."""
-        u0, v0 = self.data.base
-        qu, eu = integrate_segments(self.data.u_tape, u0, grid.u_values())
-        qv, ev = integrate_segments(self.data.v_tape, v0, grid.v_values())
-        coords = _assemble_tlms(qu.real[:, :, None], qv.real[:, None, :])
-        return _patch(coords, _succeeded(eu)[:, None] & _succeeded(ev)[None, :])
+    point = point_from(points)
+    sample_grid = _sample_grid
 
     @array_jet
     def jet(self, u, v):
@@ -769,18 +760,11 @@ def bc_point(data: BCData, r: float, s: float):
     x = (F + G - I_s[s^2 G'] - I_r[r^2 F'])/2,
     y = (G - F - I_r[r^2 F'] + I_s[s^2 G'])/2,
     z = I_r[r F'] + I_s[s G']."""
-    qr = [val.real for val in integrate_segment(data.r_tape, 0.0, r)]
-    qs = [val.real for val in integrate_segment(data.s_tape, 0.0, s)]
-    # F(r) and G(s) by eval_array, as sample_grid evaluates them
-    (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([r]), data.G.eval_array([s])
-    if f_errors or g_errors:
-        raise (f_errors or g_errors)[0]
-    return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
+    return BCSampler(data).point(r, s)
 
 
 def _assemble_bc(qr, qs, f_r, g_s):
-    """Soliton coordinates from the r- and s-integrals and F(r), G(s) (floats,
-    or arrays that broadcast to a lattice)."""
+    """Soliton coordinates from the r- and s-integrals and F(r), G(s)."""
     x = 0.5 * (f_r + g_s - qs[0] - qr[0])
     y = 0.5 * (g_s - f_r - qr[0] + qs[0])
     z = qr[1] + qs[1]
@@ -793,23 +777,19 @@ class BCSampler:
     def __init__(self, data: BCData):
         self.data = data
 
-    def point(self, u: float, v: float):
-        return bc_point(self.data, u, v)
-
-    def sample_grid(self, grid):
-        """nr + ns one-dimensional integrals broadcast over the lattice."""
-        rs, ss = grid.u_values(), grid.v_values()
+    def points(self, u, v):
+        """Each distinct r = u and s = v is integrated and evaluated once; a point's
+        error is its r-integral's, s-integral's, F(r)'s or G(s)'s, in that order."""
+        (rs, ir), (ss, js) = _distinct(u), _distinct(v)
         qr, er = integrate_segments(self.data.r_tape, 0.0, rs)
         qs, es = integrate_segments(self.data.s_tape, 0.0, ss)
-        f_r, ef = self.data.F.eval_array(rs)
-        g_s, eg = self.data.G.eval_array(ss)
-        ok_r = _succeeded(er)
-        ok_r[list(ef)] = False
-        ok_s = _succeeded(es)
-        ok_s[list(eg)] = False
-        coords = _assemble_bc(qr.real[:, :, None], qs.real[:, None, :],
-                              f_r.real[:, None], g_s.real[None, :])
-        return _patch(coords, ok_r[:, None] & ok_s[None, :])
+        (f_r, ef), (g_s, eg) = self.data.F.eval_array(rs), self.data.G.eval_array(ss)
+        errors = [er[i] or es[j] or ef.get(i) or eg.get(j)
+                  for i, j in zip(ir.tolist(), js.tolist())]
+        return _assemble_bc(qr.real[:, ir], qs.real[:, js], f_r.real[ir], g_s.real[js]), errors
+
+    point = point_from(points)
+    sample_grid = _sample_grid
 
     @array_jet
     def jet(self, u, v):

@@ -211,6 +211,16 @@ def array_jet(jet):
     return either
 
 
+def point_from(points):
+    """``point(u, v)``: one-element ``points``, returning its floats or raising its error."""
+    def point(self, u, v):
+        coords, errors = points(self, np.array([float(u)]), np.array([float(v)]))
+        if errors[0] is not None:
+            raise errors[0]
+        return tuple(c[0].item() for c in coords)
+    return point
+
+
 def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
                              use_exact_jet: bool = True):
     """Normalized mean-curvature numerator E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N> at
@@ -218,7 +228,7 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
 
     Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``
     when it has one (and ``use_exact_jet``), otherwise 5-point central
-    differences of ``sampler.point``, called once per stencil point.
+    differences of ``sampler.points``, called once per stencil shift.
     Normalization by (|E|+|F|+|G|) * |N|_euclid makes values scale-comparable;
     a point where either factor overflows, or the jet has a pole, is NaN.
     """
@@ -229,8 +239,11 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
         xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
     else:
         def at(uu, vv):
-            return np.array([sampler.point(*p) for p in zip(uu.tolist(), vv.tolist())], float)
-        xu, xv, xuu, xuv, xvv = (tuple(d.T) for d in _central_jet(at, u, v, FD_STEP)[1:])
+            coords, errors = sampler.points(uu, vv)
+            for failed in filter(None, errors):  # the first failing point raises
+                raise failed
+            return np.array(coords, float)
+        xu, xv, xuu, xuv, xvv = (tuple(d) for d in _central_jet(at, u, v, FD_STEP)[1:])
 
     with np.errstate(all="ignore"):
         E = metric.inner(xu, xu)
@@ -325,7 +338,7 @@ class GraphLiftSampler:
 
     The ``jet`` attribute is bound only when the surface has an exact jet;
     otherwise the parametric checker falls back to central differences of
-    ``point``, as it does for every sampler with ``use_exact_jet=False``.
+    ``points``, as it does for every sampler with ``use_exact_jet=False``.
     """
 
     def __init__(self, surface):
@@ -333,8 +346,14 @@ class GraphLiftSampler:
         if getattr(surface, "exact_jet", None) is not None:
             self.jet = self._exact_jet
 
-    def point(self, u, v):
-        return (u, v, self.surface.height_at(u, v))
+    def points(self, u, v):
+        """(u, v, heights(u, v)); a non-finite height has ``height_at``'s error."""
+        z = self.surface.heights(u, v)
+        return (u, v, z), [None if ok else DomainViolation(
+            f"{self.surface.id} has no finite real value at ({x}, {y})", [(x, y)])
+            for x, y, ok in zip(u.tolist(), v.tolist(), np.isfinite(z).tolist())]
+
+    point = point_from(points)
 
     @array_jet
     def _exact_jet(self, u, v):

@@ -89,6 +89,18 @@ def test_residual_parametric_tlms_takes_the_tlms_mesh_defaults(capsys):
     assert "[PASS] parametric-zmc:tlms" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method", ["exact", "central-diff"])
+def test_residual_parametric_runs_the_method_it_reports(method, tmp_path):
+    report = tmp_path / "tlms.json"
+    rc = main(["residual", "parametric", "--source", "tlms", "--metric", "l3",
+               "--method", method, "--grid", "0:0.8:5,0:0.8:5", "--report", str(report)])
+    assert rc == 0
+    data = _load(report)
+    assert data["parameters"]["jets"] == method
+    # exact jets are machine precision here; central differences are not
+    assert (data["max_abs_err"] < 1e-14) == (method == "exact")
+
+
 def test_we_eval_prints_point(capsys):
     rc = main(["we", "eval", "--f", "1", "--g", "w", "--zeta", "1"])
     assert rc == 0

@@ -5,15 +5,20 @@
   reference on the tree walk;
 * ``sample_grid`` lattices against per-point ``point()`` sampling (the
   ``reference_sample`` loop of ``test_meshio_arrays``);
+* each sampler's ``points`` against one ``integrate_segment`` per integral and
+  the assembly formula per point, and the central-difference parametric
+  check against the same stencil over a per-point loop;
 * quadrature against 50-digit mpmath integrals.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
-from test_meshio_arrays import _same_patch, reference_sample
+from test_meshio_arrays import _POINT_ERRORS, _same_patch, reference_sample
 
+from zmcsurf import catalog, zmc
 from zmcsurf.expr import (
     FUNCTIONS,
     Binary,
@@ -35,6 +40,9 @@ from zmcsurf.reps import (
     TLMSSampler,
     WEData,
     WESampler,
+    _assemble_bc,
+    _assemble_tlms,
+    _family_coords,
     integrate_segment,
     integrate_segments,
     tlms_point,
@@ -318,6 +326,144 @@ def test_translation_samplers_integrate_each_axis_once(monkeypatch):
     TLMSSampler(TLMSData.from_text("1", "1", "u", "v")).sample_grid(grid)
     BCSampler(BCData.from_text("r", "s")).sample_grid(grid)
     assert calls == [6, 9, 6, 9]
+
+
+# ---------------------------------------------------------------------------
+# batched points against the per-point formulas
+# ---------------------------------------------------------------------------
+
+def _reference_point(sampler, u, v):
+    """One point the scalar way: one ``integrate_segment`` per integral and the
+    assembly formula, or ``height_at`` for a graph lift."""
+    data = getattr(sampler, "data", None)
+    if isinstance(sampler, WESampler):
+        ints = integrate_segment(data.integrand_tape, data.zeta0, complex(u, v))
+        return _family_coords(data.offset, ints, math.cos(sampler.theta), math.sin(sampler.theta))
+    if isinstance(sampler, TLMSSampler):
+        qu = [c.real for c in integrate_segment(data.u_tape, data.base[0], u)]
+        qv = [c.real for c in integrate_segment(data.v_tape, data.base[1], v)]
+        return _assemble_tlms(qu, qv)
+    if isinstance(sampler, BCSampler):
+        qr = [c.real for c in integrate_segment(data.r_tape, 0.0, u)]
+        qs = [c.real for c in integrate_segment(data.s_tape, 0.0, v)]
+        (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([u]), data.G.eval_array([v])
+        if f_errors or g_errors:
+            raise (f_errors or g_errors)[0]
+        return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
+    return (u, v, sampler.surface.height_at(u, v))
+
+
+def _scattered(values_u, values_v, n=24, seed=20240801):
+    """n unsorted (u, v) pairs drawn with repeats from the given values and both
+    signs of zero, followed by the four signed-zero pairs."""
+    rng = np.random.default_rng(seed)
+    u = rng.choice(np.array([*values_u, 0.0, -0.0]), n)
+    v = rng.choice(np.array([*values_v, 0.0, -0.0]), n)
+    return np.concatenate([u, [0.0, -0.0, 0.0, -0.0]]), np.concatenate([v, [0.0, 0.0, -0.0, -0.0]])
+
+
+@pytest.mark.parametrize("sampler, values_u, values_v", [
+    # the pole windows of test_sample_grid_matches_point_sampling and
+    # test_we_lattice_masks_the_paths_through_the_pole
+    (WESampler(WEData.from_text("1/w", "w", zeta0=1.0)), (-3, -1, -0.5, 0.5, 1), (-0.5, 0.5, 1)),
+    (WESampler(WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal", offset=(1, -2, 0.5)),
+               theta=0.7), (-0.6, 0.6), (-0.6, 0.3)),
+    (TLMSSampler(TLMSData.from_text("1/u", "1", "u", "v", base=(1.0, 0.0))),
+     (-1, -0.5, 0.5, 1), (0.25, 0.5)),
+    (BCSampler(BCData.from_text("log(r)", "s")), (-0.5, 0.5, 1), (0.1, 0.5, 0.9)),
+    # at (0, 1) both the s-integral (through the pole at 0.5) and F(0) fail
+    (BCSampler(BCData.from_text("log(r)", "1/(s - 0.5)")), (0.5,), (1, 0.25)),
+    # F(-0.0) = -0.0 and G(-0.0) = -0.0: merging the zeros flips signs of x and y
+    (BCSampler(BCData.from_text("sin(r)", "sin(s)")), (-0.4, 0.3), (0.2, -0.6)),
+    (zmc.GraphLiftSampler(catalog.builtin_surface("helicoid")), (-0.5, 0.3), (0.4, -2.0)),
+], ids=["we-pole", "we-maximal", "tlms-pole", "bc-log", "bc-order", "bc-sin", "lift-helicoid"])
+def test_points_equal_the_per_point_formulas(sampler, values_u, values_v):
+    u, v = _scattered(values_u, values_v)
+    coords, errors = sampler.points(u, v)
+    got = np.array(coords, float)
+    assert got.shape == (3, u.size) and len(errors) == u.size
+    failures = 0
+    for k, (uk, vk) in enumerate(zip(u.tolist(), v.tolist())):
+        try:
+            want = np.array(_reference_point(sampler, uk, vk), float)
+        except _POINT_ERRORS as exc:
+            failures += 1
+            assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc), (uk, vk)
+            continue
+        assert errors[k] is None, (uk, vk)
+        assert got[:, k].tobytes() == want.tobytes(), (uk, vk)
+    assert failures < u.size
+
+
+class _PerPointStencil:
+    """A sampler's central-difference jet the scalar way: the 5-point stencil
+    over a loop of ``_reference_point``, offered as an exact jet."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+
+    def jet(self, u, v):
+        def at(uu, vv):
+            return np.array([_reference_point(self.sampler, *p)
+                             for p in zip(uu.tolist(), vv.tolist())], float)
+        return tuple(tuple(d.T) for d in zmc._central_jet(at, u, v, zmc.FD_STEP)[1:])
+
+
+_STENCIL_CASES = {
+    "we": (WESampler(WEData.from_text("exp(w)", "sin(w)")), zmc.EUCLID3,
+           GridSpec(-0.6, 0.6, -0.5, 0.7, 4, 3)),
+    "we-maximal": (WESampler(WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal"), theta=0.7),
+                   zmc.LORENTZ3, GridSpec(-0.6, 0.6, -0.6, 0.6, 3, 4)),
+    "tlms": (TLMSSampler(TLMSData.from_text("1 + u^2", "2 - v", "u", "v^2", base=(0.1, -0.2))),
+             zmc.LORENTZ3, GridSpec(0, 0.8, -0.4, 0.8, 4, 3)),
+    "bc": (BCSampler(BCData.from_text("r + r^3", "sin(s)")), zmc.LORENTZ3_PRIME,
+           GridSpec(-0.7, 0.8, 0, 0.8, 3, 4)),
+    **{f"lift-{sid}": (zmc.GraphLiftSampler(catalog.builtin_surface(sid)), metric,
+                       GridSpec(0.1, 0.9, -0.8, 0.8, 5, 5))
+       for sid, metric in (("scherk2", zmc.EUCLID3), ("helicoid", zmc.EUCLID3),
+                           ("scherkBI", zmc.LORENTZ3_PRIME))},
+    # stencils that meet a pole: the first failing point of the loop raises
+    "we-pole": (WESampler(WEData.from_text("1/w", "w", zeta0=1.0)), zmc.EUCLID3,
+                GridSpec(-1.2, -0.8, -0.2, 0.2, 3, 3)),
+    "tlms-pole": (TLMSSampler(TLMSData.from_text("1/u", "1", "u", "v", base=(1.0, 0.0))),
+                  zmc.LORENTZ3, GridSpec(-0.0002, 0.5, 0, 0.5, 3, 3)),
+    "bc-log": (BCSampler(BCData.from_text("log(r)", "s")), zmc.LORENTZ3_PRIME,
+               GridSpec(0.0001, 0.8, 0.1, 0.8, 3, 3)),
+    "lift-helicoid-axis": (zmc.GraphLiftSampler(catalog.builtin_surface("helicoid")),
+                           zmc.EUCLID3, GridSpec(-0.5, 0.0002, -0.8, 0.8, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_STENCIL_CASES))
+def test_central_difference_sweep_equals_the_per_point_stencil(case):
+    sampler, metric, grid = _STENCIL_CASES[case]
+    u, v = grid.lattice()
+    try:
+        want = zmc.parametric_zmc_numerator(_PerPointStencil(sampler), metric, u, v)
+    except _POINT_ERRORS as exc:
+        assert case.endswith(("-pole", "-log", "-axis"))
+        with pytest.raises(type(exc)) as got:
+            zmc.parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=False)
+        assert str(got.value) == str(exc)
+        return
+    got = zmc.parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=False)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, calls", [("we", 25), ("tlms", 50), ("bc", 50)])
+def test_central_difference_sweep_integrates_once_per_stencil_shift(case, calls, monkeypatch):
+    import zmcsurf.reps as reps
+    counted = []
+    original = reps.integrate_segments
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reps, "integrate_segments", counting)
+    sampler, metric, grid = _STENCIL_CASES[case]
+    zmc.parametric_sweep(sampler, metric, grid, use_exact_jet=False)
+    assert len(counted) == calls
 
 
 def test_bc_second_derivatives_are_cached():

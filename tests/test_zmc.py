@@ -170,26 +170,33 @@ def test_signature_metric_validation():
         SignatureMetric((1, 1, 0))
 
 
-class _Plane:
-    def point(self, u, v):
-        return (u, v, 0.0)
+class _Formula:
+    """A sampler whose ``points`` are its closed-form ``coords``, which never fail."""
+
+    def points(self, u, v):
+        return self.coords(u, v), [None] * u.size
 
 
-class _Sphere:
-    def point(self, u, v):
-        return (math.cos(u) * math.cos(v), math.sin(u) * math.cos(v), math.sin(v))
+class _Plane(_Formula):
+    def coords(self, u, v):
+        return (u, v, np.zeros_like(u))
 
 
-class _Pinched:
-    def point(self, u, v):
-        return (u, u, 0.0)
+class _Sphere(_Formula):
+    def coords(self, u, v):
+        return (np.cos(u) * np.cos(v), np.sin(u) * np.cos(v), np.sin(v))
 
 
-class _Creased:
+class _Pinched(_Formula):
+    def coords(self, u, v):
+        return (u, u, np.zeros_like(u))
+
+
+class _Creased(_Formula):
     """Degenerate along u = 0, where X_v vanishes."""
 
-    def point(self, u, v):
-        return (u, u * v, 0.0)
+    def coords(self, u, v):
+        return (u, u * v, np.zeros_like(u))
 
 
 def test_plane_numerator_is_exactly_zero():
@@ -256,7 +263,8 @@ def test_parametric_check_is_local_where_the_path_is_singular():
     assert report.passed and report.max_abs_err < 1e-14
 
 
-@pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI"])
+@pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI",
+                                        "expr:log(cos(y)/cos(x))"])
 def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
     # The parametric stencil of the lift (x, y, Z(x, y)) evaluates Z at the same
     # points in the same order as the graph stencil, so its z entries agree bit
@@ -268,6 +276,13 @@ def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
         parametric = zmc._central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
         assert [entry[2] for entry in parametric] == [
             graph.z, graph.z_x, graph.z_y, graph.z_xx, graph.z_xy, graph.z_yy]
+    # On a lattice both evaluate each stencil shift as one array, where an
+    # expr: surface runs its tape rather than the one-point tree walk.
+    x, y = GridSpec(0.05, 0.9, 0.1, 0.85, 9, 7).lattice()
+    graph = zmc.graph_jets(surf, x, y, method="central-diff", h=1e-3)
+    parametric = zmc._central_jet(lambda u, v: np.array(lift.points(u, v)[0]), x, y, 1e-3)
+    for entry, name in zip(parametric, ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")):
+        assert entry[2].tobytes() == getattr(graph, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +334,11 @@ def test_pole_in_a_parametric_jet_fails_the_report(sampler, metric, grid):
     assert math.isnan(report.worst_point["lhs"])
 
 
-class _HugePlane:
+class _HugePlane(_Formula):
     """The plane (1e100 u, 1e100 v, 0), with a constant jet: E = G = 1e200."""
 
-    def point(self, u, v):
-        return (1e100 * u, 1e100 * v, 0.0)
+    def coords(self, u, v):
+        return (1e100 * u, 1e100 * v, np.zeros_like(u))
 
     def jet(self, u, v):
         return ((1e100, 0.0, 0.0), (0.0, 1e100, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0),
