@@ -315,9 +315,9 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
 
 
 def _expr_surface(text: str) -> HeightSurface:
-    """A user graph: the tree walk at one point, tapes on more (complex values;
-    real points take the real part).  A lattice jet evaluates the six jet
-    trees on one tape, built on first use."""
+    """A user graph: the tree walk at a 0-d point, tapes on arrays of any size
+    (complex values; real points take the real part).  A lattice jet evaluates
+    the six jet trees on one tape, built on first use."""
     e = _expr.parse_xy(text)
     ex, ey = e.partial("x"), e.partial("y")
     trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
@@ -327,13 +327,12 @@ def _expr_surface(text: str) -> HeightSurface:
         return _expr.Tape(trees)
 
     def value(tree, x, y):
-        if np.size(x) == 1 and np.size(y) == 1:
-            try:
-                v = tree.eval(np.ravel(x)[0], np.ravel(y)[0])
-            except _expr.EvalDomainError:
-                v = complex("nan")
-            return np.full(np.broadcast(x, y).shape, v)[()]
-        return tree.eval_array(x, y)[0]
+        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
+            return tree.eval_array(x, y)[0]
+        try:
+            return tree.eval(x, y)
+        except _expr.EvalDomainError:
+            return complex("nan")
 
     def height(x, y):
         return value(e, x, y)
@@ -342,10 +341,10 @@ def _expr_surface(text: str) -> HeightSurface:
         return np.isfinite(_real_part(height(x, y)))
 
     def jet(x, y):
-        if np.size(x) == 1 and np.size(y) == 1:
-            vals = [value(tree, x, y) for tree in trees]
-        else:
+        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
             vals = list(jet_tape()(x, y)[0])
+        else:
+            vals = [value(tree, x, y) for tree in trees]
         if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
             vals = [v.real for v in vals]
         return GraphJet(*vals)

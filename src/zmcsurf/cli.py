@@ -169,10 +169,7 @@ def _cmd_we(args) -> int:
         if args.zeta is None:
             raise argparse.ArgumentTypeError("we eval needs --zeta")
         zeta = parse_complex(args.zeta)
-        if args.theta:
-            pt = reps.WESampler(data, args.theta).point(zeta.real, zeta.imag)
-        else:
-            pt = reps.we_point(data, zeta)
+        pt = reps.WESampler(data, args.theta).point(zeta.real, zeta.imag)
         print(" ".join(_fmt_real(v) for v in pt))
         return 0
     if args.verb == "mesh":

@@ -167,14 +167,14 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
         right = leaf_height(xb + BOUNDARY_DELTA, ys)
         boundary.add_many(np.abs(left - right), [(xb, y) for y in ys.tolist()], left, right)
 
-    # Draw the pairs in the order of a one-at-a-time rejection loop.
+    # Draw the pairs as a one-at-a-time rejection loop of rng.uniform(lo, hi) does.
     rng = random.Random(seed)
     margin = max(grid.margin, 1e-6)
+    lo, hi = np.array([grid.u_min, grid.v_min]), np.array([grid.u_max, grid.v_max])
     x = y = np.empty(0)
     while x.size < n_random:
-        draws = np.array([(rng.uniform(grid.u_min, grid.u_max),
-                           rng.uniform(grid.v_min, grid.v_max))
-                          for _ in range(n_random - x.size)])
+        m = n_random - x.size
+        draws = lo + (hi - lo) * np.array([rng.random() for _ in range(2 * m)]).reshape(m, 2)
         keep = np.hypot(_band(draws[:, 0])[1], draws[:, 1]) > margin
         x, y = np.concatenate([x, draws[keep, 0]]), np.concatenate([y, draws[keep, 1]])
     checked = x.size

@@ -93,8 +93,9 @@ class JacobianSingular(ArithmeticError):
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # Upper bound on nodes per vectorized evaluation; active endpoints are
-# processed in chunks that stay under it (one endpoint may exceed it).
-_MAX_NODES = 1 << 16
+# processed in chunks that stay under it (one endpoint may exceed it).  Small
+# enough that a chunk's complex128 temporaries stay in a 2 MiB L2 cache.
+_MAX_NODES = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -322,10 +323,8 @@ def _family_coords(offset, ints, ct, st):
 
 
 def we_point(data: WEData, zeta: complex):
-    """Surface point offset + Re of the straight-path integral triple."""
-    ints = integrate_segment(data.integrand_tape, data.zeta0, zeta)
-    x0, y0, z0 = data.offset
-    return (x0 + ints[0].real, y0 + ints[1].real, z0 + ints[2].real)
+    """Surface point at zeta: the one-point case of ``WESampler(data).points``."""
+    return WESampler(data).point(complex(zeta).real, complex(zeta).imag)
 
 
 # Radius of the disk around the basepoint on which splits are sampled and checked.

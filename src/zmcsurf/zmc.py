@@ -89,18 +89,25 @@ FD_STEP = 1e-4
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
-def _central_jet(f, u, v, h):
-    """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) of f(u, v)
-    with step h; u, v and f's values may be scalars or numpy arrays.
+def _stencil(u, v, h):
+    """The 25 shifted copies of (u, v) in shape (25, *shape), row 5 * di + dj + 12
+    for shift (di, dj); an unshifted coordinate keeps its own bits."""
+    su, sv = (np.stack([t + d * h if d else t for d in range(-2, 3)])
+              for t in np.broadcast_arrays(u, v))
+    return np.repeat(su, 5, axis=0), np.concatenate([sv] * 5)
 
-    f is called once at each of the 25 distinct stencil points.
-    """
-    memo = {}
 
+# The stencil rows in the order the formulas below first use them (z, then the
+# f_u, f_v and f_uv terms): a failing stencil reports its errors in this order.
+_EVAL_ORDER = [5 * di + dj + 12 for di, dj in [(0, 0)] + [(d, 0) for d, _ in _D1]
+               + [(0, d) for d, _ in _D1] + [(di, dj) for di, _ in _D1 for dj, _ in _D1]]
+
+
+def _central_jet(f, h):
+    """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) with step h
+    from the values ``f`` at a ``_stencil``, an array of shape (25, ...)."""
     def at(di, dj):
-        if (di, dj) not in memo:
-            memo[di, dj] = f(u + di * h if di else u, v + dj * h if dj else v)
-        return memo[di, dj]
+        return f[5 * di + dj + 12]
 
     z = at(0, 0)
     zu = sum(c * at(d, 0) for d, c in _D1) / (12 * h)
@@ -116,10 +123,10 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
 
     ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
     ExactUnavailable when there is none (no silent fallback: the caller
-    chooses).  ``method="central-diff"`` uses 5-point stencils with step h on
-    the surface's ``heights``, and raises DomainViolation when a stencil
-    point leaves ``domain_ok``.  Entries are arrays shaped like x and y
-    (scalars for scalar x and y).
+    chooses).  ``method="central-diff"`` evaluates the 5-point stencil with step
+    h as one stack (one ``domain_ok`` and one ``heights`` call); a point outside
+    the domain raises DomainViolation with the first failing shift's first five
+    (di-major).  Entries are arrays shaped like x and y (scalars for scalar x, y).
     """
     if method == "exact":
         jet_fn = getattr(surface, "exact_jet", None)
@@ -130,18 +137,17 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     if method != "central-diff":
         raise ValueError(f"unknown jet method {method!r}")
 
+    su, sv = _stencil(x, y, h)
     domain_ok = getattr(surface, "domain_ok", None)
     if domain_ok is not None:
-        shape = np.broadcast(x, y).shape
-        for di in range(-2, 3):
-            for dj in range(-2, 3):
-                px, py = np.broadcast_arrays(x + di * h, y + dj * h)
-                bad = ~np.broadcast_to(domain_ok(px, py, 0.0), shape)
-                if bad.any():
-                    raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
-                                          list(zip(px[bad].tolist(), py[bad].tolist()))[:5])
+        px, py = (t.reshape(25, -1) + 0.0 for t in (su, sv))  # as x + 0 * h: -0.0 is 0.0
+        bad = ~np.broadcast_to(domain_ok(px, py, 0.0), px.shape)
+        if bad.any():
+            k = bad.any(axis=1).argmax()
+            raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
+                                  list(zip(px[k][bad[k]].tolist(), py[k][bad[k]].tolist()))[:5])
     with np.errstate(all="ignore"):
-        return GraphJet(*_central_jet(surface.heights, x, y, h))
+        return GraphJet(*_central_jet(np.broadcast_to(surface.heights(su, sv), su.shape), h))
 
 
 def one_point(x, y):
@@ -228,7 +234,7 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
 
     Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``
     when it has one (and ``use_exact_jet``), otherwise 5-point central
-    differences of ``sampler.points``, called once per stencil shift.
+    differences of ``sampler.points``, called once on the flattened stencil.
     Normalization by (|E|+|F|+|G|) * |N|_euclid makes values scale-comparable;
     a point where either factor overflows, or the jet has a pole, is NaN.
     """
@@ -238,12 +244,11 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
     if use_exact_jet and hasattr(sampler, "jet"):
         xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
     else:
-        def at(uu, vv):
-            coords, errors = sampler.points(uu, vv)
-            for failed in filter(None, errors):  # the first failing point raises
-                raise failed
-            return np.array(coords, float)
-        xu, xv, xuu, xuv, xvv = (tuple(d) for d in _central_jet(at, u, v, FD_STEP)[1:])
+        coords, errors = sampler.points(*(t.reshape(-1) for t in _stencil(u, v, FD_STEP)))
+        for failed in filter(None, np.array(errors, object).reshape(25, -1)[_EVAL_ORDER].flat):
+            raise failed  # the first failing point of the first failing shift
+        stack = np.array(coords, float).reshape(3, 25, -1).swapaxes(0, 1)
+        xu, xv, xuu, xuv, xvv = (tuple(d) for d in _central_jet(stack, FD_STEP)[1:])
 
     with np.errstate(all="ignore"):
         E = metric.inner(xu, xu)

@@ -3,7 +3,7 @@
 * compiled expression evaluation against the tree walk ``expr._eval_node``;
 * batched quadrature against the per-point refinement loop, kept below as a
   reference on the tree walk;
-* ``sample_grid`` lattices against per-point ``point()`` sampling (the
+* ``sample_grid`` lattices against the per-point formulas (the
   ``reference_sample`` loop of ``test_meshio_arrays``);
 * each sampler's ``points`` against one ``integrate_segment`` per integral and
   the assembly formula per point, and the central-difference parametric
@@ -12,11 +12,11 @@
 """
 
 import cmath
-import math
 
 import numpy as np
 import pytest
-from test_meshio_arrays import _POINT_ERRORS, _same_patch, reference_sample
+from test_lattice import per_shift_central_jet
+from test_meshio_arrays import _POINT_ERRORS, _same_patch, reference_point, reference_sample
 
 from zmcsurf import catalog, zmc
 from zmcsurf.expr import (
@@ -40,9 +40,6 @@ from zmcsurf.reps import (
     TLMSSampler,
     WEData,
     WESampler,
-    _assemble_bc,
-    _assemble_tlms,
-    _family_coords,
     integrate_segment,
     integrate_segments,
     tlms_point,
@@ -237,7 +234,7 @@ def test_batch_result_does_not_depend_on_its_companions():
 
 
 # ---------------------------------------------------------------------------
-# whole-lattice samplers against per-point sampling
+# whole-lattice samplers against the per-point formulas
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("sampler, grid", [
@@ -332,27 +329,6 @@ def test_translation_samplers_integrate_each_axis_once(monkeypatch):
 # batched points against the per-point formulas
 # ---------------------------------------------------------------------------
 
-def _reference_point(sampler, u, v):
-    """One point the scalar way: one ``integrate_segment`` per integral and the
-    assembly formula, or ``height_at`` for a graph lift."""
-    data = getattr(sampler, "data", None)
-    if isinstance(sampler, WESampler):
-        ints = integrate_segment(data.integrand_tape, data.zeta0, complex(u, v))
-        return _family_coords(data.offset, ints, math.cos(sampler.theta), math.sin(sampler.theta))
-    if isinstance(sampler, TLMSSampler):
-        qu = [c.real for c in integrate_segment(data.u_tape, data.base[0], u)]
-        qv = [c.real for c in integrate_segment(data.v_tape, data.base[1], v)]
-        return _assemble_tlms(qu, qv)
-    if isinstance(sampler, BCSampler):
-        qr = [c.real for c in integrate_segment(data.r_tape, 0.0, u)]
-        qs = [c.real for c in integrate_segment(data.s_tape, 0.0, v)]
-        (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([u]), data.G.eval_array([v])
-        if f_errors or g_errors:
-            raise (f_errors or g_errors)[0]
-        return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
-    return (u, v, sampler.surface.height_at(u, v))
-
-
 def _scattered(values_u, values_v, n=24, seed=20240801):
     """n unsorted (u, v) pairs drawn with repeats from the given values and both
     signs of zero, followed by the four signed-zero pairs."""
@@ -385,7 +361,7 @@ def test_points_equal_the_per_point_formulas(sampler, values_u, values_v):
     failures = 0
     for k, (uk, vk) in enumerate(zip(u.tolist(), v.tolist())):
         try:
-            want = np.array(_reference_point(sampler, uk, vk), float)
+            want = np.array(reference_point(sampler, uk, vk), float)
         except _POINT_ERRORS as exc:
             failures += 1
             assert type(errors[k]) is type(exc) and str(errors[k]) == str(exc), (uk, vk)
@@ -397,16 +373,16 @@ def test_points_equal_the_per_point_formulas(sampler, values_u, values_v):
 
 class _PerPointStencil:
     """A sampler's central-difference jet the scalar way: the 5-point stencil
-    over a loop of ``_reference_point``, offered as an exact jet."""
+    over a loop of ``reference_point``, offered as an exact jet."""
 
     def __init__(self, sampler):
         self.sampler = sampler
 
     def jet(self, u, v):
         def at(uu, vv):
-            return np.array([_reference_point(self.sampler, *p)
+            return np.array([reference_point(self.sampler, *p)
                              for p in zip(uu.tolist(), vv.tolist())], float)
-        return tuple(tuple(d.T) for d in zmc._central_jet(at, u, v, zmc.FD_STEP)[1:])
+        return tuple(tuple(d.T) for d in per_shift_central_jet(at, u, v, zmc.FD_STEP)[1:])
 
 
 _STENCIL_CASES = {
@@ -450,20 +426,24 @@ def test_central_difference_sweep_equals_the_per_point_stencil(case):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case, calls", [("we", 25), ("tlms", 50), ("bc", 50)])
-def test_central_difference_sweep_integrates_once_per_stencil_shift(case, calls, monkeypatch):
+@pytest.mark.parametrize("case, calls", [("we", 1), ("tlms", 2), ("bc", 2)])
+def test_central_difference_sweep_integrates_the_stencil_in_one_call_per_axis(
+        case, calls, monkeypatch):
     import zmcsurf.reps as reps
-    counted = []
+    endpoints = []
     original = reps.integrate_segments
 
-    def counting(*args, **kwargs):
-        counted.append(1)
-        return original(*args, **kwargs)
+    def counting(integrands, z0, z1, *args, **kwargs):
+        endpoints.append(np.size(z1))
+        return original(integrands, z0, z1, *args, **kwargs)
 
     monkeypatch.setattr(reps, "integrate_segments", counting)
     sampler, metric, grid = _STENCIL_CASES[case]
     zmc.parametric_sweep(sampler, metric, grid, use_exact_jet=False)
-    assert len(counted) == calls
+    assert len(endpoints) == calls
+    # WE integrates every stencil point; TLMS and BC each distinct shifted u and v once.
+    nu, nv = grid.nu, grid.nv
+    assert endpoints == ([25 * nu * nv] if case == "we" else [5 * nu, 5 * nv])
 
 
 def test_bc_second_derivatives_are_cached():

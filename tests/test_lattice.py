@@ -8,14 +8,16 @@ count), that each sweep equals a per-point loop over the scalar calls, and
 that the formulas agree with a 50-digit mpmath oracle.
 """
 
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
 
-from zmcsurf import catalog, foliation, zmc
+from zmcsurf import catalog, expr, foliation, zmc
 from zmcsurf.catalog import builtin_surface, identity_terms
+from zmcsurf.errors import DomainViolation
 from zmcsurf.foliation import LeafSurface
 from zmcsurf.meshio import GridSpec
 from zmcsurf.report import ErrorStats
@@ -91,6 +93,26 @@ def test_scalar_real_jet_equals_the_lattice_entry(surface):
         one = zmc.graph_jet(surface, x, y)
         for name in JET_FIELDS:
             assert repr(float(getattr(one, name))) == repr(float(getattr(jets, name)[k]))
+
+
+def test_expr_one_element_arrays_are_lattice_entries_and_0d_is_the_tree_walk():
+    text = "log(cos(y)/cos(x))"
+    surface, tree = builtin_surface(f"expr:{text}"), expr.parse_xy(text)
+    u, v = GridSpec(0.05, 0.9, 0.1, 0.85, 23, 19).lattice()
+    heights, jets = surface.height(u, v), surface.exact_jet(u, v)
+    stencil = zmc.graph_jets(surface, u, v, method="central-diff")
+    for k, (x, y) in enumerate(zip(u.tolist(), v.tolist())):
+        one = surface.height(np.array([x]), np.array([y]))
+        assert one.shape == (1,) and repr(complex(one[0])) == repr(complex(heights[k]))
+        jet = surface.exact_jet(np.array([x]), np.array([y]))
+        fd = zmc.graph_jet(surface, x, y, method="central-diff")
+        for name in JET_FIELDS:
+            assert repr(float(getattr(jet, name)[0])) == repr(float(getattr(jets, name)[k]))
+            assert repr(float(getattr(fd, name))) == repr(float(getattr(stencil, name)[k]))
+        value = surface.height(x, y)
+        assert type(value) is complex and repr(value) == repr(tree.eval(x, y))
+    # the tree walk's domain error is a nan height at a 0-d point
+    assert cmath.isnan(builtin_surface("expr:log(x) + y").height(0.0, 1.0))
 
 
 _IDENTITIES = [
@@ -171,6 +193,43 @@ def test_identity_sweep_equals_the_per_point_loop(identity_id, n, params):
     assert _report(catalog.verify_identity(inst, grid)) == want
 
 
+def per_shift_central_jet(f, u, v, h):
+    """The 5-point central-difference jet one stencil shift at a time: f is called
+    once per shift, in the order the formulas first use the shifts.  The
+    reference for ``zmc._central_jet``, which combines one stacked evaluation."""
+    memo = {}
+
+    def at(di, dj):
+        if (di, dj) not in memo:
+            memo[di, dj] = f(u + di * h if di else u, v + dj * h if dj else v)
+        return memo[di, dj]
+
+    d1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
+    z = at(0, 0)
+    zu = sum(c * at(d, 0) for d, c in d1) / (12 * h)
+    zv = sum(c * at(0, d) for d, c in d1) / (12 * h)
+    zuu = (-at(2, 0) + 16 * at(1, 0) - 30 * z + 16 * at(-1, 0) - at(-2, 0)) / (12 * h * h)
+    zvv = (-at(0, 2) + 16 * at(0, 1) - 30 * z + 16 * at(0, -1) - at(0, -2)) / (12 * h * h)
+    zuv = sum(ci * cj * at(di, dj) for di, ci in d1 for dj, cj in d1) / (144 * h * h)
+    return z, zu, zv, zuu, zuv, zvv
+
+
+def per_shift_graph_jets(surface, x, y, h=zmc.FD_STEP):
+    """Central-difference graph jets with one ``domain_ok`` and one ``heights``
+    call per stencil shift: the first failing shift, di-major, raises with its
+    first five points."""
+    shape = np.broadcast(x, y).shape
+    for di in range(-2, 3):
+        for dj in range(-2, 3):
+            px, py = np.broadcast_arrays(x + di * h, y + dj * h)
+            bad = ~np.broadcast_to(surface.domain_ok(px, py, 0.0), shape)
+            if bad.any():
+                raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
+                                      list(zip(px[bad].tolist(), py[bad].tolist()))[:5])
+    with np.errstate(all="ignore"):
+        return zmc.GraphJet(*per_shift_central_jet(surface.heights, x, y, h))
+
+
 @pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherk1", "scherkBI",
                                         "expr:log(cos(y)/cos(x))"])
 @pytest.mark.parametrize("method", ["exact", "central-diff"])
@@ -180,23 +239,25 @@ def test_residual_sweep_equals_the_per_point_loop(surface_id, method):
     g = surface.default_grid
     grid = GridSpec(g.u_min, g.u_max, g.v_min, g.v_max, 9, 7)
     points = [xy for _, xy in grid.points()]
-    if surface_id.startswith("expr:"):
-        # One point of an expr: surface is the tree walk, a lattice the
-        # compiled closure: the same values up to rounding, which the stencil
-        # divides by 12 h^2.
+    if surface_id.startswith("expr:") and method == "exact":
+        # One point's exact jet of an expr: surface is the tree walk, a
+        # lattice's the tape: the same values up to rounding.
         report = zmc.residual_sweep(surface, eq, grid, method=method)
         loop = [abs(zmc.graph_residual(eq, zmc.graph_jet(surface, *xy, method=method)))
                 for xy in points]
-        tol = 1e-12 if method == "exact" else 1e-6
-        assert report.max_abs_err == pytest.approx(max(loop), abs=tol)
+        assert report.max_abs_err == pytest.approx(max(loop), abs=1e-12)
         return
     values = []
     for xy in points:
         if method == "exact":
             jet = zmc.graph_jet(surface, *xy)
+        elif surface_id.startswith("expr:"):
+            # One point's stencil is a 25-point array, which runs the tape as a
+            # lattice does, where the scalar height_at would run the tree walk.
+            jet = zmc.graph_jet(surface, *xy, method=method)
         else:
             # The scalar stencil on the scalar height: what a point-by-point sweep did.
-            jet = zmc.GraphJet(*zmc._central_jet(surface.height_at, *xy, 1e-4))
+            jet = zmc.GraphJet(*per_shift_central_jet(surface.height_at, *xy, 1e-4))
         r = float(zmc.graph_residual(eq, jet))
         values.append((abs(r), r, 0.0))
     want = _loop_report(points, values, f"residual:{eq}:{surface.id}")
@@ -211,11 +272,58 @@ def test_lattice_stencil_evaluates_each_of_the_25_points_once():
         return np.sin(u) * np.cos(2 * v)
 
     u, v = np.linspace(0.1, 0.9, 6), np.linspace(-0.4, 0.3, 6)
-    lattice = zmc._central_jet(f, u, v, 1e-3)
-    assert len(calls) == 25
+    su, sv = zmc._stencil(u, v, 1e-3)
+    assert su.shape == sv.shape == (25, 6)
+    lattice = zmc._central_jet(f(su, sv), 1e-3)
+    assert len(calls) == 1
+    want = per_shift_central_jet(f, u, v, 1e-3)
+    assert len(calls) == 26
+    assert [a.tobytes() for a in lattice] == [b.tobytes() for b in want]
     for k in range(u.size):
-        one = zmc._central_jet(f, float(u[k]), float(v[k]), 1e-3)
+        one = zmc._central_jet(f(*zmc._stencil(float(u[k]), float(v[k]), 1e-3)), 1e-3)
         assert [repr(float(a)) for a in one] == [repr(float(b[k])) for b in lattice]
+
+
+# Windows inside each surface's domain, and two for the expr: graph.
+_STACKED_CASES = [
+    *((sid, builtin_surface(sid).default_grid) for sid in
+      ("scherk2", "scherk1", "helicoid", "scherk2max", "scherkBI")),
+    ("expr:log(cos(y)/cos(x))", GridSpec(-0.8, 0.8, -0.8, 0.8, 9, 9)),
+    ("expr:log(cos(y)/cos(x))", GridSpec(0.05, 0.9, 0.1, 0.85, 23, 19)),
+]
+
+
+@pytest.mark.parametrize("surface_id, grid", _STACKED_CASES,
+                         ids=[f"{sid}-{k}" for k, (sid, _) in enumerate(_STACKED_CASES)])
+def test_stacked_graph_jets_equal_the_per_shift_stencil(surface_id, grid):
+    surface = builtin_surface(surface_id)
+    x, y = grid.lattice()
+    got = zmc.graph_jets(surface, x, y, method="central-diff")
+    want = per_shift_graph_jets(surface, x, y)
+    for name in JET_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("surface_id, x, y", [
+    # x + 2 h crosses pi/2 for two points: the first failing shift is (2, -2)
+    ("scherk2", np.linspace(1.5705, 1.57075, 7), np.linspace(-0.3, 0.3, 7)),
+    # x + h crosses it at all 12 points: shift (1, -2) reports its first five
+    ("scherk2", np.full(12, 1.57075), np.linspace(-0.3, 0.3, 12)),
+    # y - h or y - 2 h hits the tan pole line y = 0
+    ("scherk1", np.linspace(-1.0, 1.0, 9), np.resize([1e-4, 2e-4, 3e-4], 9)),
+    ("helicoid", np.array([0.5, 1.5e-4, -1e-4, 2.0]), np.array([0.1, 0.2, -0.3, 0.4])),
+    ("expr:log(cos(y)/cos(x))", np.linspace(0.0, 1.5707, 12), np.linspace(1.5707, 0.0, 12)),
+    ("scherk2", 1.5707, 0.2),
+])
+def test_stencil_leaving_the_domain_raises_the_per_shift_error(surface_id, x, y):
+    surface = builtin_surface(surface_id)
+    with pytest.raises(DomainViolation) as want:
+        per_shift_graph_jets(surface, x, y)
+    with pytest.raises(DomainViolation) as got:
+        zmc.graph_jets(surface, x, y, method="central-diff")
+    assert str(got.value) == str(want.value)
+    assert repr(got.value.points) == repr(want.value.points)
+    assert got.value.points
 
 
 def test_foliation_check_equals_the_per_point_loop():

@@ -26,7 +26,16 @@ from zmcsurf.meshio import (
     write_csv,
     write_obj,
 )
-from zmcsurf.reps import WEData, WESampler
+from zmcsurf.reps import (
+    BCSampler,
+    TLMSSampler,
+    WEData,
+    WESampler,
+    _assemble_bc,
+    _assemble_tlms,
+    _family_coords,
+    integrate_segment,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations, one line or one point at a time
@@ -86,8 +95,30 @@ def reference_read_csv(path):
 _POINT_ERRORS = (SingularPath, NoConvergence, EvalDomainError, DomainViolation)
 
 
+def reference_point(sampler, u, v):
+    """One point the scalar way: one ``integrate_segment`` per integral and the
+    assembly formula, or ``height_at`` for a graph lift."""
+    data = getattr(sampler, "data", None)
+    if isinstance(sampler, WESampler):
+        ints = integrate_segment(data.integrand_tape, data.zeta0, complex(u, v))
+        return _family_coords(data.offset, ints, math.cos(sampler.theta), math.sin(sampler.theta))
+    if isinstance(sampler, TLMSSampler):
+        qu = [c.real for c in integrate_segment(data.u_tape, data.base[0], u)]
+        qv = [c.real for c in integrate_segment(data.v_tape, data.base[1], v)]
+        return _assemble_tlms(qu, qv)
+    if isinstance(sampler, BCSampler):
+        qr = [c.real for c in integrate_segment(data.r_tape, 0.0, u)]
+        qs = [c.real for c in integrate_segment(data.s_tape, 0.0, v)]
+        (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([u]), data.G.eval_array([v])
+        if f_errors or g_errors:
+            raise (f_errors or g_errors)[0]
+        return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
+    return (u, v, sampler.surface.height_at(u, v))
+
+
 def reference_sample(source, grid):
-    """Per-point loop for ``point`` and ``height_at``/``domain_ok`` sources."""
+    """Per-point loop: ``reference_point`` for samplers, ``height_at`` and
+    ``domain_ok`` for graph sources."""
     n = grid.nu * grid.nv
     points = np.zeros((n, 3))
     valid = np.zeros(n, dtype=bool)
@@ -95,7 +126,7 @@ def reference_sample(source, grid):
         k = i * grid.nv + j
         try:
             if hasattr(source, "point"):
-                x, y, z = source.point(u, v)
+                x, y, z = reference_point(source, u, v)
             else:
                 if hasattr(source, "domain_ok") and not source.domain_ok(u, v, grid.margin):
                     continue

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_lattice import per_shift_central_jet
 
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import DomainViolation
@@ -67,7 +68,7 @@ def test_central_difference_agrees_with_exact():
 
 def test_exact_jet_unavailable_is_not_silently_replaced():
     bare = catalog.HeightSurface(
-        "bare", "generic", lambda x, y: complex(x) * complex(y),
+        "bare", "generic", lambda x, y: (x + 0j) * y,
         lambda x, y, m: True, None, GridSpec(-1, 1, -1, 1, 11, 11))
     with pytest.raises(ExactUnavailable):
         graph_jet(bare, 0.1, 0.1, method="exact")
@@ -266,21 +267,21 @@ def test_parametric_check_is_local_where_the_path_is_singular():
 @pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI",
                                         "expr:log(cos(y)/cos(x))"])
 def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
-    # The parametric stencil of the lift (x, y, Z(x, y)) evaluates Z at the same
-    # points in the same order as the graph stencil, so its z entries agree bit
-    # for bit.
+    # The parametric stencil of the lift (x, y, Z(x, y)), one point and one
+    # shift at a time, evaluates Z at the same points as the stacked graph
+    # stencil, so its z entries agree bit for bit (an expr: surface runs its
+    # tape on the one-element arrays of ``point`` as on the stack).
     surf = catalog.builtin_surface(surface_id)
     lift = zmc.GraphLiftSampler(surf)
     for x, y in ((0.3, -0.2), (-0.45, 0.61), (0.05, 0.4)):
         graph = zmc.graph_jet(surf, x, y, method="central-diff", h=1e-3)
-        parametric = zmc._central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
+        parametric = per_shift_central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
         assert [entry[2] for entry in parametric] == [
             graph.z, graph.z_x, graph.z_y, graph.z_xx, graph.z_xy, graph.z_yy]
-    # On a lattice both evaluate each stencil shift as one array, where an
-    # expr: surface runs its tape rather than the one-point tree walk.
+    # On a lattice the per-shift stencil evaluates each shift as one array.
     x, y = GridSpec(0.05, 0.9, 0.1, 0.85, 9, 7).lattice()
     graph = zmc.graph_jets(surf, x, y, method="central-diff", h=1e-3)
-    parametric = zmc._central_jet(lambda u, v: np.array(lift.points(u, v)[0]), x, y, 1e-3)
+    parametric = per_shift_central_jet(lambda u, v: np.array(lift.points(u, v)[0]), x, y, 1e-3)
     for entry, name in zip(parametric, ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")):
         assert entry[2].tobytes() == getattr(graph, name).tobytes(), name
 
