@@ -176,11 +176,16 @@ def _point_text(patch: SurfacePatch) -> np.ndarray:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file with LF endings, then rename it over ``path``."""
+    """Write ``text`` to a temp file with LF endings, then rename it over ``path``.
+    If either step fails, the temp file is removed and ``path`` is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # Corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) of every lattice quad, as
@@ -204,6 +209,9 @@ def write_obj(patch: SurfacePatch, path: str) -> None:
 
 
 _CSV_HEADER = ["u_index", "v_index", "x", "y", "z", "valid"]
+# read_csv's np.loadtxt arguments: a negative index does not parse as u8; the flag stays text.
+_CSV_LOADTXT = dict(dtype=[("index", "u8", 2), ("point", "f8", 3), ("flag", "O")],
+                    delimiter=",", comments=None, ndmin=1)
 
 
 def write_csv(patch: SurfacePatch, path: str) -> None:
@@ -218,35 +226,34 @@ def write_csv(patch: SurfacePatch, path: str) -> None:
 
 
 def read_csv(path: str) -> SurfacePatch:
-    """Inverse of write_csv (17-digit decimals round-trip exactly).
+    """Inverse of write_csv: one ``np.loadtxt`` pass, exact for 17-digit decimals.
 
     Blank lines are skipped and rows may come in any order; lattice points
     without a row stay invalid zeros, and a row is valid only when its flag
-    is ``1``.  A file without rows or a row with a negative index is a ValueError.
+    is ``1``.  A file without rows or a row without six parsable fields (a
+    negative index does not parse) is a ValueError naming the row.
     """
     with open(path) as fh:
-        lines = [line for line in (raw.strip() for raw in fh.read().split("\n")) if line]
+        lines = list(map(str.strip, filter(str.strip, fh.read().split("\n"))))
     header = lines[0].split(",") if lines else []
     if header != _CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
-    rows = len(lines) - 1
-    if not rows:
+    if len(lines) == 1:
         raise ValueError(f"no CSV rows in {path}")
-    cells = ",".join(lines[1:]).split(",")
-    if len(cells) != 6 * rows:
-        raise ValueError(f"CSV rows in {path} must have 6 fields")
-    iu = np.array(list(map(int, cells[0::6])), dtype=np.int64)
-    iv = np.array(list(map(int, cells[1::6])), dtype=np.int64)
-    negative = np.flatnonzero((iu < 0) | (iv < 0))
-    if negative.size:
-        raise ValueError(f"negative lattice index in {path}, row {negative[0] + 1}: "
-                         f"{lines[negative[0] + 1]!r}")
-    nu = int(iu.max()) + 1
-    nv = int(iv.max()) + 1
+    try:
+        rows = np.loadtxt(lines[1:], **_CSV_LOADTXT)
+    except ValueError as exc:
+        for k in range(1, len(lines)):  # loadtxt counts rows from 0 or 1 by kind of error
+            try:
+                np.loadtxt(lines[k:k + 1], **_CSV_LOADTXT)
+            except ValueError:
+                raise ValueError(f"bad CSV row in {path}, row {k}: {lines[k]!r}") from exc
+        raise
+    iu, iv = rows["index"].T
+    nu, nv = int(iu.max()) + 1, int(iv.max()) + 1
     points = np.zeros((nu * nv, 3))
     valid = np.zeros(nu * nv, dtype=bool)
     k = iu * nv + iv
-    for axis in range(3):
-        points[k, axis] = list(map(float, cells[2 + axis::6]))
-    valid[k] = [flag == "1" for flag in cells[5::6]]
+    points[k] = rows["point"]
+    valid[k] = rows["flag"] == "1"
     return SurfacePatch(nu, nv, points, valid)

@@ -1,9 +1,11 @@
 """Grid specs, patch sampling, and bit-exact OBJ/CSV export."""
 
+import os
+
 import numpy as np
 import pytest
 
-from zmcsurf import catalog
+from zmcsurf import catalog, meshio
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.meshio import GridSpec, SurfacePatch, read_csv, sample_patch, write_csv, write_obj
 
@@ -110,6 +112,23 @@ def test_csv_round_trip_is_exact(tmp_path):
     back = read_csv(str(path))
     assert np.array_equal(back.points, patch.points)
     assert np.array_equal(back.valid, patch.valid)
+
+
+def test_a_failed_atomic_write_leaves_no_temp_file_and_the_old_file_intact(tmp_path,
+                                                                          monkeypatch):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        meshio.atomic_write(str(path), 123)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        meshio.atomic_write(str(path), "new\n")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "old\n"
 
 
 def test_non_finite_grid_points_are_masked():

@@ -8,10 +8,13 @@ including the sign of zero) and for the masking rules of ``sample_patch``.
 
 import math
 import random
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmcsurf import catalog, meshio
 from zmcsurf.errors import DomainViolation, NoConvergence, SingularPath
@@ -140,10 +143,10 @@ def reference_sample(source, grid):
 
 
 def _same_patch(a, b):
+    # Bit for bit: the sign of zero and nan count.
     return ((a.nu, a.nv) == (b.nu, b.nv)
             and np.array_equal(a.valid, b.valid)
-            and np.array_equal(a.points, b.points)
-            and np.array_equal(np.signbit(a.points), np.signbit(b.points)))
+            and a.points.tobytes() == b.points.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +319,59 @@ def test_read_csv_rejects_a_file_without_rows(tmp_path):
     path.write_text("u_index,v_index,x,y,z,valid\n")
     with pytest.raises(ValueError, match="no CSV rows"):
         read_csv(str(path))
+
+
+def test_read_csv_rejects_ragged_rows_naming_the_row(tmp_path):
+    # 5 + 7 fields make 12 cells; read as two 6-field rows they would shift
+    # into a 2 x 2 patch whose point (1, 1) is (2, 3, 1).
+    path = tmp_path / "ragged.csv"
+    path.write_text("u_index,v_index,x,y,z,valid\n0,0,1,2,3\n0,1,1,2,3,1,1\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv, row 1: '0,0,1,2,3'"):
+        read_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["1_0,0,1,2,3,1", "0,0,1_0,2,3,1", "1.0,0,1,2,3,1",
+                                 "-0,0,1,2,3,1", "0,0,1,2,3,1,", "0,0,,2,3,1"])
+def test_read_csv_rejects_a_row_that_does_not_parse(tmp_path, row):
+    # Python's int() and float() take "1_0", loadtxt does not; an index is a
+    # non-negative integer, so "1.0" and "-0" are not indices.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"u_index,v_index,x,y,z,valid\n0,0,1,2,3,1\n\n  {row}\n")
+    with pytest.raises(ValueError, match=f"bad\\.csv, row 2: '{re.escape(row)}'"):
+        read_csv(str(path))
+
+
+def test_read_csv_takes_spaces_crlf_and_non_finite_cells_like_the_reference(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_bytes(b"u_index,v_index,x,y,z,valid\r\n"
+                     b" 0 , 0 , nan , inf , -inf ,1\r\n"
+                     b"\t1,0,  -0 ,+1.5, 1E3 , 1\r\n"
+                     b"\r\n"
+                     b"0, 1,-NaN,Infinity,-Infinity,1 \r\n"
+                     b"1 ,1 ,2.2250738585072009e-308, -5e-324 ,1.7976931348623157e308,0\r\n")
+    back = read_csv(str(path))
+    assert _same_patch(back, reference_read_csv(str(path)))
+    assert back.valid.tolist() == [True, True, False, False]
+    assert np.signbit(back.points[2, 0])
+
+
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+def test_csv_round_trip_keeps_every_bit_pattern(tmp_path_factory, shape, data):
+    # "%.17g" writes every nan as "nan", so only the canonical nan can come back.
+    values = st.one_of(st.sampled_from(EDGE_VALUES), _BIT_PATTERNS).map(
+        lambda x: math.nan if math.isnan(x) else x)
+    nu, nv = shape
+    points = data.draw(st.lists(values, min_size=3 * nu * nv, max_size=3 * nu * nv))
+    valid = data.draw(st.lists(st.booleans(), min_size=nu * nv, max_size=nu * nv))
+    patch = SurfacePatch(nu, nv, points, valid)
+    path = str(tmp_path_factory.getbasetemp() / "round_trip.csv")
+    write_csv(patch, path)
+    assert _same_patch(read_csv(path), patch)
 
 
 # ---------------------------------------------------------------------------
