@@ -107,11 +107,18 @@ def _parametric_sampler(args):
     return zmc.GraphLiftSampler(surf), f"graph:{surf.id}"
 
 
+def _write_patch(patch, path: str) -> None:
+    if path.endswith(".csv"):
+        write_csv(patch, path)
+    else:
+        write_obj(patch, path)
+
+
 def _mesh(args, make_sampler) -> int:
     """Mesh --grid of ``make_sampler(args)`` to --out; print the vertex count."""
     grid = GridSpec.parse(args.grid)
     patch = sample_patch(make_sampler(args), grid)
-    (write_csv if args.out.endswith(".csv") else write_obj)(patch, args.out)
+    _write_patch(patch, args.out)
     print(f"wrote {args.out} ({patch.valid_count()} vertices)")
     return 0
 
@@ -206,7 +213,7 @@ def _cmd_foliate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for idx, t in enumerate(ts):
         patch = sample_patch(foliation.LeafSurface(t), grid)
-        write_obj(patch, os.path.join(args.out, f"leaf_{idx:02d}.obj"))
+        _write_patch(patch, os.path.join(args.out, f"leaf_{idx:02d}.obj"))
     print(f"wrote {len(ts)} leaf meshes to {args.out}")
     if not args.check:
         return 0

@@ -9,7 +9,9 @@ are byte-stable.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,16 +178,18 @@ def _point_text(patch: SurfacePatch) -> np.ndarray:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file with LF endings, then rename it over ``path``.
-    If either step fails, the temp file is removed and ``path`` is left as it was."""
+    """Write ``text`` to a temp file with LF endings, then rename it over ``path``;
+    a failed write or rename removes the temp file and leaves ``path`` as it was."""
     tmp = f"{path}.tmp"
+    fh = open(tmp, "w", newline="\n")
     try:
-        with open(tmp, "w", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
 
 
 # Corners (i, j), (i+1, j), (i+1, j+1), (i, j+1) of every lattice quad, as
@@ -226,13 +230,11 @@ def write_csv(patch: SurfacePatch, path: str) -> None:
 
 
 def read_csv(path: str) -> SurfacePatch:
-    """Inverse of write_csv: one ``np.loadtxt`` pass, exact for 17-digit decimals.
+    """Inverse of write_csv (one ``np.loadtxt`` pass; 17-digit decimals are exact).
 
-    Blank lines are skipped and rows may come in any order; lattice points
-    without a row stay invalid zeros, and a row is valid only when its flag
-    is ``1``.  A file without rows or a row without six parsable fields (a
-    negative index does not parse) is a ValueError naming the row.
-    """
+    Blank lines are skipped, rows may come in any order, missing points stay
+    invalid zeros and only the flag ``1`` is valid; a file without rows or a
+    row without six parsable fields is a ValueError naming the row."""
     with open(path) as fh:
         lines = list(map(str.strip, filter(str.strip, fh.read().split("\n"))))
     header = lines[0].split(",") if lines else []
@@ -240,15 +242,18 @@ def read_csv(path: str) -> SurfacePatch:
         raise ValueError(f"unexpected CSV header in {path}: {header}")
     if len(lines) == 1:
         raise ValueError(f"no CSV rows in {path}")
-    try:
-        rows = np.loadtxt(lines[1:], **_CSV_LOADTXT)
-    except ValueError as exc:
-        for k in range(1, len(lines)):  # loadtxt counts rows from 0 or 1 by kind of error
-            try:
-                np.loadtxt(lines[k:k + 1], **_CSV_LOADTXT)
-            except ValueError:
-                raise ValueError(f"bad CSV row in {path}, row {k}: {lines[k]!r}") from exc
-        raise
+    with warnings.catch_warnings():
+        # Older numpy reads a failed integer field as a float and only warns (-1 wraps).
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(lines[1:], **_CSV_LOADTXT)
+        except ValueError as exc:
+            for k in range(1, len(lines)):  # loadtxt counts rows from 0 or 1 by kind of error
+                try:
+                    np.loadtxt(lines[k:k + 1], **_CSV_LOADTXT)
+                except ValueError:
+                    raise ValueError(f"bad CSV row in {path}, row {k}: {lines[k]!r}") from exc
+            raise
     iu, iv = rows["index"].T
     nu, nv = int(iu.max()) + 1, int(iv.max()) + 1
     points = np.zeros((nu * nv, 3))
