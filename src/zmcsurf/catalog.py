@@ -18,6 +18,8 @@ provided as independent oracles for the closed forms.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -128,6 +130,9 @@ def _real_part(value):
 # arithmetic (nan off the real domain), complex arguments complex arithmetic;
 # exact poles give nan (``_pole``).
 
+_AS_IS = contextlib.nullcontext()
+
+
 @dataclass(frozen=True)
 class HeightSurface:
     """A named graph surface z = Z(x, y).
@@ -136,7 +141,8 @@ class HeightSurface:
     the real-point validity predicate with a singularity margin; ``exact_jet``
     the closed-form second-order jet (None when unavailable).  For kind !=
     generic the corresponding graph PDE residual vanishes on the default grid
-    (tested, not assumed).
+    (tested, not assumed).  ``quiet`` says that ``height`` never emits numpy
+    warnings, so ``evaluate`` need not silence them.
     """
 
     id: str
@@ -145,6 +151,7 @@ class HeightSurface:
     domain: Callable
     exact_jet: Optional[Callable]
     default_grid: GridSpec
+    quiet: bool = False
 
     def evaluate(self, x, y):
         """The height at one real or complex point: the one-point case of ``height``.
@@ -153,11 +160,14 @@ class HeightSurface:
         when a real point has no real height.
         """
         real = not (isinstance(x, complex) or isinstance(y, complex))
-        with np.errstate(all="ignore"):
-            value = complex(np.ravel(self.height(*one_point(x, y)))[0])
+        with _AS_IS if self.quiet else np.errstate(all="ignore"):
+            h = self.height(*one_point(x, y))
         if real:  # _real_part without its array call, which costs more than the height
+            value = complex(h)
             value = value.real if _negligible_imag(value) else math.nan
-        if not all(math.isfinite(part) for v in (x, y, value) for part in (v.real, v.imag)):
+        else:
+            value = complex(h[0])
+        if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(value)):
             what = "real value" if real else "value"
             raise DomainViolation(f"{self.id} has no finite {what} at ({x}, {y})", [(x, y)])
         return value
@@ -314,13 +324,24 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
+def _points_key(x, y):
+    """The bits of points: equal keys give equal heights."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in (np.asarray(x), np.asarray(y))]
+
+
 def _expr_surface(text: str) -> HeightSurface:
-    """A user graph: the tree walk at a 0-d point, tapes on arrays of any size
+    """A user graph: ``eval`` at a 0-d point, tapes on arrays of any size
     (complex values; real points take the real part).  A lattice jet evaluates
-    the six jet trees on one tape, built on first use."""
+    the six jet trees on one tape, built on first use.
+
+    An array domain check keeps its heights for the next ``height`` call, which
+    takes them if its points have the same bits (as the stencil's ``heights``
+    after its ``domain_ok``); any ``height`` call releases them.
+    """
     e = _expr.parse_xy(text)
     ex, ey = e.partial("x"), e.partial("y")
     trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
+    kept = None  # (points key, complex heights) of the last array domain check
 
     @functools.cache
     def jet_tape():
@@ -335,10 +356,18 @@ def _expr_surface(text: str) -> HeightSurface:
             return complex("nan")
 
     def height(x, y):
+        nonlocal kept
+        got, kept = kept, None
+        if got is not None and got[0] == _points_key(x, y):
+            return got[1]
         return value(e, x, y)
 
     def domain(x, y, margin):
-        return np.isfinite(_real_part(height(x, y)))
+        nonlocal kept
+        z = value(e, x, y)
+        if getattr(z, "ndim", 0):
+            kept = (_points_key(x, y), z)
+        return np.isfinite(_real_part(z))
 
     def jet(x, y):
         if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
@@ -350,7 +379,7 @@ def _expr_surface(text: str) -> HeightSurface:
         return GraphJet(*vals)
 
     return HeightSurface(f"expr:{text}", "generic", height, domain, jet,
-                         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
+                         GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), quiet=True)
 
 
 def _fixed(build: Callable) -> Callable:

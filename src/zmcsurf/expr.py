@@ -16,8 +16,10 @@ variables, compiled once into one straight-line numpy program over
 ``eval_array`` is the tape of one expression.  Points where one of an
 expression's own values is non-finite are evaluated again by the scalar tree
 walk ``_eval_node``, so a pole, branch point or overflow still raises
-``EvalDomainError`` naming the node at fault.  Scalar ``eval`` is the tree
-walk itself, which is also the test oracle for the tape.
+``EvalDomainError`` naming the node at fault.  Scalar ``eval`` runs the same
+program written out once, on its first call, as a straight-line ``cmath``
+function (``Tape.kernel``); where that gives None it runs the tree walk, so
+values and errors are the walk's, and the walk is the test oracle for both.
 
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
@@ -338,6 +340,10 @@ def _eval_node(node: Node, env: dict) -> complex:
 # ---------------------------------------------------------------------------
 
 _NUMPY_FN: dict[str, Callable] = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.divide,
     "neg": np.negative,
     "exp": np.exp,
     "log": np.log,
@@ -349,13 +355,6 @@ _NUMPY_FN: dict[str, Callable] = {
     "cosh": np.cosh,
     "tanh": np.tanh,
     "sqrt": np.sqrt,
-}
-
-_NUMPY_BINARY: dict[str, Callable] = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
 }
 
 
@@ -410,14 +409,11 @@ class Tape:
             elif isinstance(node, Const):
                 key = ("const", np.complex128(node.value).tobytes())
             elif isinstance(node, Unary):
-                args = (ref(node.arg),)
-                key, fn = (node.op, *args), _NUMPY_FN[node.op]
+                key = (node.op, ref(node.arg))
             elif isinstance(node, Binary):
-                args = (ref(node.left), ref(node.right))
-                key, fn = (node.op, *args), _NUMPY_BINARY[node.op]
-            elif isinstance(node, Power):
-                args = (ref(node.base),)
-                key, fn = ("pow", node.exponent, *args), partial(_power, k=node.exponent)
+                key = (node.op, ref(node.left), ref(node.right))
+            elif isinstance(node, Power):  # (exponent, base): an int where the others have a name
+                key = (node.exponent, ref(node.base))
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             got = keys.get(key)
@@ -425,10 +421,10 @@ class Tape:
                 if isinstance(node, Var):
                     raise ValueError(f"{node.name!r} is not one of the variables {self.varnames}")
                 if isinstance(node, Const):
-                    consts.append(np.complex128(node.value))
+                    consts.append(node.value)
                     got = -nvars - len(consts)
                 else:
-                    code.append((fn, args))
+                    code.append(key)
                     got = len(code) - 1
                 keys[key] = got
             seen[id(node)] = got
@@ -437,7 +433,7 @@ class Tape:
         refs = [ref(e.root) for e in self.exprs]
         nleaves = nvars + len(consts)
         last = {}  # instruction -> the instruction after which its value is dropped
-        for j, (_, args) in enumerate(code):
+        for j, (_, *args) in enumerate(code):
             last.update((a, j) for a in args if a >= 0)
         rows, drops = [[] for _ in code], [[] for _ in code]
         for i, r in enumerate(refs):
@@ -446,16 +442,58 @@ class Tape:
                 last.setdefault(r, r)
         for a, j in last.items():
             drops[j].append(nleaves + a)
-        self._consts = consts
+        self._values = consts  # the Const values themselves, for the scalar kernel
+        self._consts = [np.complex128(c) for c in consts]
         self._refs = refs
-        self._args = [args for _, args in code]
+        self._ops = code
+        self._args = [args for _, *args in code]
         self._leaf_roots = [(i, -1 - r) for i, r in enumerate(refs) if r < 0]
-        self._code = [(fn, *(-1 - a if a < 0 else nleaves + a for a in args),
+        self._code = [(_NUMPY_FN[op] if isinstance(op, str) else partial(_power, k=op),
+                       *(-1 - a if a < 0 else nleaves + a for a in args),
                        *(None,) * (2 - len(args)), tuple(rows[j]), tuple(drops[j]))
-                      for j, (fn, args) in enumerate(code)]
+                      for j, (op, *args) in enumerate(code)]
 
     def __len__(self):
         return len(self.exprs)
+
+    def kernel(self):
+        """The program as one straight-line Python function over ``cmath``, for
+        one point: ``kernel(*values)`` gives the expression's value (a tuple for
+        several), with the operations of ``_eval_node`` on the same numbers, or
+        None where an operation raises or the running sum of the instruction
+        values is not finite, so that only the tree walk raises.  The source
+        names its arguments and bound values by position alone."""
+        bound = {"isfinite": cmath.isfinite}
+
+        def bind(value):
+            bound[f"c{len(bound)}"] = value
+            return f"c{len(bound) - 1}"
+
+        params = [f"a{k}" for k in range(len(self.varnames))]
+        leaves = params + [bind(c) for c in self._values]
+
+        def at(r):
+            return leaves[-1 - r] if r < 0 else f"t{r}"
+
+        lines = []
+        for j, (op, *args) in enumerate(self._ops):
+            a = at(args[0])
+            if op == "neg":
+                rhs = f"-{a}"
+            elif op in _BINARY_SYMBOL:
+                rhs = f"{a} {_BINARY_SYMBOL[op]} {at(args[1])}"
+            elif op in _CMATH_FN:
+                rhs = f"{bind(_CMATH_FN[op])}({a})"
+            else:
+                rhs = f"{a} ** {bind(op)}"
+            lines.append(f"        t{j} = {rhs}\n        s += t{j}\n")
+        src = (f"def kernel({', '.join(params)}):\n    s = 0\n    try:\n{''.join(lines)}"
+               "        if isfinite(s):\n"
+               f"            return {', '.join(map(at, self._refs))}\n"
+               "    except (ValueError, OverflowError, ZeroDivisionError):\n"
+               "        return None\n")
+        exec(compile(src, "<expr kernel>", "exec"), bound)
+        return bound["kernel"]
 
     def __call__(self, *arrays):
         """Evaluate every expression at every point of ``arrays``, one per
@@ -692,8 +730,16 @@ class AnalyticExpr:
     def _tape(self):
         return Tape((self,))
 
+    @cached_property
+    def _kernel(self):
+        return self._tape.kernel()
+
     def eval(self, w) -> complex:
-        return _eval_node(self.root, {self.varname: complex(w)})
+        """The value at ``w``: the compiled kernel, or the tree walk (which
+        raises ``EvalDomainError``) where the kernel gives None."""
+        w = complex(w)
+        out = self._kernel(w)
+        return _eval_node(self.root, {self.varname: w}) if out is None else out
 
     def eval_array(self, w):
         """Evaluate at every point of ``w`` (any shape) with principal branches.
@@ -732,8 +778,14 @@ class TwoVarExpr:
     def _tape(self):
         return Tape((self,))
 
+    @cached_property
+    def _kernel(self):
+        return self._tape.kernel()
+
     def eval(self, x, y) -> complex:
-        return _eval_node(self.root, {"x": complex(x), "y": complex(y)})
+        x, y = complex(x), complex(y)
+        out = self._kernel(x, y)
+        return _eval_node(self.root, {"x": x, "y": y}) if out is None else out
 
     def eval_array(self, x, y):
         """``eval`` at every point of the broadcast arrays ``x`` and ``y``, as

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,32 @@ def test_bad_surface_parameters(surface_id):
 def test_evaluate_without_a_finite_value_raises_domain_violation(surface_id, x, y):
     with pytest.raises(DomainViolation):
         builtin_surface(surface_id).evaluate(x, y)
+
+
+@pytest.mark.parametrize("surface_id, x, y", [
+    ("scherk2", 2.0, 0.0),              # log of a negative ratio
+    ("scherk2max", 800.0, 0.0),         # cosh overflows
+    ("scherk2max", complex(800.0), 0.0),
+    ("scherkBI", 0.0, 715.0),
+    ("helicoid", 0.0, 1.0),             # the pole line x = 0
+    ("helicoid", -0.0, complex(1.0)),
+    ("scherk1", 0.5, 0.0),              # tan pole of the tower
+    ("scherk1:1.1", 0.5, 0.0),
+    ("plane:1e308,1e308", 1e308, 1e308),
+    ("expr:1/x", 0.0, 0.2),             # the tree walk's division by zero
+    ("expr:1/x", complex(0.0), 0.2),    # the tape's
+    ("expr:exp(x)*y", 800.0, 1.0),
+    ("expr:log(x*y)", 0.0, 1.0),
+])
+def test_height_without_a_finite_value_raises_no_warning(surface_id, x, y):
+    surface = builtin_surface(surface_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation):
+            if isinstance(x, complex) or isinstance(y, complex):
+                surface.evaluate(x, y)
+            else:
+                surface.height_at(x, y)
 
 
 def test_surface_domain_masks_cos_zero():

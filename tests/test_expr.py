@@ -7,16 +7,20 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from zmcsurf import expr as expr_module
 from zmcsurf.expr import (
+    FUNCTIONS,
     AnalyticExpr,
     Binary,
     Const,
     EvalDomainError,
     ExprSyntaxError,
     Power,
+    Tape,
     Unary,
     UnknownIdentifier,
     Var,
+    _eval_node,
     parse,
     parse_xy,
 )
@@ -227,3 +231,81 @@ def test_eval_domain_error_identifies_subexpression():
     with pytest.raises(EvalDomainError) as err:
         e.eval(0)
     assert "sin" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the compiled scalar kernel against the tree walk
+# ---------------------------------------------------------------------------
+
+_SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+_KERNEL_CONSTS = _SIGNED_ZEROS + [1 + 0j, -1 + 0j, 1j, -1j, 0.5 - 2j, 710 + 0j, 1e300 + 0j]
+_KERNEL_POINTS = [
+    *_SIGNED_ZEROS,                                      # poles of 1/w, log w, w^-k
+    complex(-1.0, 0.0), complex(-1.0, -0.0),             # the cut of log and sqrt, both sides
+    complex(0.0, 1.0), complex(-0.0, 2.0), complex(0.0, -2.0), complex(-0.0, -2.0),  # atan
+    complex(math.pi / 2, 0.0), complex(0.0, math.pi / 2),  # next to the poles of tan, tanh
+    710 + 0j, -710 + 0j, complex(0.0, 710.0), 1e200 + 0j, complex(1e308, -1e308),  # overflow
+]
+_kernel_tree = st.recursive(
+    st.one_of(st.builds(Const, st.sampled_from(_KERNEL_CONSTS) | _const_strategy),
+              st.just(Var("w"))),
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(("neg",) + FUNCTIONS), children),
+        st.builds(Binary, st.sampled_from(_BINARY_OPS), children, children),
+        st.builds(lambda op, a: Binary(op, a, a), st.sampled_from(_BINARY_OPS), children),
+        st.builds(Power, children, st.integers(-4, 4) | st.sampled_from([-150, 101])),
+    ),
+    max_leaves=8,
+)
+
+
+def _outcome(f, *args):
+    """repr of the value, or the type and message of what was raised."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_kernel_tree,
+       w=st.sampled_from(_KERNEL_POINTS)
+       | st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
+def test_kernel_gives_the_bits_and_errors_of_the_tree_walk(tree, w):
+    assert _outcome(AnalyticExpr(tree, "w").eval, w) == _outcome(_eval_node, tree, {"w": w})
+
+
+@pytest.mark.parametrize("x, y", [(0.3, 0.2), (0.5, 0.5), (math.pi / 2, 0.1), (0.0, -0.0),
+                                  (-1.0, 0.0), (complex(-1.0, -0.0), 2.0), (800.0, 0.0)])
+def test_two_variable_kernels_equal_the_tree_walk(x, y):
+    e = parse_xy("log(cos(y)/cos(x)) + 1/(x - y) + sqrt(x)*y^-2")
+    trees = (e, e.partial("x"), e.partial("y"))
+    env = {"x": complex(x), "y": complex(y)}
+    for t in trees:
+        assert _outcome(t.eval, x, y) == _outcome(_eval_node, t.root, env)
+    got = Tape(trees).kernel()(complex(x), complex(y))
+    if got is not None:   # several expressions: a tuple of their values
+        assert repr(got) == repr(tuple(t.eval(x, y) for t in trees))
+
+
+def test_kernel_source_holds_no_text_of_the_expression(monkeypatch):
+    sources = []
+
+    def recording(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(expr_module, "compile", recording, raising=False)
+    name = "__import__('os')"
+    w = Var(name)
+    e = AnalyticExpr(Binary("add", Unary("log", w), Power(Binary("mul", Const(2.5 + 0j), w), -2)),
+                     name)
+    assert repr(e.eval(3)) == repr(_eval_node(e.root, {name: 3 + 0j}))
+    assert AnalyticExpr(w, name).eval(0.25) == 0.25
+    with pytest.raises(EvalDomainError, match="log of zero"):
+        e.eval(0)
+    assert len(sources) == 2
+    for src in sources:
+        for text in (name, "__import__", "log", "2.5", "-2"):
+            assert text not in src
+

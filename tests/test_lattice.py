@@ -304,6 +304,27 @@ def test_stacked_graph_jets_equal_the_per_shift_stencil(surface_id, grid):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+@pytest.mark.parametrize("x0, tape_calls", [(0.0, 1), (-0.0, 2)])
+def test_expr_stencil_takes_its_heights_from_the_domain_check(monkeypatch, x0, tape_calls):
+    # The domain check leaves its heights for a stencil with the same bits; an
+    # unshifted -0.0 is 0.0 in the check (x + 0.0) and is evaluated again.
+    x, y = np.array([x0, 0.1, -0.3, 0.5]), np.array([0.2, 0.0, 0.4, -0.6])
+    shapes = []
+    call = expr.Tape.__call__
+
+    def recording(self, *arrays):
+        shapes.append(np.broadcast(*arrays).shape)
+        return call(self, *arrays)
+
+    monkeypatch.setattr(expr.Tape, "__call__", recording)
+    got = zmc.graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y, method="central-diff")
+    assert shapes == [(25, 4)] * tape_calls
+    monkeypatch.undo()
+    want = per_shift_graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y)
+    for name in JET_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 @pytest.mark.parametrize("surface_id, x, y", [
     # x + 2 h crosses pi/2 for two points: the first failing shift is (2, -2)
     ("scherk2", np.linspace(1.5705, 1.57075, 7), np.linspace(-0.3, 0.3, 7)),
