@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import DomainViolation
-from .meshio import GridSpec, sample_graph
+from .meshio import GridSpec
 from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet, one_point
 
@@ -126,9 +126,12 @@ def _real_part(value):
 #
 # Every height, jet and domain predicate below is written once with numpy
 # ufuncs, and a scalar query is its one-point case (``zmc.one_point``), which
-# gives the bits of the same point in a lattice.  Real arguments give real
-# arithmetic (nan off the real domain), complex arguments complex arithmetic;
-# exact poles give nan (``_pole``).
+# gives the bits of the same point in a lattice.  The exception is ``expr:``:
+# its real scalar ``height_at`` and ``exact_jet`` run the compiled ``cmath``
+# kernel (``eval``) and have its bits, which may differ in the last place
+# from the tape's lattice entry; its complex and one-element queries run the
+# tape.  Real arguments give real arithmetic (nan off the real domain),
+# complex arguments complex arithmetic; exact poles give nan (``_pole``).
 
 _AS_IS = contextlib.nullcontext()
 
@@ -154,7 +157,9 @@ class HeightSurface:
     quiet: bool = False
 
     def evaluate(self, x, y):
-        """The height at one real or complex point: the one-point case of ``height``.
+        """The height at one real or complex point: the one-point case of ``height``,
+        except at a real point of an ``expr:`` surface, whose value has the bits
+        of its compiled ``cmath`` kernel rather than of its lattice tape.
 
         Raises DomainViolation when an input or the value is not finite, or
         when a real point has no real height.
@@ -186,7 +191,14 @@ class HeightSurface:
         return bool(ok) if ok.ndim == 0 else ok
 
     def sample_grid(self, grid: GridSpec):
-        return sample_graph(grid, self.domain_ok, self.heights)
+        """Lattice points (u, v, heights(u, v)) and the mask of points in the
+        domain at the grid's margin, with heights evaluated there only (nan
+        elsewhere)."""
+        u, v = grid.lattice()
+        ok = self.domain_ok(u, v, grid.margin).copy()
+        z = np.full(u.shape, np.nan)
+        z[ok] = self.heights(u[ok], v[ok])
+        return np.column_stack([u, v, z]), ok
 
 
 @dataclass(frozen=True)

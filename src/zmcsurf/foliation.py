@@ -8,19 +8,21 @@ into [(2k-1)*pi, (2k+1)*pi],
 The two adjacent band formulas agree at every boundary x = (2k+1)*pi because
 atan is odd, so F is continuous across bands.  Leaves are the vertical shifts
 z = F(x, y) + t; every admissible point lies on exactly one leaf
-(t = z - F(x, y)).
+(t = z - F(x, y)).  On band k a leaf is (-1)^k times the helicoid at
+(x - 2*k*pi, y), plus t, so ``LeafSurface(t)`` is a catalog
+``HeightSurface``: it is meshed and residual-checked as the catalog's
+surfaces are.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import HeightSurface, builtin_surface
 from .errors import EmptyGrid
-from .meshio import sample_graph
 from .report import ErrorStats, VerificationReport
 from .zmc import GraphJet
 
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 TWO_PI = 2 * math.pi
+_HELICOID = builtin_surface("helicoid")
 
 
 class ExcludedPoint(ValueError):
@@ -88,41 +91,25 @@ def leaf_of_point(x, y, z):
     return z - leaf_height(x, y)
 
 
-@dataclass(frozen=True)
-class LeafSurface:
-    """One leaf as a graph surface (meshable; minimal on each band interior)."""
+def LeafSurface(t: float = 0.0) -> HeightSurface:
+    """The leaf z = F(x, y) + t as a catalog graph surface (minimal on each band
+    interior): (-1)^k times the helicoid at (x - 2*pi*k, y), plus t.  Its jet is
+    the helicoid's exact jet there, times (-1)^k; its default grid is the
+    helicoid's, which lies in band 0."""
+    def height(x, y):
+        return leaf_height(x, y) + t
 
-    t: float = 0.0
-    id: str = "foliation-leaf"
-    kind: str = "minimal"
+    def domain(x, y, margin):
+        return np.hypot(_band(x)[1], y) > max(margin, 1e-12)
 
-    def heights(self, x, y):
-        return leaf_height(x, y) + self.t
-
-    def height_at(self, x: float, y: float) -> float:
-        return self.heights(x, y)
-
-    def domain_ok(self, x, y, margin: float = 0.0):
-        """Away from the excluded lines: a bool for one point, a bool array for arrays."""
-        ok = np.hypot(_band(x)[1], y) > max(margin, 1e-12)
-        return bool(ok) if np.ndim(ok) == 0 else ok
-
-    def exact_jet(self, x, y) -> GraphJet:
+    def jet(x, y):
         k, dx = _band_offset(x, y)
         sign = _band_sign(k)
-        r2 = dx * dx + y * y
-        r4 = r2 * r2
-        return GraphJet(
-            self.heights(x, y),
-            (sign * (-y / r2))[()],
-            (sign * (dx / r2))[()],
-            (sign * (2 * dx * y / r4))[()],
-            (sign * ((y * y - dx * dx) / r4))[()],
-            (sign * (-2 * dx * y / r4))[()],
-        )
+        j = _HELICOID.exact_jet(dx, y)
+        return GraphJet(height(x, y),
+                        *((sign * d)[()] for d in (j.z_x, j.z_y, j.z_xx, j.z_xy, j.z_yy)))
 
-    def sample_grid(self, grid):
-        return sample_graph(grid, self.domain_ok, self.heights)
+    return HeightSurface("foliation-leaf", "minimal", height, domain, jet, _HELICOID.default_grid)
 
 
 # Half-width of the pairs straddling a band boundary, and the tolerances of

@@ -115,17 +115,6 @@ class SurfacePatch:
         return int(self.valid.sum())
 
 
-def sample_graph(grid: GridSpec, domain_ok, heights):
-    """``sample_grid`` of a graph source: lattice points (u, v, heights(u, v))
-    and the mask of points that pass ``domain_ok(u, v, margin)``, with the
-    heights evaluated at those points only (nan elsewhere)."""
-    u, v = grid.lattice()
-    ok = np.broadcast_to(domain_ok(u, v, grid.margin), u.shape).copy()
-    z = np.full(u.shape, np.nan)
-    z[ok] = heights(u[ok], v[ok])
-    return np.column_stack([u, v, z]), ok
-
-
 def sample_patch(source, grid: GridSpec) -> SurfacePatch:
     """Evaluate ``source`` on the lattice, masking points that fail.
 

@@ -275,6 +275,8 @@ class WEData:
             raise ValueError("f and g must share one free variable")
         if self.mode == "reduced-R" and self.g.root != Var(self.f.varname):
             raise ValueError("reduced-R mode pins g to the identity map")
+        if len(self.offset) != 3:
+            raise ValueError(f"offset needs 3 coordinates (x, y, z), got {len(self.offset)}")
 
     @classmethod
     def from_text(cls, f_text: str, g_text: str, zeta0=0j, offset=(0.0, 0.0, 0.0),
@@ -623,6 +625,8 @@ class TLMSData:
             raise ValueError("f and q must share the u variable")
         if self.g_v.varname != self.r_v.varname:
             raise ValueError("g and r must share the v variable")
+        if len(self.base) != 2:
+            raise ValueError(f"base needs 2 values (u0, v0), got {len(self.base)}")
 
     @classmethod
     def from_text(cls, f_text: str, g_text: str, q_text: str, r_text: str,

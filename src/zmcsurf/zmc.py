@@ -129,23 +129,20 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     (di-major).  Entries are arrays shaped like x and y (scalars for scalar x, y).
     """
     if method == "exact":
-        jet_fn = getattr(surface, "exact_jet", None)
-        if jet_fn is None:
-            raise ExactUnavailable(f"surface {getattr(surface, 'id', surface)!r} has no exact jet")
+        if surface.exact_jet is None:
+            raise ExactUnavailable(f"surface {surface.id!r} has no exact jet")
         with np.errstate(all="ignore"):
-            return jet_fn(x, y)
+            return surface.exact_jet(x, y)
     if method != "central-diff":
         raise ValueError(f"unknown jet method {method!r}")
 
     su, sv = _stencil(x, y, h)
-    domain_ok = getattr(surface, "domain_ok", None)
-    if domain_ok is not None:
-        px, py = (t.reshape(25, -1) + 0.0 for t in (su, sv))  # as x + 0 * h: -0.0 is 0.0
-        bad = ~np.broadcast_to(domain_ok(px, py, 0.0), px.shape)
-        if bad.any():
-            k = bad.any(axis=1).argmax()
-            raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
-                                  list(zip(px[k][bad[k]].tolist(), py[k][bad[k]].tolist()))[:5])
+    px, py = (t.reshape(25, -1) + 0.0 for t in (su, sv))  # as x + 0 * h: -0.0 is 0.0
+    bad = ~surface.domain_ok(px, py, 0.0)
+    if bad.any():
+        k = bad.any(axis=1).argmax()
+        raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
+                              list(zip(px[k][bad[k]].tolist(), py[k][bad[k]].tolist()))[:5])
     with np.errstate(all="ignore"):
         return GraphJet(*_central_jet(np.broadcast_to(surface.heights(su, sv), su.shape), h))
 
@@ -348,7 +345,7 @@ class GraphLiftSampler:
 
     def __init__(self, surface):
         self.surface = surface
-        if getattr(surface, "exact_jet", None) is not None:
+        if surface.exact_jet is not None:
             self.jet = self._exact_jet
 
     def points(self, u, v):

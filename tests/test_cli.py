@@ -196,6 +196,25 @@ def test_suffix_on_a_surface_without_parameters_is_a_usage_error(argv, tmp_path,
     assert "takes no parameters" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "1,2"],
+     "offset needs 3 coordinates"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "1,2,3,4"],
+     "offset needs 3 coordinates"),
+    (["tlms", "mesh", "--base", "0", "--grid", "0:0.8:3,0:0.8:3"], "base needs 2 values"),
+    (["tlms", "mesh", "--base", "0,0,5", "--grid", "0:0.8:3,0:0.8:3"], "base needs 2 values"),
+    (["residual", "parametric", "--source", "tlms", "--base", "0",
+      "--grid", "0:0.8:3,0:0.8:3"], "base needs 2 values"),
+])
+def test_wrong_length_offset_or_base_is_a_usage_error(argv, message, tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_bad_grid_is_a_usage_error():
     assert main(["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
                  "--grid", "nonsense"]) == 2

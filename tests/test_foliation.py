@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmcsurf import foliation, zmc
+from zmcsurf.catalog import HeightSurface
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.foliation import (
     ROUNDTRIP_TOLERANCE,
@@ -118,6 +119,38 @@ def test_leaf_domain_margin_excludes_axis_neighborhood():
     leaf = LeafSurface(0.0)
     assert not leaf.domain_ok(2 * PI + 0.01, 0.0, 0.05)
     assert leaf.domain_ok(2 * PI + 0.2, 0.0, 0.05)
+
+
+def _band_formula_jet(x, y, t):
+    """The leaf jet written out per band: (-1)^k times the helicoid's jet
+    formulas at (x - 2*pi*k, y), with z = leaf_height + t."""
+    k = np.round(x / (2 * PI))
+    dx = x - 2 * PI * k
+    sign = np.where(np.mod(k, 2) == 1, -1.0, 1.0)
+    r2 = dx * dx + y * y
+    r4 = r2 * r2
+    return (leaf_height(x, y) + t, sign * (-y / r2), sign * (dx / r2), sign * (2 * dx * y / r4),
+            sign * ((y * y - dx * dx) / r4), sign * (-2 * dx * y / r4))
+
+
+@pytest.mark.parametrize("t", [0.0, 2.5])
+def test_leaf_keeps_the_height_surface_contract(t):
+    leaf = LeafSurface(t)
+    assert isinstance(leaf, HeightSurface)
+    assert leaf.kind == "minimal"
+    exact = zmc.residual_sweep(leaf, "minimal", leaf.default_grid, tolerance=1e-10)
+    central = zmc.residual_sweep(leaf, "minimal", leaf.default_grid, method="central-diff",
+                                 tolerance=1e-6)
+    assert exact.passed and central.passed
+    with pytest.raises(ExcludedPoint):
+        leaf.height_at(0.0, 0.0)
+    # Five bands, both signs of (-1)^k; the excluded lines themselves left out.
+    u, v = GridSpec(-13.0, 13.0, -3.0, 3.0, 57, 33).lattice()
+    ok = leaf.domain_ok(u, v)
+    jet = leaf.exact_jet(u[ok], v[ok])
+    want = _band_formula_jet(u[ok], v[ok], t)
+    for name, entry in zip(("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy"), want):
+        assert getattr(jet, name).tobytes() == entry.tobytes(), name
 
 
 def test_foliation_check_report():

@@ -118,6 +118,20 @@ def test_reduced_mode_pins_g_to_identity():
         WEData.from_text("1", "w^2", mode="reduced-R")
 
 
+@pytest.mark.parametrize("offset", [(), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_we_offset_needs_three_coordinates(offset):
+    with pytest.raises(ValueError, match="offset needs 3 coordinates"):
+        WEData.from_text("1", "w", offset=offset)
+    with pytest.raises(ValueError, match="offset needs 3 coordinates"):
+        WEData.reduced("1", offset=offset)
+
+
+@pytest.mark.parametrize("base", [(), (0.0,), (0.0, 0.0, 5.0)])
+def test_tlms_base_needs_two_values(base):
+    with pytest.raises(ValueError, match="base needs 2 values"):
+        TLMSData.from_text("1", "1", "u", "v", base=base)
+
+
 # ---------------------------------------------------------------------------
 # associated family
 # ---------------------------------------------------------------------------
