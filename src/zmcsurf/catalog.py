@@ -726,25 +726,27 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
            margin: float, extra_params=None) -> VerificationReport:
     """Check the guards, then evaluate every point at once and reduce in order.
 
-    ``x`` and ``y`` are the coordinate arrays of ``points`` (in order); the
-    guards see them as given, the terms in complex arithmetic.  ``policy``
-    defaults to the identity's own.
+    ``x`` and ``y`` broadcast against each other to the points (lattice axes,
+    or two 1-d arrays), and ``points`` are their coordinates in row-major
+    order; the guards see them as given, the terms in complex arithmetic.
+    ``policy`` defaults to the identity's own.
     """
     policy = policy or inst.branch_policy
     if policy not in BRANCH_POLICIES:
         raise ValueError(f"unknown branch policy {policy!r}")
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     ok = inst.lhs.guard(x, y, margin)
     for t in inst.rhs_terms:
         ok = ok & t.guard(x, y, margin)
-    bad = np.flatnonzero(~np.broadcast_to(ok, x.shape))
+    bad = np.flatnonzero(~np.broadcast_to(ok, shape))
     if bad.size:
         raise DomainViolation(
             f"{bad.size} probe points violate the {inst.id} singularity margin {margin}",
             [tuple(points[k]) for k in bad[:10]])
     zx, zy = x.astype(complex), y.astype(complex)
     with np.errstate(all="ignore"):
-        lhs = np.broadcast_to(inst.lhs.fn(zx, zy), x.shape)
-        rhs = np.broadcast_to(sum(t.fn(zx, zy) for t in inst.rhs_terms), x.shape)
+        lhs = np.broadcast_to(inst.lhs.fn(zx, zy), shape).reshape(-1)
+        rhs = np.broadcast_to(sum(t.fn(zx, zy) for t in inst.rhs_terms), shape).reshape(-1)
         bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
         if bad.size:
             raise DomainViolation(
@@ -765,10 +767,11 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
 
     Every lattice point must clear every term's singularity margin, and every
     term must be finite there (DomainViolation otherwise).  The whole lattice
-    is evaluated at once and reduced in row-major order.
+    is evaluated at once on its axes and reduced in row-major order.
     """
-    u, v = grid.lattice()
-    return _sweep(inst, u, v, np.column_stack([u, v]), policy, tolerance, grid, grid.margin)
+    u, v = grid.axes()
+    return _sweep(inst, u, v, np.column_stack(grid.lattice()), policy, tolerance, grid,
+                  grid.margin)
 
 
 def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,

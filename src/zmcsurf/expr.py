@@ -497,18 +497,18 @@ class Tape:
 
     def __call__(self, *arrays):
         """Evaluate every expression at every point of ``arrays``, one per
-        variable in ``varnames`` order, broadcast to one shape.
+        variable in ``varnames`` order, broadcast against each other.
 
-        Returns ``(values, errors)``: complex128 values of shape
-        ``(len(self), *shape)``, and per expression a dict from the flat index
-        of each point where its scalar tree walk raises to that
+        The leaves are not broadcast: each instruction runs at the broadcast
+        shape of its own operands, so on lattice axes ((n, 1) against (1, m))
+        work on one variable runs once per grid line.  Returns ``(values,
+        errors)``: complex128 values of shape ``(len(self), *shape)`` for the
+        broadcast shape, and per expression a dict from the flat index (in
+        that shape) of each point where its scalar tree walk raises to that
         ``EvalDomainError`` (its value is nan there).
         """
-        if len(arrays) > 1:
-            arrays = np.broadcast_arrays(*(np.asarray(a, dtype=complex) for a in arrays))
-        else:
-            arrays = [np.asarray(arrays[0], dtype=complex)]
-        shape = arrays[0].shape
+        arrays = [np.asarray(a, dtype=complex) for a in arrays]
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
         values = np.empty((len(self.exprs), *shape), dtype=complex)
         total = np.zeros(shape, dtype=complex)
         s = [*arrays, *self._consts]
@@ -535,7 +535,7 @@ class Tape:
     def _walk_suspects(self, arrays, suspects, values, errors):
         """Run the program again at the suspect flat indices, and evaluate each
         expression by ``_eval_node`` where one of its instructions is not finite."""
-        flat = [np.ravel(a) for a in arrays]
+        flat = [np.ravel(a) for a in np.broadcast_arrays(*arrays)]
         s = [*(f[suspects] for f in flat), *self._consts]
         nonfinite = []
         with np.errstate(all="ignore"):

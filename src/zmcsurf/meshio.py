@@ -10,6 +10,7 @@ are byte-stable.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -38,6 +39,10 @@ class GridSpec:
     margin: float = 0.05
 
     def __post_init__(self):
+        u_min, u_max, v_min, v_max = map(float, (self.u_min, self.u_max, self.v_min, self.v_max))
+        if not all(map(math.isfinite, (u_min, u_max, v_min, v_max, u_max - u_min,
+                                       v_max - v_min, self.margin))):
+            raise ValueError("grid bounds, widths and margin must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy u_min < u_max and v_min < v_max")
         if self.nu < 2 or self.nv < 2:
@@ -55,6 +60,12 @@ class GridSpec:
         """Row-major (u, v) coordinate arrays of the nu*nv lattice points."""
         u, v = np.meshgrid(self.u_values(), self.v_values(), indexing="ij")
         return u.reshape(-1), v.reshape(-1)
+
+    def axes(self):
+        """The lattice as broadcast axes: u as a (nu, 1) column, v as a (1, nv)
+        row.  Elementwise formulas give the bits of ``lattice()`` in shape
+        (nu, nv), and work that depends on one coordinate runs once per line."""
+        return self.u_values()[:, None], self.v_values()[None, :]
 
     def points(self):
         """Row-major lattice iterator: ((i, j), (u, v))."""

@@ -89,12 +89,22 @@ FD_STEP = 1e-4
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
+def _shifts(u, v, h):
+    """The stencil as broadcast axes: the 5 shifts of u in shape (5, 1, *u.shape)
+    and the 5 of v in shape (1, 5, *v.shape), u and v first brought to one ndim.
+    Their broadcast, reshaped to (25, ...), has shift (di, dj) in row
+    5 * di + dj + 12; an unshifted coordinate keeps its own bits."""
+    ndim = max(np.ndim(u), np.ndim(v))
+    u, v = (np.reshape(t, (1,) * (ndim - np.ndim(t)) + np.shape(t)) for t in (u, v))
+    su, sv = (np.stack([t + d * h if d else t for d in range(-2, 3)]) for t in (u, v))
+    return su[:, None], sv[None]
+
+
 def _stencil(u, v, h):
-    """The 25 shifted copies of (u, v) in shape (25, *shape), row 5 * di + dj + 12
-    for shift (di, dj); an unshifted coordinate keeps its own bits."""
-    su, sv = (np.stack([t + d * h if d else t for d in range(-2, 3)])
-              for t in np.broadcast_arrays(u, v))
-    return np.repeat(su, 5, axis=0), np.concatenate([sv] * 5)
+    """The 25 shifted copies of (u, v), the broadcast of ``_shifts``, in shape
+    (25, *shape)."""
+    su, sv = np.broadcast_arrays(*_shifts(u, v, h))
+    return su.reshape(25, *su.shape[2:]), sv.reshape(25, *sv.shape[2:])
 
 
 # The stencil rows in the order the formulas below first use them (z, then the
@@ -124,9 +134,12 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
     ExactUnavailable when there is none (no silent fallback: the caller
     chooses).  ``method="central-diff"`` evaluates the 5-point stencil with step
-    h as one stack (one ``domain_ok`` and one ``heights`` call); a point outside
-    the domain raises DomainViolation with the first failing shift's first five
-    (di-major).  Entries are arrays shaped like x and y (scalars for scalar x, y).
+    h as one stack (one ``domain_ok`` and one ``heights`` call) on the broadcast
+    axes of ``_shifts``, so work on one coordinate runs on its 5 shifts alone; a
+    point outside the domain raises DomainViolation with the first failing
+    shift's first five (di-major).  Entries are arrays that broadcast against
+    each other to the shape of x and y broadcast (scalars for scalar x, y): on
+    lattice axes, a jet entry that depends on x alone may keep x's shape.
     """
     if method == "exact":
         if surface.exact_jet is None:
@@ -136,15 +149,19 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     if method != "central-diff":
         raise ValueError(f"unknown jet method {method!r}")
 
-    su, sv = _stencil(x, y, h)
-    px, py = (t.reshape(25, -1) + 0.0 for t in (su, sv))  # as x + 0 * h: -0.0 is 0.0
+    su, sv = _shifts(x, y, h)
+    px, py = su + 0.0, sv + 0.0  # as x + 0 * h: -0.0 is 0.0
     bad = ~surface.domain_ok(px, py, 0.0)
     if bad.any():
+        bad = bad.reshape(25, -1)
         k = bad.any(axis=1).argmax()
+        pu, pv = (t.reshape(25, -1)[k][bad[k]].tolist() for t in np.broadcast_arrays(px, py))
         raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
-                              list(zip(px[k][bad[k]].tolist(), py[k][bad[k]].tolist()))[:5])
+                              list(zip(pu, pv))[:5])
+    shape = np.broadcast_shapes(su.shape, sv.shape)
     with np.errstate(all="ignore"):
-        return GraphJet(*_central_jet(np.broadcast_to(surface.heights(su, sv), su.shape), h))
+        f = np.broadcast_to(surface.heights(su, sv), shape)
+        return GraphJet(*_central_jet(f.reshape(25, *shape[2:]), h))
 
 
 def one_point(x, y):
@@ -300,19 +317,22 @@ def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
 def residual_sweep(surface, eq: str, grid, method: str = "exact",
                    tolerance: float = 1e-10) -> VerificationReport:
     """Max/mean |graph residual| over a lattice that must lie in the domain;
-    the whole lattice is evaluated at once and reduced in row-major order."""
-    u, v = grid.lattice()
-    bad = ~np.broadcast_to(surface.domain_ok(u, v, grid.margin), u.shape)
+    the whole lattice is evaluated at once on its axes and reduced in
+    row-major order."""
+    u, v = grid.axes()
+    shape = (grid.nu, grid.nv)
+    bad = ~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape).reshape(-1)
     if bad.any():
+        u, v = grid.lattice()
         raise DomainViolation(
             f"{int(bad.sum())} grid points violate the domain of {surface.id!r}",
             list(zip(u[bad].tolist(), v[bad].tolist()))[:10])
 
     with np.errstate(all="ignore"):
         r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
-                            u.shape)
+                            shape).reshape(-1)
     stats = ErrorStats()
-    stats.add_many(np.abs(r), np.column_stack([u, v]), r)
+    stats.add_many(np.abs(r), np.column_stack(grid.lattice()), r)
     return VerificationReport.of(
         stats, subject=f"residual:{eq}:{surface.id}",
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from zmcsurf.cli import main, parse_complex
@@ -180,6 +181,17 @@ def test_foliate_writes_leaves_and_check(tmp_path):
 def test_unknown_surface_is_a_usage_error(capsys):
     assert main(["surface", "eval", "--name", "gyroid", "--x", "0", "--y", "0"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_a_non_finite_grid_is_a_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["residual", "--surface", "helicoid", "--grid", "0.1:1:5,-inf:1:5",
+            "--report", "r.json"]
+    with np.errstate(all="raise"):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad grid spec '0.1:1:5,-inf:1:5'\n" and captured.out == ""
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -176,10 +176,14 @@ def _report(report):
             "subject": report.subject}
 
 
-@pytest.mark.parametrize("identity_id, n, params", _IDENTITIES[:3] + _IDENTITIES[5:])
+# The log-ratio decompositions go last, so the other cases keep their ids.
+@pytest.mark.parametrize("identity_id, n, params", _IDENTITIES[:3] + _IDENTITIES[5:]
+                         + _IDENTITIES[3:5])
 def test_identity_sweep_equals_the_per_point_loop(identity_id, n, params):
     inst = identity_terms(identity_id, n, params)
     grid = {"scherk2-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
+            "scherk2max-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
+            "scherkBI-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
             "kamien-decomp": GridSpec(-2, 2, 0.3, 3.0, 13, 11),
             "helicoid-decomp": GridSpec(0.1, 2.9, -2, 2, 13, 11),
             "general-scaled": GridSpec(-1, 1, -1, 1, 13, 11)}[identity_id]
@@ -230,11 +234,15 @@ def per_shift_graph_jets(surface, x, y, h=zmc.FD_STEP):
         return zmc.GraphJet(*per_shift_central_jet(surface.heights, x, y, h))
 
 
-@pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherk1", "scherkBI",
-                                        "expr:log(cos(y)/cos(x))"])
+_RESIDUAL_SURFACES = ["scherk2", "helicoid", "scherk1", "scherk2max", "scherkBI",
+                      "plane:0.3,-0.2", "expr:log(cos(y)/cos(x))"]
+
+
+@pytest.mark.parametrize("surface", [builtin_surface(s) for s in _RESIDUAL_SURFACES]
+                         + [LeafSurface(0.5)], ids=_RESIDUAL_SURFACES + ["leaf"])
 @pytest.mark.parametrize("method", ["exact", "central-diff"])
-def test_residual_sweep_equals_the_per_point_loop(surface_id, method):
-    surface = builtin_surface(surface_id)
+def test_residual_sweep_equals_the_per_point_loop(surface, method):
+    surface_id = surface.id
     eq = catalog.kind_equation(surface.kind) or "minimal"
     g = surface.default_grid
     grid = GridSpec(g.u_min, g.u_max, g.v_min, g.v_max, 9, 7)
@@ -304,6 +312,39 @@ def test_stacked_graph_jets_equal_the_per_shift_stencil(surface_id, grid):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+@pytest.mark.parametrize("surface", [builtin_surface(s) for s in _RESIDUAL_SURFACES]
+                         + [LeafSurface(0.5)], ids=_RESIDUAL_SURFACES + ["leaf"])
+@pytest.mark.parametrize("method", ["exact", "central-diff"])
+def test_graph_jets_on_the_axes_equal_the_jets_on_the_lattice(surface, method):
+    # nu != nv, so a transposed axis cannot pass.
+    g = surface.default_grid
+    grid = GridSpec(g.u_min, g.u_max, g.v_min, g.v_max, 9, 6)
+    got = zmc.graph_jets(surface, *grid.axes(), method=method)
+    want = zmc.graph_jets(surface, *grid.lattice(), method=method)
+    for name in JET_FIELDS:
+        entry = np.broadcast_to(getattr(got, name), (9, 6)).reshape(-1)
+        assert entry.dtype == getattr(want, name).dtype, name
+        assert entry.tobytes() == np.broadcast_to(getattr(want, name), (54,)).tobytes(), name
+
+
+@pytest.mark.parametrize("surface_id, grid", [
+    # the row u = 1.5708 leaves at shift (0, -2): its first five of seven points
+    ("scherk2", GridSpec(1.5703, 1.5708, -0.3, 0.3, 6, 7, 0.0)),
+    # the column v = 1e-4 hits the tan pole line y = 0 at shift (-2, -2)
+    ("scherk1", GridSpec(-1.0, 1.0, 1e-4, 0.5, 8, 3, 0.0)),
+])
+def test_a_failing_stencil_on_the_axes_raises_the_lattice_error(surface_id, grid):
+    surface = builtin_surface(surface_id)
+    with pytest.raises(DomainViolation) as want:
+        per_shift_graph_jets(surface, *grid.lattice())
+    for points in (grid.lattice(), grid.axes()):
+        with pytest.raises(DomainViolation) as got:
+            zmc.graph_jets(surface, *points, method="central-diff")
+        assert str(got.value) == str(want.value)
+        assert repr(got.value.points) == repr(want.value.points)
+    assert len(want.value.points) == 5
+
+
 @pytest.mark.parametrize("x0, tape_calls", [(0.0, 1), (-0.0, 2)])
 def test_expr_stencil_takes_its_heights_from_the_domain_check(monkeypatch, x0, tape_calls):
     # The domain check leaves its heights for a stencil with the same bits; an
@@ -318,7 +359,7 @@ def test_expr_stencil_takes_its_heights_from_the_domain_check(monkeypatch, x0, t
 
     monkeypatch.setattr(expr.Tape, "__call__", recording)
     got = zmc.graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y, method="central-diff")
-    assert shapes == [(25, 4)] * tape_calls
+    assert shapes == [(5, 5, 4)] * tape_calls  # the broadcast of the stencil's axes
     monkeypatch.undo()
     want = per_shift_graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y)
     for name in JET_FIELDS:

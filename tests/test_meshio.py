@@ -29,6 +29,36 @@ def test_grid_spec_parse():
         GridSpec.parse("0:1,0:1:5")
 
 
+@pytest.mark.parametrize("bounds, margin", [
+    ((0, np.inf, 0, 1), 0.05),
+    ((-np.inf, 1, 0, 1), 0.05),
+    ((0, 1, np.nan, 1), 0.05),
+    ((-1e308, 1e308, 0, 1), 0.05),  # the width overflows
+    ((0, 1, -1e308, 1e308), 0.05),
+    ((0, 1, 0, 1), np.nan),
+    ((0, 1, 0, 1), np.inf),
+])
+def test_grid_spec_rejects_non_finite_bounds_widths_and_margin(bounds, margin):
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(*bounds, 5, 5, margin)
+
+
+@pytest.mark.parametrize("text", ["0:inf:5,0:1:5", "0.1:1:5,-inf:1:5", "0:1:5,nan:1:5",
+                                  "0:1:5,0:1:5,inf", "-1e308:1e308:3,0:1:3"])
+def test_grid_spec_parse_rejects_non_finite_grids_without_a_warning(text):
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="bad grid spec"):
+        GridSpec.parse(text)
+
+
+def test_grid_axes_broadcast_to_the_lattice():
+    grid = GridSpec(-1, 2, 0.5, 3, 5, 3)
+    u, v = grid.axes()
+    assert u.shape == (5, 1) and v.shape == (1, 3)
+    lu, lv = grid.lattice()
+    for axis, flat in ((u, lu), (v, lv)):
+        assert np.broadcast_to(axis, (5, 3)).reshape(-1).tobytes() == flat.tobytes()
+
+
 def test_sample_height_surface():
     patch = sample_patch(catalog.builtin_surface("scherk2"), GridSpec(-1, 1, -1, 1, 3, 3))
     assert patch.valid_count() == 9

@@ -149,6 +149,26 @@ def test_an_overflowing_running_sum_keeps_the_value_of_eval(source, at, suspects
     assert values[0] == e.eval(at) and np.isfinite(values[0])
 
 
+@pytest.mark.parametrize("sources", [
+    ("log(cos(y)/cos(x))", "x*y + sin(x)", "exp(y)", "2.5"),  # several expressions
+    ("1/x", "y/x + 2", "y^2"),                                # a pole walked as a suspect
+    ("atan(y/x)", "log(x*y)", "-x + y"),                      # signed zeros on both axes
+])
+def test_a_tape_on_broadcast_leaves_equals_the_tape_on_materialised_leaves(sources):
+    x = np.array([-1.0, -0.0, 0.0, 0.3, complex(2.0, -0.0)])[:, None]
+    y = np.array([0.5, -0.0, 1.1, -2.0])[None, :]
+    tape = Tape([parse_xy(s) for s in sources])
+    got, got_errors = tape(x, y)
+    want, want_errors = tape(*(np.array(a) for a in np.broadcast_arrays(x, y)))
+    assert got.shape == want.shape == (len(sources), 5, 4)
+    assert got.tobytes() == want.tobytes()
+    assert [list(e) for e in got_errors] == [list(e) for e in want_errors]
+    assert [[str(x) for x in e.values()] for e in got_errors] == [
+        [str(x) for x in e.values()] for e in want_errors]
+    if sources[0] == "1/x":  # flat indices of the rows x = -0.0 and x = 0.0
+        assert sorted(got_errors[0]) == list(range(4, 12))
+
+
 def test_tape_rejects_mixed_or_unknown_variables():
     with pytest.raises(ValueError, match="share"):
         Tape([parse("u", "u"), parse("v", "v")])
