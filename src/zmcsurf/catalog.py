@@ -351,8 +351,8 @@ def _expr_surface(text: str) -> HeightSurface:
     after its ``domain_ok``); any ``height`` call releases them.
     """
     e = _expr.parse_xy(text)
-    ex, ey = e.partial("x"), e.partial("y")
-    trees = (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
+    ex, ey = e.derivative("x"), e.derivative("y")
+    trees = (e, ex, ey, ex.derivative("x"), ex.derivative("y"), ey.derivative("y"))
     kept = None  # (points key, complex heights) of the last array domain check
 
     @functools.cache
@@ -615,10 +615,14 @@ def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
 def _general_scaled(n: int, params: dict) -> IdentityInstance:
     surface_id = str(params.get("surface", "scherk2"))
     base = builtin_surface(surface_id)
-    a = [float(v) for v in params.get("a", [1.0] * n)]
-    b = [float(v) for v in params.get("b", [0.0] * n)]
-    d = [float(v) for v in params.get("d", [0.0] * n)]
-    c = [float(v) for v in params.get("c", [float(m) for m in range(1, n + 1)])]
+
+    def floats(name, default):  # a bare number is one value
+        return [float(v) for v in np.atleast_1d(params.get(name, default))]
+
+    a = floats("a", [1.0] * n)
+    b = floats("b", [0.0] * n)
+    d = floats("d", [0.0] * n)
+    c = floats("c", [float(m) for m in range(1, n + 1)])
     for name, values in (("a", a), ("b", b), ("d", d), ("c", c)):
         if len(values) != n:
             raise ParamDomainError(f"parameter {name!r} must have length n = {n}")

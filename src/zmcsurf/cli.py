@@ -377,6 +377,9 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError, TypeError) as exc:
             print(f"error: cannot read config {config_path!r}: {exc}", file=sys.stderr)
             return 2
+        if not isinstance(config, dict):
+            print(f"error: config {config_path!r} must be a JSON object", file=sys.stderr)
+            return 2
 
     parser = build_parser(config)
     try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -45,6 +46,11 @@ class GridSpec:
             raise ValueError("grid bounds, widths and margin must be finite")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError("grid bounds must satisfy u_min < u_max and v_min < v_max")
+        for name in ("nu", "nv"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+                raise ValueError(f"grid size {name} must be an integer, got {n!r}")
+            object.__setattr__(self, name, operator.index(n))
         if self.nu < 2 or self.nv < 2:
             raise ValueError("grid needs nu >= 2 and nv >= 2")
         if self.margin < 0:
@@ -90,18 +96,18 @@ class GridSpec:
     def parse(cls, text: str) -> "GridSpec":
         """Parse ``umin:umax:nu,vmin:vmax:nv[,margin]``."""
         parts = text.split(",")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad grid spec {text!r}")
         try:
+            if len(parts) not in (2, 3):
+                raise ValueError("expected umin:umax:nu,vmin:vmax:nv[,margin]")
             u = parts[0].split(":")
             v = parts[1].split(":")
             if len(u) != 3 or len(v) != 3:
-                raise ValueError
+                raise ValueError("each axis needs min:max:n")
             margin = float(parts[2]) if len(parts) == 3 else 0.05
             return cls(float(u[0]), float(u[1]), float(v[0]), float(v[1]),
                        int(u[2]), int(v[2]), margin)
         except ValueError as exc:
-            raise ValueError(f"bad grid spec {text!r}") from exc
+            raise ValueError(f"bad grid spec {text!r}: {exc}") from exc
 
 
 @dataclass

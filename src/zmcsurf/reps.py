@@ -271,9 +271,9 @@ class WEData:
     def __post_init__(self):
         if self.mode not in WE_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {WE_MODES}")
-        if self.f.varname != self.g.varname:
+        if self.f.varnames != self.g.varnames:
             raise ValueError("f and g must share one free variable")
-        if self.mode == "reduced-R" and self.g.root != Var(self.f.varname):
+        if self.mode == "reduced-R" and self.g.root != Var(*self.f.varnames):
             raise ValueError("reduced-R mode pins g to the identity map")
         if len(self.offset) != 3:
             raise ValueError(f"offset needs 3 coordinates (x, y, z), got {len(self.offset)}")
@@ -291,7 +291,6 @@ class WEData:
 
     @cached_property
     def integrands(self):
-        w = self.f.varname
         f = self.f.root
         g = self.g.root
         g2 = Power(g, 2)
@@ -307,7 +306,7 @@ class WEData:
                 _mul(_I, Binary("add", _ONE, g2), f),
                 _mul(_TWO, g, f),
             )
-        return tuple(AnalyticExpr(p, w) for p in phi)
+        return tuple(AnalyticExpr(p, self.f.varnames) for p in phi)
 
     @cached_property
     def integrand_tape(self):
@@ -350,8 +349,7 @@ def split_weierstrass(data: WEData, weights: Sequence[float]):
         raise WeightSumError(f"weights must sum to 1, got sum = {sum(lams)!r}")
     out = []
     for lam in lams:
-        scaled = AnalyticExpr(Binary("mul", Const(complex(lam)), data.f.root),
-                              data.f.varname)
+        scaled = AnalyticExpr(Binary("mul", Const(complex(lam)), data.f.root), data.f.varnames)
         out.append(replace(data, f=scaled, offset=(0.0, 0.0, 0.0)))
     return out
 
@@ -373,8 +371,7 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence):
     """
     if data.mode != "reduced-R":
         raise ValueError("splitting is defined for reduced-R data")
-    varname = data.f.varname
-    exprs = [p if isinstance(p, AnalyticExpr) else parse(p, varname) for p in pieces]
+    exprs = [p if isinstance(p, AnalyticExpr) else parse(p, *data.f.varnames) for p in pieces]
     if not exprs:
         raise ZeroWeight("need at least one piece")
 
@@ -621,9 +618,9 @@ class TLMSData:
     base: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.f_u.varname != self.q_u.varname:
+        if self.f_u.varnames != self.q_u.varnames:
             raise ValueError("f and q must share the u variable")
-        if self.g_v.varname != self.r_v.varname:
+        if self.g_v.varnames != self.r_v.varnames:
             raise ValueError("g and r must share the v variable")
         if len(self.base) != 2:
             raise ValueError(f"base needs 2 values (u0, v0), got {len(self.base)}")
@@ -659,7 +656,7 @@ def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
     shapes = (_mul(q, f),
               _mul(Binary("sub", _ONE, q2), f),
               _mul(Binary("add", _ONE, q2), f))
-    return tuple(AnalyticExpr(s, density.varname) for s in shapes)
+    return tuple(AnalyticExpr(s, density.varnames) for s in shapes)
 
 
 def _assemble_tlms(qu, qv):
@@ -727,35 +724,27 @@ class BCData:
         return self.G.derivative()
 
     @cached_property
-    def f_second(self):
-        return self.f_prime.derivative()
-
-    @cached_property
-    def g_second(self):
-        return self.g_prime.derivative()
-
-    @cached_property
     def r_tape(self):
-        return Tape(_soliton_integrands(self.F.varname, self.f_prime))
+        return Tape(_soliton_integrands(self.f_prime))
 
     @cached_property
     def s_tape(self):
-        return Tape(_soliton_integrands(self.G.varname, self.g_prime))
+        return Tape(_soliton_integrands(self.g_prime))
 
     @cached_property
     def r_jet_tape(self):
-        return Tape((self.f_prime, self.f_second))
+        return _with_derivatives((self.f_prime,))
 
     @cached_property
     def s_jet_tape(self):
-        return Tape((self.g_prime, self.g_second))
+        return _with_derivatives((self.g_prime,))
 
 
-def _soliton_integrands(name: str, prime: AnalyticExpr):
-    """(t^2 F'(t), t F'(t)) in the variable ``name`` = t of F."""
-    t = Var(name)
-    return (AnalyticExpr(_mul(Power(t, 2), prime.root), name),
-            AnalyticExpr(_mul(t, prime.root), name))
+def _soliton_integrands(prime: AnalyticExpr):
+    """(t^2 F'(t), t F'(t)) in the variable t of F' = ``prime``."""
+    t = Var(*prime.varnames)
+    return (AnalyticExpr(_mul(Power(t, 2), prime.root), prime.varnames),
+            AnalyticExpr(_mul(t, prime.root), prime.varnames))
 
 
 def bc_point(data: BCData, r: float, s: float):

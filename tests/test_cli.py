@@ -190,7 +190,9 @@ def test_a_non_finite_grid_is_a_one_line_usage_error(tmp_path, capsys, monkeypat
     with np.errstate(all="raise"):
         assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: bad grid spec '0.1:1:5,-inf:1:5'\n" and captured.out == ""
+    assert captured.err == ("error: bad grid spec '0.1:1:5,-inf:1:5': "
+                            "grid bounds, widths and margin must be finite\n")
+    assert captured.out == ""
     assert not (tmp_path / "r.json").exists()
 
 
@@ -244,6 +246,28 @@ def test_parametric_residual_is_local_across_a_singular_path(capsys):
                "--zeta0", "1", "--grid", "-1.2:-0.8:3,-0.2:0.2:3"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("[PASS]")
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+def test_a_config_that_is_not_a_json_object_is_a_one_line_usage_error(tmp_path, capsys, text):
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    argv = ["--config", str(config), "surface", "eval", "--name", "scherk2", "--x", "0.1",
+            "--y", "0.1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config {str(config)!r} must be a JSON object\n"
+    assert captured.out == ""
+
+
+def test_general_scaled_takes_a_bare_number_as_one_value(capsys):
+    argv = ["identity", "verify", "--identity", "general-scaled", "--grid", "0:1:3,0.5:1:3"]
+    assert main(argv + ["--n", "1", "--param", "a=2"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS]")
+    assert main(argv + ["--n", "2", "--param", "a=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: parameter 'a' must have length n = 2\n"
+    assert captured.out == ""
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):

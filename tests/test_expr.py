@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -17,10 +18,13 @@ from zmcsurf.expr import (
     ExprSyntaxError,
     Power,
     Tape,
+    TwoVarExpr,
     Unary,
     UnknownIdentifier,
     Var,
+    _d,
     _eval_node,
+    _fold,
     parse,
     parse_xy,
 )
@@ -112,15 +116,52 @@ def test_tanh_derivative_at_origin():
 def test_two_variable_parse_and_partials():
     e = parse_xy("x*y + sin(x)")
     assert e.eval(0.5, 2.0) == pytest.approx(1.0 + math.sin(0.5))
-    ex = e.partial("x")
+    ex = e.derivative("x")
     assert ex.eval(0.5, 2.0) == pytest.approx(2.0 + math.cos(0.5))
-    exy = ex.partial("y")
+    exy = ex.derivative("y")
     assert exy.eval(0.3, -1.0) == pytest.approx(1.0)
 
 
 def test_two_variable_rejects_other_names():
     with pytest.raises(UnknownIdentifier):
         parse_xy("x + z")
+
+
+def test_eval_converts_arguments_before_any_operation():
+    # -0.3 has imaginary part +0 (log gives +i pi); -complex(0.3) has -0 (-i pi).
+    e = parse("log(-w)")
+    want = repr(_eval_node(e.root, {"w": 0.3 + 0j}))
+    assert want.endswith("-3.141592653589793j)")
+    assert repr(e.eval(0.3)) == repr(e.eval(0.3 + 0j)) == want
+    xy = parse_xy("log(-x) + y")
+    for x, y in [(3, 2), (0.3, 2.0), (np.float64(0.3), np.float64(2.0))]:
+        want = repr(_eval_node(xy.root, {"x": complex(x), "y": complex(y)}))
+        assert want.endswith("-3.141592653589793j)")
+        assert repr(xy.eval(x, y)) == repr(xy.eval(complex(x), complex(y))) == want
+
+
+def test_derivative_names_one_of_the_variables():
+    e = parse_xy("x*y + sin(x)")
+    for name in (None, "w"):
+        with pytest.raises(ValueError, match="one of the variables"):
+            e.derivative(name)
+    w = parse("w^3")
+    assert w.derivative("w") == w.derivative()
+    with pytest.raises(ValueError, match="one of the variables"):
+        w.derivative("x")
+
+
+def test_two_variable_derivative_keeps_its_class_and_tree():
+    e = parse_xy("log(cos(y)/cos(x)) + x*y^2")
+    for name in ("x", "y"):
+        d = e.derivative(name)
+        assert type(d) is TwoVarExpr and d.varnames == ("x", "y")
+        assert d.root == _fold(_d(e.root, name))
+
+
+def test_tape_rejects_one_and_two_variable_expressions_together():
+    with pytest.raises(ValueError, match="share"):
+        Tape([parse("w"), parse_xy("x + y")])
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +191,7 @@ def test_print_parse_round_trip_evaluates_identically():
     checked = 0
     for _ in range(1000):
         tree = _random_tree(rng, 3)
-        e = AnalyticExpr(tree, "w")
+        e = AnalyticExpr(tree, ("w",))
         back = parse(e.source(), "w")
         for _ in range(3):
             w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -185,7 +226,7 @@ _tree = st.recursive(
           suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(tree=_tree, re=st.floats(-1, 1, allow_nan=False), im=st.floats(-1, 1, allow_nan=False))
 def test_symbolic_derivative_matches_central_difference(tree, re, im):
-    e = AnalyticExpr(tree, "w")
+    e = AnalyticExpr(tree, ("w",))
     d1 = e.derivative()
     w = complex(re, im)
     h = 1e-5
@@ -214,7 +255,7 @@ def test_symbolic_derivative_matches_central_difference(tree, re, im):
 @given(tree=_tree)
 def test_derivative_stays_in_grammar(tree):
     # Differentiation must be closed: the derivative re-parses from its source.
-    e = AnalyticExpr(tree, "w")
+    e = AnalyticExpr(tree, ("w",))
     d = e.derivative()
     reparsed = parse(d.source(), "w")
     w = 0.637 + 0.213j
@@ -272,14 +313,14 @@ def _outcome(f, *args):
        w=st.sampled_from(_KERNEL_POINTS)
        | st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False))
 def test_kernel_gives_the_bits_and_errors_of_the_tree_walk(tree, w):
-    assert _outcome(AnalyticExpr(tree, "w").eval, w) == _outcome(_eval_node, tree, {"w": w})
+    assert _outcome(AnalyticExpr(tree, ("w",)).eval, w) == _outcome(_eval_node, tree, {"w": w})
 
 
 @pytest.mark.parametrize("x, y", [(0.3, 0.2), (0.5, 0.5), (math.pi / 2, 0.1), (0.0, -0.0),
                                   (-1.0, 0.0), (complex(-1.0, -0.0), 2.0), (800.0, 0.0)])
 def test_two_variable_kernels_equal_the_tree_walk(x, y):
     e = parse_xy("log(cos(y)/cos(x)) + 1/(x - y) + sqrt(x)*y^-2")
-    trees = (e, e.partial("x"), e.partial("y"))
+    trees = (e, e.derivative("x"), e.derivative("y"))
     env = {"x": complex(x), "y": complex(y)}
     for t in trees:
         assert _outcome(t.eval, x, y) == _outcome(_eval_node, t.root, env)
@@ -299,9 +340,9 @@ def test_kernel_source_holds_no_text_of_the_expression(monkeypatch):
     name = "__import__('os')"
     w = Var(name)
     e = AnalyticExpr(Binary("add", Unary("log", w), Power(Binary("mul", Const(2.5 + 0j), w), -2)),
-                     name)
+                     (name,))
     assert repr(e.eval(3)) == repr(_eval_node(e.root, {name: 3 + 0j}))
-    assert AnalyticExpr(w, name).eval(0.25) == 0.25
+    assert AnalyticExpr(w, (name,)).eval(0.25) == 0.25
     with pytest.raises(EvalDomainError, match="log of zero"):
         e.eval(0)
     assert len(sources) == 2

@@ -148,7 +148,7 @@ def _reference_integrate(integrands, z0, z1, tol=1e-10, max_segments=1024):
 
     def value(e, w):
         try:
-            return _eval_node(e.root, {e.varname: w})
+            return _eval_node(e.root, {e.varnames[0]: w})
         except EvalDomainError as exc:
             raise SingularPath(f"integrand singular at node {w!r}: {exc}") from exc
 
@@ -448,9 +448,9 @@ def test_central_difference_sweep_integrates_the_stencil_in_one_call_per_axis(
 
 def test_bc_second_derivatives_are_cached():
     data = BCData.from_text("r + r^3", "sin(s)")
-    assert data.f_second is data.f_second and data.g_second is data.g_second
-    assert data.f_second.eval(0.5) == pytest.approx(3.0)
-    assert data.g_second.eval(0.5) == pytest.approx(-cmath.sin(0.5))
+    assert data.r_jet_tape is data.r_jet_tape and data.s_jet_tape is data.s_jet_tape
+    assert data.r_jet_tape(0.5)[0][1] == pytest.approx(3.0)
+    assert data.s_jet_tape(0.5)[0][1] == pytest.approx(-cmath.sin(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,33 @@ def test_grid_spec_rejects_non_finite_bounds_widths_and_margin(bounds, margin):
         GridSpec(*bounds, 5, 5, margin)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("0:1:1,0:1:5", "grid needs nu >= 2 and nv >= 2"),
+    ("0.1:1:5,-inf:1:5", "grid bounds, widths and margin must be finite"),
+    ("1:0:5,0:1:5", "grid bounds must satisfy u_min < u_max and v_min < v_max"),
+    ("0:1,0:1:5", "each axis needs min:max:n"),
+    ("0:1:5", "expected umin:umax:nu,vmin:vmax:nv[,margin]"),
+    ("0:1:2.5,0:1:5", "invalid literal for int() with base 10: '2.5'"),
+])
+def test_grid_spec_parse_names_the_reason_on_one_line(text, reason):
+    with pytest.raises(ValueError) as info:
+        GridSpec.parse(text)
+    assert str(info.value) == f"bad grid spec {text!r}: {reason}"
+
+
+@pytest.mark.parametrize("nu, nv", [(2.5, 3), (3, 3.0), (True, 3), (3, np.True_), ("5", 3), (None, 3)])
+def test_grid_spec_rejects_non_integer_sizes(nu, nv):
+    with pytest.raises(ValueError, match="must be an integer"):
+        GridSpec(0, 1, 0, 1, nu, nv)
+
+
+def test_grid_spec_takes_numpy_integer_sizes_as_ints():
+    g = GridSpec(0, 1, 0, 1, np.int64(5), np.int32(3))
+    assert (g.nu, g.nv) == (5, 3) and type(g.nu) is int and type(g.nv) is int
+    assert g == GridSpec(0, 1, 0, 1, 5, 3)
+    assert g.u_values().shape == (5,)
+
+
 @pytest.mark.parametrize("text", ["0:inf:5,0:1:5", "0.1:1:5,-inf:1:5", "0:1:5,nan:1:5",
                                   "0:1:5,0:1:5,inf", "-1e308:1e308:3,0:1:3"])
 def test_grid_spec_parse_rejects_non_finite_grids_without_a_warning(text):

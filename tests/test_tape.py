@@ -78,8 +78,8 @@ _EXPR_JETS = ["log(cos(y)/cos(x))", "1/(x - y) + log(x)*y^2", "sqrt(x*y) - atan(
 
 def _jet_trees(text):
     e = parse_xy(text)
-    ex, ey = e.partial("x"), e.partial("y")
-    return (e, ex, ey, ex.partial("x"), ex.partial("y"), ey.partial("y"))
+    ex, ey = e.derivative("x"), e.derivative("y")
+    return (e, ex, ey, ex.derivative("x"), ex.derivative("y"), ey.derivative("y"))
 
 
 @pytest.mark.parametrize("text", _EXPR_JETS)
@@ -122,7 +122,7 @@ def test_signed_zero_constants_stay_apart():
     w = Var("w")
     # At w = -1 - 0i, w + 0 is -1 + 0i (log = +i pi) and w + (-0) is -1 - 0i
     # (log = -i pi); at w = 0, 0 + (-w) is +0 and (-0) + (-w) is -0.
-    exprs = [AnalyticExpr(node, "w") for c in (plus, minus)
+    exprs = [AnalyticExpr(node, ("w",)) for c in (plus, minus)
              for node in (Unary("log", Binary("add", w, c)), Binary("add", c, Unary("neg", w)))]
     values, _ = _assert_joint_is_alone(Tape(exprs), np.array([complex(-1.0, -0.0), 0j]))
     assert values[0, 0].imag == np.pi and values[2, 0].imag == -np.pi
@@ -173,7 +173,7 @@ def test_tape_rejects_mixed_or_unknown_variables():
     with pytest.raises(ValueError, match="share"):
         Tape([parse("u", "u"), parse("v", "v")])
     with pytest.raises(ValueError, match="not one of"):
-        Tape([AnalyticExpr(Var("z"), "w")])
+        Tape([AnalyticExpr(Var("z"), ("w",))])
 
 
 # ---------------------------------------------------------------------------
