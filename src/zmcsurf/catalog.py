@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as _expr
 from .errors import DomainViolation
 from .meshio import GridSpec
-from .report import ErrorStats, VerificationReport
+from .report import BroadcastRows, ErrorStats, VerificationReport
 from .zmc import GraphJet, one_point
 
 __all__ = [
@@ -774,8 +774,7 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     is evaluated at once on its axes and reduced in row-major order.
     """
     u, v = grid.axes()
-    return _sweep(inst, u, v, np.column_stack(grid.lattice()), policy, tolerance, grid,
-                  grid.margin)
+    return _sweep(inst, u, v, BroadcastRows(u, v), policy, tolerance, grid, grid.margin)
 
 
 def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,

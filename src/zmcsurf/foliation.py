@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import HeightSurface, builtin_surface
 from .errors import EmptyGrid
-from .report import ErrorStats, VerificationReport
+from .report import BroadcastRows, ErrorStats, VerificationReport
 from .zmc import GraphJet
 
 __all__ = [
@@ -171,7 +171,7 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
                                 (checked, t.size))
     roundtrip = ErrorStats()
     roundtrip.add_many(np.abs(recovered - t).reshape(-1),
-                       np.repeat(np.column_stack([x, y]), t.size, axis=0),
+                       BroadcastRows(x[:, None], y[:, None], shape=recovered.shape),
                        recovered.reshape(-1), np.tile(t, checked))
 
     # Compare the err/tolerance ratios without dividing by a tolerance; a NaN

@@ -14,7 +14,8 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -56,22 +57,38 @@ class GridSpec:
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
 
+    @cached_property
+    def _values(self):
+        """The read-only u and v coordinates, computed on first use.  They live
+        in the instance dict, outside the fields that equality, hash, repr and
+        ``replace`` see, and ``__getstate__`` keeps them out of a pickle."""
+        u = np.linspace(self.u_min, self.u_max, self.nu)
+        v = np.linspace(self.v_min, self.v_max, self.nv)
+        u.flags.writeable = v.flags.writeable = False
+        return u, v
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def u_values(self) -> np.ndarray:
-        return np.linspace(self.u_min, self.u_max, self.nu)
+        return self._values[0]
 
     def v_values(self) -> np.ndarray:
-        return np.linspace(self.v_min, self.v_max, self.nv)
+        return self._values[1]
 
     def lattice(self):
-        """Row-major (u, v) coordinate arrays of the nu*nv lattice points."""
-        u, v = np.meshgrid(self.u_values(), self.v_values(), indexing="ij")
-        return u.reshape(-1), v.reshape(-1)
+        """Row-major (u, v) coordinate arrays of the nu*nv lattice points, as
+        fresh writable arrays."""
+        u, v = self._values
+        return np.repeat(u, self.nv), np.tile(v, self.nu)
 
     def axes(self):
         """The lattice as broadcast axes: u as a (nu, 1) column, v as a (1, nv)
-        row.  Elementwise formulas give the bits of ``lattice()`` in shape
-        (nu, nv), and work that depends on one coordinate runs once per line."""
-        return self.u_values()[:, None], self.v_values()[None, :]
+        row, read-only views of the coordinates.  Elementwise formulas give the
+        bits of ``lattice()`` in shape (nu, nv), and work that depends on one
+        coordinate runs once per line."""
+        u, v = self._values
+        return u[:, None], v[None, :]
 
     def points(self):
         """Row-major lattice iterator: ((i, j), (u, v))."""
@@ -184,13 +201,18 @@ def _point_text(patch: SurfacePatch) -> np.ndarray:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to a temp file with LF endings, then rename it over ``path``;
-    a failed write or rename removes the temp file and leaves ``path`` as it was."""
+    """Write ``text`` as UTF-8, its newlines untranslated, to a temp file, then
+    rename it over ``path``; a failed write or rename removes the temp file and
+    leaves ``path`` as it was."""
+    data = memoryview(str.encode(text))  # a non-str fails here, before the temp file
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w", newline="\n")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        with fh:
-            fh.write(text)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

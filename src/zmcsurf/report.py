@@ -29,6 +29,28 @@ def _jsonable(value):
     return value
 
 
+class BroadcastRows:
+    """Rows of the table whose columns are ``columns`` broadcast to one shape
+    and flattened row-major, without building the table.
+
+    ``rows[k]`` is the tuple of Python scalars at flat index k, so a sweep
+    over lattice axes passes ``BroadcastRows(u, v)`` as the coordinates of
+    ``ErrorStats.add_many`` or of a ``DomainViolation`` and only the rows it
+    names are looked up; nothing is broadcast before a lookup.  ``shape``
+    widens the columns further (one row per leaf of each point, say).
+    """
+
+    __slots__ = ("_columns", "_shape")
+
+    def __init__(self, *columns, shape=()):
+        self._columns, self._shape = columns, shape
+
+    def __getitem__(self, k) -> tuple:
+        shape = np.broadcast_shapes(self._shape, *map(np.shape, self._columns))
+        index = np.unravel_index(k, shape)
+        return tuple(np.broadcast_to(c, shape)[index].item() for c in self._columns)
+
+
 class ErrorStats:
     """Streaming max / mean / worst point of pointwise errors.
 

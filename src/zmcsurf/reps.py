@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularPath
 from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Tape, Unary, Var, parse
-from .report import ErrorStats, VerificationReport
+from .report import BroadcastRows, ErrorStats, VerificationReport
 from .zmc import array_jet, point_from
 
 __all__ = [
@@ -91,7 +91,6 @@ class JacobianSingular(ArithmeticError):
 # composite Gauss-Legendre quadrature along straight segments
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # Upper bound on nodes per vectorized evaluation; active endpoints are
 # processed in chunks that stay under it (one endpoint may exceed it).  Small
 # enough that a chunk's complex128 temporaries stay in a 2 MiB L2 cache.
@@ -107,11 +106,15 @@ def _level_rule(nseg: int):
     boundaries k / nseg follow: they are evaluated only to detect a pole that
     the nodes, symmetric about it, would cancel into a principal value.
     """
+    # Imported here: numpy.polynomial costs milliseconds, and only quadrature needs it.
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, node_weights = leggauss(32)
     half = 0.5 / nseg
     mids = (np.arange(nseg) + 0.5) / nseg
-    gauss = (mids[:, None] + half * _GL_NODES[None, :]).reshape(-1)
+    gauss = (mids[:, None] + half * nodes[None, :]).reshape(-1)
     t = np.concatenate([gauss, np.arange(1, nseg) / nseg])
-    weights = np.tile(_GL_WEIGHTS * half, nseg)
+    weights = np.tile(node_weights * half, nseg)
     return t, weights
 
 
@@ -438,7 +441,8 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         raise failure
     z_parent, z_sum = heights[0], sum(heights[1:])
     stats = ErrorStats()
-    stats.add_many(np.abs(z_parent - z_sum), np.column_stack([np.real(zetas), np.imag(zetas)]),
+    probes = np.array(zetas)
+    stats.add_many(np.abs(z_parent - z_sum), BroadcastRows(probes.real, probes.imag),
                    z_parent, z_sum)
     return VerificationReport.of(
         stats, subject="we-split",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation
-from .report import ErrorStats, VerificationReport
+from .report import BroadcastRows, ErrorStats, VerificationReport
 
 __all__ = [
     "GraphJet",
@@ -320,19 +320,18 @@ def residual_sweep(surface, eq: str, grid, method: str = "exact",
     the whole lattice is evaluated at once on its axes and reduced in
     row-major order."""
     u, v = grid.axes()
-    shape = (grid.nu, grid.nv)
-    bad = ~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape).reshape(-1)
-    if bad.any():
-        u, v = grid.lattice()
+    shape, rows = (grid.nu, grid.nv), BroadcastRows(u, v)
+    bad = np.flatnonzero(~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape))
+    if bad.size:
         raise DomainViolation(
-            f"{int(bad.sum())} grid points violate the domain of {surface.id!r}",
-            list(zip(u[bad].tolist(), v[bad].tolist()))[:10])
+            f"{bad.size} grid points violate the domain of {surface.id!r}",
+            [rows[k] for k in bad[:10]])
 
     with np.errstate(all="ignore"):
         r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
                             shape).reshape(-1)
     stats = ErrorStats()
-    stats.add_many(np.abs(r), np.column_stack(grid.lattice()), r)
+    stats.add_many(np.abs(r), rows, r)
     return VerificationReport.of(
         stats, subject=f"residual:{eq}:{surface.id}",
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},
@@ -347,7 +346,7 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 
     u, v = grid.lattice()
     value = parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=use_exact_jet)
     stats = ErrorStats()
-    stats.add_many(np.abs(value), np.column_stack([u, v]), value)
+    stats.add_many(np.abs(value), BroadcastRows(u, v), value)
     return VerificationReport.of(
         stats, subject=subject,
         parameters={"metric": list(metric.signs), "h": FD_STEP,

@@ -12,6 +12,10 @@
 """
 
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,6 +311,30 @@ def test_boundary_probes_add_under_four_percent_of_the_nodes():
         assert weights.size == 32 * nseg and t.size == 33 * nseg - 1
         assert t.size <= 1.04 * weights.size
         assert np.array_equal(t[weights.size:], np.arange(1, nseg) / nseg)
+
+
+@pytest.mark.parametrize("nseg", [1, 2])
+def test_level_rule_has_the_bits_of_the_leggauss_rule(nseg):
+    from zmcsurf.reps import _level_rule
+    half = 0.5 / nseg
+    mids = (np.arange(nseg) + 0.5) / nseg
+    want_t = np.concatenate([(mids[:, None] + half * _NODES[None, :]).reshape(-1),
+                             np.arange(1, nseg) / nseg])
+    t, weights = _level_rule(nseg)
+    assert t.tobytes() == want_t.tobytes()
+    assert weights.tobytes() == np.tile(_WEIGHTS * half, nseg).tobytes()
+
+
+def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    code = ("import sys\n"
+            "import zmcsurf.catalog, zmcsurf.reps, zmcsurf.foliation, zmcsurf.cli\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
 
 
 def test_translation_samplers_integrate_each_axis_once(monkeypatch):

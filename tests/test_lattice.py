@@ -197,6 +197,30 @@ def test_identity_sweep_equals_the_per_point_loop(identity_id, n, params):
     assert _report(catalog.verify_identity(inst, grid)) == want
 
 
+def _bad_points(grid, ok):
+    """The lattice points, row-major, where the scalar ``ok(x, y)`` fails."""
+    return [xy for _, xy in grid.points() if not ok(*xy)]
+
+
+def test_a_lattice_sweep_names_the_first_ten_row_major_points_outside_the_domain():
+    grid = GridSpec(1.45, 1.7, -1.0, 1.0, 11, 7)   # columns within the margin of x = pi/2
+    inst = identity_terms("scherk2-decomp", 2)
+    with pytest.raises(DomainViolation) as got:
+        catalog.verify_identity(inst, grid)
+    bad = _bad_points(grid, lambda x, y: all(
+        bool(t.guard(x, y, grid.margin)) for t in (inst.lhs,) + inst.rhs_terms))
+    assert len(bad) > 10 and got.value.points == bad[:10]
+    assert str(got.value) == (f"{len(bad)} probe points violate the scherk2-decomp "
+                              f"singularity margin 0.05")
+
+    surface = builtin_surface("scherk2")
+    with pytest.raises(DomainViolation) as got:
+        zmc.residual_sweep(surface, "minimal", grid)
+    bad = _bad_points(grid, lambda x, y: surface.domain_ok(x, y, grid.margin))
+    assert len(bad) > 10 and got.value.points == bad[:10]
+    assert str(got.value) == f"{len(bad)} grid points violate the domain of 'scherk2'"
+
+
 def per_shift_central_jet(f, u, v, h):
     """The 5-point central-difference jet one stencil shift at a time: f is called
     once per shift, in the order the formulas first use the shifts.  The

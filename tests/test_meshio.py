@@ -1,6 +1,8 @@
 """Grid specs, patch sampling, and bit-exact OBJ/CSV export."""
 
+import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -206,3 +208,61 @@ def test_representation_sampler_grid_is_fully_valid():
     sampler = reps.WESampler(reps.WEData.from_text("1", "w"))
     patch = sample_patch(sampler, GridSpec(-1, 1, -1, 1, 17, 17))
     assert patch.valid_count() == 17 * 17
+
+
+# ---------------------------------------------------------------------------
+# GridSpec coordinates: computed once, read-only, outside the value
+# ---------------------------------------------------------------------------
+
+def _meshgrid_lattice(grid):
+    """The lattice as ``np.meshgrid`` ravels it: the reference for ``lattice()``."""
+    u, v = np.meshgrid(np.linspace(grid.u_min, grid.u_max, grid.nu),
+                       np.linspace(grid.v_min, grid.v_max, grid.nv), indexing="ij")
+    return u.reshape(-1), v.reshape(-1)
+
+
+def test_grid_coordinates_are_computed_once_and_read_only():
+    grid = GridSpec(-1, 2, 0.5, 3, 5, 3)
+    for values in (grid.u_values, grid.v_values):
+        first = values()
+        assert values() is first
+        with pytest.raises(ValueError):
+            first[0] = 7.0
+    u, v = grid.axes()
+    assert np.shares_memory(u, grid.u_values()) and np.shares_memory(v, grid.v_values())
+    with pytest.raises(ValueError):
+        u[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("grid", [GridSpec(-1, 2, 0.5, 3, 5, 3), GridSpec(0.1, 0.9, -2, 7, 2, 9),
+                                  GridSpec(-0.0, 1.0, -1.0, -0.0, 4, 6)])
+def test_lattice_has_the_bits_of_the_meshgrid_ravel(grid):
+    got, want = grid.lattice(), _meshgrid_lattice(grid)
+    for g, w in zip(got, want):
+        assert g.shape == (grid.nu * grid.nv,) and g.tobytes() == w.tobytes()
+        assert g.flags.writeable
+    # Fresh arrays: writing to one lattice changes neither the next nor the axes.
+    got[0][:] = 9.0
+    assert grid.lattice()[0].tobytes() == want[0].tobytes()
+    assert grid.u_values().tobytes() == np.linspace(grid.u_min, grid.u_max, grid.nu).tobytes()
+
+
+def test_a_replaced_grid_gets_its_own_coordinates():
+    grid = GridSpec(0, 1, 0, 1, 5, 3)
+    grid.u_values()
+    wider = dataclasses.replace(grid, u_max=2.0, nv=4)
+    assert wider.u_values().tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert wider.v_values().shape == (4,)
+    assert grid.u_values().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_equality_hash_repr_and_pickle_ignore_the_coordinates():
+    fresh, used = GridSpec(0, 1, 0, 1, 5, 3), GridSpec(0, 1, 0, 1, 5, 3)
+    used.lattice()
+    assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+    assert "_values" not in repr(used)
+    back = pickle.loads(pickle.dumps(used))
+    assert back == used and hash(back) == hash(used)
+    assert "_values" not in vars(back)
+    assert back.u_values().tobytes() == used.u_values().tobytes()
+    assert not back.u_values().flags.writeable

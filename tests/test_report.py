@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmcsurf.errors import EmptyGrid
-from zmcsurf.report import ErrorStats, VerificationReport
+from zmcsurf.report import BroadcastRows, ErrorStats, VerificationReport
 
 
 def _stats(errors):
@@ -83,6 +83,32 @@ def test_add_many_keeps_the_first_of_tied_maxima_and_the_first_nan():
     assert math.isnan(stats.max) and stats.worst["coords"] == [8.0, 9.0] and stats.count == 6
     stats.add_many(np.array([]), [], 0.0)
     assert stats.count == 6 and math.isnan(stats.mean)
+
+
+@pytest.mark.parametrize("columns, shape", [
+    ((np.arange(5.0)[:, None], np.arange(10.0, 13.0)[None, :]), ()),    # lattice axes
+    ((np.arange(4.0), -np.arange(4.0)), ()),                            # 1-d points
+    ((np.arange(3.0)[:, None], -np.arange(3.0)[:, None]), (3, 2)),      # a row per leaf
+    ((np.array([1 + 2j, -0.0j]), np.array([0.5, -0.0])), ()),
+])
+def test_broadcast_rows_are_the_rows_of_the_stacked_table(columns, shape):
+    rows = BroadcastRows(*columns, shape=shape)
+    flat = [np.broadcast_to(c, np.broadcast_shapes(shape, *map(np.shape, columns))).reshape(-1)
+            for c in columns]
+    table = list(zip(*(f.tolist() for f in flat)))
+    assert [repr(rows[k]) for k in range(len(table))] == [repr(row) for row in table]
+    with pytest.raises(ValueError):
+        rows[len(table)]
+
+
+def test_add_many_takes_broadcast_rows_as_coordinates():
+    u, v = np.array([[0.0], [0.5]]), np.array([[1.0, 2.0, 3.0]])
+    rows, table = ErrorStats(), ErrorStats()
+    err = np.array([0.1, 0.2, 0.9, 0.4, 0.9, 0.3])
+    rows.add_many(err, BroadcastRows(u, v), 7.0)
+    table.add_many(err, np.column_stack([np.repeat(u, 3), np.tile(v.reshape(-1), 2)]), 7.0)
+    assert _bits(rows) == _bits(table)
+    assert rows.worst["coords"] == [0.0, 3.0]
 
 
 _FIELDS = {"subject": "check", "parameters": {}, "grid": None, "policy": "principal",
