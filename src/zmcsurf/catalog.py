@@ -22,6 +22,7 @@ import cmath
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import expr as _expr
 from .errors import DomainViolation
 from .meshio import GridSpec
-from .report import BroadcastRows, ErrorStats, VerificationReport
+from .report import BroadcastRows, VerificationReport
 from .zmc import GraphJet, one_point
 
 __all__ = [
@@ -690,9 +691,9 @@ def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> I
     """Instantiate an identity from the registry with its default branch policy."""
     if identity_id not in _IDENTITY_BUILDERS:
         raise UnknownIdentity(identity_id)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not hasattr(type(n), "__index__") or operator.index(n) < 1:
         raise ParamDomainError(f"n must be a positive integer, got {n!r}")
-    return _IDENTITY_BUILDERS[identity_id](n, dict(params or {}))
+    return _IDENTITY_BUILDERS[identity_id](operator.index(n), dict(params or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +758,8 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
                 f"{bad.size} probe points give non-finite {inst.id} terms",
                 [tuple(points[k]) for k in bad[:10]])
         err = branch_error(policy, lhs, rhs)
-    stats = ErrorStats()
-    stats.add_many(err, points, lhs, rhs)
     return VerificationReport.of(
-        stats, subject=f"identity:{inst.id}",
+        err, points, lhs, rhs, subject=f"identity:{inst.id}",
         parameters={"n": inst.n, **inst.params, **(extra_params or {})},
         grid=grid, policy=policy, tolerance=tolerance)
 

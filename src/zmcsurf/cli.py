@@ -10,7 +10,10 @@ flag's value (flags win).
 from __future__ import annotations
 
 import argparse
+import cmath
+import contextlib
 import json
+import math
 import os
 import sys
 
@@ -23,11 +26,32 @@ __all__ = ["main", "build_parser", "parse_complex"]
 
 
 def parse_complex(text: str) -> complex:
-    """Accept ``0.4+0.3i`` (or ``j``) and bare reals."""
+    """Accept ``0.4+0.3i`` (or ``j``) and bare reals; both parts must be finite."""
+    literal = text.strip()
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(literal[:-1] + "j" if literal.endswith("i") else literal)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"non-finite complex literal {text!r}")
+    return value
+
+
+def _parse_finite(text: str, flag: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{flag} must be finite, got {text!r}")
+    return value
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """An OSError from writing ``path`` is a usage error that names it."""
+    try:
+        yield
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
 def _fmt_real(v: float) -> str:
@@ -63,7 +87,8 @@ def _parse_param_items(items):
 def _finish(report, path) -> int:
     """Write the report (if ``path``), print its summary; exit 0 iff it passed."""
     if path:
-        report.write(path)
+        with _writing(path):
+            report.write(path)
     flag = "PASS" if report.passed else "FAIL"
     print(f"[{flag}] {report.subject}: max_abs_err={report.max_abs_err:.3e} "
           f"mean={report.mean_abs_err:.3e} tol={report.tolerance:.1e} "
@@ -108,10 +133,8 @@ def _parametric_sampler(args):
 
 
 def _write_patch(patch, path: str) -> None:
-    if path.endswith(".csv"):
-        write_csv(patch, path)
-    else:
-        write_obj(patch, path)
+    with _writing(path):
+        (write_csv if path.endswith(".csv") else write_obj)(patch, path)
 
 
 def _mesh(args, make_sampler) -> int:
@@ -176,7 +199,8 @@ def _cmd_we(args) -> int:
         return _mesh(args, lambda a: reps.WESampler(data, theta=a.theta))
     if args.verb == "invert":
         guess = parse_complex(args.guess)
-        zeta = reps.invert_parametrization(data, float(args.x), float(args.y), guess)
+        zeta = reps.invert_parametrization(data, _parse_finite(args.x, "--x"),
+                                           _parse_finite(args.y, "--y"), guess)
         print(_fmt_value(zeta))
         return 0
     if args.verb == "split":
@@ -210,7 +234,8 @@ def _cmd_foliate(args) -> int:
     x_lo = (2 * k_lo - 1) * 3.141592653589793 + margin
     x_hi = (2 * k_hi + 1) * 3.141592653589793 - margin
     grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, margin)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     for idx, t in enumerate(ts):
         patch = sample_patch(foliation.LeafSurface(t), grid)
         _write_patch(patch, os.path.join(args.out, f"leaf_{idx:02d}.obj"))

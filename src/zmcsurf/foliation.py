@@ -23,7 +23,7 @@ import numpy as np
 
 from .catalog import HeightSurface, builtin_surface
 from .errors import EmptyGrid
-from .report import BroadcastRows, ErrorStats, VerificationReport
+from .report import BroadcastRows, VerificationReport, reduce_errors
 from .zmc import GraphJet
 
 __all__ = [
@@ -142,17 +142,15 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     if not t_samples:
         raise EmptyGrid("need at least one leaf shift t")
 
-    boundary = ErrorStats()
+    # Entry (i, j) is boundary i at ys[j]; row-major is the check order.
     ys = grid.v_values()
-    k_lo = math.ceil((grid.u_min - math.pi) / TWO_PI)
-    k_hi = math.floor((grid.u_max - math.pi) / TWO_PI)
-    for k in range(k_lo, k_hi + 1):
-        xb = (2 * k + 1) * math.pi
-        if not (grid.u_min <= xb <= grid.u_max):
-            continue
-        left = leaf_height(xb - BOUNDARY_DELTA, ys)
-        right = leaf_height(xb + BOUNDARY_DELTA, ys)
-        boundary.add_many(np.abs(left - right), [(xb, y) for y in ys.tolist()], left, right)
+    k = np.arange(math.ceil((grid.u_min - math.pi) / TWO_PI),
+                  math.floor((grid.u_max - math.pi) / TWO_PI) + 1)
+    xb = (2 * k + 1) * math.pi
+    xb = xb[(grid.u_min <= xb) & (xb <= grid.u_max)][:, None]
+    left = leaf_height(xb - BOUNDARY_DELTA, ys)
+    right = leaf_height(xb + BOUNDARY_DELTA, ys)
+    boundary = reduce_errors(np.abs(left - right), BroadcastRows(xb, ys), left, right)
 
     # Draw the pairs as a one-at-a-time rejection loop of rng.uniform(lo, hi) does.
     rng = random.Random(seed)
@@ -169,16 +167,15 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     # Entry (i, j) is point i on the leaf t[j]; row-major is the check order.
     recovered = np.broadcast_to(leaf_of_point(*leaf_point(x[:, None], y[:, None], t)),
                                 (checked, t.size))
-    roundtrip = ErrorStats()
-    roundtrip.add_many(np.abs(recovered - t).reshape(-1),
-                       BroadcastRows(x[:, None], y[:, None], shape=recovered.shape),
-                       recovered.reshape(-1), np.tile(t, checked))
+    columns = (np.broadcast_to(c, recovered.shape) for c in (x[:, None], y[:, None]))
+    roundtrip = reduce_errors(np.abs(recovered - t), BroadcastRows(*columns), recovered, t)
 
     # Compare the err/tolerance ratios without dividing by a tolerance; a NaN
     # max heads the report whichever sub-check it is in, and a window without
     # band boundaries has only the roundtrip sub-check to report.
-    if (roundtrip.max * BOUNDARY_TOLERANCE > boundary.max * ROUNDTRIP_TOLERANCE
-            or math.isnan(roundtrip.max) or boundary.count == 0):
+    b_max, r_max = boundary["max_abs_err"], roundtrip["max_abs_err"]
+    if (r_max * BOUNDARY_TOLERANCE > b_max * ROUNDTRIP_TOLERANCE or math.isnan(r_max)
+            or boundary["points_checked"] == 0):
         headline, tolerance = roundtrip, ROUNDTRIP_TOLERANCE
     else:
         headline, tolerance = boundary, BOUNDARY_TOLERANCE
@@ -186,23 +183,20 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
         subject="foliation-check",
         parameters={
             "t_samples": t_samples,
-            "boundary_pairs": boundary.count,
+            "boundary_pairs": boundary["points_checked"],
             "boundary_delta": BOUNDARY_DELTA,
-            "boundary_max": boundary.max,
-            "boundary_mean": boundary.mean,
+            "boundary_max": b_max,
+            "boundary_mean": boundary["mean_abs_err"],
             "boundary_tolerance": BOUNDARY_TOLERANCE,
             "roundtrip_points": checked,
-            "roundtrip_max": roundtrip.max,
-            "roundtrip_mean": roundtrip.mean,
+            "roundtrip_max": r_max,
+            "roundtrip_mean": roundtrip["mean_abs_err"],
             "roundtrip_tolerance": ROUNDTRIP_TOLERANCE,
-            "roundtrip_pass": roundtrip.max <= ROUNDTRIP_TOLERANCE,
+            "roundtrip_pass": r_max <= ROUNDTRIP_TOLERANCE,
             "seed": seed,
         },
         grid=grid,
-        points_checked=boundary.count + roundtrip.count,
-        max_abs_err=headline.max,
-        mean_abs_err=headline.mean,
-        worst_point=headline.worst,
+        **{**headline, "points_checked": boundary["points_checked"] + roundtrip["points_checked"]},
         policy="principal",
         tolerance=tolerance,
     )

@@ -35,76 +35,46 @@ class BroadcastRows:
 
     ``rows[k]`` is the tuple of Python scalars at flat index k, so a sweep
     over lattice axes passes ``BroadcastRows(u, v)`` as the coordinates of
-    ``ErrorStats.add_many`` or of a ``DomainViolation`` and only the rows it
-    names are looked up; nothing is broadcast before a lookup.  ``shape``
-    widens the columns further (one row per leaf of each point, say).
+    ``reduce_errors`` or of a ``DomainViolation`` and only the rows it names
+    are looked up; nothing is broadcast before a lookup.
     """
 
-    __slots__ = ("_columns", "_shape")
+    __slots__ = ("_columns",)
 
-    def __init__(self, *columns, shape=()):
-        self._columns, self._shape = columns, shape
+    def __init__(self, *columns):
+        self._columns = columns
 
     def __getitem__(self, k) -> tuple:
-        shape = np.broadcast_shapes(self._shape, *map(np.shape, self._columns))
+        shape = np.broadcast_shapes(*map(np.shape, self._columns))
         index = np.unravel_index(k, shape)
         return tuple(np.broadcast_to(c, shape)[index].item() for c in self._columns)
 
 
-class ErrorStats:
-    """Streaming max / mean / worst point of pointwise errors.
+def reduce_errors(err, rows, lhs, rhs=0.0) -> dict:
+    """The report fields of the pointwise errors ``err``: their count, max,
+    mean and worst point.
 
-    The worst point is the first maximal error in ``add`` order, and a NaN
-    error counts as maximal (the first NaN stays the worst point), so a
-    report built from a NaN ``max`` fails.  ``mean`` is the left-to-right
-    float sum divided by ``count``; it is 0.0 before the first ``add``.
+    ``rows[i]`` are the coordinates of entry i of ``err`` flattened row-major,
+    and ``lhs`` and ``rhs`` broadcast against ``err``.  The worst point is the
+    first maximal error, and a NaN error counts as maximal (the first NaN is
+    the worst point), so a report built from a NaN max fails.  The mean is the
+    left-to-right float sum (``np.cumsum``) divided by the count.  No errors
+    give count 0, max and mean 0.0 and no worst point.
     """
-
-    __slots__ = ("count", "max", "worst", "_total")
-
-    def __init__(self):
-        self.count = 0
-        self.max = 0.0
-        self.worst = None
-        self._total = 0.0
-
-    def add(self, err, coords, lhs, rhs=0.0) -> None:
-        self.count += 1
-        self._total += err
-        if err > self.max or self.worst is None or (err != err and self.max == self.max):
-            self.max = err
-            self.worst = {"coords": list(coords), "lhs": lhs, "rhs": rhs}
-
-    def add_many(self, err, coords, lhs, rhs=0.0) -> None:
-        """``add`` for every entry of the 1-d array ``err`` in order.
-
-        ``coords[i]`` are the coordinates of entry i; ``lhs`` and ``rhs``
-        broadcast against ``err``.  The running sum is ``np.cumsum``, which
-        adds left to right as ``add`` does, so the mean is the same bits.
-        """
-        err = np.asarray(err, dtype=float).reshape(-1)
-        if err.size == 0:
-            return
-        self.count += err.size
-        self._total = float(np.cumsum(np.concatenate(([self._total], err)))[-1])
-        nans = np.isnan(err)
-        if nans.any():
-            if self.max != self.max:
-                return
-            i = int(nans.argmax())
-        else:
-            i = int(err.argmax())
-            if self.worst is not None and not err[i] > self.max:
-                return
-        row = coords[i]
-        self.max = float(err[i])
-        self.worst = {"coords": row.tolist() if isinstance(row, np.ndarray) else list(row),
-                      "lhs": np.broadcast_to(lhs, err.shape)[i].item(),
-                      "rhs": np.broadcast_to(rhs, err.shape)[i].item()}
-
-    @property
-    def mean(self) -> float:
-        return self._total / self.count if self.count else 0.0
+    err = np.asarray(err, dtype=float)
+    flat = err.reshape(-1)
+    if flat.size == 0:
+        return {"points_checked": 0, "max_abs_err": 0.0, "mean_abs_err": 0.0,
+                "worst_point": None}
+    nans = np.isnan(flat)
+    i = int(nans.argmax() if nans.any() else flat.argmax())
+    row = rows[i]
+    return {"points_checked": flat.size, "max_abs_err": float(flat[i]),
+            "mean_abs_err": float(np.cumsum(flat)[-1]) / flat.size,
+            "worst_point": {
+                "coords": row.tolist() if isinstance(row, np.ndarray) else list(row),
+                "lhs": np.broadcast_to(lhs, err.shape).flat[i].item(),
+                "rhs": np.broadcast_to(rhs, err.shape).flat[i].item()}}
 
 
 @dataclass
@@ -132,10 +102,9 @@ class VerificationReport:
         self.passed = bool(self.max_abs_err <= self.tolerance)
 
     @classmethod
-    def of(cls, stats: ErrorStats, **fields) -> "VerificationReport":
-        """The report of the errors in ``stats``: their count, max, mean and worst point."""
-        return cls(points_checked=stats.count, max_abs_err=stats.max, mean_abs_err=stats.mean,
-                   worst_point=stats.worst, **fields)
+    def of(cls, err, rows, lhs, rhs=0.0, **fields) -> "VerificationReport":
+        """The report of the errors ``err`` at ``rows`` (see ``reduce_errors``)."""
+        return cls(**reduce_errors(err, rows, lhs, rhs), **fields)
 
     def to_dict(self, include_timestamp: bool = True) -> dict:
         out = {

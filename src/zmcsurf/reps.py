@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NoConvergence, SingularPath
 from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Tape, Unary, Var, parse
-from .report import BroadcastRows, ErrorStats, VerificationReport
+from .report import BroadcastRows, VerificationReport
 from .zmc import array_jet, point_from
 
 __all__ = [
@@ -440,12 +440,10 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     if failure is not None:
         raise failure
     z_parent, z_sum = heights[0], sum(heights[1:])
-    stats = ErrorStats()
     probes = np.array(zetas)
-    stats.add_many(np.abs(z_parent - z_sum), BroadcastRows(probes.real, probes.imag),
-                   z_parent, z_sum)
     return VerificationReport.of(
-        stats, subject="we-split",
+        np.abs(z_parent - z_sum), BroadcastRows(probes.real, probes.imag), z_parent, z_sum,
+        subject="we-split",
         parameters={**label, "samples": n_samples, "radius": SPLIT_RADIUS,
                     "seed": seed, "mode": data.mode},
         grid=None, policy="principal", tolerance=tolerance)

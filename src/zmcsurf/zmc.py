@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation
-from .report import BroadcastRows, ErrorStats, VerificationReport
+from .report import BroadcastRows, VerificationReport
 
 __all__ = [
     "GraphJet",
@@ -330,10 +330,8 @@ def residual_sweep(surface, eq: str, grid, method: str = "exact",
     with np.errstate(all="ignore"):
         r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
                             shape).reshape(-1)
-    stats = ErrorStats()
-    stats.add_many(np.abs(r), rows, r)
     return VerificationReport.of(
-        stats, subject=f"residual:{eq}:{surface.id}",
+        np.abs(r), rows, r, subject=f"residual:{eq}:{surface.id}",
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},
         grid=grid, policy="unnormalized", tolerance=tolerance)
 
@@ -345,10 +343,8 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 
     the whole lattice is evaluated at once and reduced in row-major order."""
     u, v = grid.lattice()
     value = parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=use_exact_jet)
-    stats = ErrorStats()
-    stats.add_many(np.abs(value), BroadcastRows(u, v), value)
     return VerificationReport.of(
-        stats, subject=subject,
+        np.abs(value), BroadcastRows(u, v), value, subject=subject,
         parameters={"metric": list(metric.signs), "h": FD_STEP,
                     "jets": "exact" if use_exact_jet else "central-diff"},
         grid=grid, policy="normalized", tolerance=tolerance)

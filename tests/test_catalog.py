@@ -275,6 +275,21 @@ def test_bad_n_rejected():
         identity_terms("scherk2-decomp", 0)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", np.int64(0)])
+def test_n_must_be_a_positive_integer_and_not_a_bool(n):
+    with pytest.raises(ParamDomainError, match="n must be a positive integer"):
+        identity_terms("scherk2-decomp", n)
+
+
+def test_a_numpy_integer_n_is_stored_as_an_int():
+    inst = identity_terms("scherk2-decomp", np.int64(2))
+    assert type(inst.n) is int and inst.n == 2
+    report = verify_identity(inst, GridSpec(-1, 1, -1, 1, 5, 5))
+    assert report.to_dict()["parameters"]["n"] == 2
+    assert report.to_json() == verify_identity(identity_terms("scherk2-decomp", 2),
+                                               GridSpec(-1, 1, -1, 1, 5, 5)).to_json()
+
+
 @pytest.mark.parametrize("params", [
     {"a": [0.0, 1.0]},
     {"c": [1.0, 0.0]},

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,32 @@ def test_parse_complex_literals():
     assert parse_complex("0.4+0.3i") == 0.4 + 0.3j
     assert parse_complex("-1.5") == -1.5
     assert parse_complex("2j") == 2j
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "1+nani", "0.5-infj"])
+def test_parse_complex_rejects_non_finite_literals(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="non-finite complex literal"):
+        parse_complex(text)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "nan"],
+     "non-finite complex literal 'nan'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--zeta0", "nan"],
+     "non-finite complex literal 'nan'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "inf"],
+     "non-finite complex literal 'inf'"),
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "nan", "--y", "0.2"],
+     "--x must be finite, got 'nan'"),
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "0.1", "--y=-inf"],
+     "--y must be finite, got '-inf'"),
+    (["surface", "eval", "--name", "scherk2max", "--x", "nan", "--y", "0.1", "--complex"],
+     "non-finite complex literal 'nan'"),
+])
+def test_a_non_finite_coordinate_is_a_one_line_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def test_surface_eval_prints_height(capsys):
@@ -176,6 +204,37 @@ def test_foliate_writes_leaves_and_check(tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["foliation_check.json", "leaf_00.obj", "leaf_01.obj", "leaf_02.obj"]
     assert _load(out / "foliation_check.json")["pass"] is True
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["we", "mesh", "--f", "1", "--g", "w", "--grid", "0:0.5:3,0:0.5:3", "--out"], "x.obj"),
+    (["tlms", "mesh", "--grid", "0:0.5:3,0:0.5:3", "--out"], "x.csv"),
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
+      "--grid=-1:1:5,-1:1:5", "--report"], "r.json"),
+    (["foliate", "--t", "0", "--nx", "5", "--ny", "5", "--check", "--out"], "leaves"),
+])
+@pytest.mark.parametrize("where", ["under-a-file", "a-directory"])
+def test_an_output_that_cannot_be_written_is_a_one_line_usage_error(argv, target, where,
+                                                                     tmp_path, capsys):
+    (tmp_path / "plain").write_text("")
+    (tmp_path / "taken").mkdir()
+    if where == "under-a-file":
+        out = path = str(tmp_path / "plain" / target)
+        reason = "Not a directory"
+    elif argv[0] == "foliate":
+        # The leaves are written; the check report cannot replace a directory.
+        out, path = str(tmp_path / "taken"), str(tmp_path / "taken" / "foliation_check.json")
+        os.mkdir(path)
+        reason = "Is a directory"
+    else:
+        out = path = str(tmp_path / "taken")
+        reason = "Is a directory"
+    assert main(argv + [out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {path!r}: {reason}\n"
+    # No temp file is left behind, and nothing was written in place of the target.
+    leftovers = [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert leftovers == [] and (tmp_path / "plain").read_text() == ""
 
 
 def test_unknown_surface_is_a_usage_error(capsys):

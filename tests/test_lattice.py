@@ -15,12 +15,12 @@ import random
 import numpy as np
 import pytest
 
+from test_report import LoopStats
 from zmcsurf import catalog, expr, foliation, zmc
 from zmcsurf.catalog import builtin_surface, identity_terms
 from zmcsurf.errors import DomainViolation
 from zmcsurf.foliation import LeafSurface
 from zmcsurf.meshio import GridSpec
-from zmcsurf.report import ErrorStats
 
 PI = math.pi
 SURFACES = ("scherk2", "scherk1", "scherk1:1.1", "helicoid", "scherk2max", "scherkBI",
@@ -163,7 +163,7 @@ def test_scalar_leaf_height_equals_the_lattice_entry():
 # ---------------------------------------------------------------------------
 
 def _loop_report(points, values, subject):
-    stats = ErrorStats()
+    stats = LoopStats()
     for xy, (err, lhs, rhs) in zip(points, values):
         stats.add(err, xy, lhs, rhs)
     return {"max": repr(stats.max), "mean": repr(stats.mean), "count": stats.count,
@@ -416,7 +416,7 @@ def test_foliation_check_equals_the_per_point_loop():
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
     t_samples = [-1.0, 0.0, 2.5]
     report = foliation.foliation_check(grid, t_samples, n_random=300, seed=11)
-    boundary, roundtrip = ErrorStats(), ErrorStats()
+    boundary, roundtrip = LoopStats(), LoopStats()
     for xb in (-3 * PI, -PI, PI, 3 * PI):
         for y in grid.v_values().tolist():
             left = float(foliation.leaf_height(xb - 1e-7, y))

@@ -7,11 +7,11 @@ import random
 import numpy as np
 import pytest
 
+from test_report import LoopStats
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.expr import EvalDomainError
 from zmcsurf.meshio import GridSpec, sample_patch
-from zmcsurf.report import ErrorStats
 from zmcsurf.reps import (
     BCData,
     JacobianSingular,
@@ -481,7 +481,7 @@ def test_parametric_sweep_is_the_per_point_loop(kind, exact):
     metric = _JET_METRICS.get(kind, zmc.EUCLID3)
     grid = GridSpec(0.05, 0.7, -0.6, 0.65, 4, 3)
     report = zmc.parametric_sweep(sampler, metric, grid, use_exact_jet=exact)
-    stats = ErrorStats()
+    stats = LoopStats()
     for _, uv in grid.points():
         value = zmc.parametric_zmc_numerator(sampler, metric, *uv, use_exact_jet=exact)
         stats.add(abs(value), uv, value)
