@@ -128,10 +128,10 @@ def _real_part(value):
 # Every height, jet and domain predicate below is written once with numpy
 # ufuncs, and a scalar query is its one-point case (``zmc.one_point``), which
 # gives the bits of the same point in a lattice.  The exception is ``expr:``:
-# its real scalar ``height_at`` and ``exact_jet`` run the compiled ``cmath``
-# kernel (``eval``) and have its bits, which may differ in the last place
-# from the tape's lattice entry; its complex and one-element queries run the
-# tape.  Real arguments give real arithmetic (nan off the real domain),
+# its real scalar ``height_at`` and ``exact_jet`` run its tape at one point
+# with ``cmath`` (``eval``) and have those bits, which may differ in the last
+# place from the tape's lattice entry; its complex and one-element queries run
+# the tape on arrays.  Real arguments give real arithmetic (nan off the real domain),
 # complex arguments complex arithmetic; exact poles give nan (``_pole``).
 
 _AS_IS = contextlib.nullcontext()
@@ -160,7 +160,7 @@ class HeightSurface:
     def evaluate(self, x, y):
         """The height at one real or complex point: the one-point case of ``height``,
         except at a real point of an ``expr:`` surface, whose value has the bits
-        of its compiled ``cmath`` kernel rather than of its lattice tape.
+        of its scalar ``cmath`` run (``eval``) rather than of its lattice tape.
 
         Raises DomainViolation when an input or the value is not finite, or
         when a real point has no real height.

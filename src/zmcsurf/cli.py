@@ -37,7 +37,7 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_finite(text: str, flag: str) -> float:
+def _parse_finite(text: str | float, flag: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{flag} must be finite, got {text!r}")
@@ -104,7 +104,9 @@ def _finish(report, path) -> int:
 
 def _we_data(args) -> reps.WEData:
     zeta0 = parse_complex(args.zeta0)
-    offset = tuple(float(t) for t in args.offset.split(",")) if args.offset else (0.0, 0.0, 0.0)
+    _parse_finite(args.theta, "--theta")  # the family member of every WE sampler
+    offset = (tuple(_parse_finite(t, "--offset") for t in args.offset.split(","))
+              if args.offset else (0.0, 0.0, 0.0))
     if args.mode == "reduced-R":
         return reps.WEData.reduced(args.f, zeta0=zeta0, offset=offset)
     g = "w" if args.g is None else args.g
@@ -112,7 +114,7 @@ def _we_data(args) -> reps.WEData:
 
 
 def _tlms_sampler(args) -> reps.TLMSSampler:
-    base = tuple(float(t) for t in args.base.split(","))
+    base = tuple(_parse_finite(t, "--base") for t in args.base.split(","))
     g = "1" if args.g is None else args.g
     return reps.TLMSSampler(reps.TLMSData.from_text(args.f, g, args.q, args.r, base=base))
 
@@ -366,22 +368,27 @@ def build_parser(defaults=None) -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_value(text: str) -> bool:
+    """A grid spec, list or number that starts with ``-`` and a digit or
+    ``.``, or a number that ``float`` reads, such as ``-inf``."""
+    if not text.startswith("-"):
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return text[1:2].isdigit() or text[1:2] == "."
+    return True
+
+
 def _preprocess_argv(argv):
     """Join ``--flag -1:...`` into ``--flag=-1:...`` so negative-leading grid
     specs, coordinates, and weight lists survive argparse."""
     out = []
-    i = 0
-    while i < len(argv):
-        item = argv[i]
-        if (item.startswith("--") and "=" not in item and i + 1 < len(argv)):
-            nxt = argv[i + 1]
-            if (nxt.startswith("-") and len(nxt) > 1
-                    and (nxt[1].isdigit() or nxt[1] == ".")):
-                out.append(f"{item}={nxt}")
-                i += 2
-                continue
-        out.append(item)
-        i += 1
+    for item in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_value(item):
+            out[-1] += f"={item}"
+        else:
+            out.append(item)
     return out
 
 

@@ -119,6 +119,15 @@ BOUNDARY_TOLERANCE = 1e-6
 ROUNDTRIP_TOLERANCE = 1e-12
 
 
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` draws of ``rng.random()``, the same doubles with the same state
+    after, from one ``getrandbits`` call: draw k takes bits [64k, 64k + 64) as
+    a low word ``a`` and a high word ``b``."""
+    bits = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    a, b = np.frombuffer(bits, dtype="<u4").reshape(count, 2).T
+    return ((a >> 5) * 67108864.0 + (b >> 6)) / 2**53
+
+
 def foliation_check(grid, t_samples, n_random: int = 2000,
                     seed: int = 20240901) -> VerificationReport:
     """Continuity, coverage, and disjointness checks for the leaf family.
@@ -159,7 +168,7 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     x = y = np.empty(0)
     while x.size < n_random:
         m = n_random - x.size
-        draws = lo + (hi - lo) * np.array([rng.random() for _ in range(2 * m)]).reshape(m, 2)
+        draws = lo + (hi - lo) * _uniforms(rng, 2 * m).reshape(m, 2)
         keep = np.hypot(_band(draws[:, 0])[1], draws[:, 1]) > margin
         x, y = np.concatenate([x, draws[keep, 0]]), np.concatenate([y, draws[keep, 1]])
     checked = x.size

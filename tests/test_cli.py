@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from zmcsurf.cli import main, parse_complex
+from zmcsurf.cli import _preprocess_argv, main, parse_complex
 
 
 def _load(path):
@@ -45,11 +45,41 @@ def test_parse_complex_rejects_non_finite_literals(text):
      "--y must be finite, got '-inf'"),
     (["surface", "eval", "--name", "scherk2max", "--x", "nan", "--y", "0.1", "--complex"],
      "non-finite complex literal 'nan'"),
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "0.1", "--y", "-inf"],
+     "--y must be finite, got '-inf'"),
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "-nan", "--y", "0.2"],
+     "--x must be finite, got '-nan'"),
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "-Infinity", "--y", "0.2"],
+     "--x must be finite, got '-Infinity'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "nan,0,0"],
+     "--offset must be finite, got 'nan'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "0,-inf,0"],
+     "--offset must be finite, got '-inf'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--theta", "nan"],
+     "--theta must be finite, got nan"),
+    (["we", "mesh", "--f", "1", "--g", "w", "--theta", "-inf"],
+     "--theta must be finite, got -inf"),
+    (["residual", "parametric", "--source", "we", "--theta", "inf", "--grid", "0:0.5:3,0:0.5:3"],
+     "--theta must be finite, got inf"),
+    (["tlms", "mesh", "--base", "nan,0", "--grid", "0:0.8:3,0:0.8:3"],
+     "--base must be finite, got 'nan'"),
+    (["residual", "parametric", "--source", "tlms", "--base", "0,-inf",
+      "--grid", "0:0.8:3,0:0.8:3"], "--base must be finite, got '-inf'"),
 ])
-def test_a_non_finite_coordinate_is_a_one_line_usage_error(argv, message, capsys):
+def test_a_non_finite_coordinate_is_a_one_line_usage_error(argv, message, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def test_a_flag_takes_the_negative_value_after_it():
+    argv = ["we", "--y", "-inf", "--x", "-1e3", "--grid", "-1:1:3,-1:1:3", "--weights", "-.5,1.5",
+            "--t", "-nan", "--zeta=1", "-2", "--f", "-w", "--verify", "-h"]
+    assert _preprocess_argv(argv) == [
+        "we", "--y=-inf", "--x=-1e3", "--grid=-1:1:3,-1:1:3", "--weights=-.5,1.5", "--t=-nan",
+        "--zeta=1", "-2", "--f", "-w", "--verify", "-h"]
 
 
 def test_surface_eval_prints_height(capsys):

@@ -162,6 +162,15 @@ def test_foliation_check_report():
     assert report.parameters["boundary_pairs"] > 0
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12345, 20240901])
+@pytest.mark.parametrize("count", [1, 7, 4000])
+def test_uniforms_are_the_draws_of_a_random_loop(seed, count):
+    loop, batch = random.Random(seed), random.Random(seed)
+    expected = np.array([loop.random() for _ in range(count)])
+    assert foliation._uniforms(batch, count).tobytes() == expected.tobytes()
+    assert batch.getstate() == loop.getstate()
+
+
 def test_foliation_check_needs_leaf_shifts():
     with pytest.raises(EmptyGrid):
         foliation_check(GridSpec(-3, 3, -3, 3, 11, 11), [])
