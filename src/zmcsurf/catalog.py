@@ -693,6 +693,13 @@ def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> I
         raise UnknownIdentity(identity_id)
     if isinstance(n, bool) or not hasattr(type(n), "__index__") or operator.index(n) < 1:
         raise ParamDomainError(f"n must be a positive integer, got {n!r}")
+    for name, value in (params or {}).items():
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=complex)).all()
+        except (TypeError, ValueError):
+            continue  # text, such as a surface id, is its builder's to check
+        if not finite:
+            raise ParamDomainError(f"parameter {name!r} must be finite, got {value!r}")
     return _IDENTITY_BUILDERS[identity_id](operator.index(n), dict(params or {}))
 
 

@@ -1,10 +1,18 @@
 """Command-line surface over the catalog, residual checkers, representations,
 and the foliation, with machine-readable JSON reports.
 
+Every flag is declared once, in ``_FLAGS``, with its argparse keywords and
+the converter of its text (or ``--config`` value); each subcommand in
+``_COMMANDS`` names its flags and the keywords it changes.  One pass after
+parsing converts every value, so a malformed or non-finite number is a
+one-line usage error that names its flag.  A flag that takes a value takes the
+next token if it starts with one ``-`` (``--zeta -i``).  A JSON config file
+may give any flag's value under its name without dashes (flags win); any
+other key is a usage error.
+
 Exit codes: 0 when every requested check passes, 1 on a failed check (the
 report is still written), 2 on usage errors.  Grid specs are written
-``umin:umax:nu,vmin:vmax:nv[,margin]``.  A JSON config file may supply any
-flag's value (flags win).
+``umin:umax:nu,vmin:vmax:nv[,margin]``.
 """
 
 from __future__ import annotations
@@ -37,11 +45,58 @@ def parse_complex(text: str) -> complex:
     return value
 
 
-def _parse_finite(text: str | float, flag: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{flag} must be finite, got {text!r}")
-    return value
+# Value converters: (flag text or config value, flag) -> value.
+
+def _number(value, flag: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"{flag} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value!r}")
+    return number
+
+
+def _numbers(value, flag: str) -> list:
+    return [_number(item, flag) for item in str(value).split(",")]
+
+
+def _integer(value, flag: str) -> int:
+    try:
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if type(number) is not int:
+        raise argparse.ArgumentTypeError(f"{flag} must be an integer, got {value!r}")
+    return number
+
+
+def _bands(value, flag: str) -> tuple:
+    lo, _, hi = str(value).partition("..")
+    bands = _integer(lo, flag), _integer(hi or lo, flag)
+    if bands[1] < bands[0]:
+        raise argparse.ArgumentTypeError(f"{flag} must be k_lo..k_hi with k_lo <= k_hi, "
+                                         f"got {value!r}")
+    return bands
+
+
+def _params(items, flag: str) -> dict:
+    """``k=v`` items; v may be a float, a colon-separated float list, or text."""
+    params = {}
+    for item in [items] if isinstance(items, str) else items:
+        key, sep, raw = str(item).partition("=")
+        if not sep:
+            raise argparse.ArgumentTypeError(f"{flag} must be k=v, got {item!r}")
+        parts = raw.split(":")
+        try:
+            params[key] = [float(p) for p in parts] if len(parts) > 1 else float(raw)
+        except ValueError:
+            params[key] = raw
+    return params
+
+
+def _complex(value, flag: str) -> complex:
+    return parse_complex(str(value))
 
 
 @contextlib.contextmanager
@@ -54,34 +109,10 @@ def _writing(path: str):
             f"cannot write {path!r}: {exc.strerror or exc}") from exc
 
 
-def _fmt_real(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def _fmt_value(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.17g}{v.imag:+.17g}i"
-    return _fmt_real(v)
-
-
-def _parse_param_items(items):
-    """``k=v`` items; v may be a float, a colon-separated float list, or text."""
-    params = {}
-    for item in items or []:
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise argparse.ArgumentTypeError(f"expected k=v, got {item!r}")
-        if ":" in raw:
-            try:
-                params[key] = [float(p) for p in raw.split(":")]
-                continue
-            except ValueError:
-                pass
-        try:
-            params[key] = float(raw)
-        except ValueError:
-            params[key] = raw
-    return params
+    return format(float(v), ".17g")
 
 
 def _finish(report, path) -> int:
@@ -103,24 +134,20 @@ def _finish(report, path) -> int:
 # An unset --g takes its source's default: Gauss map w (WE data), density 1 (TLMS data).
 
 def _we_data(args) -> reps.WEData:
-    zeta0 = parse_complex(args.zeta0)
-    _parse_finite(args.theta, "--theta")  # the family member of every WE sampler
-    offset = (tuple(_parse_finite(t, "--offset") for t in args.offset.split(","))
-              if args.offset else (0.0, 0.0, 0.0))
     if args.mode == "reduced-R":
-        return reps.WEData.reduced(args.f, zeta0=zeta0, offset=offset)
+        return reps.WEData.reduced(args.f, zeta0=args.zeta0, offset=args.offset)
     g = "w" if args.g is None else args.g
-    return reps.WEData.from_text(args.f, g, zeta0=zeta0, offset=offset, mode=args.mode)
+    return reps.WEData.from_text(args.f, g, zeta0=args.zeta0, offset=args.offset,
+                                 mode=args.mode)
 
 
 def _tlms_sampler(args) -> reps.TLMSSampler:
-    base = tuple(_parse_finite(t, "--base") for t in args.base.split(","))
     g = "1" if args.g is None else args.g
-    return reps.TLMSSampler(reps.TLMSData.from_text(args.f, g, args.q, args.r, base=base))
+    return reps.TLMSSampler(reps.TLMSData.from_text(args.f, g, args.q, args.r, base=args.base))
 
 
 def _bc_sampler(args) -> reps.BCSampler:
-    return reps.BCSampler(reps.BCData.from_text(args.big_f, args.big_g))
+    return reps.BCSampler(reps.BCData.from_text(args.F, args.G))
 
 
 def _parametric_sampler(args):
@@ -141,8 +168,7 @@ def _write_patch(patch, path: str) -> None:
 
 def _mesh(args, make_sampler) -> int:
     """Mesh --grid of ``make_sampler(args)`` to --out; print the vertex count."""
-    grid = GridSpec.parse(args.grid)
-    patch = sample_patch(make_sampler(args), grid)
+    patch = sample_patch(make_sampler(args), args.grid)
     _write_patch(patch, args.out)
     print(f"wrote {args.out} ({patch.valid_count()} vertices)")
     return 0
@@ -154,37 +180,33 @@ def _mesh(args, make_sampler) -> int:
 
 def _cmd_surface(args) -> int:
     surf = catalog.builtin_surface(args.name)
-    if args.complex:
-        value = surf.evaluate(parse_complex(args.x), parse_complex(args.y))
-    else:
-        value = surf.evaluate(float(args.x), float(args.y))
-    print(_fmt_value(value))
+    if not args.complex and (args.x.imag or args.y.imag):
+        raise argparse.ArgumentTypeError("complex --x or --y needs --complex")
+    x, y = (args.x, args.y) if args.complex else (args.x.real, args.y.real)
+    print(_fmt_value(surf.evaluate(x, y)))
     return 0
 
 
 def _cmd_identity(args) -> int:
-    params = _parse_param_items(args.param)
-    inst = catalog.identity_terms(args.identity, args.n, params)
-    grid = GridSpec.parse(args.grid)
+    inst = catalog.identity_terms(args.identity, args.n, args.param)
     tol = args.tol if args.tol is not None else 1e-9
-    report = catalog.verify_identity(inst, grid, tolerance=tol, policy=args.policy)
+    report = catalog.verify_identity(inst, args.grid, tolerance=tol, policy=args.policy)
     return _finish(report, args.report)
 
 
 def _cmd_residual(args) -> int:
-    grid = GridSpec.parse(args.grid)
     if args.parametric == "parametric":
         sampler, label = _parametric_sampler(args)
         metric = zmc.METRIC_NAMES[args.metric]
         tol = args.tol if args.tol is not None else 1e-6
-        report = zmc.parametric_sweep(sampler, metric, grid, tolerance=tol,
+        report = zmc.parametric_sweep(sampler, metric, args.grid, tolerance=tol,
                                       use_exact_jet=args.method == "exact",
                                       subject=f"parametric-zmc:{label}")
     else:
         eq = {"bi": "bi-soliton"}.get(args.equation, args.equation)
         surf = catalog.builtin_surface(args.surface)
         tol = args.tol if args.tol is not None else 1e-10
-        report = zmc.residual_sweep(surf, eq, grid, method=args.method, tolerance=tol)
+        report = zmc.residual_sweep(surf, eq, args.grid, method=args.method, tolerance=tol)
     return _finish(report, args.report)
 
 
@@ -193,199 +215,191 @@ def _cmd_we(args) -> int:
     if args.verb == "eval":
         if args.zeta is None:
             raise argparse.ArgumentTypeError("we eval needs --zeta")
-        zeta = parse_complex(args.zeta)
-        pt = reps.WESampler(data, args.theta).point(zeta.real, zeta.imag)
-        print(" ".join(_fmt_real(v) for v in pt))
+        pt = reps.WESampler(data, args.theta).point(args.zeta.real, args.zeta.imag)
+        print(" ".join(_fmt_value(v) for v in pt))
         return 0
     if args.verb == "mesh":
         return _mesh(args, lambda a: reps.WESampler(data, theta=a.theta))
     if args.verb == "invert":
-        guess = parse_complex(args.guess)
-        zeta = reps.invert_parametrization(data, _parse_finite(args.x, "--x"),
-                                           _parse_finite(args.y, "--y"), guess)
-        print(_fmt_value(zeta))
+        print(_fmt_value(reps.invert_parametrization(data, args.x, args.y, args.guess)))
         return 0
-    if args.verb == "split":
-        if args.pieces:
-            pieces = args.pieces.split(",")
-            weights = None
-        else:
-            pieces = None
-            weights = [float(t) for t in args.weights.split(",")]
-        if not args.verify:
-            if pieces is not None:
-                split = reps.split_weierstrass_expressions(data, pieces)
-            else:
-                split = reps.split_weierstrass(data, weights)
-            for piece in split:
-                print(piece.f.source())
-            return 0
+    # split
+    weights = None if args.pieces else args.weights
+    if args.verify:
         tol = args.tol if args.tol is not None else 1e-10
-        report = reps.verify_split(data, weights, tolerance=tol, pieces=pieces)
+        report = reps.verify_split(data, weights, tolerance=tol, pieces=args.pieces)
         return _finish(report, args.report)
-    raise argparse.ArgumentTypeError(f"unknown we verb {args.verb!r}")
+    split = (reps.split_weierstrass_expressions(data, args.pieces) if args.pieces
+             else reps.split_weierstrass(data, weights))
+    for piece in split:
+        print(piece.f.source())
+    return 0
 
 
 def _cmd_foliate(args) -> int:
-    ts = [float(t) for t in args.t.split(",")]
-    lo_txt, _, hi_txt = args.bands.partition("..")
-    k_lo, k_hi = int(lo_txt), int(hi_txt or lo_txt)
-    if k_hi < k_lo:
-        raise argparse.ArgumentTypeError("bands must be k_lo..k_hi with k_lo <= k_hi")
+    k_lo, k_hi = args.bands
     margin = 0.05
     x_lo = (2 * k_lo - 1) * 3.141592653589793 + margin
     x_hi = (2 * k_hi + 1) * 3.141592653589793 - margin
     grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, margin)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
-    for idx, t in enumerate(ts):
+    for idx, t in enumerate(args.t):
         patch = sample_patch(foliation.LeafSurface(t), grid)
         _write_patch(patch, os.path.join(args.out, f"leaf_{idx:02d}.obj"))
-    print(f"wrote {len(ts)} leaf meshes to {args.out}")
+    print(f"wrote {len(args.t)} leaf meshes to {args.out}")
     if not args.check:
         return 0
-    report = foliation.foliation_check(grid, ts)
+    report = foliation.foliation_check(grid, args.t)
     return _finish(report, os.path.join(args.out, "foliation_check.json"))
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flag table and parser
 # ---------------------------------------------------------------------------
 
+# Every flag once: its argparse keywords, plus "convert", the converter of its
+# value.  A flag without one keeps its value as text; a switch is a bool.
+_FLAGS = {
+    "name": {"required": True},
+    "x": {"default": 0.0, "convert": _number},
+    "y": {"default": 0.0, "convert": _number},
+    "complex": {"action": "store_true", "help": "treat --x/--y as complex literals like 0.3+0.1i"},
+    "identity": {"required": True, "choices": list(catalog.IDENTITY_IDS)},
+    "n": {"required": True, "convert": _integer},
+    "param": {"action": "append", "metavar": "k=v", "convert": _params,
+              "help": "identity parameter (repeatable); lists as k=v1:v2:..."},
+    "grid": {"default": "0:0.8:21,0:0.8:21",
+             "convert": lambda value, flag: GridSpec.parse(str(value))},
+    "policy": {"choices": list(catalog.BRANCH_POLICIES)},
+    "tol": {"convert": _number},
+    "report": {},
+    "equation": {"choices": ["minimal", "maximal", "bi"], "default": "minimal"},
+    "surface": {"default": "scherk2"},
+    "method": {"choices": ["exact", "central-diff"], "default": "exact"},
+    "metric": {"choices": list(zmc.METRIC_NAMES), "default": "euclid"},
+    "source": {"choices": ["we", "tlms", "bc", "surface"], "default": "surface"},
+    "f": {"default": "1"},
+    "g": {},
+    "q": {"default": "u"},
+    "r": {"default": "v"},
+    "F": {"default": "r"},
+    "G": {"default": "s"},
+    "mode": {"choices": list(reps.WE_MODES), "default": "minimal"},
+    "zeta0": {"default": "0", "convert": _complex},
+    "offset": {"default": "0,0,0", "convert": _numbers},
+    "theta": {"default": 0.0, "convert": _number},
+    "base": {"default": "0,0", "convert": _numbers},
+    "zeta": {"convert": _complex},
+    "guess": {"default": "0", "convert": _complex},
+    "weights": {"default": "1", "convert": _numbers},
+    "pieces": {"convert": lambda value, flag: str(value).split(","),
+               "help": "explicit expression pieces like '2+w,-1-w' "
+                       "(non-vanishing checked by sampling)"},
+    "verify": {"action": "store_true"},
+    "out": {},
+    "t": {"required": True, "convert": _numbers, "help": "comma list of leaf shifts"},
+    "bands": {"default": "0..0", "convert": _bands, "help": "band range k_lo..k_hi"},
+    "ymin": {"default": -3.0, "convert": _number},
+    "ymax": {"default": 3.0, "convert": _number},
+    "nx": {"default": 81, "convert": _integer},
+    "ny": {"default": 41, "convert": _integer},
+    "check": {"action": "store_true"},
+}
+
+_REQUIRED = {"required": True}
+_POINT = {"required": True, "convert": _complex}  # surface eval's --x and --y
+
+# Every subcommand: help, handler, positional argument, the flags it takes,
+# and the keywords it changes.
+_COMMANDS = {
+    "surface": ("evaluate a catalog surface", _cmd_surface, ("verb", {"choices": ["eval"]}),
+                "name x y complex", {"x": _POINT, "y": _POINT}),
+    "identity": ("verify a finite decomposition identity", _cmd_identity,
+                 ("verb", {"choices": ["verify"]}), "identity n param grid policy tol report",
+                 {"grid": _REQUIRED}),
+    "residual": ("graph-PDE or parametric ZMC residual sweep", _cmd_residual,
+                 ("parametric", {"nargs": "?", "choices": ["parametric"],
+                                 "help": "run the signature-aware parametric check instead"}),
+                 "equation surface method metric source f g q r F G mode zeta0 offset theta "
+                 "base grid tol report", {"grid": _REQUIRED}),
+    "we": ("Weierstrass-Enneper representation tools", _cmd_we,
+           ("verb", {"choices": ["eval", "mesh", "invert", "split"]}),
+           "f g mode zeta0 offset zeta theta x y guess weights pieces verify grid out tol report",
+           {"f": _REQUIRED, "grid": {"default": "-0.8:0.8:17,-0.8:0.8:17"},
+            "out": {"default": "we_mesh.obj"}}),
+    "tlms": ("timelike minimal surface mesh", lambda args: _mesh(args, _tlms_sampler),
+             ("verb", {"choices": ["mesh"]}), "f g q r base grid out",
+             {"out": {"default": "tlms_mesh.obj"}}),
+    "bc": ("Born-Infeld soliton mesh", lambda args: _mesh(args, _bc_sampler),
+           ("verb", {"choices": ["mesh"]}), "F G grid out",
+           {"F": _REQUIRED, "G": _REQUIRED, "out": {"default": "bc_mesh.obj"}}),
+    "foliate": ("export shifted-helicoid leaves and checks", _cmd_foliate, None,
+                "t bands ymin ymax nx ny out check", {"out": _REQUIRED}),
+}
+
+
+def _command_flags(command: str) -> dict:
+    """Flag name -> keywords (with "convert") of ``command``, its changes applied."""
+    _, _, _, names, changes = _COMMANDS[command]
+    return {name: {**_FLAGS[name], **changes.get(name, {})} for name in names.split()}
+
+
 def build_parser(defaults=None) -> argparse.ArgumentParser:
-    """CLI parser; ``defaults`` (from a config file) override argument defaults
-    in every subcommand while explicit flags still win."""
-    defaults = dict(defaults or {})
+    """CLI parser; ``defaults`` (from a config file) replace the flags' own
+    defaults in every subcommand while explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="zmcsurf",
         description="Construct and numerically verify zero-mean-curvature surfaces.")
     parser.add_argument("--config", help="JSON file of flag defaults (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("surface", help="evaluate a catalog surface")
-    p.add_argument("verb", choices=["eval"])
-    p.add_argument("--name", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--complex", action="store_true",
-                   help="treat --x/--y as complex literals like 0.3+0.1i")
-    p.set_defaults(handler=_cmd_surface)
-
-    p = sub.add_parser("identity", help="verify a finite decomposition identity")
-    p.add_argument("verb", choices=["verify"])
-    p.add_argument("--identity", required=True, choices=list(catalog.IDENTITY_IDS))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--param", action="append", metavar="k=v",
-                   help="identity parameter (repeatable); lists as k=v1:v2:...")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--policy", choices=list(catalog.BRANCH_POLICIES), default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--report")
-    p.set_defaults(handler=_cmd_identity)
-
-    p = sub.add_parser("residual", help="graph-PDE or parametric ZMC residual sweep")
-    p.add_argument("parametric", nargs="?", choices=["parametric"],
-                   help="run the signature-aware parametric check instead")
-    p.add_argument("--equation", choices=["minimal", "maximal", "bi"], default="minimal")
-    p.add_argument("--surface", default="scherk2")
-    p.add_argument("--method", choices=["exact", "central-diff"], default="exact")
-    p.add_argument("--metric", choices=list(zmc.METRIC_NAMES), default="euclid")
-    p.add_argument("--source", choices=["we", "tlms", "bc", "surface"], default="surface")
-    p.add_argument("--f", default="1")
-    p.add_argument("--g", default=None)
-    p.add_argument("--q", default="u")
-    p.add_argument("--r", default="v")
-    p.add_argument("--F", dest="big_f", default="r")
-    p.add_argument("--G", dest="big_g", default="s")
-    p.add_argument("--mode", choices=list(reps.WE_MODES), default="minimal")
-    p.add_argument("--zeta0", default="0")
-    p.add_argument("--offset", default=None)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--base", default="0,0")
-    p.add_argument("--grid", required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--report")
-    p.set_defaults(handler=_cmd_residual)
-
-    p = sub.add_parser("we", help="Weierstrass-Enneper representation tools")
-    p.add_argument("verb", choices=["eval", "mesh", "invert", "split"])
-    p.add_argument("--f", required=True)
-    p.add_argument("--g", default=None)
-    p.add_argument("--mode", choices=list(reps.WE_MODES), default="minimal")
-    p.add_argument("--zeta0", default="0")
-    p.add_argument("--offset", default=None)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--x", default="0")
-    p.add_argument("--y", default="0")
-    p.add_argument("--guess", default="0")
-    p.add_argument("--weights", default="1")
-    p.add_argument("--pieces", default=None,
-                   help="explicit expression pieces like '2+w,-1-w' "
-                        "(non-vanishing checked by sampling)")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--grid", default="-0.8:0.8:17,-0.8:0.8:17")
-    p.add_argument("--out", default="we_mesh.obj")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--report")
-    p.set_defaults(handler=_cmd_we)
-
-    p = sub.add_parser("tlms", help="timelike minimal surface mesh")
-    p.add_argument("verb", choices=["mesh"])
-    p.add_argument("--f", default="1")
-    p.add_argument("--g", default=None)
-    p.add_argument("--q", default="u")
-    p.add_argument("--r", default="v")
-    p.add_argument("--base", default="0,0")
-    p.add_argument("--grid", default="0:0.8:21,0:0.8:21")
-    p.add_argument("--out", default="tlms_mesh.obj")
-    p.set_defaults(handler=lambda args: _mesh(args, _tlms_sampler))
-
-    p = sub.add_parser("bc", help="Born-Infeld soliton mesh")
-    p.add_argument("verb", choices=["mesh"])
-    p.add_argument("--F", dest="big_f", required=True)
-    p.add_argument("--G", dest="big_g", required=True)
-    p.add_argument("--grid", default="0:0.8:21,0:0.8:21")
-    p.add_argument("--out", default="bc_mesh.obj")
-    p.set_defaults(handler=lambda args: _mesh(args, _bc_sampler))
-
-    p = sub.add_parser("foliate", help="export shifted-helicoid leaves and checks")
-    p.add_argument("--t", required=True, help="comma list of leaf shifts")
-    p.add_argument("--bands", default="0..0", help="band range k_lo..k_hi")
-    p.add_argument("--ymin", type=float, default=-3.0)
-    p.add_argument("--ymax", type=float, default=3.0)
-    p.add_argument("--nx", type=int, default=81)
-    p.add_argument("--ny", type=int, default=41)
-    p.add_argument("--out", required=True)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(handler=_cmd_foliate)
-
-    # Subparsers parse into a fresh namespace, so config defaults are installed
-    # per subcommand, after its arguments exist (set_defaults rebinds the
-    # defaults of already-registered arguments).
-    for p in sub.choices.values():
-        p.set_defaults(**defaults)
+    for command, (help_text, handler, positional, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if positional:
+            p.add_argument(positional[0], **positional[1])
+        for name, spec in _command_flags(command).items():
+            p.add_argument(f"--{name}", **{k: v for k, v in spec.items() if k != "convert"})
+        # set_defaults also rebinds the defaults of the arguments just added.
+        p.set_defaults(**(defaults or {}), handler=handler)
     return parser
 
 
-def _is_negative_value(text: str) -> bool:
-    """A grid spec, list or number that starts with ``-`` and a digit or
-    ``.``, or a number that ``float`` reads, such as ``-inf``."""
-    if not text.startswith("-"):
-        return False
+def _convert(args) -> None:
+    """Replace each flag's text (or config value) on ``args`` by its value."""
+    for name, spec in _command_flags(args.command).items():
+        value = getattr(args, name)
+        if value is None or spec.get("action") == "store_true":
+            continue
+        value = spec["convert"](value, f"--{name}") if "convert" in spec else str(value)
+        if "choices" in spec and value not in spec["choices"]:
+            raise argparse.ArgumentTypeError(
+                f"--{name} must be one of {', '.join(spec['choices'])}, got {value!r}")
+        setattr(args, name, value)
+
+
+def _read_config(path: str) -> dict:
     try:
-        float(text)
-    except ValueError:
-        return text[1:2].isdigit() or text[1:2] == "."
-    return True
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise argparse.ArgumentTypeError(f"config {path!r} must be a JSON object")
+    unknown = sorted(set(config) - set(_FLAGS))
+    if unknown:
+        raise argparse.ArgumentTypeError(f"config {path!r} has unknown key {unknown[0]!r} "
+                                         "(keys are flag names without dashes)")
+    return config
 
 
 def _preprocess_argv(argv):
-    """Join ``--flag -1:...`` into ``--flag=-1:...`` so negative-leading grid
-    specs, coordinates, and weight lists survive argparse."""
+    """Join ``--flag -value`` into ``--flag=-value`` when the flag takes a value,
+    so a value may start with one ``-``: ``--zeta -i``, ``--grid -1:1:5,-1:1:5``."""
+    takes_value = {"--config"} | {f"--{name}" for name, spec in _FLAGS.items()
+                                  if spec.get("action") != "store_true"}
     out = []
     for item in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_value(item):
+        if out and out[-1] in takes_value and item.startswith("-") and item[1:2] != "-":
             out[-1] += f"={item}"
         else:
             out.append(item)
@@ -394,32 +408,16 @@ def _preprocess_argv(argv):
 
 def main(argv=None) -> int:
     argv = _preprocess_argv(list(sys.argv[1:] if argv is None else argv))
-
-    config = None
-    config_path = None
-    for i, item in enumerate(argv):
-        if item == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif item.startswith("--config="):
-            config_path = item.split("=", 1)[1]
-    if config_path:
-        try:
-            with open(config_path) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
-            print(f"error: cannot read config {config_path!r}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(config, dict):
-            print(f"error: config {config_path!r} must be a JSON object", file=sys.stderr)
-            return 2
-
-    parser = build_parser(config)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
+        if args.config:
+            # Config values are only defaults: this parse fails only where the first did.
+            args = build_parser(_read_config(args.config)).parse_args(argv)
+        _convert(args)
         return args.handler(args)
     except (catalog.UnknownSurface, catalog.UnknownIdentity, catalog.ParamDomainError,
             argparse.ArgumentTypeError, DomainViolation, EmptyGrid, ValueError) as exc:

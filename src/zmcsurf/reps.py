@@ -348,7 +348,7 @@ def split_weierstrass(data: WEData, weights: Sequence[float]):
         raise ZeroWeight("need at least one weight")
     if any(v == 0.0 for v in lams):
         raise ZeroWeight(f"weights must be nonzero, got {lams}")
-    if abs(sum(lams) - 1.0) > 1e-12:
+    if not abs(sum(lams) - 1.0) <= 1e-12:  # a NaN or infinite weight makes a non-finite sum
         raise WeightSumError(f"weights must sum to 1, got sum = {sum(lams)!r}")
     out = []
     for lam in lams:

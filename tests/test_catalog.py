@@ -300,6 +300,18 @@ def test_general_scaled_parameter_validation(params):
         identity_terms("general-scaled", 2, params)
 
 
+@pytest.mark.parametrize("identity, params, name", [
+    ("kamien-decomp", {"beta": float("nan")}, "beta"),
+    ("kamien-decomp", {"beta": float("inf")}, "beta"),
+    ("general-scaled", {"c": [float("inf"), 1.0]}, "c"),
+    ("general-scaled", {"a": np.array([1.0, -np.inf])}, "a"),
+    ("general-scaled", {"surface": "scherk2", "b": "nan"}, "b"),
+])
+def test_a_non_finite_parameter_is_rejected_by_name(identity, params, name):
+    with pytest.raises(ParamDomainError, match=f"parameter '{name}' must be finite"):
+        identity_terms(identity, 2, params)
+
+
 def test_tower_identity_rejects_degenerate_angles():
     with pytest.raises(ParamDomainError):
         identity_terms("kamien-decomp", 2, {"beta": 0.0})

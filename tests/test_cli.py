@@ -56,11 +56,11 @@ def test_parse_complex_rejects_non_finite_literals(text):
     (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "0,-inf,0"],
      "--offset must be finite, got '-inf'"),
     (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--theta", "nan"],
-     "--theta must be finite, got nan"),
+     "--theta must be finite, got 'nan'"),
     (["we", "mesh", "--f", "1", "--g", "w", "--theta", "-inf"],
-     "--theta must be finite, got -inf"),
+     "--theta must be finite, got '-inf'"),
     (["residual", "parametric", "--source", "we", "--theta", "inf", "--grid", "0:0.5:3,0:0.5:3"],
-     "--theta must be finite, got inf"),
+     "--theta must be finite, got 'inf'"),
     (["tlms", "mesh", "--base", "nan,0", "--grid", "0:0.8:3,0:0.8:3"],
      "--base must be finite, got 'nan'"),
     (["residual", "parametric", "--source", "tlms", "--base", "0,-inf",
@@ -79,7 +79,104 @@ def test_a_flag_takes_the_negative_value_after_it():
             "--t", "-nan", "--zeta=1", "-2", "--f", "-w", "--verify", "-h"]
     assert _preprocess_argv(argv) == [
         "we", "--y=-inf", "--x=-1e3", "--grid=-1:1:3,-1:1:3", "--weights=-.5,1.5", "--t=-nan",
-        "--zeta=1", "-2", "--f", "-w", "--verify", "-h"]
+        "--zeta=1", "-2", "--f=-w", "--verify", "-h"]
+
+
+@pytest.mark.parametrize("joined, spaced", [
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta=-i"],
+     ["we", "eval", "--f", "1", "--g", "w", "--zeta", "-i"]),
+    (["we", "eval", "--f=-w", "--g", "w", "--zeta", "0.5"],
+     ["we", "eval", "--f", "-w", "--g", "w", "--zeta", "0.5"]),
+    (["residual", "parametric", "--source", "bc", "--metric", "l3p", "--F=-r",
+      "--grid", "0:0.8:5,0:0.8:5"],
+     ["residual", "parametric", "--source", "bc", "--metric", "l3p", "--F", "-r",
+      "--grid", "0:0.8:5,0:0.8:5"]),
+], ids=["zeta", "f", "F"])
+def test_a_value_after_its_flag_may_start_with_a_dash_and_a_letter(joined, spaced, capsys):
+    assert main(joined) == 0
+    want = capsys.readouterr()
+    assert main(spaced) == 0
+    assert capsys.readouterr() == want and want.out and want.err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["we", "invert", "--f", "1", "--g", "w", "--x", "abc", "--y", "0"],
+     "--x must be a number, got 'abc'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "1,abc,0"],
+     "--offset must be a number, got 'abc'"),
+    (["tlms", "mesh", "--base", "0,abc"], "--base must be a number, got 'abc'"),
+    (["foliate", "--t", "0,abc", "--out", "leaves"], "--t must be a number, got 'abc'"),
+    (["foliate", "--t", "nan", "--out", "leaves"], "--t must be finite, got 'nan'"),
+    (["we", "split", "--f", "1", "--mode", "reduced-R", "--weights", "0.5,abc"],
+     "--weights must be a number, got 'abc'"),
+    (["we", "split", "--f", "1", "--mode", "reduced-R", "--weights", "nan,1"],
+     "--weights must be finite, got 'nan'"),
+    (["foliate", "--t", "0", "--bands", "1..x", "--out", "leaves"],
+     "--bands must be an integer, got 'x'"),
+    (["foliate", "--t", "0", "--bands", "1..0", "--out", "leaves"],
+     "--bands must be k_lo..k_hi with k_lo <= k_hi, got '1..0'"),
+    (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--theta", "abc"],
+     "--theta must be a number, got 'abc'"),
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
+      "--grid", "0:1:3,0:1:3", "--tol", "abc", "--report", "r.json"],
+     "--tol must be a number, got 'abc'"),
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
+      "--grid", "0:1:3,0:1:3", "--tol", "nan", "--report", "r.json"],
+     "--tol must be finite, got 'nan'"),
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "abc",
+      "--grid", "0:1:3,0:1:3"], "--n must be an integer, got 'abc'"),
+    (["foliate", "--t", "0", "--nx", "abc", "--out", "leaves"],
+     "--nx must be an integer, got 'abc'"),
+    (["surface", "eval", "--name", "scherk2", "--x", "0.3+0.1i", "--y", "0.2"],
+     "complex --x or --y needs --complex"),
+])
+def test_a_malformed_value_is_a_one_line_usage_error_naming_its_flag(argv, message, tmp_path,
+                                                                      capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == f"error: {message}\n"
+
+
+def test_config_keys_are_flag_names(tmp_path, capsys):
+    argv = ["residual", "parametric", "--source", "bc", "--metric", "l3p",
+            "--grid", "0:0.8:5,0:0.8:5"]
+    assert main(argv + ["--F", "r^2 + r", "--G", "s"]) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out != want
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"F": "r^2 + r", "G": "s"}))
+    assert main(["--config", str(config)] + argv) == 0
+    assert capsys.readouterr().out == want
+
+
+_RESIDUAL = ["residual", "--surface", "scherk2", "--grid", "0:1:3,0:1:3"]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ({"tolerance": 1e-30}, _RESIDUAL,
+     "config {path!r} has unknown key 'tolerance' (keys are flag names without dashes)"),
+    ({"big_f": "r"}, _RESIDUAL,
+     "config {path!r} has unknown key 'big_f' (keys are flag names without dashes)"),
+    ({"tol": "abc"}, _RESIDUAL, "--tol must be a number, got 'abc'"),
+    ({"tol": float("nan")}, _RESIDUAL, "--tol must be finite, got nan"),
+    ({"method": "spline"}, _RESIDUAL,
+     "--method must be one of exact, central-diff, got 'spline'"),
+    ({"ny": 2.5}, ["foliate", "--t", "0", "--out", "leaves"],
+     "--ny must be an integer, got 2.5"),
+])
+def test_a_bad_config_key_or_value_is_a_one_line_usage_error(config, argv, message, tmp_path,
+                                                              capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "c.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    assert main(["--config", path] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message.format(path=path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_surface_eval_prints_height(capsys):

@@ -200,6 +200,13 @@ def test_split_rejects_bad_sum():
         split_weierstrass(WEData.reduced("1"), [0.5, 0.6])
 
 
+@pytest.mark.parametrize("weights", [[float("nan"), 1.0], [float("inf")],
+                                     [float("inf"), float("-inf"), 1.0]])
+def test_split_rejects_non_finite_weights(weights):
+    with pytest.raises(WeightSumError):
+        split_weierstrass(WEData.reduced("1"), weights)
+
+
 def test_split_requires_reduced_mode():
     with pytest.raises(ValueError):
         split_weierstrass(WEData.from_text("1", "w"), [1.0])
