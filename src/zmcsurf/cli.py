@@ -389,6 +389,15 @@ def _read_config(path: str) -> dict:
     if unknown:
         raise argparse.ArgumentTypeError(f"config {path!r} has unknown key {unknown[0]!r} "
                                          "(keys are flag names without dashes)")
+    # argparse appends a repeated flag to its default and takes any default of a switch.
+    for name, value in config.items():
+        action = _FLAGS[name].get("action")
+        if action == "append" and not isinstance(value, list):
+            raise argparse.ArgumentTypeError(
+                f"config {path!r} key {name!r} must be a list, got {value!r}")
+        if action == "store_true" and not isinstance(value, bool):
+            raise argparse.ArgumentTypeError(
+                f"config {path!r} key {name!r} must be true or false, got {value!r}")
     return config
 
 

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NoConvergence, SingularPath
-from .expr import AnalyticExpr, Binary, Const, EvalDomainError, Power, Tape, Unary, Var, parse
+from .expr import AnalyticExpr, Binary, Const, Power, Tape, Unary, Var, parse
 from .report import BroadcastRows, VerificationReport
 from .zmc import array_jet, point_from
 
@@ -449,87 +449,72 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         grid=None, policy="principal", tolerance=tolerance)
 
 
-def _newton(phi1, phi2, z: complex):
-    """Damped Newton for one point, as a coroutine: it yields each zeta whose
-    residual (x(zeta) - x, y(zeta) - y) it needs, is sent it, and returns the
-    root.  The Jacobian is exact (the derivative of the integral is the
-    integrand); steps are halved up to 20 times when the residual does not
-    decrease.  At most 50 iterations; update tolerance 1e-12, residual
-    tolerance 1e-10.
-    """
-    fx, fy = yield z
-    for _ in range(50):
-        p1, p2 = phi1.eval(z), phi2.eval(z)
-        j00, j01, j10, j11 = p1.real, -p1.imag, p2.real, -p2.imag
-        det = j00 * j11 - j01 * j10
-        if abs(det) < 1e-14:
-            raise JacobianSingular(
-                f"|det| = {abs(det):.3e} at zeta = {z!r} (R vanishes or the graph folds)")
-        step = complex((-fx * j11 + fy * j01) / det, (-fy * j00 + fx * j10) / det)
-        lam, norm0 = 1.0, math.hypot(fx, fy)
-        for _ in range(20):
-            z_new = z + lam * step
-            gx, gy = yield z_new
-            if math.hypot(gx, gy) < norm0 or math.hypot(gx, gy) <= 1e-10:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonDiverged("residual did not decrease after 20 step halvings")
-        z, fx, fy = z_new, gx, gy
-        if lam * abs(step) < 1e-12 or math.hypot(fx, fy) <= 1e-13:
-            break
-    else:
-        raise NewtonDiverged("no convergence within 50 iterations")
-    if math.hypot(fx, fy) > 1e-10:
-        raise NewtonDiverged(f"converged update but residual {math.hypot(fx, fy):.3e} > 1e-10")
-    return z
+def _surface_points(data: WEData, zetas):
+    """The (n, 3) surface points at ``zetas`` and their typed errors, in one quadrature."""
+    values, errors = integrate_segments(data.integrand_tape, data.zeta0, zetas)
+    return np.array(data.offset) + values.real.T, errors
 
 
-def _invert(data: WEData, targets, guesses, known=None):
-    """Newton-invert every (x, y) of ``targets`` from its guess, with one
-    ``integrate_segments`` call per round over all still-iterating points.
-
-    ``known[k]``, when given, is the surface point already integrated at
-    ``guesses[k]`` (a neighbour's accepted root): it is the first residual,
-    so that endpoint is not integrated again.  Returns per target its root and
-    the surface point there (from the last accepted step's quadrature), or
-    None and its typed error, as three lists.
-    """
-    runs = [_newton(*data.integrands[:2], complex(g)) for g in guesses]
-    zetas, points, errors = [None] * len(runs), [None] * len(runs), [None] * len(runs)
-    asks = {k: next(run) for k, run in enumerate(runs)}
-    replies = {k: (p, None) for k, p in enumerate(known or ()) if p is not None}
-    while asks:
-        todo = [k for k in asks if k not in replies]
-        if todo:
-            values, errs = integrate_segments(data.integrand_tape, data.zeta0,
-                                              [asks[k] for k in todo])
-            coords = (np.array(data.offset)[:, None] + values.real).T.tolist()
-            replies.update(zip(todo, zip(coords, errs)))
-        for k, (p, err) in replies.items():
-            x, y = targets[k]
-            try:  # a failed quadrature fails its Newton where the residual was asked
-                asks[k] = runs[k].throw(err) if err else runs[k].send((p[0] - x, p[1] - y))
-                continue
-            except StopIteration as done:
-                zetas[k], points[k] = done.value, p
-            except (NewtonDiverged, JacobianSingular, SingularPath, NoConvergence,
-                    EvalDomainError) as exc:
-                errors[k] = exc
-            del asks[k]
-        replies = {}
+def _invert(data: WEData, x, y, guesses, points, errors, tries: int = 20):
+    """Damped Newton for (x(zeta), y(zeta)) = (x, y) from each guess, as arrays:
+    per round one ``integrand_tape`` call (the exact Jacobian phi_1, phi_2) and
+    one ``integrate_segments`` call over the points still iterating.  Per
+    point: ``tries`` step lengths 1, 1/2, ..., at most 50 iterations, update
+    tolerance 1e-12, residual tolerance 1e-10.  The surface ``points`` at the
+    guesses and their typed ``errors`` give the first residuals.  Returns the
+    roots, the surface points there (from the last accepted quadrature) and
+    per point None or its typed error, none of which depends on the batch."""
+    zetas, target = np.array(guesses, dtype=complex).reshape(-1), np.add(x, 1j * np.asarray(y))
+    points, errors = np.array(points, dtype=float), list(errors)
+    live = np.flatnonzero(np.equal(errors, None))
+    # Per live point: index, iterate, residual, target, step, step lengths tried, iterations.
+    state = (live, zetas[live], points[live, 0] + 1j * points[live, 1] - target[live],
+             target[live], np.zeros(live.size, dtype=complex), *np.zeros((2, live.size), int))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while state[0].size:
+            idx, z, res, t, step, tried, iters = state
+            if not tried.all():  # an iteration starts; a point retrying gets its step again
+                (p1, p2, _), errs = data.integrand_tape(z)
+                det = (p1 * p2.conj()).imag
+                step = 1j * (res.real * p2.conj() - res.imag * p1.conj()) / det
+                failed = {**errs[1], **errs[0]}  # phi_1's pole is raised first
+                for i in np.flatnonzero(np.abs(det) < 1e-14).tolist():
+                    failed.setdefault(i, JacobianSingular(
+                        f"|det| = {abs(det[i]):.3e} at zeta = {complex(z[i])!r} "
+                        "(R vanishes or the graph folds)"))
+                if failed:
+                    for i, exc in failed.items():
+                        errors[idx[i]] = exc
+                    idx, z, res, t, step, tried, iters = (
+                        np.delete(a, list(failed)) for a in (idx, z, res, t, step, tried, iters))
+            lam = 0.5 ** tried
+            trial = z + lam * step
+            found, terrs = _surface_points(data, trial)
+            g = found[:, 0] + 1j * found[:, 1] - t
+            gn, quad_ok = np.abs(g), np.equal(terrs, None)
+            ok = ((gn < np.abs(res)) | (gn <= 1e-10)) & quad_ok
+            done = ok & ((lam * np.abs(step) < 1e-12) | (gn <= 1e-13))
+            points[idx[ok]] = found[ok]
+            z, res, iters = np.where(ok, trial, z), np.where(ok, g, res), iters + ok
+            zetas[idx], tried = z, np.where(ok, 0, tried + 1)
+            bad = (done & (gn > 1e-10)) | (~done & (iters >= 50)) | (tried >= tries) | ~quad_ok
+            for i in np.flatnonzero(bad).tolist():
+                errors[idx[i]] = terrs[i] or NewtonDiverged(
+                    f"converged update but residual {gn[i]:.3e} > 1e-10" if done[i] else
+                    "no convergence within 50 iterations" if ok[i] else
+                    f"residual did not decrease at any of {tries} step lengths")
+            keep = ~(done | bad)
+            state = tuple(a[keep] for a in (idx, z, res, t, step, tried, iters))
     return zetas, points, errors
 
 
 def invert_parametrization(data: WEData, x: float, y: float, zeta_guess: complex) -> complex:
-    """The zeta with (x(zeta), y(zeta)) = (x, y), by damped Newton from the guess:
-    the one-point case of ``InvertedGraphSampler``'s batched Newton.  Raises
-    NewtonDiverged, JacobianSingular, SingularPath, NoConvergence or
-    EvalDomainError."""
-    zetas, _, errors = _invert(data, [(x, y)], [zeta_guess])
+    """The zeta with (x(zeta), y(zeta)) = (x, y) by the sampler's Newton from the guess;
+    raises NewtonDiverged, JacobianSingular, SingularPath, NoConvergence or EvalDomainError."""
+    zetas, _, errors = _invert(data, [x], [y], [zeta_guess], *_surface_points(data, zeta_guess))
     if errors[0] is not None:
         raise errors[0]
-    return zetas[0]
+    return complex(zetas[0])
 
 
 class WESampler:
@@ -572,12 +557,13 @@ class WESampler:
 class InvertedGraphSampler:
     """Height sampling z = Z(x, y) of a representation by Newton inversion.
 
-    Implements ``sample_grid``: each lattice point's zeta-guess is seeded from
-    its left neighbor, then its lower neighbor, then the caller's seed; both
-    lie on the previous anti-diagonal, so each anti-diagonal is inverted in one
-    batched Newton.  Failed points are marked invalid; ``rejected`` counts the
-    last grid's dropped points per error type.
-    """
+    ``sample_grid`` keeps the seeding rule (a point's Newton starts from its
+    left neighbour's root, else its lower neighbour's, else the seed) but first
+    runs two batched rounds of full steps, from the seed and then from each
+    predecessor's speculative root.  A point is accepted where both reach one
+    root and its predecessor is accepted, so by induction its root is the
+    rule's; the rule inverts the rest, one anti-diagonal at a time.  Failed
+    points are invalid; ``rejected`` counts the last grid's per error type."""
 
     def __init__(self, data: WEData, zeta_seed: Optional[complex] = None):
         self.data = data
@@ -585,24 +571,38 @@ class InvertedGraphSampler:
         self.rejected = Counter()
 
     def sample_grid(self, grid):
-        nu, nv = grid.nu, grid.nv
-        points = np.zeros((nu * nv, 3))
-        valid = np.zeros(nu * nv, dtype=bool)
-        roots, self.rejected = {}, Counter()  # (i, j) -> (zeta, surface point there)
-        us, vs = grid.u_values().tolist(), grid.v_values().tolist()
-        seed = (self.zeta_seed, None)
-        for d in range(nu + nv - 1):
-            cells = [(i, d - i) for i in range(max(0, d - nv + 1), min(nu, d + 1))]
-            starts = [roots.get((i, j - 1), roots.get((i - 1, j), seed)) for i, j in cells]
-            found = _invert(self.data, [(us[i], vs[j]) for i, j in cells], *zip(*starts))
-            for (i, j), zeta, p, err in zip(cells, *found):
-                if err is not None:
-                    self.rejected[type(err).__name__] += 1
-                    continue
-                roots[i, j] = (zeta, p)
-                points[i * nv + j] = (us[i], vs[j], p[2])
-                valid[i * nv + j] = True
-        return points, valid
+        nv, data, seed, (x, y) = grid.nv, self.data, self.zeta_seed, grid.lattice()
+        k, (seed_p, seed_err) = np.arange(x.size), _surface_points(data, seed)
+        # Root and surface point per lattice point, then the seed's (source index -1).
+        zetas, points = np.full(k.size + 1, seed, dtype=complex), np.repeat(seed_p, k.size + 1, 0)
+        ok = np.append(np.zeros(k.size, dtype=bool), seed_err[0] is None)
+
+        def invert(cells, src, tries=20):  # Newton at cells from the roots at src
+            zetas[cells], points[cells], errors = _invert(
+                data, x[cells], y[cells], zetas[src], points[src],
+                [seed_err[0] if s < 0 else None for s in src.tolist()], tries)
+            ok[cells] = np.equal(errors, None)
+            return errors
+
+        def chained(good):  # the good points whose predecessors are all good
+            good = good.reshape(-1, nv)
+            return (np.logical_and.accumulate(good, 1)
+                    & np.logical_and.accumulate(good[:, :1])).ravel()
+
+        invert(k, np.full(k.size, -1), 1)
+        spec, pred = zetas.copy(), np.where(k % nv > 0, k - 1, k - nv)  # left, else lower
+        cand = np.flatnonzero(chained(ok[:-1]) & (pred >= 0))  # (0, 0) would repeat itself
+        invert(cand, pred[cand], 1)
+        ok[:-1] = chained(ok[:-1] & (np.abs(zetas - spec)[:-1] <= 1e-10))
+        self.rejected, todo = Counter(), k[~ok[:-1]]
+        diagonal = todo // nv + todo % nv
+        for d in sorted(set(diagonal.tolist())):
+            cells = todo[diagonal == d]
+            left, lower = cells - 1, cells - nv
+            src = np.where((cells % nv > 0) & ok[left], left,
+                           np.where((lower >= 0) & ok[lower], lower, -1))
+            self.rejected.update(type(e).__name__ for e in invert(cells, src) if e is not None)
+        return np.where(ok[:-1, None], np.column_stack([x, y, points[:-1, 2]]), 0.0), ok[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,45 @@ def test_a_config_that_is_not_a_json_object_is_a_one_line_usage_error(tmp_path, 
     assert captured.out == ""
 
 
+_KAMIEN = ["identity", "verify", "--identity", "kamien-decomp", "--n", "2",
+           "--grid=-2:2:5,0.4:5.88:5"]
+_SPLIT = ["we", "split", "--f", "1", "--mode", "reduced-R", "--weights", "0.5,0.5"]
+
+
+@pytest.mark.parametrize("config, argv, message", [
+    ({"param": "beta=0.5"}, _KAMIEN + ["--param", "beta=0.4"], "must be a list, got 'beta=0.5'"),
+    ({"param": "beta=0.5"}, _KAMIEN, "must be a list, got 'beta=0.5'"),
+    ({"verify": "no"}, _SPLIT, "must be true or false, got 'no'"),
+    ({"verify": 1}, _SPLIT, "must be true or false, got 1"),
+    ({"check": None}, ["foliate", "--t", "0", "--out", "leaves"],
+     "must be true or false, got None"),
+], ids=["append-with-flag", "append", "switch-text", "switch-number", "switch-null"])
+def test_a_config_value_of_the_wrong_json_type_is_a_one_line_usage_error(
+        config, argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "c.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    assert main(["--config", path] + argv) == 2
+    captured = capsys.readouterr()
+    key = next(iter(config))
+    assert captured.out == ""
+    assert captured.err == f"error: config {path!r} key {key!r} {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_config_lists_and_switches_are_defaults(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"param": ["beta=0.5"], "verify": True}))
+    report = tmp_path / "r.json"
+    assert main(["--config", str(path)] + _KAMIEN + ["--param", "beta=0.4",
+                                                    "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["parameters"]["beta"] == 0.4
+    capsys.readouterr()
+    assert main(["--config", str(path)] + _SPLIT) == 0
+    assert capsys.readouterr().out.startswith("[PASS] we-split")
+
+
 def test_general_scaled_takes_a_bare_number_as_one_value(capsys):
     argv = ["identity", "verify", "--identity", "general-scaled", "--grid", "0:1:3,0.5:1:3"]
     assert main(argv + ["--n", "1", "--param", "a=2"]) == 0

@@ -5,7 +5,8 @@
   set the samplers and ``expr:`` surfaces evaluate;
 * quadrature that takes levels 1 and 2 in one pass against a level-by-level
   reference;
-* the inverted sampler integrates no endpoint twice.
+* the inverted sampler integrates no endpoint twice in one round, and no
+  surface point it already has.
 """
 
 from collections import Counter
@@ -24,7 +25,6 @@ from zmcsurf.reps import (
     WEData,
     _level_rule,
     integrate_segments,
-    invert_parametrization,
 )
 
 
@@ -254,38 +254,49 @@ def test_joint_levels_are_the_level_by_level_reference():
 
 
 # ---------------------------------------------------------------------------
-# Newton: the first residual is the neighbour's accepted root
+# Newton: the first residual is a known surface point
 # ---------------------------------------------------------------------------
 
-def _record_endpoints(monkeypatch):
-    endpoints = []
+def _record_calls(monkeypatch):
+    """The endpoints of every ``integrate_segments`` call, one list per call."""
+    calls = []
     original = reps.integrate_segments
 
     def recording(integrands, z0, z1, *args, **kwargs):
-        endpoints.extend(np.ravel(z1).tolist())
+        calls.append(np.ravel(z1).tolist())
         return original(integrands, z0, z1, *args, **kwargs)
 
     monkeypatch.setattr(reps, "integrate_segments", recording)
-    return endpoints
+    return calls
 
 
 def test_inverted_sampler_integrates_no_endpoint_twice(monkeypatch):
+    # The sampler integrates the seed, then speculates (every point from the
+    # seed) and confirms (every point but (0, 0) from its predecessor's
+    # speculative root) in full steps, one batched Newton per round, whose
+    # first residuals are surface points it already has.  The anti-diagonal
+    # wavefront took 69 calls here.
     data, seed = WEData.from_text("1", "w"), 0.05 + 0.02j
     grid = GridSpec(-0.4, 0.4, -0.4, 0.4, 9, 9)
-    endpoints = _record_endpoints(monkeypatch)
+    calls = _record_calls(monkeypatch)
     _, valid = reps.InvertedGraphSampler(data, zeta_seed=seed).sample_grid(grid)
     assert valid.all()
-    batched = list(endpoints)
-    assert max(Counter(batched).values()) == 1
-    # The per-point loop integrates each guess once more: all but the first
-    # point start from a neighbour's root.
-    endpoints.clear()
-    roots, from_neighbours = {}, []
-    for i, x in enumerate(grid.u_values().tolist()):
-        for j, y in enumerate(grid.v_values().tolist()):
-            guess = roots.get((i, j - 1), roots.get((i - 1, j), seed))
-            if (i, j) != (0, 0):
-                from_neighbours.append(guess)
-            roots[i, j] = invert_parametrization(data, x, y, guess)
-    assert len(from_neighbours) == grid.nu * grid.nv - 1
-    assert Counter(endpoints) == Counter(batched) + Counter(from_neighbours)
+    assert len(calls) <= 12
+    assert calls[0] == [seed]
+    assert all(max(Counter(call).values()) == 1 for call in calls)
+    batched = Counter(z for call in calls for z in call)
+    # One-point Newtons of the same two rounds integrate the same endpoints,
+    # and each guess once more.
+    calls.clear()
+    x, y = grid.lattice()
+
+    def newton(k, guess):  # full steps at point k, its guess integrated first
+        start = reps._surface_points(data, guess)
+        return reps._invert(data, [x[k]], [y[k]], [guess], *start, tries=1)[0][0]
+
+    guesses = [seed] * x.size
+    spec = [newton(k, seed) for k in range(x.size)]
+    for k in range(1, x.size):
+        guesses.append(spec[k - 1 if k % grid.nv else k - grid.nv])
+        newton(k, guesses[-1])
+    assert Counter(z for call in calls for z in call) == batched + Counter(guesses) - Counter([seed])
