@@ -128,11 +128,12 @@ def _real_part(value):
 # Every height, jet and domain predicate below is written once with numpy
 # ufuncs, and a scalar query is its one-point case (``zmc.one_point``), which
 # gives the bits of the same point in a lattice.  The exception is ``expr:``:
-# its real scalar ``height_at`` and ``exact_jet`` run its tape at one point
-# with ``cmath`` (``eval``) and have those bits, which may differ in the last
+# its real scalar ``height_at`` and ``exact_jet`` run a tape at one point with
+# ``cmath`` (``Tape.scalar``) and have those bits, which may differ in the last
 # place from the tape's lattice entry; its complex and one-element queries run
 # the tape on arrays.  Real arguments give real arithmetic (nan off the real domain),
-# complex arguments complex arithmetic; exact poles give nan (``_pole``).
+# complex arguments complex arithmetic; exact poles give nan (``_pole``).  A
+# stencil point is usable where its height is finite (``zmc.graph_jets``).
 
 _AS_IS = contextlib.nullcontext()
 
@@ -337,24 +338,16 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
-def _points_key(x, y):
-    """The bits of points: equal keys give equal heights."""
-    return [(a.dtype, a.shape, a.tobytes()) for a in (np.asarray(x), np.asarray(y))]
-
-
 def _expr_surface(text: str) -> HeightSurface:
-    """A user graph: ``eval`` at a 0-d point, tapes on arrays of any size
-    (complex values; real points take the real part).  A lattice jet evaluates
-    the six jet trees on one tape, built on first use.
-
-    An array domain check keeps its heights for the next ``height`` call, which
-    takes them if its points have the same bits (as the stencil's ``heights``
-    after its ``domain_ok``); any ``height`` call releases them.
+    """A user graph: its tape on arrays of any size, its tape's scalar run at a
+    0-d point (complex values; real points take the real part).  Its domain is
+    where the real height is finite.  A jet runs the six jet trees on one tape,
+    built on first use; at a 0-d point, where that tape's scalar run gives
+    None, each tree is evaluated alone.
     """
     e = _expr.parse_xy(text)
     ex, ey = e.derivative("x"), e.derivative("y")
     trees = (e, ex, ey, ex.derivative("x"), ex.derivative("y"), ey.derivative("y"))
-    kept = None  # (points key, complex heights) of the last array domain check
 
     @functools.cache
     def jet_tape():
@@ -369,24 +362,16 @@ def _expr_surface(text: str) -> HeightSurface:
             return complex("nan")
 
     def height(x, y):
-        nonlocal kept
-        got, kept = kept, None
-        if got is not None and got[0] == _points_key(x, y):
-            return got[1]
         return value(e, x, y)
 
     def domain(x, y, margin):
-        nonlocal kept
-        z = value(e, x, y)
-        if getattr(z, "ndim", 0):
-            kept = (_points_key(x, y), z)
-        return np.isfinite(_real_part(z))
+        return np.isfinite(_real_part(height(x, y)))
 
     def jet(x, y):
         if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
             vals = list(jet_tape()(x, y)[0])
         else:
-            vals = [value(tree, x, y) for tree in trees]
+            vals = jet_tape().scalar(x, y) or [value(tree, x, y) for tree in trees]
         if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
             vals = [v.real for v in vals]
         return GraphJet(*vals)

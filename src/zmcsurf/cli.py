@@ -239,8 +239,8 @@ def _cmd_we(args) -> int:
 def _cmd_foliate(args) -> int:
     k_lo, k_hi = args.bands
     margin = 0.05
-    x_lo = (2 * k_lo - 1) * 3.141592653589793 + margin
-    x_hi = (2 * k_hi + 1) * 3.141592653589793 - margin
+    x_lo = (2 * k_lo - 1) * math.pi + margin
+    x_hi = (2 * k_hi + 1) * math.pi - margin
     grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, margin)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)

@@ -262,7 +262,9 @@ def read_csv(path: str) -> SurfacePatch:
 
     Blank lines are skipped, rows may come in any order, missing points stay
     invalid zeros and only the flag ``1`` is valid; a file without rows or a
-    row without six parsable fields is a ValueError naming the row."""
+    row without six parsable fields is a ValueError naming the row.  Every u
+    index 0..nu-1 and v index 0..nv-1 must occur in some row, or a ValueError
+    names the row with the largest index before the lattice is allocated."""
     with open(path) as fh:
         lines = list(map(str.strip, filter(str.strip, fh.read().split("\n"))))
     header = lines[0].split(",") if lines else []
@@ -284,6 +286,12 @@ def read_csv(path: str) -> SurfacePatch:
             raise
     iu, iv = rows["index"].T
     nu, nv = int(iu.max()) + 1, int(iv.max()) + 1
+    for name, index, n in (("u_index", iu, nu), ("v_index", iv, nv)):
+        # More indices than rows leave one out; else bincount counts n <= rows indices.
+        if n > len(rows) or not np.bincount(index.astype(np.intp)).all():
+            k = int(index.argmax()) + 1
+            raise ValueError(f"bad CSV lattice in {path}, row {k}: {lines[k]!r}: "
+                             f"some {name} below {n - 1} occurs in no row")
     points = np.zeros((nu * nv, 3))
     valid = np.zeros(nu * nv, dtype=bool)
     k = iu * nv + iv

@@ -134,10 +134,10 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
     ExactUnavailable when there is none (no silent fallback: the caller
     chooses).  ``method="central-diff"`` evaluates the 5-point stencil with step
-    h as one stack (one ``domain_ok`` and one ``heights`` call) on the broadcast
-    axes of ``_shifts``, so work on one coordinate runs on its 5 shifts alone; a
-    point outside the domain raises DomainViolation with the first failing
-    shift's first five (di-major).  Entries are arrays that broadcast against
+    h as one stack (one ``heights`` call) on the broadcast axes of ``_shifts``,
+    so work on one coordinate runs on its 5 shifts alone; a stencil point whose
+    height is not finite raises DomainViolation with the first failing shift's
+    first five (di-major).  Entries are arrays that broadcast against
     each other to the shape of x and y broadcast (scalars for scalar x, y): on
     lattice axes, a jet entry that depends on x alone may keep x's shape.
     """
@@ -150,18 +150,17 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
         raise ValueError(f"unknown jet method {method!r}")
 
     su, sv = _shifts(x, y, h)
-    px, py = su + 0.0, sv + 0.0  # as x + 0 * h: -0.0 is 0.0
-    bad = ~surface.domain_ok(px, py, 0.0)
+    shape = np.broadcast_shapes(su.shape, sv.shape)
+    f = np.broadcast_to(surface.heights(su, sv), shape).reshape(25, *shape[2:])
+    bad = ~np.isfinite(f).reshape(25, -1)
     if bad.any():
-        bad = bad.reshape(25, -1)
         k = bad.any(axis=1).argmax()
-        pu, pv = (t.reshape(25, -1)[k][bad[k]].tolist() for t in np.broadcast_arrays(px, py))
+        pu, pv = (t.reshape(25, -1)[k][bad[k]].tolist()
+                  for t in np.broadcast_arrays(su + 0.0, sv + 0.0))  # -0.0 as 0.0
         raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
                               list(zip(pu, pv))[:5])
-    shape = np.broadcast_shapes(su.shape, sv.shape)
     with np.errstate(all="ignore"):
-        f = np.broadcast_to(surface.heights(su, sv), shape)
-        return GraphJet(*_central_jet(f.reshape(25, *shape[2:]), h))
+        return GraphJet(*_central_jet(f, h))
 
 
 def one_point(x, y):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zmcsurf import catalog, zmc
+from zmcsurf import catalog, expr, zmc
 from zmcsurf.catalog import (
     ParamDomainError,
     SingularArgument,
@@ -81,6 +81,49 @@ def test_expr_defined_surface():
     jet = surf.exact_jet(1.0, 1.0)
     assert jet.z_xx == pytest.approx(2.0)
     assert jet.z_xy == pytest.approx(0.0)
+
+
+def _per_tree_jet(text, x, y):
+    """The six jet trees of an expr: graph each evaluated alone at one point
+    (nan where its walk raises), real parts for a real point."""
+    e = expr.parse_xy(text)
+    ex, ey = e.derivative("x"), e.derivative("y")
+    values = []
+    for tree in (e, ex, ey, ex.derivative("x"), ex.derivative("y"), ey.derivative("y")):
+        try:
+            values.append(tree.eval(x, y))
+        except expr.EvalDomainError:
+            values.append(complex("nan"))
+    return [v.real for v in values]
+
+
+@pytest.mark.parametrize("text, x, y", [
+    ("log(cos(y)/cos(x))", 0.3, 0.2),
+    ("log(cos(y)/cos(x))", -0.0, 0.2),   # z_x = tan(-0.0) keeps its sign
+    ("sqrt(x)*cos(y)", 0.0, 0.2),        # z is 0.0; the walks of the other five raise
+])
+def test_expr_point_jet_is_one_scalar_run_of_the_jet_tape(monkeypatch, text, x, y):
+    surface = builtin_surface(f"expr:{text}")
+    surface.exact_jet(0.5, 0.5)  # builds the jet tape
+    runs = []
+    scalar = expr.Tape.scalar
+
+    def recording(self, *values):
+        runs.append(len(self))
+        return scalar(self, *values)
+
+    monkeypatch.setattr(expr.Tape, "scalar", recording)
+    jet = surface.exact_jet(x, y)
+    monkeypatch.undo()
+    assert runs.count(6) == 1
+    got = [getattr(jet, name) for name in ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")]
+    assert list(map(repr, got)) == list(map(repr, _per_tree_jet(text, x, y)))
+
+
+def test_expr_point_jet_where_a_derivative_walk_raises():
+    jet = builtin_surface("expr:sqrt(x)*cos(y)").exact_jet(0.0, 0.2)
+    assert jet.z == 0.0
+    assert all(math.isnan(v) for v in (jet.z_x, jet.z_y, jet.z_xx, jet.z_xy, jet.z_yy))
 
 
 def test_unknown_surface():

@@ -397,6 +397,20 @@ def test_suffix_on_a_surface_without_parameters_is_a_usage_error(argv, tmp_path,
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["residual", "--surface", "scherk2max", "--equation", "maximal"],
+     "stencil leaves the domain of 'scherk2max'"),
+    (["residual", "parametric", "--source", "surface", "--surface", "scherk2max"],
+     "scherk2max has no finite real value at (710.6, 0.0)"),
+])
+def test_a_stencil_over_cosh_overflow_is_a_usage_error(argv, message, capsys):
+    # cosh overflows beyond x = 710.4758..., where the heights are -inf.
+    assert main(argv + ["--method", "central-diff", "--tol", "1e-5",
+                        "--grid", "710.2:710.6:3,0:0.5:3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
     (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "1,2"],
      "offset needs 3 coordinates"),
     (["we", "eval", "--f", "1", "--g", "w", "--zeta", "1", "--offset", "1,2,3,4"],

@@ -243,14 +243,14 @@ def per_shift_central_jet(f, u, v, h):
 
 
 def per_shift_graph_jets(surface, x, y, h=zmc.FD_STEP):
-    """Central-difference graph jets with one ``domain_ok`` and one ``heights``
-    call per stencil shift: the first failing shift, di-major, raises with its
-    first five points."""
+    """Central-difference graph jets with one ``heights`` call per stencil
+    shift: the first shift, di-major, with a height that is not finite raises
+    with its first five points."""
     shape = np.broadcast(x, y).shape
     for di in range(-2, 3):
         for dj in range(-2, 3):
             px, py = np.broadcast_arrays(x + di * h, y + dj * h)
-            bad = ~np.broadcast_to(surface.domain_ok(px, py, 0.0), shape)
+            bad = ~np.isfinite(np.broadcast_to(surface.heights(px, py), shape))
             if bad.any():
                 raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
                                       list(zip(px[bad].tolist(), py[bad].tolist()))[:5])
@@ -369,10 +369,10 @@ def test_a_failing_stencil_on_the_axes_raises_the_lattice_error(surface_id, grid
     assert len(want.value.points) == 5
 
 
-@pytest.mark.parametrize("x0, tape_calls", [(0.0, 1), (-0.0, 2)])
-def test_expr_stencil_takes_its_heights_from_the_domain_check(monkeypatch, x0, tape_calls):
-    # The domain check leaves its heights for a stencil with the same bits; an
-    # unshifted -0.0 is 0.0 in the check (x + 0.0) and is evaluated again.
+@pytest.mark.parametrize("x0", [0.0, -0.0])
+def test_expr_stencil_runs_its_tape_once(monkeypatch, x0):
+    # No domain check runs before the heights, so an unshifted -0.0 costs
+    # nothing more than 0.0.
     x, y = np.array([x0, 0.1, -0.3, 0.5]), np.array([0.2, 0.0, 0.4, -0.6])
     shapes = []
     call = expr.Tape.__call__
@@ -383,11 +383,51 @@ def test_expr_stencil_takes_its_heights_from_the_domain_check(monkeypatch, x0, t
 
     monkeypatch.setattr(expr.Tape, "__call__", recording)
     got = zmc.graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y, method="central-diff")
-    assert shapes == [(5, 5, 4)] * tape_calls  # the broadcast of the stencil's axes
+    assert shapes == [(5, 5, 4)]  # the broadcast of the stencil's axes
     monkeypatch.undo()
     want = per_shift_graph_jets(builtin_surface("expr:log(cos(y)/cos(x))"), x, y)
     for name in JET_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_central_diff_graph_jets_ask_no_domain_predicate(monkeypatch):
+    surface = builtin_surface("scherk2")
+    monkeypatch.setattr(catalog.HeightSurface, "domain_ok",
+                        lambda *args: pytest.fail("the stencil asked domain_ok"))
+    zmc.graph_jets(surface, np.array([0.1, 0.2]), np.array([0.3, 0.4]), method="central-diff")
+
+
+@pytest.mark.parametrize("surface_id, x, y", [
+    # x + h or x + 2 h crosses pi/2 for the last three points
+    ("scherk2", np.linspace(1.5703, 1.5707, 9), np.full(9, 0.2)),
+    # x - h or x - 2 h is exactly 0 at x = h, 2 h; x = -h ends at x + h = 0
+    ("helicoid", np.array([1e-4, -1e-4, 2e-4, 3e-4, 0.5]), np.full(5, 0.3)),
+    # cosh overflows beyond x = 710.4758...: the heights there are -inf
+    ("scherk2max", np.repeat([710.2, 710.4, 710.6], 3), np.tile([0.0, 0.25, 0.5], 3)),
+])
+def test_graph_stencil_and_lifted_stencil_fail_at_the_same_points(surface_id, x, y):
+    surface = builtin_surface(surface_id)
+    lift = zmc.GraphLiftSampler(surface)
+
+    def raises(fn):
+        try:
+            fn()
+        except DomainViolation:
+            return True
+        return False
+
+    graph = [raises(lambda p=p: zmc.graph_jets(surface, x[p:p + 1], y[p:p + 1],
+                                               method="central-diff"))
+             for p in range(x.size)]
+    lifted = [raises(lambda p=p: zmc.parametric_zmc_numerator(
+        lift, zmc.EUCLID3, x[p:p + 1], y[p:p + 1], use_exact_jet=False))
+        for p in range(x.size)]
+    assert graph == lifted
+    assert any(graph) and not all(graph)
+    with pytest.raises(DomainViolation, match="stencil leaves the domain"):
+        zmc.graph_jets(surface, x, y, method="central-diff")
+    with pytest.raises(DomainViolation, match="has no finite real value"):
+        zmc.parametric_zmc_numerator(lift, zmc.EUCLID3, x, y, use_exact_jet=False)
 
 
 @pytest.mark.parametrize("surface_id, x, y", [

@@ -315,6 +315,20 @@ def test_read_csv_rejects_a_negative_index(tmp_path):
         read_csv(str(path))
 
 
+@pytest.mark.parametrize("body, row", [
+    # one row would size a 100001 x 1 lattice
+    ("100000,0,1,2,3,1\n", "row 1: '100000,0,1,2,3,1': some u_index below 100000"),
+    # v index 1 occurs in no row: the row with v index 2 is named
+    ("0,0,1,2,3,1\n1,2,1,2,3,1\n1,0,1,2,3,1\n", "row 2: '1,2,1,2,3,1': some v_index below 2"),
+])
+def test_read_csv_rejects_an_index_range_with_an_unused_index(tmp_path, body, row):
+    path = tmp_path / "sparse.csv"
+    path.write_text("u_index,v_index,x,y,z,valid\n" + body)
+    with pytest.raises(ValueError) as exc:
+        read_csv(str(path))
+    assert row in str(exc.value) and "\n" not in str(exc.value)
+
+
 def test_read_csv_rejects_a_file_without_rows(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("u_index,v_index,x,y,z,valid\n")
