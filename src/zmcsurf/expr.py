@@ -389,7 +389,8 @@ class Tape:
     Each structurally distinct subtree of the set is one instruction, run once
     per evaluation; constants are told apart by their bits, since
     ``Const(0j) == Const(-0j)``.  An array run drops each value after its
-    last use.
+    last use, except the roots: they stay until the run writes them out at
+    its end.
 
     Every instruction's value is added into one running sum.  IEEE sums keep
     inf and nan, so the sum is non-finite wherever some value is; it can also
@@ -444,14 +445,11 @@ class Tape:
 
         refs = [ref(e.root) for e in self.exprs]
         nleaves = nvars + len(consts)
-        last = {}  # instruction -> the instruction after which its value is dropped
+        roots = set(refs)  # kept until the run writes them out
+        last = {}  # other instruction -> the instruction after which its value is dropped
         for j, (_, *args) in enumerate(code):
-            last.update((a, j) for a in args if a >= 0)
-        rows, drops = [[] for _ in code], [[] for _ in code]
-        for i, r in enumerate(refs):
-            if r >= 0:  # a root is written out by its own instruction
-                rows[r].append(i)
-                last.setdefault(r, r)
+            last.update((a, j) for a in args if a >= 0 and a not in roots)
+        drops = [[] for _ in code]
 
         def at(r):  # the index of a value in a run's list: the leaves, then the instructions
             return -1 - r if r < 0 else nleaves + r
@@ -461,10 +459,9 @@ class Tape:
         self._values = consts  # the Const values themselves, for the scalar run
         self._consts = [np.complex128(c) for c in consts]
         self._roots = [at(r) for r in refs]
-        self._leaf_roots = [(i, k) for i, k in enumerate(self._roots) if k < nleaves]
         self._pick_roots = operator.itemgetter(*self._roots)
         self._code = [(_bind(_NUMPY_FN, op), _bind(_SCALAR_FN, op), *map(at, args),
-                       *(None,) * (2 - len(args)), tuple(rows[j]), tuple(drops[j]))
+                       *(None,) * (2 - len(args)), tuple(drops[j]))
                       for j, (op, *args) in enumerate(code)]
 
     def __len__(self):
@@ -482,7 +479,7 @@ class Tape:
         s = [*map(complex, values), *self._values]
         total = 0
         try:
-            for _, fn, a, b, _, _ in self._code:
+            for _, fn, a, b, _ in self._code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
                 total += v
                 s.append(v)
@@ -509,16 +506,14 @@ class Tape:
         s = [*arrays, *self._consts]
         add = np.add
         with np.errstate(all="ignore"):
-            for i, k in self._leaf_roots:
-                values[i] = s[k]
-            for fn, _, a, b, rows, drop in self._code:
+            for fn, _, a, b, drop in self._code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
                 add(total, v, total)
                 s.append(v)
-                for i in rows:
-                    values[i] = v
                 for k in drop:
                     s[k] = None
+            for i, k in enumerate(self._roots):
+                values[i] = s[k]
             finite = cmath.isfinite(total.sum())  # one reduction, no mask, in most calls
         errors = [{} for _ in self.exprs]
         if not finite:
@@ -534,7 +529,7 @@ class Tape:
         s = [*(f[suspects] for f in flat), *self._consts]
         bad = [False] * len(s)  # per value: is it or an instruction below it not finite
         with np.errstate(all="ignore"):
-            for fn, _, a, b, _, _ in self._code:
+            for fn, _, a, b, _ in self._code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
                 s.append(v)
                 bad.append(~np.isfinite(v) | bad[a] | (b is not None and bad[b]))

@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from .catalog import HeightSurface, builtin_surface
-from .errors import EmptyGrid
+from .errors import DomainViolation, EmptyGrid
 from .report import BroadcastRows, VerificationReport, reduce_errors
 from .zmc import GraphJet
 
@@ -40,8 +40,8 @@ TWO_PI = 2 * math.pi
 _HELICOID = builtin_surface("helicoid")
 
 
-class ExcludedPoint(ValueError):
-    """The point lies on an excluded line (2*pi*k, 0, z)."""
+class ExcludedPoint(DomainViolation):
+    """The point lies on an excluded line (2*pi*k, 0, z); ``points`` holds it."""
 
 
 def _band(x):
@@ -63,7 +63,8 @@ def _band_offset(x, y):
     excluded = (np.asarray(y) == 0.0) & (np.abs(dx) < 1e-12)
     if excluded.any():
         px, py, pk = (np.broadcast_to(a, excluded.shape)[excluded][0] for a in (x, y, k))
-        raise ExcludedPoint(f"({px}, {py}) lies on the excluded line x = 2*pi*{int(pk)}, y = 0")
+        raise ExcludedPoint(f"({px}, {py}) lies on the excluded line x = 2*pi*{int(pk)}, y = 0",
+                            [(float(px), float(py))])
     return k, dx
 
 

@@ -27,7 +27,6 @@ where the straight path to the point is singular.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import random
@@ -127,10 +126,9 @@ def _pass_rule(levels: tuple):
     return np.concatenate([t for t, _ in rules]), starts, [w for _, w in rules]
 
 
-def _first_singular(w, row_errors):
-    """SingularPath for one endpoint: the first failing node, integrands in order."""
-    node, idx, exc = min(row_errors)
-    err = SingularPath(f"integrand singular at node {complex(w[node])!r}: {exc}")
+def _singular(node, exc):
+    """SingularPath for an integrand that fails at ``node``."""
+    err = SingularPath(f"integrand singular at node {complex(node)!r}: {exc}")
     err.__cause__ = exc
     err.__suppress_context__ = True
     return err
@@ -150,12 +148,15 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     (NoConvergence past ``max_segments``).  Singularities are detected by
     sampling: a node or an interior segment boundary where an integrand fails
     to evaluate finitely makes that segment's SingularPath (a pole at a
-    boundary would otherwise cancel into its principal value).  Each endpoint
-    keeps its own convergence state, so a segment stops at the same level,
-    with the same value and error, whether it is integrated alone or in a
-    batch.  Each pass evaluates the nodes of all still-active segments in one
-    tape call; no segment can stop before level 2, so the first pass takes
-    levels 1 and 2 together.
+    boundary would otherwise cancel into its principal value).  It names the
+    first failing node: a pass lays its levels' nodes side by side, coarsest
+    first, so that is the lowest failing column, then the lowest integrand
+    index.  A segment with a non-finite end is a SingularPath before any node
+    is built.  Each endpoint keeps its own convergence state, so a segment
+    stops at the same level, with the same value and error, whether it is
+    integrated alone or in a batch.  Each pass evaluates the nodes of all
+    still-active segments in one tape call; no segment can stop before
+    level 2, so the first pass takes levels 1 and 2 together.
     """
     tape = integrands if isinstance(integrands, Tape) else Tape(integrands)
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
@@ -163,6 +164,12 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     npts = z1.size
     values = np.zeros((len(tape), npts), dtype=complex)
     errors = [None] * npts
+    finite = np.isfinite(z0) & np.isfinite(z1)
+    if not finite.all():
+        for k in np.flatnonzero(~finite).tolist():
+            errors[k] = SingularPath(
+                f"segment [{complex(z0[k])!r}, {complex(z1[k])!r}] has a non-finite endpoint")
+        z0, z1 = np.where(finite, z0, 0), np.where(finite, z1, 0)  # empty: never active
     delta = z1 - z0
     active = np.flatnonzero(z0 != z1)
     prev = None
@@ -171,7 +178,7 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
         levels = (nseg,) if prev is not None or 2 * nseg > max_segments else (nseg, 2 * nseg)
         t, starts, weights = _pass_rule(levels)
         cur = np.empty((len(levels), len(tape), active.size), dtype=complex)
-        singular = {}  # endpoint row -> (its first failing level, SingularPath)
+        first = {}  # endpoint row -> (its lowest failing column, integrand, node, error)
         chunk = max(1, _MAX_NODES // t.size)
         for lo in range(0, active.size, chunk):
             pts = active[lo:lo + chunk]
@@ -180,22 +187,17 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
             for level, (start, wts) in enumerate(zip(starts, weights)):
                 cur[level, :, lo:lo + pts.size] = delta[pts] * (
                     vals[:, :, start:start + wts.size] * wts).sum(axis=2)
-            failed = {}
             for idx, errs_i in enumerate(errs):
                 for flat, exc in errs_i.items():
                     row, col = divmod(flat, t.size)
-                    level = bisect.bisect_right(starts, col) - 1
-                    failed.setdefault((lo + row, level), []).append((col - starts[level], idx, exc))
-            for (row, level), row_errors in failed.items():
-                if row not in singular or level < singular[row][0]:
-                    node_w = w[row - lo, starts[level]:starts[level + 1]]
-                    singular[row] = level, _first_singular(node_w, row_errors)
+                    got = first.get(lo + row)
+                    if got is None or (col, idx) < got[:2]:
+                        first[lo + row] = col, idx, w[row, col], exc
         alive = np.ones(active.size, dtype=bool)
-        for level, level_cur in enumerate(cur):
-            for row, (at, err) in singular.items():
-                if at == level and alive[row]:
-                    errors[active[row]] = err
-                    alive[row] = False
+        for row, (_, _, node, exc) in first.items():
+            errors[active[row]] = _singular(node, exc)
+            alive[row] = False
+        for level_cur in cur:
             if prev is not None:
                 done = alive & (np.abs(level_cur - prev).max(axis=0) < tol)
                 values[:, active[done]] = level_cur[:, done]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zmcsurf import foliation, zmc
 from zmcsurf.catalog import HeightSurface
-from zmcsurf.errors import EmptyGrid
+from zmcsurf.errors import DomainViolation, EmptyGrid
 from zmcsurf.foliation import (
     ROUNDTRIP_TOLERANCE,
     ExcludedPoint,
@@ -151,6 +151,14 @@ def test_leaf_keeps_the_height_surface_contract(t):
     want = _band_formula_jet(u[ok], v[ok], t)
     for name, entry in zip(("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy"), want):
         assert getattr(jet, name).tobytes() == entry.tobytes(), name
+
+
+def test_a_leaf_stencil_on_an_excluded_line_is_a_domain_violation():
+    # The stencil point (2*pi + 5e-13, 0) is within 1e-12 of the excluded line.
+    with pytest.raises(DomainViolation) as caught:
+        zmc.graph_jets(LeafSurface(0.0), [2 * PI + 1e-4 + 5e-13], [2e-4], method="central-diff")
+    [(x, y)] = caught.value.points
+    assert abs(x - 2 * PI) < 1e-12 and y == 0.0
 
 
 def test_foliation_check_report():

@@ -9,6 +9,7 @@
   surface point it already has.
 """
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -71,6 +72,16 @@ def test_sampler_tapes_give_each_expression_its_own_bits(kind):
     failed = [any(_assert_joint_is_alone(tape, _plane(-1.5, 1.5))[1])
               for tape in _tapes(_DATA[kind])]
     assert any(failed) == kind.endswith("-pole")
+
+
+@pytest.mark.parametrize("sources", [
+    ("w*2", "w*2 + 1"),       # a root that is an operand of a later root
+    ("w", "1", "exp(w)"),     # leaf roots
+    ("exp(w)", "exp(w)"),     # one instruction, two roots
+    ("1/w", "(1/w)^2"),       # a root with a pole, used by a later root
+])
+def test_every_root_layout_gives_each_expression_its_own_bits(sources):
+    _assert_joint_is_alone(Tape([parse(s) for s in sources]), _plane(-1.5, 1.5))
 
 
 _EXPR_JETS = ["log(cos(y)/cos(x))", "1/(x - y) + log(x)*y^2", "sqrt(x*y) - atan(x/y)"]
@@ -251,6 +262,40 @@ def test_joint_levels_are_the_level_by_level_reference():
     assert outcomes == {("NoneType", 0), ("NoneType", 2), ("NoneType", 3),
                         ("SingularPath", 1), ("SingularPath", 2), ("SingularPath", 3),
                         ("NoConvergence", 1), ("NoConvergence", 2), ("NoConvergence", 3)}
+
+
+@pytest.mark.parametrize("sources, node, at_fault", [
+    # the poles are level 4's boundaries 1/4 and 3/4: the lower node wins over
+    # the lower integrand index
+    (("1/(w - 0.75)", "1/(w - 0.25)"), 0.25, "(1.0 / (w - 0.25))"),
+    (("1/(w - 0.25)", "1/(w - 0.75)"), 0.25, "(1.0 / (w - 0.25))"),
+    # level 2's boundary 1/2 fails in both: the lower integrand index wins
+    (("1/(w - 0.5)", "1/(w - 0.5)^2"), 0.5, "(1.0 / (w - 0.5))"),
+    (("1/(w - 0.5)^2", "1/(w - 0.5)"), 0.5, "(1.0 / ((w - 0.5)^2))"),
+])
+def test_a_segment_names_its_first_failing_node(sources, node, at_fault):
+    integrands = [parse(s) for s in sources]
+    values, errors = integrate_segments(Tape(integrands), 0, 1)
+    want = f"integrand singular at node {complex(node)!r}: division by zero in {at_fault} at 0j"
+    assert type(errors[0]) is SingularPath and str(errors[0]) == want
+    assert str(_level_by_level(integrands, 0, 1)[1]) == want
+    assert not values.any()
+
+
+def test_a_non_finite_endpoint_is_a_singular_path_without_a_warning():
+    tape = Tape([parse("1"), parse("2")])
+    inf, nan = float("inf"), float("nan")
+    ends = [inf, complex(nan), -inf * 1j, 0.3 + 0.2j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = integrate_segments(tape, 0, ends)
+        alone, _ = integrate_segments(tape, 0, ends[3])
+    for end, err in zip(ends[:3], errors):
+        assert type(err) is SingularPath
+        assert str(err) == f"segment [0j, {complex(end)!r}] has a non-finite endpoint"
+    assert errors[3] is None
+    assert not values[:, :3].any()
+    assert values[:, 3].tobytes() == alone[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
