@@ -17,7 +17,8 @@ class EmptyGrid(ValueError):
 
 
 class SingularPath(ArithmeticError):
-    """An integrand blew up (pole/branch point/overflow) at a quadrature node."""
+    """An integrand blew up (pole/branch point/overflow) at a quadrature node,
+    or a segment or its integral is not finite."""
 
 
 class NoConvergence(ArithmeticError):

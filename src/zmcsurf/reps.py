@@ -100,7 +100,7 @@ _MAX_NODES = 1 << 13
 def _level_rule(nseg: int):
     """Nodes t in (0, 1) and weights of the nseg-segment composite rule.
 
-    The 32 * nseg Gauss nodes come first, in the segment-major order of the
+    The 16 * nseg Gauss nodes come first, in the segment-major order of the
     scalar loop, and carry the weights.  The nseg - 1 interior segment
     boundaries k / nseg follow: they are evaluated only to detect a pole that
     the nodes, symmetric about it, would cancel into a principal value.
@@ -108,7 +108,7 @@ def _level_rule(nseg: int):
     # Imported here: numpy.polynomial costs milliseconds, and only quadrature needs it.
     from numpy.polynomial.legendre import leggauss
 
-    nodes, node_weights = leggauss(32)
+    nodes, node_weights = leggauss(16)
     half = 0.5 / nseg
     mids = (np.arange(nseg) + 0.5) / nseg
     gauss = (mids[:, None] + half * nodes[None, :]).reshape(-1)
@@ -134,6 +134,7 @@ def _singular(node, exc):
     return err
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite length or sum is a SingularPath
 def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int = 1024):
     """Integrate each expression along every straight segment [z0[k], z1[k]].
 
@@ -143,20 +144,24 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     over segment ``k`` and ``errors[k]`` is None or the SingularPath /
     NoConvergence that segment raises (its values are then 0).
 
-    32-node Gauss-Legendre per segment; the segment count doubles until two
-    successive refinements agree within ``tol`` in every integrand
-    (NoConvergence past ``max_segments``).  Singularities are detected by
-    sampling: a node or an interior segment boundary where an integrand fails
-    to evaluate finitely makes that segment's SingularPath (a pole at a
-    boundary would otherwise cancel into its principal value).  It names the
-    first failing node: a pass lays its levels' nodes side by side, coarsest
-    first, so that is the lowest failing column, then the lowest integrand
-    index.  A segment with a non-finite end is a SingularPath before any node
-    is built.  Each endpoint keeps its own convergence state, so a segment
-    stops at the same level, with the same value and error, whether it is
-    integrated alone or in a batch.  Each pass evaluates the nodes of all
-    still-active segments in one tape call; no segment can stop before
-    level 2, so the first pass takes levels 1 and 2 together.
+    Composite rule: 16-node Gauss-Legendre panels on 1, 2, 4, ... equal
+    sub-segments, refined until two successive levels agree within ``tol`` in
+    every integrand (NoConvergence past ``max_segments``).  Singularities are
+    detected by sampling: a node or an interior panel boundary where an
+    integrand fails to evaluate finitely makes that segment's SingularPath (a
+    pole at a boundary would otherwise cancel into its principal value).  It
+    names the first failing node: a pass lays its levels' nodes side by side,
+    coarsest first, so that is the lowest failing column, then the lowest
+    integrand index.  A pole off the path, 1e-13 from its midpoint, is caught
+    as NoConvergence (as measured for 1/w; at 8e-14 it cancels into its
+    principal value undetected).  A segment with a non-finite end or length is a
+    SingularPath before any node is built, and so is one whose level value
+    overflows, in that pass.  Each endpoint keeps its own convergence state,
+    so a segment stops at the same level, with the same value and error,
+    whether it is integrated alone or in a batch.  Each pass evaluates the
+    nodes of all still-active segments in one tape call; no segment can stop
+    before level 2, so the first pass takes levels 1 and 2 and the probe at
+    t = 1/2 together, 16 + 32 + 1 = 49 nodes.
     """
     tape = integrands if isinstance(integrands, Tape) else Tape(integrands)
     z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
@@ -164,14 +169,14 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     npts = z1.size
     values = np.zeros((len(tape), npts), dtype=complex)
     errors = [None] * npts
-    finite = np.isfinite(z0) & np.isfinite(z1)
-    if not finite.all():
-        for k in np.flatnonzero(~finite).tolist():
-            errors[k] = SingularPath(
-                f"segment [{complex(z0[k])!r}, {complex(z1[k])!r}] has a non-finite endpoint")
-        z0, z1 = np.where(finite, z0, 0), np.where(finite, z1, 0)  # empty: never active
     delta = z1 - z0
-    active = np.flatnonzero(z0 != z1)
+    finite = np.isfinite(delta)
+    for k in np.flatnonzero(~finite).tolist():
+        ends = complex(z0[k]), complex(z1[k])
+        errors[k] = SingularPath(f"segment [{ends[0]!r}, {ends[1]!r}] has a non-finite "
+                                 + ("length" if np.isfinite(ends).all() else "endpoint"))
+    z0, delta = np.where(finite, z0, 0), np.where(finite, delta, 0)  # empty: never active
+    active = np.flatnonzero(delta)
     prev = None
     nseg = 1
     while active.size:
@@ -182,10 +187,11 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
         chunk = max(1, _MAX_NODES // t.size)
         for lo in range(0, active.size, chunk):
             pts = active[lo:lo + chunk]
-            w = z0[pts, None] + t[None, :] * delta[pts, None]
+            length = delta[pts]
+            w = z0[pts, None] + t[None, :] * length[:, None]
             vals, errs = tape(w)
             for level, (start, wts) in enumerate(zip(starts, weights)):
-                cur[level, :, lo:lo + pts.size] = delta[pts] * (
+                cur[level, :, lo:lo + pts.size] = length * (
                     vals[:, :, start:start + wts.size] * wts).sum(axis=2)
             for idx, errs_i in enumerate(errs):
                 for flat, exc in errs_i.items():
@@ -193,7 +199,10 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
                     got = first.get(lo + row)
                     if got is None or (col, idx) < got[:2]:
                         first[lo + row] = col, idx, w[row, col], exc
-        alive = np.ones(active.size, dtype=bool)
+        alive = np.isfinite(cur).all(axis=(0, 1))  # a failing node outranks an overflow
+        for k in active[~alive].tolist():
+            errors[k] = SingularPath(
+                f"the integral over [{complex(z0[k])!r}, {complex(z1[k])!r}] overflows")
         for row, (_, _, node, exc) in first.items():
             errors[active[row]] = _singular(node, exc)
             alive[row] = False
@@ -425,23 +434,22 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
     else:
         split = split_weierstrass(data, weights)
         label = {"weights": list(weights)}
-    base = replace(data, offset=(0.0, 0.0, 0.0))
     rng = random.Random(seed)
     zetas = []
     for _ in range(n_samples):
         r = SPLIT_RADIUS * math.sqrt(rng.random())
         phi = 2 * math.pi * rng.random()
         zetas.append(data.zeta0 + r * cmath.exp(1j * phi))
-    # One batch per piece; the full integrand triple keeps the convergence rule.
-    heights, errors = [], []
-    for d in [base, *split]:
-        values, errs = integrate_segments(d.integrand_tape, d.zeta0, zetas)
-        heights.append(d.offset[2] + values[2].real)
-        errors.append(errs)
-    failure = next((err for row in zip(*errors) for err in row if err is not None), None)
+    # One quadrature over the integrand triples of the parent and every piece: a
+    # probe stops once all agree within tol, so each is refined as far as the
+    # slowest.  The first failing probe raises its first failing node (the
+    # parent's first), else its NoConvergence or overflow.
+    tape = Tape([e for d in (data, *split) for e in d.integrands])
+    values, errors = integrate_segments(tape, data.zeta0, zetas)
+    failure = next((err for err in errors if err is not None), None)
     if failure is not None:
         raise failure
-    z_parent, z_sum = heights[0], sum(heights[1:])
+    z_parent, z_sum = values[2].real, sum(values[5::3].real)  # heights without offsets
     probes = np.array(zetas)
     return VerificationReport.of(
         np.abs(z_parent - z_sum), BroadcastRows(probes.real, probes.imag), z_parent, z_sum,

