@@ -3,9 +3,12 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_report import LoopStats
 from zmcsurf import catalog, reps, zmc
@@ -366,15 +369,92 @@ def _per_point_inversion(sampler, grid):
     (WEData.from_text("1", "w"), 0.05 + 0.02j, GridSpec(-1.2, 1.2, -1.2, 1.2, 25, 25)),
 ], ids=["enneper", "near-enneper", "singular-centre", "wide"])
 def test_wavefront_matches_the_per_point_loop(data, seed, grid):
-    # A confirmed root starts from its predecessor's speculative root, not
-    # from the loop's root there, so its last bits may move (at most 8.3e-17
-    # in z on the first three windows and 7.8e-16 on the wide one).
+    # An accepted root is the speculation's, reached from the seed, not from
+    # the loop's root at its predecessor, so its last bits may move (at most
+    # 7.8e-14 in z on the first three windows and 1.6e-14 on the wide one).
     sampler = reps.InvertedGraphSampler(data, zeta_seed=seed)
     points, valid = sampler.sample_grid(grid)
     want_points, want_valid = _per_point_inversion(sampler, grid)
     assert valid.tolist() == want_valid.tolist()
     assert points[:, :2].tobytes() == want_points[:, :2].tobytes()
     assert np.abs(points[:, 2] - want_points[:, 2]).max() <= 1e-12
+
+
+def _assert_is_the_loop(sampler, grid, points, valid):
+    """The checks of ``test_wavefront_matches_the_per_point_loop``."""
+    want_points, want_valid = _per_point_inversion(sampler, grid)
+    assert valid.tolist() == want_valid.tolist()
+    assert points[:, :2].tobytes() == want_points[:, :2].tobytes()
+    assert np.abs(points[:, 2] - want_points[:, 2]).max() <= 1e-12
+
+
+def _rule_inverted(monkeypatch, flip=None):
+    """Record the lattice points the anti-diagonal rule inverts (its Newton
+    takes 20 step lengths); ``flip`` replaces that point's speculative root
+    zeta by -zeta, with the surface point there."""
+    rule, original = [], reps._invert
+
+    def recording(data, x, y, guesses, points, errors, tries=20):
+        zetas, points, errors = original(data, x, y, guesses, points, errors, tries)
+        if tries == 20:
+            rule.extend(zip(np.ravel(x).tolist(), np.ravel(y).tolist()))
+        elif flip is not None:
+            zetas[flip] = -zetas[flip]
+            points[flip] = reps._surface_points(data, zetas[flip])[0][0]
+        return zetas, points, errors
+
+    monkeypatch.setattr(reps, "_invert", recording)
+    return rule
+
+
+def test_the_sheet_test_rejects_a_root_on_the_other_sheet(monkeypatch):
+    # R = w makes x and y even in zeta, so -zeta is a root too, with the
+    # negated height.  The full step from its predecessor's root lands 0.98
+    # edge lengths from -zeta, so the test rejects it (as any mu < 0.98 does)
+    # and the rest of its row, and the rule re-inverts them.
+    data, seed = WEData.reduced("w"), 0.6 + 0.25j
+    grid = GridSpec(0.1, 0.2, -0.2, -0.1, 4, 4)
+    sampler = reps.InvertedGraphSampler(data, zeta_seed=seed)
+    rule = _rule_inverted(monkeypatch)
+    clean, valid = sampler.sample_grid(grid)
+    assert valid.all() and rule == []
+    assert abs(clean[5, 2]) > 0.01  # so -zeta's height, -z, fails the loop's check
+    rule = _rule_inverted(monkeypatch, flip=5)  # row 1, column 1
+    points, valid = sampler.sample_grid(grid)
+    x, y = grid.lattice()
+    assert rule == [(x[k], y[k]) for k in (5, 6, 7)]
+    monkeypatch.undo()
+    _assert_is_the_loop(sampler, grid, points, valid)
+
+
+@pytest.mark.parametrize("seed", [0.05 + 0.02j, -0.0])
+@pytest.mark.parametrize("grid", [
+    GridSpec(0, 2e-323, 0, 1, 3, 3),  # neighbouring rows have equal roots
+    GridSpec(-1e-300, 1e-300, -1e-300, 1e-300, 3, 3),
+    GridSpec(-8e307, 8e307, -1, 1, 3, 3),
+    GridSpec(1e160, 2e160, 0, 1, 3, 3),
+], ids=["subnormal", "tiny", "huge", "overflowing"])
+def test_inverted_sampler_on_extreme_lattices_matches_the_loop(seed, grid):
+    sampler = reps.InvertedGraphSampler(WEData.from_text("1", "w"), zeta_seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, valid = sampler.sample_grid(grid)
+    _assert_is_the_loop(sampler, grid, points, valid)
+
+
+_UNIT = st.floats(-0.05, 0.05)
+
+
+@settings(max_examples=20, deadline=None)
+@given(c0=st.floats(0.9, 1.1), c1=st.floats(0.0, 0.1), b=st.floats(0.7, 1.0),
+       h=st.floats(0.25, 0.35), centre=st.tuples(_UNIT, _UNIT), seed=st.tuples(_UNIT, _UNIT))
+def test_the_benchmark_family_matches_the_per_point_loop(c0, c1, b, h, centre, seed):
+    # The benchmark's inverted family: near-Enneper data on a 5 x 5 window
+    # around the origin, where the Jacobian is close to c0 times the identity.
+    data = WEData.from_text(f"{c0!r}+{c1!r}*w", f"0.0+{b!r}*w")
+    grid = GridSpec(centre[0] - h, centre[0] + h, centre[1] - h, centre[1] + h, 5, 5)
+    sampler = reps.InvertedGraphSampler(data, zeta_seed=complex(*seed))
+    _assert_is_the_loop(sampler, grid, *sampler.sample_grid(grid))
 
 
 def test_a_newton_batch_is_its_one_point_inversions():

@@ -6,7 +6,8 @@
 * quadrature that takes levels 1 and 2 in one pass against a level-by-level
   reference, and that fails a segment or integral that overflows;
 * the inverted sampler integrates no endpoint twice in one round, and no
-  surface point it already has.
+  surface point it already has;
+* extreme finite endpoints give finite values or a typed error, no warning.
 """
 
 import warnings
@@ -14,6 +15,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zmcsurf import catalog, reps
 from zmcsurf.expr import AnalyticExpr, Binary, Const, Power, Tape, Unary, Var, parse, parse_xy
@@ -348,31 +351,47 @@ def _record_calls(monkeypatch):
 
 def test_inverted_sampler_integrates_no_endpoint_twice(monkeypatch):
     # The sampler integrates the seed, then speculates (every point from the
-    # seed) and confirms (every point but (0, 0) from its predecessor's
-    # speculative root) in full steps, one batched Newton per round, whose
-    # first residuals are surface points it already has.  The anti-diagonal
-    # wavefront took 69 calls here.
+    # seed) in full steps, one batched Newton round per call, whose first
+    # residuals are the seed's surface point.  The sheet test accepts every
+    # point from one tape call and no quadrature, so nothing falls back.  The
+    # anti-diagonal wavefront took 69 calls here, and a second Newton batch
+    # that confirmed the speculative roots 9.
     data, seed = WEData.from_text("1", "w"), 0.05 + 0.02j
     grid = GridSpec(-0.4, 0.4, -0.4, 0.4, 9, 9)
     calls = _record_calls(monkeypatch)
     _, valid = reps.InvertedGraphSampler(data, zeta_seed=seed).sample_grid(grid)
     assert valid.all()
-    assert len(calls) <= 12
+    assert len(calls) <= 5
     assert calls[0] == [seed]
     assert all(max(Counter(call).values()) == 1 for call in calls)
     batched = Counter(z for call in calls for z in call)
-    # One-point Newtons of the same two rounds integrate the same endpoints,
-    # and each guess once more.
+    # One-point Newtons of the speculation round integrate the same endpoints,
+    # and the seed once more each.
     calls.clear()
     x, y = grid.lattice()
+    for k in range(x.size):
+        start = reps._surface_points(data, seed)
+        reps._invert(data, [x[k]], [y[k]], [seed], *start, tries=1)
+    assert Counter(z for call in calls for z in call) == batched + Counter([seed] * (x.size - 1))
 
-    def newton(k, guess):  # full steps at point k, its guess integrated first
-        start = reps._surface_points(data, guess)
-        return reps._invert(data, [x[k]], [y[k]], [guess], *start, tries=1)[0][0]
 
-    guesses = [seed] * x.size
-    spec = [newton(k, seed) for k in range(x.size)]
-    for k in range(1, x.size):
-        guesses.append(spec[k - 1 if k % grid.nv else k - grid.nv])
-        newton(k, guesses[-1])
-    assert Counter(z for call in calls for z in call) == batched + Counter(guesses) - Counter([seed])
+# ---------------------------------------------------------------------------
+# extreme finite endpoints
+# ---------------------------------------------------------------------------
+
+_EXTREME = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.7e308, -1.7e308, 5e-324, -5e-324, 2.2e-308, -0.0, 0.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.tuples(_EXTREME, _EXTREME), b=st.tuples(_EXTREME, _EXTREME),
+       tape=st.sampled_from([Tape([parse("1"), parse("w")]),
+                             WEData.from_text("1", "w").integrand_tape,  # Enneper
+                             Tape([parse("1/w"), parse("exp(w)")])]))
+def test_integrate_segments_on_extreme_endpoints_gives_values_or_typed_errors(a, b, tape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, errors = integrate_segments(tape, complex(*a), complex(*b))
+    assert errors[0] is None or type(errors[0]) in (SingularPath, NoConvergence)
+    assert np.isfinite(values).all()
