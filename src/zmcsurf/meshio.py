@@ -62,8 +62,12 @@ class GridSpec:
         """The read-only u and v coordinates, computed on first use.  They live
         in the instance dict, outside the fields that equality, hash, repr and
         ``replace`` see, and ``__getstate__`` keeps them out of a pickle."""
-        u = np.linspace(self.u_min, self.u_max, self.nu)
-        v = np.linspace(self.v_min, self.v_max, self.nv)
+        # linspace forms the last point as (n - 1) * step, which can overflow
+        # when the width is near the largest double, and then sets it to the
+        # finite upper bound; every other point is below that bound.
+        with np.errstate(over="ignore"):
+            u = np.linspace(self.u_min, self.u_max, self.nu)
+            v = np.linspace(self.v_min, self.v_max, self.nv)
         u.flags.writeable = v.flags.writeable = False
         return u, v
 
@@ -170,14 +174,16 @@ def sample_patch(source, grid: GridSpec) -> SurfacePatch:
 def _fmt17(values: np.ndarray) -> np.ndarray:
     """``'%.17g'`` text of every value, as an object array of ``values``' shape.
 
-    Each distinct binary64 bit pattern is formatted once (``-0.0`` and ``0.0``
-    stay distinct) and the strings are gathered back: lattice coordinates
-    repeat along rows and columns.  ``'%.17g' % x`` is ``format(x, '.17g')``.
+    The distinct binary64 bit patterns come from one unstable ``np.unique``
+    sort of the bits (``-0.0`` and ``0.0``, and nans with different payloads,
+    stay distinct); each is formatted once, by one ``%`` over a repeated
+    template, and the strings are gathered back by the inverse index: lattice
+    coordinates repeat along rows and columns.  ``'%.17g' % x`` is
+    ``format(x, '.17g')``.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    _, first, inverse = np.unique(values.reshape(-1).view(np.int64), return_index=True,
-                                  return_inverse=True)
-    distinct = values.reshape(-1)[first].tolist()
+    bits, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
+    distinct = bits.view(float).tolist()
     text = ("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")
     return np.array(text, dtype=object)[inverse].reshape(values.shape)
 
@@ -246,15 +252,38 @@ _CSV_LOADTXT = dict(dtype=[("index", "u8", 2), ("point", "f8", 3), ("flag", "O")
                     delimiter=",", comments=None, ndmin=1)
 
 
+def _numbered(n: int) -> np.ndarray:
+    """The strings ``"0,"`` to ``f"{n - 1},"`` as an object array."""
+    return np.array([f"{i}," for i in range(n)], dtype=object)
+
+
+def _csv_cells(patch: SurfacePatch) -> list:
+    """The CSV text cut into its strings, header line first, as one flat list:
+    each row is ``"i,"``, ``"j,"``, x, ``","``, y, ``","``, z and
+    ``",1\n"`` or ``",0\n"``.  Every cell of a column refers to one of a few
+    shared strings, so no row formats an integer or builds a string."""
+    nu, nv = patch.nu, patch.nv
+    cells = np.empty(1 + nu * nv * 8, dtype=object)
+    cells[0] = ",".join(_CSV_HEADER) + "\n"
+    rows = cells[1:].reshape(nu, nv, 8)
+    rows[..., 0] = _numbered(nu)[:, None]
+    rows[..., 1] = _numbered(nv)
+    rows[..., 2::2] = _point_text(patch).reshape(nu, nv, 3)
+    rows[..., 3:6:2] = ","
+    flag = rows[..., 7]
+    flag[...] = ",0\n"
+    flag[patch.valid.reshape(nu, nv)] = ",1\n"
+    return cells.tolist()
+
+
 def write_csv(patch: SurfacePatch, path: str) -> None:
-    """CSV schema: ``u_index,v_index,x,y,z,valid`` with one row per lattice point."""
-    n = patch.nu * patch.nv
-    cells = np.empty((n, 6), dtype=object)
-    cells[:, 0], cells[:, 1] = np.divmod(np.arange(n), patch.nv)
-    cells[:, 2:5] = _point_text(patch)
-    cells[:, 5] = patch.valid
-    atomic_write(path, ",".join(_CSV_HEADER) + "\n"
-                 + ("%d,%d,%s,%s,%s,%d\n" * n) % tuple(cells.reshape(-1).tolist()))
+    """CSV schema: ``u_index,v_index,x,y,z,valid`` with one row per lattice point.
+
+    The text is one ``"".join`` of ``_csv_cells``.  The cell table is freed
+    when ``_csv_cells`` returns its list, and the list before the write, so
+    no more than two of table, list, text and encoded bytes are alive at
+    once."""
+    atomic_write(path, "".join(_csv_cells(patch)))
 
 
 def read_csv(path: str) -> SurfacePatch:

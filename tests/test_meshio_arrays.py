@@ -10,6 +10,7 @@ import math
 import random
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmcsurf import catalog, meshio
-from zmcsurf.errors import DomainViolation, NoConvergence, SingularPath
+from zmcsurf.errors import DomainViolation, EmptyGrid, NoConvergence, SingularPath
 from zmcsurf.expr import EvalDomainError
 from zmcsurf.foliation import LeafSurface
 from zmcsurf.meshio import (
@@ -168,10 +169,19 @@ def test_percent_formatting_matches_format_on_random_bit_patterns():
         assert "%.17g" % x == format(x, ".17g")
 
 
+def _double(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# Quiet and signalling nans of either sign: distinct bit patterns, one text.
+NAN_PAYLOADS = [_double(b) for b in (0x7FF8000000000001, 0xFFF8000000000000,
+                                     0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF)]
+
+
 def test_fmt17_formats_every_element_and_keeps_the_sign_of_zero():
     rng = np.random.default_rng(7)
     values = np.concatenate([np.array(EDGE_VALUES), rng.standard_normal(501),
-                             np.repeat(rng.standard_normal(5), 40)])
+                             np.repeat(rng.standard_normal(5), 40), np.repeat(NAN_PAYLOADS, 3)])
     rng.shuffle(values)
     values = values.reshape(-1, 3)
     text = _fmt17(values)
@@ -373,8 +383,10 @@ def test_read_csv_takes_spaces_crlf_and_non_finite_cells_like_the_reference(tmp_
     assert np.signbit(back.points[2, 0])
 
 
-_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(
-    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+_BIT_PATTERNS = st.integers(0, 2 ** 64 - 1).map(_double)
+# Every nan: either sign, any non-zero payload.
+_NANS = st.tuples(st.integers(0, 1), st.integers(1, 2 ** 52 - 1)).map(
+    lambda sign_payload: _double(sign_payload[0] << 63 | 0x7FF << 52 | sign_payload[1]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,6 +402,30 @@ def test_csv_round_trip_keeps_every_bit_pattern(tmp_path_factory, shape, data):
     path = str(tmp_path_factory.getbasetemp() / "round_trip.csv")
     write_csv(patch, path)
     assert _same_patch(read_csv(path), patch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.tuples(st.integers(1, 4), st.integers(5, 120)), transpose=st.booleans(),
+       pool=st.lists(st.one_of(st.sampled_from(EDGE_VALUES), _BIT_PATTERNS, _NANS),
+                     min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_writers_match_the_per_line_reference_on_drawn_patches(tmp_path_factory, lines,
+                                                                transpose, pool, seed):
+    # One short and one long axis, either way round, with indices up to three
+    # digits: a transposed or mis-joined "i,j," row prefix changes the bytes.
+    # The coordinates repeat a few drawn values, so the dedupe gathers them.
+    nu, nv = lines[::-1] if transpose else lines
+    rng = np.random.default_rng(seed)
+    points = np.array(pool)[rng.integers(len(pool), size=(nu * nv, 3))]
+    valid = rng.random(nu * nv) < rng.random()
+    valid[rng.integers(nu * nv)] = True
+    patch = SurfacePatch(nu, nv, points, valid)
+    assert _fmt17(patch.points).tolist() == [[_fmt(x) for x in row] for row in points]
+    base = tmp_path_factory.getbasetemp()
+    write_obj(patch, str(base / "contract.obj"))
+    write_csv(patch, str(base / "contract.csv"))
+    assert (base / "contract.obj").read_bytes() == reference_obj(patch)
+    assert (base / "contract.csv").read_bytes() == reference_csv(patch)
 
 
 # ---------------------------------------------------------------------------
@@ -412,3 +448,36 @@ def test_sample_patch_matches_the_per_point_loop(source, grid):
     want = reference_sample(source, grid)
     assert _same_patch(patch, want)
     assert 0 < patch.valid_count()
+
+
+_EXTREME_BOUNDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     -2.2250738585072014e-308, 1.7e308, -1.7e308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_GRAPH_SOURCES = [*map(catalog.builtin_surface,
+                       ("scherk2", "scherk1", "helicoid", "scherk2max", "scherkBI")),
+                  LeafSurface(0.7)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=st.sampled_from(_GRAPH_SOURCES),
+       u=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       v=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       shape=st.tuples(st.integers(2, 5), st.integers(2, 5)))
+def test_extreme_finite_grids_give_a_typed_error_or_a_finite_patch(tmp_path_factory, source,
+                                                                   u, v, shape):
+    path = str(tmp_path_factory.getbasetemp() / "extreme.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = GridSpec(*u, *v, *shape)
+        except ValueError:
+            return
+        try:
+            patch = sample_patch(source, grid)
+        except (EmptyGrid, DomainViolation):
+            return
+        assert np.isfinite(patch.points).all()
+        write_csv(patch, path)
+        assert _same_patch(read_csv(path), patch)
