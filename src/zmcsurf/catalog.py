@@ -127,11 +127,10 @@ def _real_part(value):
 #
 # Every height, jet and domain predicate below is written once with numpy
 # ufuncs, and a scalar query is its one-point case (``zmc.one_point``), which
-# gives the bits of the same point in a lattice.  The exception is ``expr:``:
-# its real scalar ``height_at`` and ``exact_jet`` run a tape at one point with
-# ``cmath`` (``Tape.scalar``) and have those bits, which may differ in the last
-# place from the tape's lattice entry; its complex and one-element queries run
-# the tape on arrays.  Real arguments give real arithmetic (nan off the real domain),
+# gives the bits of the same point in a lattice.  The one exception is the
+# real-point ``expr:`` height: it runs the tape at one point with ``cmath``
+# (``Tape.scalar``) and has those bits, which may differ in the last place from
+# the tape's lattice entry.  Real arguments give real arithmetic (nan off the real domain),
 # complex arguments complex arithmetic; exact poles give nan (``_pole``).  A
 # stencil point is usable where its height is finite (``zmc.graph_jets``).
 
@@ -339,11 +338,10 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
 
 
 def _expr_surface(text: str) -> HeightSurface:
-    """A user graph: its tape on arrays of any size, its tape's scalar run at a
-    0-d point (complex values; real points take the real part).  Its domain is
-    where the real height is finite.  A jet runs the six jet trees on one tape,
-    built on first use; at a 0-d point, where that tape's scalar run gives
-    None, each tree is evaluated alone.
+    """A user graph: its tape on arrays of any size, its tree's scalar ``eval``
+    at a 0-d point (complex values, nan where the walk raises; real points take
+    the real part).  Its domain is where the real height is finite.  A jet runs
+    the six jet trees on one tape, built on first use, at every shape.
     """
     e = _expr.parse_xy(text)
     ex, ey = e.derivative("x"), e.derivative("y")
@@ -353,28 +351,20 @@ def _expr_surface(text: str) -> HeightSurface:
     def jet_tape():
         return _expr.Tape(trees)
 
-    def value(tree, x, y):
+    def height(x, y):
         if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
-            return tree.eval_array(x, y)[0]
+            return e.eval_array(x, y)[0]
         try:
-            return tree.eval(x, y)
+            return e.eval(x, y)
         except _expr.EvalDomainError:
             return complex("nan")
-
-    def height(x, y):
-        return value(e, x, y)
 
     def domain(x, y, margin):
         return np.isfinite(_real_part(height(x, y)))
 
     def jet(x, y):
-        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
-            vals = list(jet_tape()(x, y)[0])
-        else:
-            vals = jet_tape().scalar(x, y) or [value(tree, x, y) for tree in trees]
-        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
-            vals = [v.real for v in vals]
-        return GraphJet(*vals)
+        vals = jet_tape()(x, y)[0]
+        return GraphJet(*(vals if np.iscomplexobj(x) or np.iscomplexobj(y) else vals.real))
 
     return HeightSurface(f"expr:{text}", "generic", height, domain, jet,
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), quiet=True)
@@ -547,54 +537,43 @@ def _arctan_ratio(num, den):
     return np.arctan(num / _pole(den))
 
 
+def _shifted(x, m: int):
+    """x + m*pi spelled as the terms are written: x itself at m = 0 and
+    x - |m|*pi for m < 0, so complex points keep the same signed zeros."""
+    return x + m * PI if m > 0 else x - -m * PI if m else x
+
+
 def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     lhs = IdentityTerm(
         "atan(tanh(y)*cot(x))",
         lambda x, y: _arctan_tanh_cot(y, x),
         lambda x, y, m: _sin_zero_distance(x) >= m,
     )
-    terms = []
-    # Margins are grid-space distances: arguments scaled by 1/n rescale by n.
-    # Group 1: tower terms at the shifted/scaled arguments.
-    for m in range(1, n):
-        terms.append(IdentityTerm(
-            f"+atan(tanh(y/{n})*cot((x+{m}*pi)/{n}))",
-            lambda x, y, m=m: _arctan_tanh_cot(y / n, (x + m * PI) / n),
-            lambda x, y, mg, m=m: n * _sin_zero_distance((x + m * PI) / n) >= mg,
-        ))
-    # Group 2: subtracted flat arctans at the same scaled arguments.
-    for m in range(1, n):
-        terms.append(IdentityTerm(
-            f"-atan((y/{n})/((x+{m}*pi)/{n}))",
-            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n),
-            lambda x, y, mg, m=m: np.abs(x + m * PI) >= mg,
-        ))
-    # Group 3: the lone unshifted tower term.
-    terms.append(IdentityTerm(
-        f"+atan(tanh(y/{n})*cot(x/{n}))",
-        lambda x, y: _arctan_tanh_cot(y / n, x / n),
-        lambda x, y, mg: n * _sin_zero_distance(x / n) >= mg,
-    ))
-    # Group 4: subtracted flat arctans with the pi-shifted denominator.
-    for m in range(1, n):
-        terms.append(IdentityTerm(
-            f"-atan((y/{n})/((x+{m}*pi)/{n} - pi))",
-            lambda x, y, m=m: -_arctan_ratio(y / n, (x + m * PI) / n - PI),
-            lambda x, y, mg, m=m: np.abs(x + m * PI - n * PI) >= mg,
-        ))
-    # Groups 5 and 6: the two helicoid fans.
-    for m in range(1, n):
-        terms.append(IdentityTerm(
-            f"+atan(y/(x+{m}*pi))",
-            lambda x, y, m=m: _arctan_ratio(y, x + m * PI),
-            lambda x, y, mg, m=m: np.abs(x + m * PI) >= mg,
-        ))
-    for m in range(1, n):
-        terms.append(IdentityTerm(
-            f"+atan(y/(x-{m}*pi))",
-            lambda x, y, m=m: _arctan_ratio(y, x - m * PI),
-            lambda x, y, mg, m=m: np.abs(x - m * PI) >= mg,
-        ))
+    # Three term shapes.  Margins are grid-space distances: arguments scaled by
+    # 1/n rescale by n.
+
+    def tower(m):  # +atan(tanh(y/n)*cot((x+m*pi)/n))
+        at = f"(x+{m}*pi)/{n}" if m else f"x/{n}"
+        return IdentityTerm(
+            f"+atan(tanh(y/{n})*cot({at}))",
+            lambda x, y: _arctan_tanh_cot(y / n, _shifted(x, m) / n),
+            lambda x, y, mg: n * _sin_zero_distance(_shifted(x, m) / n) >= mg)
+
+    def flat(m, s):  # -atan((y/n)/((x+m*pi)/n - s*pi))
+        return IdentityTerm(
+            f"-atan((y/{n})/((x+{m}*pi)/{n}{' - pi' if s else ''}))",
+            lambda x, y: -_arctan_ratio(y / n, _shifted(x, m) / n - s * PI),
+            lambda x, y, mg: np.abs(_shifted(x, m) - s * n * PI) >= mg)
+
+    def fan(m):  # +atan(y/(x+m*pi)), a helicoid translated by -m*pi
+        return IdentityTerm(
+            f"+atan(y/(x{m:+d}*pi))",
+            lambda x, y: _arctan_ratio(y, _shifted(x, m)),
+            lambda x, y, mg: np.abs(_shifted(x, m)) >= mg)
+
+    ms = range(1, n)
+    terms = ([tower(m) for m in ms] + [flat(m, 0) for m in ms] + [tower(0)]
+             + [flat(m, 1) for m in ms] + [fan(m) for m in ms] + [fan(-m) for m in ms])
     return IdentityInstance("helicoid-decomp", n, {}, lhs, tuple(terms), "mod-pi")
 
 
@@ -732,9 +711,10 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
     if policy not in BRANCH_POLICIES:
         raise ValueError(f"unknown branch policy {policy!r}")
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-    ok = inst.lhs.guard(x, y, margin)
-    for t in inst.rhs_terms:
-        ok = ok & t.guard(x, y, margin)
+    with np.errstate(over="ignore"):  # a distance that overflows is inf, clear of any margin
+        ok = inst.lhs.guard(x, y, margin)
+        for t in inst.rhs_terms:
+            ok = ok & t.guard(x, y, margin)
     bad = np.flatnonzero(~np.broadcast_to(ok, shape))
     if bad.size:
         raise DomainViolation(

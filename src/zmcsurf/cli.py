@@ -71,13 +71,21 @@ def _integer(value, flag: str) -> int:
     return number
 
 
+_BAND_MARGIN = 0.05  # leaves are meshed this far inside the outer band boundaries
+
+
 def _bands(value, flag: str) -> tuple:
+    """The x window of the bands k_lo..k_hi, ``_BAND_MARGIN`` inside their outer ends."""
     lo, _, hi = str(value).partition("..")
-    bands = _integer(lo, flag), _integer(hi or lo, flag)
-    if bands[1] < bands[0]:
+    k_lo, k_hi = _integer(lo, flag), _integer(hi or lo, flag)
+    if k_hi < k_lo:
         raise argparse.ArgumentTypeError(f"{flag} must be k_lo..k_hi with k_lo <= k_hi, "
                                          f"got {value!r}")
-    return bands
+    with contextlib.suppress(OverflowError):  # an int too large for a float
+        window = (2 * k_lo - 1) * math.pi + _BAND_MARGIN, (2 * k_hi + 1) * math.pi - _BAND_MARGIN
+        if all(map(math.isfinite, window)):
+            return window
+    raise argparse.ArgumentTypeError(f"{flag} must give a finite x window")
 
 
 def _params(items, flag: str) -> dict:
@@ -113,6 +121,11 @@ def _fmt_value(v) -> str:
     if isinstance(v, complex):
         return f"{v.real:.17g}{v.imag:+.17g}i"
     return format(float(v), ".17g")
+
+
+def _tolerance(args) -> dict:
+    """--tol as a check's keyword when it is given; else the check keeps its own default."""
+    return {} if args.tol is None else {"tolerance": args.tol}
 
 
 def _finish(report, path) -> int:
@@ -189,8 +202,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_identity(args) -> int:
     inst = catalog.identity_terms(args.identity, args.n, args.param)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = catalog.verify_identity(inst, args.grid, tolerance=tol, policy=args.policy)
+    report = catalog.verify_identity(inst, args.grid, policy=args.policy, **_tolerance(args))
     return _finish(report, args.report)
 
 
@@ -198,15 +210,13 @@ def _cmd_residual(args) -> int:
     if args.parametric == "parametric":
         sampler, label = _parametric_sampler(args)
         metric = zmc.METRIC_NAMES[args.metric]
-        tol = args.tol if args.tol is not None else 1e-6
-        report = zmc.parametric_sweep(sampler, metric, args.grid, tolerance=tol,
+        report = zmc.parametric_sweep(sampler, metric, args.grid,
                                       use_exact_jet=args.method == "exact",
-                                      subject=f"parametric-zmc:{label}")
+                                      subject=f"parametric-zmc:{label}", **_tolerance(args))
     else:
         eq = {"bi": "bi-soliton"}.get(args.equation, args.equation)
         surf = catalog.builtin_surface(args.surface)
-        tol = args.tol if args.tol is not None else 1e-10
-        report = zmc.residual_sweep(surf, eq, args.grid, method=args.method, tolerance=tol)
+        report = zmc.residual_sweep(surf, eq, args.grid, method=args.method, **_tolerance(args))
     return _finish(report, args.report)
 
 
@@ -226,8 +236,7 @@ def _cmd_we(args) -> int:
     # split
     weights = None if args.pieces else args.weights
     if args.verify:
-        tol = args.tol if args.tol is not None else 1e-10
-        report = reps.verify_split(data, weights, tolerance=tol, pieces=args.pieces)
+        report = reps.verify_split(data, weights, pieces=args.pieces, **_tolerance(args))
         return _finish(report, args.report)
     split = (reps.split_weierstrass_expressions(data, args.pieces) if args.pieces
              else reps.split_weierstrass(data, weights))
@@ -237,11 +246,8 @@ def _cmd_we(args) -> int:
 
 
 def _cmd_foliate(args) -> int:
-    k_lo, k_hi = args.bands
-    margin = 0.05
-    x_lo = (2 * k_lo - 1) * math.pi + margin
-    x_hi = (2 * k_hi + 1) * math.pi - margin
-    grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, margin)
+    x_lo, x_hi = args.bands
+    grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, _BAND_MARGIN)
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     for idx, t in enumerate(args.t):

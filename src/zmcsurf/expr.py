@@ -344,16 +344,17 @@ def _eval_node(node: Node, env: dict) -> complex:
 # ---------------------------------------------------------------------------
 
 def _power(base, exp: int):
-    """base**exp by the square-and-multiply order of CPython's complex power."""
+    """base**exp by the square-and-multiply order of CPython's complex power, in
+    ufuncs: numpy's scalar ``*`` rounds a 0-d complex product unlike an array's."""
     n = abs(exp)
     out = 1 + 0j
     while n:
         if n & 1:
-            out = out * base
+            out = np.multiply(out, base)
         n >>= 1
         if n:
-            base = base * base
-    return 1 / out if exp < 0 else out
+            base = np.multiply(base, base)
+    return np.divide(1, out) if exp < 0 else out
 
 
 _NUMPY_FN: dict[str, Callable] = {
@@ -605,6 +606,14 @@ def _d(node: Node, name: str) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _folded(node: Node) -> Node:
+    """A node of constants as its value, or as it is where evaluating it raises."""
+    try:
+        return Const(_eval_node(node, {}))
+    except EvalDomainError:
+        return node
+
+
 def _fold(node: Node) -> Node:
     """Constant folding plus identity-element elision; never drops singularities."""
     if isinstance(node, (Const, Var)):
@@ -612,21 +621,13 @@ def _fold(node: Node) -> Node:
     if isinstance(node, Unary):
         arg = _fold(node.arg)
         out = Unary(node.op, arg)
-        if isinstance(arg, Const):
-            try:
-                return Const(_eval_node(out, {}))
-            except EvalDomainError:
-                return out
-        return out
+        return _folded(out) if isinstance(arg, Const) else out
     if isinstance(node, Binary):
         left = _fold(node.left)
         right = _fold(node.right)
         out = Binary(node.op, left, right)
         if isinstance(left, Const) and isinstance(right, Const):
-            try:
-                return Const(_eval_node(out, {}))
-            except EvalDomainError:
-                return out
+            return _folded(out)
         if node.op == "add":
             if isinstance(left, Const) and left.value == 0:
                 return right
@@ -650,12 +651,8 @@ def _fold(node: Node) -> Node:
             return base
         if node.exponent == 0 and isinstance(base, (Const, Var)):
             return Const(1 + 0j)
-        if isinstance(base, Const):
-            try:
-                return Const(_eval_node(Power(base, node.exponent), {}))
-            except EvalDomainError:
-                pass
-        return Power(base, node.exponent)
+        out = Power(base, node.exponent)
+        return _folded(out) if isinstance(base, Const) else out
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -113,11 +113,12 @@ def LeafSurface(t: float = 0.0) -> HeightSurface:
     return HeightSurface("foliation-leaf", "minimal", height, domain, jet, _HELICOID.default_grid)
 
 
-# Half-width of the pairs straddling a band boundary, and the tolerances of
-# the two sub-checks of ``foliation_check``.
+# Half-width of the pairs straddling a band boundary, the tolerances of the
+# two sub-checks of ``foliation_check`` and its bound on rounds of random draws.
 BOUNDARY_DELTA = 1e-7
 BOUNDARY_TOLERANCE = 1e-6
 ROUNDTRIP_TOLERANCE = 1e-12
+DRAW_ROUNDS = 1000
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -146,7 +147,8 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     the window holds no band boundary), so the report passes exactly when both
     sub-checks pass.  Both sub-checks' max and mean are also in the
     parameters.  A window without boundaries and ``n_random=0`` checks
-    nothing (EmptyGrid).
+    nothing, and a window that yields fewer than ``n_random`` admissible points
+    in ``DRAW_ROUNDS`` rounds of draws cannot be checked (EmptyGrid both).
     """
     t_samples = list(t_samples)
     if not t_samples:
@@ -167,11 +169,16 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     margin = max(grid.margin, 1e-6)
     lo, hi = np.array([grid.u_min, grid.v_min]), np.array([grid.u_max, grid.v_max])
     x = y = np.empty(0)
-    while x.size < n_random:
+    for _ in range(DRAW_ROUNDS):
         m = n_random - x.size
+        if m <= 0:
+            break
         draws = lo + (hi - lo) * _uniforms(rng, 2 * m).reshape(m, 2)
         keep = np.hypot(_band(draws[:, 0])[1], draws[:, 1]) > margin
         x, y = np.concatenate([x, draws[keep, 0]]), np.concatenate([y, draws[keep, 1]])
+    if x.size < n_random:
+        raise EmptyGrid(f"only {x.size} of {n_random} random points are admissible "
+                        f"after {DRAW_ROUNDS} rounds of draws in the window")
     checked = x.size
     t = np.array(t_samples, dtype=float)
     # Entry (i, j) is point i on the leaf t[j]; row-major is the check order.

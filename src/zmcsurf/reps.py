@@ -392,15 +392,9 @@ def split_weierstrass_expressions(data: WEData, pieces: Sequence):
     offsets = -SPLIT_RADIUS + np.arange(32) * (2.0 * SPLIT_RADIUS / 31)
     w = data.zeta0 + (offsets[:, None] + 1j * offsets[None, :]).reshape(-1)
     w = w[np.abs(w - data.zeta0) <= SPLIT_RADIUS]
-    total, errs = data.f.eval_array(w)
-    failed = set(errs)
-    values = []
-    for e in exprs:
-        vals, errs = e.eval_array(w)
-        values.append(vals)
-        failed.update(errs)
+    (total, *values), errors = Tape([data.f, *exprs])(w)
     keep = np.ones(w.size, dtype=bool)
-    keep[list(failed)] = False
+    keep[list(set().union(*errors))] = False
     piece_sum = sum(values)
     mismatch = np.flatnonzero(keep & (np.abs(piece_sum - total) > 1e-10 * (1.0 + np.abs(total))))
     if mismatch.size:
@@ -671,6 +665,16 @@ def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
     return tuple(AnalyticExpr(s, density.varnames) for s in shapes)
 
 
+def _assembled(assemble, errors, *parts):
+    """``assemble(*parts)`` without numpy warnings, and ``errors`` with a
+    SingularPath at each point that has none yet and does not come out finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = assemble(*parts)
+    for k in np.flatnonzero(~np.isfinite(coords).all(axis=0)).tolist():
+        errors[k] = errors[k] or SingularPath("the surface point overflows")
+    return coords, errors
+
+
 def _assemble_tlms(qu, qv):
     """Surface coordinates from the u- and v-integral triples (arrays or floats)."""
     x = -qu[0] + qv[0]
@@ -692,12 +696,13 @@ class TLMSSampler:
 
     def points(self, u, v):
         """Each distinct u and v is integrated once (a lattice costs nu + nv
-        integrals); a point's error is its u-integral's, else its v-integral's."""
+        integrals); a point's error is its u-integral's, else its v-integral's,
+        else a SingularPath where its coordinates overflow."""
         (us, iu), (vs, iv) = _distinct(u), _distinct(v)
         qu, eu = integrate_segments(self.data.u_tape, self.data.base[0], us)
         qv, ev = integrate_segments(self.data.v_tape, self.data.base[1], vs)
         errors = [eu[i] or ev[j] for i, j in zip(iu.tolist(), iv.tolist())]
-        return _assemble_tlms(qu.real[:, iu], qv.real[:, iv]), errors
+        return _assembled(_assemble_tlms, errors, qu.real[:, iu], qv.real[:, iv])
 
     point = point_from(points)
     sample_grid = _sample_grid
@@ -783,14 +788,16 @@ class BCSampler:
 
     def points(self, u, v):
         """Each distinct r = u and s = v is integrated and evaluated once; a point's
-        error is its r-integral's, s-integral's, F(r)'s or G(s)'s, in that order."""
+        error is its r-integral's, s-integral's, F(r)'s or G(s)'s, in that order,
+        else a SingularPath where its coordinates overflow."""
         (rs, ir), (ss, js) = _distinct(u), _distinct(v)
         qr, er = integrate_segments(self.data.r_tape, 0.0, rs)
         qs, es = integrate_segments(self.data.s_tape, 0.0, ss)
         (f_r, ef), (g_s, eg) = self.data.F.eval_array(rs), self.data.G.eval_array(ss)
         errors = [er[i] or es[j] or ef.get(i) or eg.get(j)
                   for i, j in zip(ir.tolist(), js.tolist())]
-        return _assemble_bc(qr.real[:, ir], qs.real[:, js], f_r.real[ir], g_s.real[js]), errors
+        return _assembled(_assemble_bc, errors, qr.real[:, ir], qs.real[:, js],
+                          f_r.real[ir], g_s.real[js])
 
     point = point_from(points)
     sample_grid = _sample_grid

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_meshio_arrays import _EXTREME_BOUNDS
 from zmcsurf import catalog, expr, zmc
 from zmcsurf.catalog import (
     ParamDomainError,
@@ -83,41 +84,23 @@ def test_expr_defined_surface():
     assert jet.z_xy == pytest.approx(0.0)
 
 
-def _per_tree_jet(text, x, y):
-    """The six jet trees of an expr: graph each evaluated alone at one point
-    (nan where its walk raises), real parts for a real point."""
-    e = expr.parse_xy(text)
-    ex, ey = e.derivative("x"), e.derivative("y")
-    values = []
-    for tree in (e, ex, ey, ex.derivative("x"), ex.derivative("y"), ey.derivative("y")):
-        try:
-            values.append(tree.eval(x, y))
-        except expr.EvalDomainError:
-            values.append(complex("nan"))
-    return [v.real for v in values]
-
-
 @pytest.mark.parametrize("text, x, y", [
     ("log(cos(y)/cos(x))", 0.3, 0.2),
-    ("log(cos(y)/cos(x))", -0.0, 0.2),   # z_x = tan(-0.0) keeps its sign
+    ("log(cos(y)/cos(x))", -0.0, 0.2),
     ("sqrt(x)*cos(y)", 0.0, 0.2),        # z is 0.0; the walks of the other five raise
 ])
-def test_expr_point_jet_is_one_scalar_run_of_the_jet_tape(monkeypatch, text, x, y):
+def test_expr_point_jet_is_its_lattice_entry(monkeypatch, text, x, y):
     surface = builtin_surface(f"expr:{text}")
-    surface.exact_jet(0.5, 0.5)  # builds the jet tape
-    runs = []
-    scalar = expr.Tape.scalar
+    lattice = surface.exact_jet(np.array([0.5, x, 0.7]), np.array([0.5, y, 0.1]))
 
-    def recording(self, *values):
-        runs.append(len(self))
-        return scalar(self, *values)
+    def refuse(self, *values):
+        raise AssertionError("a jet took the scalar tape run")
 
-    monkeypatch.setattr(expr.Tape, "scalar", recording)
-    jet = surface.exact_jet(x, y)
-    monkeypatch.undo()
-    assert runs.count(6) == 1
-    got = [getattr(jet, name) for name in ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")]
-    assert list(map(repr, got)) == list(map(repr, _per_tree_jet(text, x, y)))
+    with monkeypatch.context() as patch:  # undone before pytest reports a failure
+        patch.setattr(expr.Tape, "scalar", refuse)
+        jet = surface.exact_jet(x, y)
+    for name in ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy"):
+        assert repr(getattr(jet, name)) == repr(getattr(lattice, name)[1])
 
 
 def test_expr_point_jet_where_a_derivative_walk_raises():
@@ -404,6 +387,31 @@ def test_helicoid_decomposition_mod_pi():
     assert report.policy == "mod-pi"
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_helicoid_decomposition_terms_come_in_their_order(n):
+    # towers, flat arctans, the unshifted tower, pi-shifted flat arctans, two fans
+    ms = range(1, n)
+    want = ([(f"+atan(tanh(y/{n})*cot((x+{m}*pi)/{n}))",
+              lambda x, y, m=m: math.atan(math.tanh(y / n) / math.tan((x + m * PI) / n)))
+             for m in ms]
+            + [(f"-atan((y/{n})/((x+{m}*pi)/{n}))",
+                lambda x, y, m=m: -math.atan((y / n) / ((x + m * PI) / n))) for m in ms]
+            + [(f"+atan(tanh(y/{n})*cot(x/{n}))",
+                lambda x, y: math.atan(math.tanh(y / n) / math.tan(x / n)))]
+            + [(f"-atan((y/{n})/((x+{m}*pi)/{n} - pi))",
+                lambda x, y, m=m: -math.atan((y / n) / ((x + m * PI) / n - PI))) for m in ms]
+            + [(f"+atan(y/(x+{m}*pi))", lambda x, y, m=m: math.atan(y / (x + m * PI)))
+               for m in ms]
+            + [(f"+atan(y/(x-{m}*pi))", lambda x, y, m=m: math.atan(y / (x - m * PI)))
+               for m in ms])
+    terms = identity_terms("helicoid-decomp", n).rhs_terms
+    assert len(terms) == 5 * n - 4
+    assert [t.label for t in terms] == [label for label, _ in want]
+    for x, y in ((0.7, 0.4), (2.3, -1.1)):
+        got = [complex(t.fn(np.array([x + 0j]), np.array([y + 0j]))[0]) for t in terms]
+        assert got == pytest.approx([fn(x, y) for _, fn in want], abs=1e-14)
+
+
 def test_tower_decomposition_windows():
     for n in (2, 3):
         for beta in (PI / 6, PI / 3):
@@ -663,3 +671,25 @@ def test_decomposition_matches_a_50_digit_oracle(identity_id, n, grid, mp_sides)
             assert abs(branch_error(policy, lhs, sum(terms)) - float(exact)) <= tol
             assert branch_error(policy, lhs, complex(mp_lhs)) <= tol
             assert branch_error(policy, sum(terms), complex(mp_rhs)) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity_id=st.sampled_from(catalog.IDENTITY_IDS), n=st.integers(1, 4),
+       u=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       v=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       shape=st.tuples(st.integers(2, 4), st.integers(2, 4)))
+def test_identities_on_extreme_lattices_give_finite_reports_or_domain_violations(
+        identity_id, n, u, v, shape):
+    inst = identity_terms(identity_id, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = GridSpec(*u, *v, *shape)
+        except ValueError:
+            return
+        try:
+            report = verify_identity(inst, grid)
+        except DomainViolation:
+            return
+    assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)
+    assert report.points_checked == grid.nu * grid.nv

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from zmcsurf import catalog, reps, zmc
 from zmcsurf.cli import _preprocess_argv, main, parse_complex
 
 
@@ -129,6 +131,12 @@ def test_a_value_after_its_flag_may_start_with_a_dash_and_a_letter(joined, space
      "--nx must be an integer, got 'abc'"),
     (["surface", "eval", "--name", "scherk2", "--x", "0.3+0.1i", "--y", "0.2"],
      "complex --x or --y needs --complex"),
+    (["foliate", "--t", "0", "--bands", f"0..{10 ** 400}", "--out", "leaves"],
+     "--bands must give a finite x window"),
+    (["foliate", "--t", "0", "--bands", f"-{10 ** 400}..0", "--out", "leaves"],
+     "--bands must give a finite x window"),
+    (["foliate", "--t", "0", "--bands", f"0..{3 * 10 ** 307}", "--out", "leaves"],
+     "--bands must give a finite x window"),   # a float k_hi, an infinite window
 ])
 def test_a_malformed_value_is_a_one_line_usage_error_naming_its_flag(argv, message, tmp_path,
                                                                       capsys, monkeypatch):
@@ -210,6 +218,22 @@ def test_identity_verify_fails_with_absurd_tolerance(tmp_path):
                "--report", str(report)])
     assert rc == 1
     assert _load(report)["pass"] is False  # report still written on failure
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "2",
+      "--grid", "-1:1:5,-1:1:5"], catalog.verify_identity),
+    (["residual", "--surface", "scherk2", "--grid", "-1:1:5,-1:1:5"], zmc.residual_sweep),
+    (["residual", "parametric", "--source", "tlms", "--metric", "l3",
+      "--grid", "0:0.8:3,0:0.8:3"], zmc.parametric_sweep),
+    (["we", "split", "--f", "1", "--mode", "reduced-R", "--weights", "0.5,0.5", "--verify"],
+     reps.verify_split),
+], ids=["identity", "residual", "parametric", "split"])
+def test_a_check_without_tol_reports_its_library_default(argv, check, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    default = inspect.signature(check).parameters["tolerance"].default
+    assert _load(report)["tolerance"] == default
 
 
 def test_residual_negative_control(tmp_path):

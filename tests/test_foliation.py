@@ -190,6 +190,16 @@ def test_foliation_check_that_checks_nothing_is_empty():
         foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0], n_random=0)
 
 
+@pytest.mark.parametrize("grid", [
+    GridSpec(-0.5, 0.5, -0.5, 0.5, 3, 3, 1.0),           # the margin covers the window
+    GridSpec(-1e-300, 1e-300, -1e-300, 1e-300, 3, 3),  # the window is inside the margin
+], ids=["margin", "tiny"])
+def test_a_window_without_admissible_points_is_empty_not_a_hang(grid):
+    with pytest.raises(EmptyGrid, match=r"only 0 of 5 random points are admissible after "
+                                        rf"{foliation.DRAW_ROUNDS} rounds"):
+        foliation_check(grid, [0.0], n_random=5)
+
+
 def test_foliation_report_headline_is_one_sub_check():
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
     report = foliation_check(grid, [-1.0, 0.0, 2.5])

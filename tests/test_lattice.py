@@ -85,7 +85,8 @@ def test_scalar_complex_height_and_jet_equal_the_lattice_entry(surface_id):
 
 
 @pytest.mark.parametrize("surface", [builtin_surface(s) for s in SURFACES]
-                         + [LeafSurface(0.7)], ids=list(SURFACES) + ["leaf"])
+                         + [builtin_surface("expr:log(cos(y)/cos(x))"), LeafSurface(0.7)],
+                         ids=list(SURFACES) + ["expr", "leaf"])
 def test_scalar_real_jet_equals_the_lattice_entry(surface):
     u, v = GridSpec(0.31, 2.45, 0.27, 2.1, 13, 11).lattice()
     jets = zmc.graph_jets(surface, u, v)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_meshio_arrays import _EXTREME_BOUNDS
 from test_report import LoopStats
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import EmptyGrid
@@ -635,3 +636,45 @@ def test_inverted_graph_sampler_rejects_a_pole_of_the_integrands():
     assert sampler.rejected == {"EvalDomainError": 9}
     with pytest.raises(EvalDomainError, match="division by zero"):
         invert_parametrization(WEData.from_text("1/w", "w"), 0.3, 0.1, 0)
+
+
+# ---------------------------------------------------------------------------
+# extreme finite lattices
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("sampler", [
+    WESampler(WEData.from_text("1", "w")),
+    reps.TLMSSampler(TLMSData.from_text("1", "1", "u", "v")),
+    reps.BCSampler(BCData.from_text("r", "s")),
+], ids=["we", "tlms", "bc"])
+@settings(max_examples=60, deadline=None)
+@given(u=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       v=st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted),
+       shape=st.tuples(st.integers(2, 3), st.integers(2, 3)))
+def test_samplers_on_extreme_lattices_mask_typed_failures(sampler, u, v, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = GridSpec(*u, *v, *shape)
+        except ValueError:
+            return
+        points, valid = sampler.sample_grid(grid)
+        _, errors = sampler.points(*grid.lattice())
+    assert np.isfinite(points).all()
+    assert [e is None for e in errors] == valid.tolist()
+    assert all(type(e) in (SingularPath, NoConvergence, EvalDomainError)
+               for e in errors if e is not None)
+
+
+@pytest.mark.parametrize("sampler, grid", [
+    (reps.TLMSSampler(TLMSData.from_text("1", "1", "u", "v")),
+     GridSpec(7e102, 8e102, 7e102, 8e102, 2, 2)),
+    (reps.BCSampler(BCData.from_text("r", "s")), GridSpec(1e308, 1.7e308, 1e308, 1.7e308, 2, 2)),
+], ids=["tlms", "bc"])
+def test_an_overflowing_surface_point_is_a_masked_singular_path(sampler, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points, valid = sampler.sample_grid(grid)
+        with pytest.raises(SingularPath):
+            sampler.point(grid.u_max, grid.v_max)
+    assert not valid.any() and (points == 0).all()
