@@ -14,12 +14,17 @@ import math
 import operator
 import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyGrid
+
+# Lattice points (or faces) formatted, joined and written per block of text:
+# enough to amortize the per-block calls, small against a patch's point text.
+_BLOCK = 2048
 
 __all__ = ["GridSpec", "SurfacePatch", "sample_patch", "write_obj", "write_csv", "read_csv"]
 
@@ -139,7 +144,7 @@ class SurfacePatch:
     nv: int
     points: np.ndarray
     valid: np.ndarray
-    # (points bytes, their 17-digit text) left by the last export for the next.
+    # (a copy of the points' bits, their 17-digit text) left by the last export for the next.
     _text: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,16 +181,19 @@ def _fmt17(values: np.ndarray) -> np.ndarray:
 
     The distinct binary64 bit patterns come from one unstable ``np.unique``
     sort of the bits (``-0.0`` and ``0.0``, and nans with different payloads,
-    stay distinct); each is formatted once, by one ``%`` over a repeated
-    template, and the strings are gathered back by the inverse index: lattice
-    coordinates repeat along rows and columns.  ``'%.17g' % x`` is
-    ``format(x, '.17g')``.
+    stay distinct); each is formatted once, ``_BLOCK`` at a time by one ``%``
+    over a repeated template into a preallocated object array, and the strings
+    are gathered back by the inverse index: lattice coordinates repeat along
+    rows and columns.  ``'%.17g' % x`` is ``format(x, '.17g')``.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.reshape(-1).view(np.int64), return_inverse=True)
-    distinct = bits.view(float).tolist()
-    text = ("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")
-    return np.array(text, dtype=object)[inverse].reshape(values.shape)
+    distinct = bits.view(float)
+    text = np.empty(len(distinct), dtype=object)
+    for start in range(0, len(distinct), _BLOCK):
+        block = distinct[start:start + _BLOCK].tolist()
+        text[start:start + len(block)] = ("%.17g\n" * len(block) % tuple(block)).split("\n")[:-1]
+    return text[inverse].reshape(values.shape)
 
 
 def _point_text(patch: SurfacePatch) -> np.ndarray:
@@ -196,27 +204,31 @@ def _point_text(patch: SurfacePatch) -> np.ndarray:
     points are still bitwise the same; taking it releases it, so no text
     outlives the pair.
     """
-    key = patch.points.tobytes()
-    if patch._text is not None and patch._text[0] == key:
+    bits = np.ascontiguousarray(patch.points).view(np.int64)
+    if patch._text is not None and np.array_equal(patch._text[0], bits):
         text = patch._text[1]
         patch._text = None
         return text
     text = _fmt17(patch.points)
-    patch._text = (key, text)
+    patch._text = (bits.copy(), text)
     return text
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8, its newlines untranslated, to a temp file, then
-    rename it over ``path``; a failed write or rename removes the temp file and
-    leaves ``path`` as it was."""
-    data = memoryview(str.encode(text))  # a non-str fails here, before the temp file
+def atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, one str or an iterable of str parts written in turn, as
+    UTF-8, its newlines untranslated, to a temp file, then rename it over
+    ``path``.  A part that is not a str, an iterable that raises, a failed
+    write or a failed rename removes the temp file and leaves ``path`` as it
+    was."""
+    parts = (text,) if isinstance(text, str) else iter(text)  # a non-iterable fails here
     tmp = f"{path}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         try:
-            while data:
-                data = data[os.write(fd, data):]
+            for part in parts:
+                data = memoryview(str.encode(part))
+                while data:
+                    data = data[os.write(fd, data):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -232,18 +244,37 @@ _QUAD_CORNERS = ((slice(None, -1), slice(None, -1)), (slice(1, None), slice(None
                  (slice(1, None), slice(1, None)), (slice(None, -1), slice(1, None)))
 
 
+def _block_rows(patch: SurfacePatch) -> int:
+    """Lattice rows per block of text: at most ``_BLOCK`` lattice points, or
+    one row when a row is longer."""
+    return max(1, _BLOCK // patch.nv)
+
+
+def _obj_parts(patch: SurfacePatch):
+    """The OBJ text in parts: the ``v`` lines, then the ``f`` lines, of one
+    block of lattice rows each."""
+    nu, nv = patch.nu, patch.nv
+    text, valid = _point_text(patch).reshape(nu, nv, 3), patch.valid.reshape(nu, nv)
+    step = _block_rows(patch)
+    for i in range(0, nu, step):
+        vertices = text[i:i + step][valid[i:i + step]]
+        yield ("v %s %s %s\n" * len(vertices)) % tuple(vertices.reshape(-1).tolist())
+    number = np.cumsum(patch.valid).reshape(nu, nv)  # 1-based at valid points
+    for i in range(0, nu - 1, step):  # quads i..i+step-1 have corners in rows i..i+step
+        rows = slice(i, i + step + 1)
+        quad = np.logical_and.reduce([valid[rows][c] for c in _QUAD_CORNERS])
+        faces = np.stack([number[rows][c][quad] for c in _QUAD_CORNERS], axis=1)
+        yield ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist())
+
+
 def write_obj(patch: SurfacePatch, path: str) -> None:
     """ASCII OBJ: one ``v`` line per valid vertex (row-major), quad faces only
-    when all four corners are valid.  Byte-deterministic."""
+    when all four corners are valid.  Byte-deterministic; written one block of
+    lattice rows at a time (``_obj_parts``), so no whole-patch line text is
+    built."""
     if patch.valid_count() == 0:
         raise EmptyGrid("cannot export an all-invalid patch")
-    valid = patch.valid.reshape(patch.nu, patch.nv)
-    number = np.cumsum(patch.valid).reshape(patch.nu, patch.nv)  # 1-based at valid points
-    quad = np.logical_and.reduce([valid[c] for c in _QUAD_CORNERS])
-    faces = np.stack([number[c][quad] for c in _QUAD_CORNERS], axis=1)
-    vertex_text = _point_text(patch)[patch.valid].reshape(-1).tolist()
-    atomic_write(path, ("v %s %s %s\n" * patch.valid_count()) % tuple(vertex_text)
-                 + ("f %d %d %d %d\n" * len(faces)) % tuple(faces.reshape(-1).tolist()))
+    atomic_write(path, _obj_parts(patch))
 
 
 _CSV_HEADER = ["u_index", "v_index", "x", "y", "z", "valid"]
@@ -257,33 +288,45 @@ def _numbered(n: int) -> np.ndarray:
     return np.array([f"{i}," for i in range(n)], dtype=object)
 
 
-def _csv_cells(patch: SurfacePatch) -> list:
-    """The CSV text cut into its strings, header line first, as one flat list:
-    each row is ``"i,"``, ``"j,"``, x, ``","``, y, ``","``, z and
-    ``",1\n"`` or ``",0\n"``.  Every cell of a column refers to one of a few
-    shared strings, so no row formats an integer or builds a string."""
-    nu, nv = patch.nu, patch.nv
-    cells = np.empty(1 + nu * nv * 8, dtype=object)
-    cells[0] = ",".join(_CSV_HEADER) + "\n"
-    rows = cells[1:].reshape(nu, nv, 8)
-    rows[..., 0] = _numbered(nu)[:, None]
-    rows[..., 1] = _numbered(nv)
-    rows[..., 2::2] = _point_text(patch).reshape(nu, nv, 3)
-    rows[..., 3:6:2] = ","
-    flag = rows[..., 7]
+def _csv_cells(u_index: np.ndarray, v_index: np.ndarray, text: np.ndarray,
+               valid: np.ndarray) -> list:
+    """The CSV text of a block of lattice rows cut into its strings, as one
+    flat list: each row is its ``u_index`` and ``v_index`` strings, x,
+    ``","``, y, ``","``, z and ``",1\n"`` or ``",0\n"``, with x, y and z
+    from ``text`` (the block's point text, shape (rows, nv, 3)) and the flag
+    from ``valid`` (shape (rows, nv)).  Every cell of a column refers to one
+    of a few shared strings, so no row formats an integer or builds a
+    string."""
+    cells = np.empty((*valid.shape, 8), dtype=object)
+    cells[..., 0] = u_index[:, None]
+    cells[..., 1] = v_index
+    cells[..., 2::2] = text
+    cells[..., 3:6:2] = ","
+    flag = cells[..., 7]
     flag[...] = ",0\n"
-    flag[patch.valid.reshape(nu, nv)] = ",1\n"
-    return cells.tolist()
+    flag[valid] = ",1\n"
+    return cells.reshape(-1).tolist()
+
+
+def _csv_parts(patch: SurfacePatch):
+    """The CSV text in parts: the header line, then one ``"".join`` of
+    ``_csv_cells`` per block of lattice rows."""
+    nu, nv = patch.nu, patch.nv
+    yield ",".join(_CSV_HEADER) + "\n"
+    text, valid = _point_text(patch).reshape(nu, nv, 3), patch.valid.reshape(nu, nv)
+    u_index, v_index = _numbered(nu), _numbered(nv)
+    step = _block_rows(patch)
+    for i in range(0, nu, step):
+        rows = slice(i, i + step)
+        yield "".join(_csv_cells(u_index[rows], v_index, text[rows], valid[rows]))
 
 
 def write_csv(patch: SurfacePatch, path: str) -> None:
     """CSV schema: ``u_index,v_index,x,y,z,valid`` with one row per lattice point.
 
-    The text is one ``"".join`` of ``_csv_cells``.  The cell table is freed
-    when ``_csv_cells`` returns its list, and the list before the write, so
-    no more than two of table, list, text and encoded bytes are alive at
-    once."""
-    atomic_write(path, "".join(_csv_cells(patch)))
+    Written one block of lattice rows at a time (``_csv_parts``): a block's
+    cell table, list and text are freed before the next is built."""
+    atomic_write(path, _csv_parts(patch))
 
 
 def read_csv(path: str) -> SurfacePatch:

@@ -807,13 +807,14 @@ class BCSampler:
         fp, fpp = self.data.r_jet_tape(u)[0].real
         gp, gpp = self.data.s_jet_tape(v)[0].real
         r, s = u, v
-        xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
-        xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)
-        xuu = (0.5 * (fpp * (1 - r * r) - 2 * r * fp),
-               -0.5 * (fpp * (1 + r * r) + 2 * r * fp),
-               fp + r * fpp)
-        xvv = (0.5 * (gpp * (1 - s * s) - 2 * s * gp),
-               0.5 * (gpp * (1 + s * s) + 2 * s * gp),
-               gp + s * gpp)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite entry
+            xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
+            xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)
+            xuu = (0.5 * (fpp * (1 - r * r) - 2 * r * fp),
+                   -0.5 * (fpp * (1 + r * r) + 2 * r * fp),
+                   fp + r * fpp)
+            xvv = (0.5 * (gpp * (1 - s * s) - 2 * s * gp),
+                   0.5 * (gpp * (1 + s * s) + 2 * s * gp),
+                   gp + s * gpp)
         xuv = (0.0, 0.0, 0.0)
         return xu, xv, xuu, xuv, xvv

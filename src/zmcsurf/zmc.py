@@ -322,24 +322,32 @@ def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
 # sweeps
 # ---------------------------------------------------------------------------
 
+def _reject(bad, rows, message):
+    """Raise DomainViolation when the lattice mask ``bad`` has a point, naming
+    the first 10 such points in row-major order by their ``rows``."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise DomainViolation(f"{k.size} grid points {message}", [rows[i] for i in k[:10]])
+
+
 def residual_sweep(surface, eq: str, grid, method: str = "exact",
                    tolerance: float = 1e-10) -> VerificationReport:
     """Max/mean |graph residual| over a lattice that must lie in the domain;
     the whole lattice is evaluated at once on its axes and reduced in
-    row-major order."""
+    row-major order.  A lattice point outside the domain, or whose residual
+    is not finite, raises DomainViolation."""
     u, v = grid.axes()
     shape, rows = (grid.nu, grid.nv), BroadcastRows(u, v)
-    bad = np.flatnonzero(~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape))
-    if bad.size:
-        raise DomainViolation(
-            f"{bad.size} grid points violate the domain of {surface.id!r}",
-            [rows[k] for k in bad[:10]])
+    _reject(~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape), rows,
+            f"violate the domain of {surface.id!r}")
 
     with np.errstate(all="ignore"):
         r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
                             shape).reshape(-1)
+    subject = f"residual:{eq}:{surface.id}"
+    _reject(~np.isfinite(r), rows, f"have no finite residual in {subject}")
     return VerificationReport.of(
-        np.abs(r), rows, r, subject=f"residual:{eq}:{surface.id}",
+        np.abs(r), rows, r, subject=subject,
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},
         grid=grid, policy="unnormalized", tolerance=tolerance)
 
@@ -348,11 +356,15 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 
                      use_exact_jet: bool = True,
                      subject: str = "parametric-zmc") -> VerificationReport:
     """Max/mean |normalized parametric ZMC numerator| over a (u, v) lattice;
-    the whole lattice is evaluated at once and reduced in row-major order."""
+    the whole lattice is evaluated at once and reduced in row-major order.
+    A lattice point whose numerator is not finite (a pole of the jet, or an
+    overflow) raises DomainViolation."""
     u, v = grid.lattice()
     value = parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=use_exact_jet)
+    rows = BroadcastRows(u, v)
+    _reject(~np.isfinite(value), rows, f"have no finite residual in {subject}")
     return VerificationReport.of(
-        np.abs(value), BroadcastRows(u, v), value, subject=subject,
+        np.abs(value), rows, value, subject=subject,
         parameters={"metric": list(metric.signs), "h": FD_STEP,
                     "jets": "exact" if use_exact_jet else "central-diff"},
         grid=grid, policy="normalized", tolerance=tolerance)

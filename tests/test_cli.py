@@ -3,7 +3,6 @@
 import argparse
 import inspect
 import json
-import math
 import os
 
 import numpy as np
@@ -303,20 +302,20 @@ def test_we_invert_from_a_pole_is_a_one_line_failure(capsys):
     assert capsys.readouterr().err == "error: division by zero in (1.0 / w) at 0j\n"
 
 
-@pytest.mark.parametrize("source", [
-    ["--source", "we", "--f", "1/w", "--zeta0", "1", "--grid=-0.2:0.2:3,-0.2:0.2:3"],
-    ["--source", "bc", "--F", "log(r)", "--grid", "0:0.8:3,0:0.8:3"],
+@pytest.mark.parametrize("source, message", [
+    (["--source", "we", "--f", "1/w", "--zeta0", "1", "--grid=-0.2:0.2:3,-0.2:0.2:3"],
+     "1 grid points have no finite residual in parametric-zmc:we:minimal"),
+    (["--source", "bc", "--F", "log(r)", "--grid", "0:0.8:3,0:0.8:3"],
+     "3 grid points have no finite residual in parametric-zmc:bc"),
 ], ids=["we", "bc"])
-def test_pole_in_a_parametric_jet_writes_a_failing_report(source, tmp_path, capsys):
+def test_pole_in_a_parametric_jet_is_a_usage_error_without_a_report(source, message, tmp_path,
+                                                                     capsys):
     report = tmp_path / "pole.json"
     rc = main(["residual", "parametric", *source, "--report", str(report)])
     captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.out.startswith("[FAIL]") and captured.err == ""
-    data = _load(report)
-    assert data["pass"] is False and data["points_checked"] == 9
-    assert math.isnan(data["max_abs_err"])
-    assert data["worst_point"]["coords"] == [0.0, 0.0]
+    assert rc == 2
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not report.exists()
 
 
 def test_we_split_verify(tmp_path):
@@ -568,11 +567,12 @@ def test_mesh_output_is_byte_deterministic(tmp_path):
 ])
 def test_non_finite_residuals_fail(command, capsys):
     # The plane's slopes overflow: NaN residuals, or an overflow in the
-    # parametric normalization; both must fail, not pass or crash.
+    # parametric normalization; both fail with one line, not a report.
     rc = main(command + ["--surface", "plane:1e200,1e200", "--grid=-1:1:5,-1:1:5"])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert out.startswith("[FAIL]") and "max_abs_err=nan" in out
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: 25 grid points have no finite residual in ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name, x, y", [

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,11 +184,46 @@ def test_a_failed_atomic_write_leaves_no_temp_file_and_the_old_file_intact(tmp_p
     def refuse(src, dst):
         raise OSError("rename refused")
 
+    with pytest.raises(TypeError):
+        meshio.atomic_write(str(path), ["new\n", b"part\n"])
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+    def parts():
+        yield "new\n"
+        raise RuntimeError("no second part")
+
+    with pytest.raises(RuntimeError, match="no second part"):
+        meshio.atomic_write(str(path), parts())
+    assert os.listdir(tmp_path) == ["out.txt"]
+
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
         meshio.atomic_write(str(path), "new\n")
     assert os.listdir(tmp_path) == ["out.txt"]
     assert path.read_text() == "old\n"
+
+
+def _traced_peak(call):
+    """The tracemalloc peak of the memory ``call()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exports_stay_within_a_multiple_of_the_file_they_write(tmp_path):
+    # The OBJ export formats the points' text and keeps it for the CSV export,
+    # so its peak is a few times its file; the CSV export writes one block of
+    # lattice rows at a time, so its peak is below its file's size.
+    patch = sample_patch(catalog.builtin_surface("scherk2"),
+                         GridSpec(-2.2, 2.2, -2.2, 2.2, 201, 201))
+    obj, csv = tmp_path / "p.obj", tmp_path / "p.csv"
+    obj_peak = _traced_peak(lambda: write_obj(patch, str(obj)))
+    csv_peak = _traced_peak(lambda: write_csv(patch, str(csv)))
+    assert obj_peak < 4.5 * obj.stat().st_size
+    assert csv_peak < 1.0 * csv.stat().st_size
 
 
 def test_non_finite_grid_points_are_masked():

@@ -220,8 +220,14 @@ def _patches():
     rng = np.random.default_rng(11)
     single = SurfacePatch(2, 3, np.arange(18, dtype=float).reshape(6, 3),
                           [False, False, False, False, True, False])
+    # Around the writers' block of 2048 lattice points: 2047, 2048 and 2049
+    # points, 2301 faces, and rows of 2100 points, each longer than a block.
+    assert meshio._BLOCK == 2048
     return [_edge_patch(), single, _random_patch(rng, 7, 3, 0.0),
-            _random_patch(rng, 4, 9, 0.3), _random_patch(rng, 23, 17, 0.1)]
+            _random_patch(rng, 4, 9, 0.3), _random_patch(rng, 23, 17, 0.1),
+            _random_patch(rng, 23, 89, 0.05), _random_patch(rng, 32, 64, 0.0),
+            _random_patch(rng, 3, 683, 0.2), _random_patch(rng, 40, 60, 0.05),
+            _random_patch(rng, 3, 2100, 0.1)]
 
 
 @pytest.mark.parametrize("patch", _patches())
@@ -404,15 +410,67 @@ def test_csv_round_trip_keeps_every_bit_pattern(tmp_path_factory, shape, data):
     assert _same_patch(read_csv(path), patch)
 
 
+_FLAGS = ["1", "0", "1.0", "true"]
+_PADS = ["", " ", "  ", "\t"]
+# A row's cells made unreadable: five fields, seven fields, a negative index,
+# a field that is not a number.
+_BREAKS = [lambda cells: cells[:5], lambda cells: cells + ["1"],
+           lambda cells: ["-1"] + cells[1:], lambda cells: cells[:3] + ["abc"] + cells[4:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+def test_read_csv_gives_the_reference_patch_or_names_a_row(tmp_path_factory, shape, data):
+    nu, nv = shape
+    values = st.one_of(st.sampled_from(EDGE_VALUES), _BIT_PATTERNS)
+    pad = st.sampled_from(_PADS)
+    rows = [[str(i), str(j), *(_fmt(data.draw(values)) for _ in range(3)),
+             data.draw(st.sampled_from(_FLAGS))] for i in range(nu) for j in range(nv)]
+    # Shuffled, with some rows left out.
+    order = data.draw(st.permutations(range(nu * nv)))
+    rows = [rows[k] for k in order[:data.draw(st.integers(1, nu * nv))]]
+    broken = data.draw(st.none() | st.tuples(st.integers(0, len(rows) - 1),
+                                            st.sampled_from(_BREAKS)))
+    if broken:
+        rows[broken[0]] = broken[1](rows[broken[0]])
+    # Padded cells and lines, and blank or whitespace-only lines anywhere.
+    lines = [data.draw(pad) + ",".join(data.draw(pad) + c + data.draw(pad) for c in cells)
+             + data.draw(pad) for cells in rows]
+    text = []
+    for line in ["u_index,v_index,x,y,z,valid", *lines]:
+        text += data.draw(st.lists(pad, max_size=2)) + [line]
+    path = str(tmp_path_factory.getbasetemp() / "drawn.csv")
+    with open(path, "w") as fh:
+        fh.write("\n".join(text) + "\n")
+
+    used = [{int(cells[0]) for cells in rows}, {int(cells[1]) for cells in rows}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if broken:
+            k = broken[0] + 1
+            with pytest.raises(ValueError, match=f"^bad CSV row in .*, row {k}: "
+                               f"{re.escape(repr(lines[k - 1].strip()))}$"):
+                read_csv(path)
+        elif any(index != set(range(max(index) + 1)) for index in used):
+            with pytest.raises(ValueError, match=r"^bad CSV lattice in .*, row \d+: "):
+                read_csv(path)
+        else:
+            assert _same_patch(read_csv(path), reference_read_csv(path))
+
+
 @settings(max_examples=40, deadline=None)
-@given(lines=st.tuples(st.integers(1, 4), st.integers(5, 120)), transpose=st.booleans(),
+@given(lines=st.tuples(st.integers(1, 4),
+                      st.one_of(st.integers(5, 120), st.integers(500, meshio._BLOCK + 2))),
+       transpose=st.booleans(),
        pool=st.lists(st.one_of(st.sampled_from(EDGE_VALUES), _BIT_PATTERNS, _NANS),
                      min_size=1, max_size=12),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_writers_match_the_per_line_reference_on_drawn_patches(tmp_path_factory, lines,
                                                                 transpose, pool, seed):
-    # One short and one long axis, either way round, with indices up to three
+    # One short and one long axis, either way round, with indices up to four
     # digits: a transposed or mis-joined "i,j," row prefix changes the bytes.
+    # Up to 4 x 2050 points cross the writers' blocks, and a long row is
+    # longer than a block.
     # The coordinates repeat a few drawn values, so the dedupe gathers them.
     nu, nv = lines[::-1] if transpose else lines
     rng = np.random.default_rng(seed)

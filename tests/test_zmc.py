@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -287,28 +288,30 @@ def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
 
 
 # ---------------------------------------------------------------------------
-# report reduction: first maximal error wins, NaN counts as maximal
+# report reduction: first maximal error wins; a non-finite residual is a
+# DomainViolation naming the first ten such lattice points (row-major)
 # ---------------------------------------------------------------------------
 
 _SMALL = GridSpec(-1, 1, -1, 1, 5, 5)
+_SMALL_FIRST_TEN = [point for _, point in _SMALL.points()][:10]
 
 
 def test_non_finite_residual_fails_the_report():
-    # The exact jet of this plane overflows to inf * 0 = nan at every point.
-    report = residual_sweep(catalog.builtin_surface("plane:1e200,1e200"), "minimal", _SMALL)
-    assert report.passed is False
-    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
-    assert report.worst_point["coords"] == [-1.0, -1.0]
-    assert report.points_checked == 25
+    # The exact jet of this plane overflows to inf * 0 = nan at every point,
+    # so the sweep raises instead of reporting a nan maximum.
+    with pytest.raises(DomainViolation, match=r"^25 grid points have no finite residual "
+                       r"in residual:minimal:plane:") as info:
+        residual_sweep(catalog.builtin_surface("plane:1e200,1e200"), "minimal", _SMALL)
+    assert info.value.points == _SMALL_FIRST_TEN
 
 
 def test_overflowing_parametric_point_is_non_finite():
     lift = zmc.GraphLiftSampler(catalog.builtin_surface("plane:1e200,1e200"))
     assert math.isnan(parametric_zmc_numerator(lift, EUCLID3, 0.5, 0.5))
-    report = zmc.parametric_sweep(lift, EUCLID3, _SMALL)
-    assert report.passed is False
-    assert math.isnan(report.max_abs_err)
-    assert report.worst_point["coords"] == [-1.0, -1.0]
+    with pytest.raises(DomainViolation, match=r"^25 grid points have no finite residual "
+                       r"in parametric-zmc$") as info:
+        zmc.parametric_sweep(lift, EUCLID3, _SMALL)
+    assert info.value.points == _SMALL_FIRST_TEN
 
 
 def test_degenerate_sweep_names_the_first_degenerate_lattice_point():
@@ -318,21 +321,39 @@ def test_degenerate_sweep_names_the_first_degenerate_lattice_point():
         zmc.parametric_sweep(_Creased(), EUCLID3, _SMALL)
 
 
-@pytest.mark.parametrize("sampler, metric, grid", [
+@pytest.mark.parametrize("sampler, metric, grid, poles", [
     # f = 1/w has its pole at the lattice point 0
     (reps.WESampler(reps.WEData.from_text("1/w", "w", zeta0=1.0)), EUCLID3,
-     GridSpec(-0.2, 0.2, -0.2, 0.2, 3, 3)),
+     GridSpec(-0.2, 0.2, -0.2, 0.2, 3, 3), [(0.0, 0.0)]),
     # F' = 1/r has its pole along the lattice row r = 0
     (reps.BCSampler(reps.BCData.from_text("log(r)", "s")), LORENTZ3_PRIME,
-     GridSpec(0, 0.8, 0, 0.8, 3, 3)),
+     GridSpec(0, 0.8, 0, 0.8, 3, 3), [(0.0, 0.0), (0.0, 0.4), (0.0, 0.8)]),
 ], ids=["we", "bc"])
-def test_pole_in_a_parametric_jet_fails_the_report(sampler, metric, grid):
-    report = zmc.parametric_sweep(sampler, metric, grid)
-    assert report.points_checked == 9
-    assert report.passed is False
-    assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
-    assert report.worst_point["coords"] == [0.0, 0.0]
-    assert math.isnan(report.worst_point["lhs"])
+def test_pole_in_a_parametric_jet_fails_the_report(sampler, metric, grid, poles):
+    with pytest.raises(DomainViolation, match=f"^{len(poles)} grid points have no finite "
+                       "residual in parametric-zmc$") as info:
+        zmc.parametric_sweep(sampler, metric, grid)
+    assert info.value.points == poles
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: residual_sweep(catalog.builtin_surface("helicoid"), "minimal",
+                           GridSpec(1e300, 1.7e308, 1, 2, 3, 3)),
+    lambda: zmc.parametric_sweep(reps.WESampler(reps.WEData.from_text("1", "w")), EUCLID3,
+                                 GridSpec(1e160, 2e160, 0, 1, 3, 3)),
+    lambda: zmc.parametric_sweep(reps.TLMSSampler(reps.TLMSData.from_text("1", "1", "u", "v")),
+                                 LORENTZ3, GridSpec(7e102, 8e102, 7e102, 8e102, 3, 3)),
+    lambda: zmc.parametric_sweep(reps.BCSampler(reps.BCData.from_text("r", "s")),
+                                 LORENTZ3_PRIME, GridSpec(1e200, 2e200, 1e200, 2e200, 3, 3)),
+], ids=["helicoid-exact", "we", "tlms", "bc"])
+def test_overflowing_jets_on_extreme_lattices_raise_without_a_warning(sweep):
+    # Each jet overflows at every point of its 3 x 3 lattice: the sweep names
+    # all nine points, and no numpy warning escapes on the way.
+    with warnings.catch_warnings(), pytest.raises(DomainViolation) as info:
+        warnings.simplefilter("error")
+        sweep()
+    assert str(info.value).startswith("9 grid points have no finite residual in ")
+    assert len(info.value.points) == 9
 
 
 class _HugePlane(_Formula):
@@ -351,10 +372,9 @@ def test_overflowing_normalization_is_nan_not_zero(exact):
     # The numerator is 0, but (|E|+|F|+|G|)^2 = (2e200)^2 overflows.
     assert math.isnan(parametric_zmc_numerator(_HugePlane(), EUCLID3, 0.3, 0.2,
                                                use_exact_jet=exact))
-    report = zmc.parametric_sweep(_HugePlane(), EUCLID3, _SMALL, use_exact_jet=exact)
-    assert report.points_checked == 25 and report.passed is False
-    assert math.isnan(report.max_abs_err)
-    assert report.worst_point["coords"] == [-1.0, -1.0]
+    with pytest.raises(DomainViolation, match="^25 grid points have no finite") as info:
+        zmc.parametric_sweep(_HugePlane(), EUCLID3, _SMALL, use_exact_jet=exact)
+    assert info.value.points == _SMALL_FIRST_TEN
 
 
 def test_tied_residuals_report_the_first_lattice_point():
