@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as _expr
-from .errors import DomainViolation
+from .errors import DomainViolation, reject
 from .meshio import GridSpec
 from .report import BroadcastRows, VerificationReport
 from .zmc import GraphJet, one_point
@@ -715,20 +715,14 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
         ok = inst.lhs.guard(x, y, margin)
         for t in inst.rhs_terms:
             ok = ok & t.guard(x, y, margin)
-    bad = np.flatnonzero(~np.broadcast_to(ok, shape))
-    if bad.size:
-        raise DomainViolation(
-            f"{bad.size} probe points violate the {inst.id} singularity margin {margin}",
-            [tuple(points[k]) for k in bad[:10]])
+    reject(~np.broadcast_to(ok, shape), points,
+           f"probe points violate the {inst.id} singularity margin {margin}")
     zx, zy = x.astype(complex), y.astype(complex)
     with np.errstate(all="ignore"):
         lhs = np.broadcast_to(inst.lhs.fn(zx, zy), shape).reshape(-1)
         rhs = np.broadcast_to(sum(t.fn(zx, zy) for t in inst.rhs_terms), shape).reshape(-1)
-        bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
-        if bad.size:
-            raise DomainViolation(
-                f"{bad.size} probe points give non-finite {inst.id} terms",
-                [tuple(points[k]) for k in bad[:10]])
+        reject(~(np.isfinite(lhs) & np.isfinite(rhs)), points,
+               f"probe points give non-finite {inst.id} terms")
         err = branch_error(policy, lhs, rhs)
     return VerificationReport.of(
         err, points, lhs, rhs, subject=f"identity:{inst.id}",

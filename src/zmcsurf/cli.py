@@ -147,8 +147,6 @@ def _finish(report, path) -> int:
 # An unset --g takes its source's default: Gauss map w (WE data), density 1 (TLMS data).
 
 def _we_data(args) -> reps.WEData:
-    if args.mode == "reduced-R":
-        return reps.WEData.reduced(args.f, zeta0=args.zeta0, offset=args.offset)
     g = "w" if args.g is None else args.g
     return reps.WEData.from_text(args.f, g, zeta0=args.zeta0, offset=args.offset,
                                  mode=args.mode)
@@ -248,15 +246,16 @@ def _cmd_we(args) -> int:
 def _cmd_foliate(args) -> int:
     x_lo, x_hi = args.bands
     grid = GridSpec(x_lo, x_hi, args.ymin, args.ymax, args.nx, args.ny, _BAND_MARGIN)
+    # The check runs first, so a window it refuses is an error before any file is written.
+    report = foliation.foliation_check(grid, args.t) if args.check else None
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
     for idx, t in enumerate(args.t):
         patch = sample_patch(foliation.LeafSurface(t), grid)
         _write_patch(patch, os.path.join(args.out, f"leaf_{idx:02d}.obj"))
     print(f"wrote {len(args.t)} leaf meshes to {args.out}")
-    if not args.check:
+    if report is None:
         return 0
-    report = foliation.foliation_check(grid, args.t)
     return _finish(report, os.path.join(args.out, "foliation_check.json"))
 
 

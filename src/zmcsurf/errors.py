@@ -1,5 +1,7 @@
 """Exception types shared by more than one module."""
 
+import numpy as np
+
 
 class DomainViolation(ValueError):
     """A point (or a whole grid) falls outside a surface/identity domain.
@@ -10,6 +12,15 @@ class DomainViolation(ValueError):
     def __init__(self, message, points=None):
         super().__init__(message)
         self.points = list(points) if points is not None else []
+
+
+def reject(bad, rows, message):
+    """Raise DomainViolation when the mask ``bad`` has a point: the count, then
+    ``message``, naming the first 10 such points in row-major order by their
+    ``rows`` (each as a tuple)."""
+    k = np.flatnonzero(bad)
+    if k.size:
+        raise DomainViolation(f"{k.size} {message}", [tuple(rows[i]) for i in k[:10]])
 
 
 class EmptyGrid(ValueError):

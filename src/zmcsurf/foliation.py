@@ -28,6 +28,7 @@ from .zmc import GraphJet
 
 __all__ = [
     "ExcludedPoint",
+    "TooManyBoundaries",
     "band_index",
     "leaf_height",
     "leaf_point",
@@ -42,6 +43,10 @@ _HELICOID = builtin_surface("helicoid")
 
 class ExcludedPoint(DomainViolation):
     """The point lies on an excluded line (2*pi*k, 0, z); ``points`` holds it."""
+
+
+class TooManyBoundaries(ValueError):
+    """The window holds more band boundaries than ``foliation_check`` visits."""
 
 
 def _band(x):
@@ -114,11 +119,13 @@ def LeafSurface(t: float = 0.0) -> HeightSurface:
 
 
 # Half-width of the pairs straddling a band boundary, the tolerances of the
-# two sub-checks of ``foliation_check`` and its bound on rounds of random draws.
+# two sub-checks of ``foliation_check``, its bound on rounds of random draws
+# and on the band boundaries of its window.
 BOUNDARY_DELTA = 1e-7
 BOUNDARY_TOLERANCE = 1e-6
 ROUNDTRIP_TOLERANCE = 1e-12
 DRAW_ROUNDS = 1000
+MAX_BOUNDARIES = 10_000
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -149,6 +156,8 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     parameters.  A window without boundaries and ``n_random=0`` checks
     nothing, and a window that yields fewer than ``n_random`` admissible points
     in ``DRAW_ROUNDS`` rounds of draws cannot be checked (EmptyGrid both).
+    A window with more than ``MAX_BOUNDARIES`` band boundaries raises
+    TooManyBoundaries before anything is allocated.
     """
     t_samples = list(t_samples)
     if not t_samples:
@@ -156,8 +165,12 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
 
     # Entry (i, j) is boundary i at ys[j]; row-major is the check order.
     ys = grid.v_values()
-    k = np.arange(math.ceil((grid.u_min - math.pi) / TWO_PI),
-                  math.floor((grid.u_max - math.pi) / TWO_PI) + 1)
+    k_lo = math.ceil((grid.u_min - math.pi) / TWO_PI)
+    k_hi = math.floor((grid.u_max - math.pi) / TWO_PI)
+    if k_hi - k_lo + 1 > MAX_BOUNDARIES:  # Python ints: no array and no overflow however wide
+        raise TooManyBoundaries(f"the window holds {k_hi - k_lo + 1} band boundaries, more than "
+                                f"the {MAX_BOUNDARIES} a foliation check visits")
+    k = np.arange(k_lo, k_hi + 1)
     xb = (2 * k + 1) * math.pi
     xb = xb[(grid.u_min <= xb) & (xb <= grid.u_max)][:, None]
     left = leaf_height(xb - BOUNDARY_DELTA, ys)

@@ -76,8 +76,10 @@ class GridSpec:
         u.flags.writeable = v.flags.writeable = False
         return u, v
 
-    def __getstate__(self):
+    def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    __getstate__ = to_dict
 
     def u_values(self) -> np.ndarray:
         return self._values[0]
@@ -106,17 +108,6 @@ class GridSpec:
         for i in range(self.nu):
             for j in range(self.nv):
                 yield (i, j), (float(us[i]), float(vs[j]))
-
-    def to_dict(self) -> dict:
-        return {
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "nu": self.nu,
-            "nv": self.nv,
-            "margin": self.margin,
-        }
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

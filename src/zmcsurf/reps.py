@@ -422,8 +422,9 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         split = split_weierstrass_expressions(data, pieces)
         label = {"pieces": [p.f.source() for p in split]}
     else:
+        weights = None if weights is None else list(weights)  # an iterator is read once
         split = split_weierstrass(data, weights)
-        label = {"weights": list(weights)}
+        label = {"weights": weights}
     rng = random.Random(seed)
     zetas = []
     for _ in range(n_samples):
@@ -610,8 +611,66 @@ class InvertedGraphSampler:
 
 
 # ---------------------------------------------------------------------------
-# timelike minimal surfaces (translation surface of null curves)
+# translation surfaces X(u, v) = A(u) + B(v): timelike minimal and Born-Infeld
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Curve:
+    """One generating curve of a translation surface.  Its columns at t are the
+    integrals of ``integrands`` from ``base`` to t, then the ``values``
+    expressions at t; a surface point is a linear assembly of both curves'
+    columns."""
+
+    integrands: tuple
+    values: tuple = ()
+    base: float = 0.0
+
+    @cached_property
+    def tape(self):
+        return Tape(self.integrands)
+
+    @cached_property
+    def jet_tape(self):
+        """The columns' first derivatives (the integrands, then the values'
+        derivatives), then their second derivatives."""
+        return _with_derivatives(self.integrands + tuple(e.derivative() for e in self.values))
+
+    def columns(self, t):
+        """The columns at the points t as the rows of one real array, each
+        point's integral error, and a dict of the values' errors (the first
+        failing value's)."""
+        q, errors = integrate_segments(self.tape, self.base, t)
+        evaluated = [e.eval_array(t) for e in self.values]
+        failed = {k: exc for _, errs in reversed(evaluated) for k, exc in errs.items()}
+        return np.vstack([q.real, *(vals.real for vals, _ in evaluated)]), errors, failed
+
+
+def _translation_points(assemble, curves, u, v):
+    """Each distinct u and v is integrated and evaluated once (a lattice costs
+    nu + nv integrals); a point's error is its u-integral's, v-integral's,
+    u-values' or v-values', in that order, else a SingularPath where its
+    coordinates overflow (assembled without numpy warnings)."""
+    (us, iu), (vs, iv) = _distinct(u), _distinct(v)
+    (qu, eu, fu), (qv, ev, fv) = curves[0].columns(us), curves[1].columns(vs)
+    errors = [None] * iu.size
+    if any(eu) or any(ev) or fu or fv:
+        errors = [eu[i] or ev[j] or fu.get(i) or fv.get(j) for i, j in zip(iu.tolist(), iv.tolist())]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = assemble(qu[:, iu], qv[:, iv])
+    for k in np.flatnonzero(~np.isfinite(coords).all(axis=0)).tolist():
+        errors[k] = errors[k] or SingularPath("the surface point overflows")
+    return coords, errors
+
+
+def _translation_jet(assemble, curves, u, v):
+    """(X_u, X_v, X_uu, X_uv, X_vv): X is linear in the columns, so each
+    derivative is the assembly of the columns' derivatives, and X_uv = 0."""
+    (du, ddu), (dv, ddv) = (np.split(c.jet_tape(t)[0].real, 2) for c, t in zip(curves, (u, v)))
+    zero = (0.0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite entry
+        return (assemble(du, zero), assemble(zero, dv), assemble(ddu, zero), zero,
+                assemble(zero, ddv))
+
 
 @dataclass(frozen=True)
 class TLMSData:
@@ -639,20 +698,10 @@ class TLMSData:
                    tuple(float(t) for t in base))
 
     @cached_property
-    def u_tape(self):
-        return Tape(_null_curve_integrands(self.f_u, self.q_u))
-
-    @cached_property
-    def v_tape(self):
-        return Tape(_null_curve_integrands(self.g_v, self.r_v))
-
-    @cached_property
-    def u_jet_tape(self):
-        return _with_derivatives(self.u_tape.exprs)
-
-    @cached_property
-    def v_jet_tape(self):
-        return _with_derivatives(self.v_tape.exprs)
+    def curves(self):
+        """The u and v null curves: the integrals of (q f, (1 - q^2) f, (1 + q^2) f)."""
+        return (_Curve(_null_curve_integrands(self.f_u, self.q_u), base=self.base[0]),
+                _Curve(_null_curve_integrands(self.g_v, self.r_v), base=self.base[1]))
 
 
 def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
@@ -663,16 +712,6 @@ def _null_curve_integrands(density: AnalyticExpr, gauss: AnalyticExpr):
               _mul(Binary("sub", _ONE, q2), f),
               _mul(Binary("add", _ONE, q2), f))
     return tuple(AnalyticExpr(s, density.varnames) for s in shapes)
-
-
-def _assembled(assemble, errors, *parts):
-    """``assemble(*parts)`` without numpy warnings, and ``errors`` with a
-    SingularPath at each point that has none yet and does not come out finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coords = assemble(*parts)
-    for k in np.flatnonzero(~np.isfinite(coords).all(axis=0)).tolist():
-        errors[k] = errors[k] or SingularPath("the surface point overflows")
-    return coords, errors
 
 
 def _assemble_tlms(qu, qv):
@@ -695,31 +734,15 @@ class TLMSSampler:
         self.data = data
 
     def points(self, u, v):
-        """Each distinct u and v is integrated once (a lattice costs nu + nv
-        integrals); a point's error is its u-integral's, else its v-integral's,
-        else a SingularPath where its coordinates overflow."""
-        (us, iu), (vs, iv) = _distinct(u), _distinct(v)
-        qu, eu = integrate_segments(self.data.u_tape, self.data.base[0], us)
-        qv, ev = integrate_segments(self.data.v_tape, self.data.base[1], vs)
-        errors = [eu[i] or ev[j] for i, j in zip(iu.tolist(), iv.tolist())]
-        return _assembled(_assemble_tlms, errors, qu.real[:, iu], qv.real[:, iv])
+        return _translation_points(_assemble_tlms, self.data.curves, u, v)
 
     point = point_from(points)
     sample_grid = _sample_grid
 
     @array_jet
     def jet(self, u, v):
-        ju, dju = np.split(self.data.u_jet_tape(u)[0].real, 2)
-        jv, djv = np.split(self.data.v_jet_tape(v)[0].real, 2)
-        # X is linear in the two integral triples: assemble their derivatives.
-        zero = (0.0, 0.0, 0.0)
-        return (_assemble_tlms(ju, zero), _assemble_tlms(zero, jv),
-                _assemble_tlms(dju, zero), zero, _assemble_tlms(zero, djv))
+        return _translation_jet(_assemble_tlms, self.data.curves, u, v)
 
-
-# ---------------------------------------------------------------------------
-# Born-Infeld solitons (two-function general solution)
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BCData:
@@ -733,28 +756,9 @@ class BCData:
         return cls(parse(f_text, "r"), parse(g_text, "s"))
 
     @cached_property
-    def f_prime(self):
-        return self.F.derivative()
-
-    @cached_property
-    def g_prime(self):
-        return self.G.derivative()
-
-    @cached_property
-    def r_tape(self):
-        return Tape(_soliton_integrands(self.f_prime))
-
-    @cached_property
-    def s_tape(self):
-        return Tape(_soliton_integrands(self.g_prime))
-
-    @cached_property
-    def r_jet_tape(self):
-        return _with_derivatives((self.f_prime,))
-
-    @cached_property
-    def s_jet_tape(self):
-        return _with_derivatives((self.g_prime,))
+    def curves(self):
+        """The r and s curves: the integrals of (t^2 F'(t), t F'(t)), then F(t)."""
+        return tuple(_Curve(_soliton_integrands(e.derivative()), (e,)) for e in (self.F, self.G))
 
 
 def _soliton_integrands(prime: AnalyticExpr):
@@ -772,10 +776,10 @@ def bc_point(data: BCData, r: float, s: float):
     return BCSampler(data).point(r, s)
 
 
-def _assemble_bc(qr, qs, f_r, g_s):
-    """Soliton coordinates from the r- and s-integrals and F(r), G(s)."""
-    x = 0.5 * (f_r + g_s - qs[0] - qr[0])
-    y = 0.5 * (g_s - f_r - qr[0] + qs[0])
+def _assemble_bc(qr, qs):
+    """Soliton coordinates from the r- and s-column triples (I[t^2 F'], I[t F'], F)."""
+    x = 0.5 * (qr[2] + qs[2] - qs[0] - qr[0])
+    y = 0.5 * (qs[2] - qr[2] - qr[0] + qs[0])
     z = qr[1] + qs[1]
     return (x, y, z)
 
@@ -787,34 +791,11 @@ class BCSampler:
         self.data = data
 
     def points(self, u, v):
-        """Each distinct r = u and s = v is integrated and evaluated once; a point's
-        error is its r-integral's, s-integral's, F(r)'s or G(s)'s, in that order,
-        else a SingularPath where its coordinates overflow."""
-        (rs, ir), (ss, js) = _distinct(u), _distinct(v)
-        qr, er = integrate_segments(self.data.r_tape, 0.0, rs)
-        qs, es = integrate_segments(self.data.s_tape, 0.0, ss)
-        (f_r, ef), (g_s, eg) = self.data.F.eval_array(rs), self.data.G.eval_array(ss)
-        errors = [er[i] or es[j] or ef.get(i) or eg.get(j)
-                  for i, j in zip(ir.tolist(), js.tolist())]
-        return _assembled(_assemble_bc, errors, qr.real[:, ir], qs.real[:, js],
-                          f_r.real[ir], g_s.real[js])
+        return _translation_points(_assemble_bc, self.data.curves, u, v)
 
     point = point_from(points)
     sample_grid = _sample_grid
 
     @array_jet
     def jet(self, u, v):
-        fp, fpp = self.data.r_jet_tape(u)[0].real
-        gp, gpp = self.data.s_jet_tape(v)[0].real
-        r, s = u, v
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a non-finite entry
-            xu = (0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp)
-            xv = (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp)
-            xuu = (0.5 * (fpp * (1 - r * r) - 2 * r * fp),
-                   -0.5 * (fpp * (1 + r * r) + 2 * r * fp),
-                   fp + r * fpp)
-            xvv = (0.5 * (gpp * (1 - s * s) - 2 * s * gp),
-                   0.5 * (gpp * (1 + s * s) + 2 * s * gp),
-                   gp + s * gpp)
-        xuv = (0.0, 0.0, 0.0)
-        return xu, xv, xuu, xuv, xvv
+        return _translation_jet(_assemble_bc, self.data.curves, u, v)

@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DomainViolation
+from .errors import DomainViolation, reject
 from .report import BroadcastRows, VerificationReport
 
 __all__ = [
@@ -263,16 +263,19 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
     if not (np.ndim(u) or np.ndim(v)):
         return parametric_zmc_numerator(sampler, metric, np.array([float(u)]),
                                         np.array([float(v)]), use_exact_jet).item()
+    jet = None
     if use_exact_jet and hasattr(sampler, "jet"):
-        xu, xv, xuu, xuv, xvv = sampler.jet(u, v)
+        jet = sampler.jet(u, v)
     else:
         coords, errors = sampler.points(*(t.reshape(-1) for t in _stencil(u, v, FD_STEP)))
         for failed in filter(None, np.array(errors, object).reshape(25, -1)[_EVAL_ORDER].flat):
             raise failed  # the first failing point of the first failing shift
         stack = np.array(coords, float).reshape(3, 25, -1).swapaxes(0, 1)
-        xu, xv, xuu, xuv, xvv = (tuple(d) for d in _central_jet(stack, FD_STEP)[1:])
 
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflowing difference is a NaN point
+        if jet is None:
+            jet = (tuple(d) for d in _central_jet(stack, FD_STEP)[1:])
+        xu, xv, xuu, xuv, xvv = jet
         E = metric.inner(xu, xu)
         F = metric.inner(xu, xv)
         G = metric.inner(xv, xv)
@@ -291,44 +294,30 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
 
 
 def graph_jet_from_parametric(z, xu, xv, xuu, xuv, xvv) -> GraphJet:
-    """Jet of the local graph z = z(x, y) at height ``z`` implied by a parametric jet.
+    """Jet of the local graph z = z(x, y) at height ``z`` implied by a parametric
+    jet, at one point (floats) or at every point of arrays that broadcast.
 
-    Solves the chain-rule systems; raises DegenerateMetric when the (x, y)
-    Jacobian is singular (the surface is not a graph over (x, y) there).
+    With J = [[x_u, y_u], [x_v, y_v]] the chain rule gives (z_x, z_y) =
+    J^-1 (z_u, z_v), and the Hessian H = J^-1 R J^-T, where R holds the second
+    derivatives of z less their first-order transport: one closed-form 2x2
+    inverse serves both solves.  Raises DegenerateMetric where |det J| < 1e-14
+    (the surface is not a graph over (x, y) there).
     """
-    jac = np.array([[xu[0], xv[0]], [xu[1], xv[1]]], dtype=float)
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if abs(det) < 1e-14:
+    det = xu[0] * xv[1] - xv[0] * xu[1]
+    if np.any(np.abs(det) < 1e-14):
         raise DegenerateMetric("surface is not a graph over (x, y) here")
-    z_x, z_y = np.linalg.solve(jac.T, np.array([xu[2], xv[2]]))
-
-    # Second derivatives: subtract the first-order transport, then solve the
-    # 3x3 quadratic-form system for (z_xx, z_xy, z_yy).
-    rhs = np.array([
-        xuu[2] - z_x * xuu[0] - z_y * xuu[1],
-        xuv[2] - z_x * xuv[0] - z_y * xuv[1],
-        xvv[2] - z_x * xvv[0] - z_y * xvv[1],
-    ])
-    a = np.array([
-        [xu[0] ** 2, 2 * xu[0] * xu[1], xu[1] ** 2],
-        [xu[0] * xv[0], xu[0] * xv[1] + xv[0] * xu[1], xu[1] * xv[1]],
-        [xv[0] ** 2, 2 * xv[0] * xv[1], xv[1] ** 2],
-    ])
-    z_xx, z_xy, z_yy = np.linalg.solve(a, rhs)
-    return GraphJet(z, float(z_x), float(z_y), float(z_xx), float(z_xy), float(z_yy))
+    a, b, c, d = xv[1] / det, -xu[1] / det, -xv[0] / det, xu[0] / det  # J^-1
+    z_x, z_y = a * xu[2] + b * xv[2], c * xu[2] + d * xv[2]
+    ruu, ruv, rvv = (w[2] - z_x * w[0] - z_y * w[1] for w in (xuu, xuv, xvv))
+    return GraphJet(z, z_x, z_y,
+                    a * a * ruu + 2 * a * b * ruv + b * b * rvv,
+                    a * c * ruu + (a * d + b * c) * ruv + b * d * rvv,
+                    c * c * ruu + 2 * c * d * ruv + d * d * rvv)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
-
-def _reject(bad, rows, message):
-    """Raise DomainViolation when the lattice mask ``bad`` has a point, naming
-    the first 10 such points in row-major order by their ``rows``."""
-    k = np.flatnonzero(bad)
-    if k.size:
-        raise DomainViolation(f"{k.size} grid points {message}", [rows[i] for i in k[:10]])
-
 
 def residual_sweep(surface, eq: str, grid, method: str = "exact",
                    tolerance: float = 1e-10) -> VerificationReport:
@@ -338,14 +327,14 @@ def residual_sweep(surface, eq: str, grid, method: str = "exact",
     is not finite, raises DomainViolation."""
     u, v = grid.axes()
     shape, rows = (grid.nu, grid.nv), BroadcastRows(u, v)
-    _reject(~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape), rows,
-            f"violate the domain of {surface.id!r}")
+    reject(~np.broadcast_to(surface.domain_ok(u, v, grid.margin), shape), rows,
+           f"grid points violate the domain of {surface.id!r}")
 
     with np.errstate(all="ignore"):
         r = np.broadcast_to(graph_residual(eq, graph_jets(surface, u, v, method=method)),
                             shape).reshape(-1)
     subject = f"residual:{eq}:{surface.id}"
-    _reject(~np.isfinite(r), rows, f"have no finite residual in {subject}")
+    reject(~np.isfinite(r), rows, f"grid points have no finite residual in {subject}")
     return VerificationReport.of(
         np.abs(r), rows, r, subject=subject,
         parameters={"equation": eq, "surface": surface.id, "method": method, "h": FD_STEP},
@@ -362,7 +351,7 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 
     u, v = grid.lattice()
     value = parametric_zmc_numerator(sampler, metric, u, v, use_exact_jet=use_exact_jet)
     rows = BroadcastRows(u, v)
-    _reject(~np.isfinite(value), rows, f"have no finite residual in {subject}")
+    reject(~np.isfinite(value), rows, f"grid points have no finite residual in {subject}")
     return VerificationReport.of(
         np.abs(value), rows, value, subject=subject,
         parameters={"metric": list(metric.signs), "h": FD_STEP,

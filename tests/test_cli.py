@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,31 @@ def test_foliate_writes_leaves_and_check(tmp_path):
     names = sorted(p.name for p in out.iterdir())
     assert names == ["foliation_check.json", "leaf_00.obj", "leaf_01.obj", "leaf_02.obj"]
     assert _load(out / "foliation_check.json")["pass"] is True
+
+
+def test_a_foliation_window_with_too_many_boundaries_is_refused_before_any_file(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["foliate", "--t", "0", "--bands=-1000000000000000..1000000000000000",
+            "--nx", "3", "--ny", "3", "--out", "d", "--check"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert re.fullmatch(r"error: the window holds \d{16} band boundaries, more than the "
+                        r"10000 a foliation check visits\n", captured.err)
+
+
+def test_reduced_r_mode_with_another_gauss_map_is_a_usage_error(capsys):
+    argv = ["we", "eval", "--mode", "reduced-R", "--f", "1", "--zeta", "0.3"]
+    assert main(argv + ["--g", "w^2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reduced-R mode pins g to the identity map\n"
+    # --g w is the identity map that an unset --g stands for.
+    assert main(argv + ["--g", "w"]) == 0
+    with_g = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == with_g
 
 
 @pytest.mark.parametrize("argv, target", [

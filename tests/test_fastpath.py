@@ -487,9 +487,13 @@ def test_central_difference_sweep_integrates_the_stencil_in_one_call_per_axis(
 
 def test_bc_second_derivatives_are_cached():
     data = BCData.from_text("r + r^3", "sin(s)")
-    assert data.r_jet_tape is data.r_jet_tape and data.s_jet_tape is data.s_jet_tape
-    assert data.r_jet_tape(0.5)[0][1] == pytest.approx(3.0)
-    assert data.s_jet_tape(0.5)[0][1] == pytest.approx(-cmath.sin(0.5))
+    r_curve, s_curve = data.curves
+    assert data.curves is data.curves and r_curve.jet_tape is r_curve.jet_tape
+    # The columns are (I[t^2 F'], I[t F'], F): F' is the third first derivative
+    # and F'' the third second derivative.
+    r_jet, s_jet = r_curve.jet_tape(0.5)[0], s_curve.jet_tape(0.5)[0]
+    assert (r_jet[2], r_jet[5]) == (pytest.approx(1.75), pytest.approx(3.0))
+    assert (s_jet[2], s_jet[5]) == (pytest.approx(cmath.cos(0.5)), pytest.approx(-cmath.sin(0.5)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,24 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_meshio_arrays import _EXTREME_BOUNDS
 
 from zmcsurf import foliation, zmc
 from zmcsurf.catalog import HeightSurface
 from zmcsurf.errors import DomainViolation, EmptyGrid
 from zmcsurf.foliation import (
+    MAX_BOUNDARIES,
     ROUNDTRIP_TOLERANCE,
+    TWO_PI,
     ExcludedPoint,
     LeafSurface,
+    TooManyBoundaries,
     band_index,
     foliation_check,
     leaf_height,
@@ -24,6 +29,7 @@ from zmcsurf.foliation import (
 from zmcsurf.meshio import GridSpec
 
 PI = math.pi
+_EXTREME_AXIS = st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted)
 
 
 def test_first_band_is_the_principal_arctangent():
@@ -285,3 +291,38 @@ def test_nan_boundary_pair_fails_the_report(monkeypatch):
     assert math.isnan(report.max_abs_err) and math.isnan(report.mean_abs_err)
     # The first pair in order: the lowest boundary x = -3*pi at the lowest y.
     assert report.worst_point["coords"] == [-3 * PI, -3.0]
+
+
+def test_a_window_with_too_many_band_boundaries_is_refused_before_it_is_built():
+    at_bound = GridSpec(0.0, TWO_PI * MAX_BOUNDARIES, -1.0, 1.0, 3, 3)
+    assert foliation_check(at_bound, [0.0], n_random=1).parameters["boundary_pairs"] == (
+        3 * MAX_BOUNDARIES)
+    over = GridSpec(0.0, (2 * MAX_BOUNDARIES + 1) * PI + 1.0, -1.0, 1.0, 3, 3)
+    with pytest.raises(TooManyBoundaries, match=rf"^the window holds {MAX_BOUNDARIES + 1} band "
+                                                rf"boundaries, more than the {MAX_BOUNDARIES} "):
+        foliation_check(over, [0.0], n_random=1)
+    # About 3e16 and 3e299 boundaries: numpy could not allocate either.
+    for bound in (1e17, 1e300):
+        with pytest.raises(TooManyBoundaries, match=r"^the window holds \d{17,300} band "):
+            foliation_check(GridSpec(-bound, bound, -1.0, 1.0, 3, 3), [0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_EXTREME_AXIS, v=_EXTREME_AXIS, shape=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+       t=st.lists(_EXTREME_BOUNDS, min_size=1, max_size=3), n_random=st.integers(0, 20),
+       seed=st.integers(0, 2 ** 32))
+def test_foliation_checks_on_extreme_windows_give_finite_reports_or_typed_errors(
+        u, v, shape, t, n_random, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = GridSpec(*u, *v, *shape)
+        except ValueError:
+            return
+        try:
+            report = foliation_check(grid, t, n_random=n_random, seed=seed)
+        except (DomainViolation, EmptyGrid, TooManyBoundaries):
+            return
+    assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)
+    p = report.parameters
+    assert report.points_checked == p["boundary_pairs"] + n_random * len(t)

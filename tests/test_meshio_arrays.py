@@ -107,16 +107,18 @@ def reference_point(sampler, u, v):
         ints = integrate_segment(data.integrand_tape, data.zeta0, complex(u, v))
         return _family_coords(data.offset, ints, math.cos(sampler.theta), math.sin(sampler.theta))
     if isinstance(sampler, TLMSSampler):
-        qu = [c.real for c in integrate_segment(data.u_tape, data.base[0], u)]
-        qv = [c.real for c in integrate_segment(data.v_tape, data.base[1], v)]
+        cu, cv = data.curves
+        qu = [c.real for c in integrate_segment(cu.tape, cu.base, u)]
+        qv = [c.real for c in integrate_segment(cv.tape, cv.base, v)]
         return _assemble_tlms(qu, qv)
     if isinstance(sampler, BCSampler):
-        qr = [c.real for c in integrate_segment(data.r_tape, 0.0, u)]
-        qs = [c.real for c in integrate_segment(data.s_tape, 0.0, v)]
+        cr, cs = data.curves
+        qr = [c.real for c in integrate_segment(cr.tape, 0.0, u)]
+        qs = [c.real for c in integrate_segment(cs.tape, 0.0, v)]
         (f_r, f_errors), (g_s, g_errors) = data.F.eval_array([u]), data.G.eval_array([v])
         if f_errors or g_errors:
             raise (f_errors or g_errors)[0]
-        return _assemble_bc(qr, qs, float(f_r[0].real), float(g_s[0].real))
+        return _assemble_bc([*qr, float(f_r[0].real)], [*qs, float(g_s[0].real)])
     return (u, v, sampler.surface.height_at(u, v))
 
 

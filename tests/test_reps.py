@@ -201,6 +201,14 @@ def test_joint_split_heights_have_the_bits_of_per_piece_calls(weights, monkeypat
         assert values[3 * row + 2].real.tobytes() == alone[2].real.tobytes()
 
 
+def test_split_report_lists_the_weights_of_an_iterator():
+    from_list = verify_split(WEData.reduced("1"), [0.5, 0.5])
+    from_iterator = verify_split(WEData.reduced("1"), (w for w in (0.5, 0.5)))
+    assert from_iterator.parameters["weights"] == [0.5, 0.5]
+    assert (from_iterator.to_dict(include_timestamp=False)
+            == from_list.to_dict(include_timestamp=False))
+
+
 def test_split_without_probes_is_empty_not_a_pass():
     with pytest.raises(EmptyGrid):
         verify_split(WEData.reduced("1"), (0.5, 0.5), n_samples=0)
@@ -571,6 +579,27 @@ _JET_SAMPLERS = {
     "bc": lambda: reps.BCSampler(BCData.from_text("r + r^3", "s - s^2")),
     "graph-lift": lambda: zmc.GraphLiftSampler(catalog.builtin_surface("scherk2")),
 }
+
+
+def test_bc_jet_is_the_hand_derived_soliton_jet():
+    # X_r = F' (1 - r^2, -(1 + r^2), 2 r) / 2 and X_s = G' (1 - s^2, 1 + s^2, 2 s) / 2,
+    # with their r and s derivatives, written out for F = r + r^3 and G = sin(s).
+    r, s = GridSpec(-1.5, 1.5, -1.5, 1.5, 31, 31).lattice()
+    fp, fpp, gp, gpp = 1 + 3 * r * r, 6 * r, np.cos(s), -np.sin(s)
+    zero = np.zeros_like(r)
+    want = ((0.5 * fp * (1 - r * r), -0.5 * fp * (1 + r * r), r * fp),
+            (0.5 * gp * (1 - s * s), 0.5 * gp * (1 + s * s), s * gp),
+            (0.5 * (fpp * (1 - r * r) - 2 * r * fp), -0.5 * (fpp * (1 + r * r) + 2 * r * fp),
+             fp + r * fpp),
+            (zero, zero, zero),
+            (0.5 * (gpp * (1 - s * s) - 2 * s * gp), 0.5 * (gpp * (1 + s * s) + 2 * s * gp),
+             gp + s * gpp))
+    got = reps.BCSampler(BCData.from_text("r + r^3", "sin(s)")).jet(r, s)
+    for got_vec, want_vec in zip(got, want):
+        got_vec, want_vec = (np.stack([np.broadcast_to(c, r.shape) for c in vec])
+                             for vec in (got_vec, want_vec))
+        scale = np.abs(want_vec).max(axis=0)
+        assert (np.abs(got_vec - want_vec) <= 1e-15 * scale).all()
 
 
 @pytest.mark.parametrize("kind", sorted(_JET_SAMPLERS))

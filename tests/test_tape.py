@@ -67,9 +67,7 @@ _DATA = {
 def _tapes(data):
     if isinstance(data, WEData):
         return [data.integrand_tape, data.jet_tape]
-    if isinstance(data, TLMSData):
-        return [data.u_tape, data.v_tape, data.u_jet_tape, data.v_jet_tape]
-    return [data.r_tape, data.s_tape, data.r_jet_tape, data.s_jet_tape]
+    return [tape for curve in data.curves for tape in (curve.tape, curve.jet_tape)]
 
 
 @pytest.mark.parametrize("kind", sorted(_DATA))

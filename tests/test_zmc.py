@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_lattice import per_shift_central_jet
+from test_meshio_arrays import _EXTREME_BOUNDS
 
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import DomainViolation
+from zmcsurf.expr import EvalDomainError
 from zmcsurf.meshio import GridSpec
 from zmcsurf.zmc import (
     EUCLID3,
@@ -252,6 +254,60 @@ def test_graph_jet_from_parametric_on_a_lift():
         assert getattr(jet, name) == pytest.approx(getattr(direct, name), abs=1e-12)
 
 
+def _solved_graph_jet(z, xu, xv, xuu, xuv, xvv):
+    """The chain-rule systems of one point solved by np.linalg.solve: the
+    first-order 2x2 system, then the 3x3 system of the quadratic forms."""
+    z_x, z_y = np.linalg.solve(np.array([[xu[0], xu[1]], [xv[0], xv[1]]]), [xu[2], xv[2]])
+    rhs = [w[2] - z_x * w[0] - z_y * w[1] for w in (xuu, xuv, xvv)]
+    a = np.array([
+        [xu[0] ** 2, 2 * xu[0] * xu[1], xu[1] ** 2],
+        [xu[0] * xv[0], xu[0] * xv[1] + xv[0] * xu[1], xu[1] * xv[1]],
+        [xv[0] ** 2, 2 * xv[0] * xv[1], xv[1] ** 2],
+    ])
+    return (z, z_x, z_y, *np.linalg.solve(a, rhs))
+
+
+_JET_NAMES = ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")
+_GRAPH_JET_SAMPLERS = {
+    "bc": reps.BCSampler(reps.BCData.from_text("0.3*r^2 + tan(r)", "cosh(s)*s")),
+    "we-maximal": reps.WESampler(reps.WEData.from_text("1", "w", mode="maximal")),
+    "tlms": reps.TLMSSampler(reps.TLMSData.from_text("1", "1", "u", "v")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRAPH_JET_SAMPLERS))
+def test_graph_jets_on_a_lattice_match_the_solved_systems_and_their_scalar_calls(kind):
+    sampler = _GRAPH_JET_SAMPLERS[kind]
+    u, v = GridSpec(0.05, 0.8, 0.05, 0.8, 11, 11).lattice()
+    coords, _ = sampler.points(u, v)
+    jet = sampler.jet(u, v)
+    got = graph_jet_from_parametric(coords[2], *jet)
+    entries = [np.broadcast_to(getattr(got, name), u.shape) for name in _JET_NAMES]
+    for k in range(u.size):
+        point_jet = [tuple(np.broadcast_to(c, u.shape)[k].item() for c in vec) for vec in jet]
+        want = _solved_graph_jet(coords[2][k], *point_jet)
+        one = graph_jet_from_parametric(coords[2][k].item(), *point_jet)
+        # Both solutions lose digits as |J^-1|^2 grows (to ~4e-13 near the
+        # maximal surface's singular set |w| = 1, against 50-digit solves).
+        (xu, yu, _), (xv, yv, _) = point_jet[:2]
+        cond = (max(map(abs, (xu, yu, xv, yv))) / (xu * yv - xv * yu)) ** 2
+        tol = 2e-14 * cond * max(map(abs, want[1:]))
+        for name, entry, w in zip(_JET_NAMES, entries, want):
+            assert abs(entry[k] - w) <= tol
+            assert getattr(one, name) == entry[k]  # the scalar call has the lattice bits
+
+
+def test_a_folded_parametric_jet_is_not_a_graph():
+    zero = (0.0, 0.0, 0.0)
+    # X_u = (1, 2, 0) and X_v = (2, 4, 1) project onto one line of the (x, y) plane.
+    with pytest.raises(DegenerateMetric, match="not a graph"):
+        graph_jet_from_parametric(0.0, (1.0, 2.0, 0.0), (2.0, 4.0, 1.0), zero, zero, zero)
+    # On arrays, one folded point is enough: the second point's X_u is (1, 0, 0).
+    xu = (np.array([1.0, 1.0]), np.array([2.0, 0.0]), np.zeros(2))
+    with pytest.raises(DegenerateMetric, match="not a graph"):
+        graph_jet_from_parametric(np.zeros(2), xu, (2.0, 4.0, 1.0), zero, zero, zero)
+
+
 def test_parametric_check_is_local_where_the_path_is_singular():
     # Straight paths from zeta0 = 1 to the lattice points on the negative real
     # axis pass through the pole of f = 1/w, so point() fails there; the exact
@@ -395,3 +451,77 @@ def test_tied_parametric_maxima_report_the_first_lattice_point():
     assert report.max_abs_err == max(err for err, _ in errors)
     assert len(tied) > 1
     assert report.worst_point["coords"] == tied[0]
+
+
+# ---------------------------------------------------------------------------
+# sweeps on extreme finite lattices
+# ---------------------------------------------------------------------------
+
+_EXTREME_AXIS = st.lists(_EXTREME_BOUNDS, min_size=2, max_size=2, unique=True).map(sorted)
+_SWEEP_SURFACES = ["scherk2", "scherk1", "helicoid", "scherk2max", "scherkBI",
+                   "expr:log(cos(y)/cos(x))"]
+
+
+def _extreme_grid(u, v, shape):
+    """The lattice of the drawn bounds, or None where GridSpec refuses them."""
+    try:
+        return GridSpec(*u, *v, *shape)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(surface_id=st.sampled_from(_SWEEP_SURFACES), eq=st.sampled_from(zmc.EQUATIONS),
+       method=st.sampled_from(["exact", "central-diff"]), u=_EXTREME_AXIS, v=_EXTREME_AXIS,
+       shape=st.tuples(st.integers(2, 4), st.integers(2, 4)))
+def test_residual_sweeps_on_extreme_lattices_give_finite_reports_or_domain_violations(
+        surface_id, eq, method, u, v, shape):
+    surface = catalog.builtin_surface(surface_id)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = _extreme_grid(u, v, shape)
+        if grid is None:
+            return
+        try:
+            report = residual_sweep(surface, eq, grid, method=method)
+        except DomainViolation:
+            return
+    assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)
+    assert report.points_checked == grid.nu * grid.nv
+
+
+_PARAMETRIC_SAMPLERS = {
+    "we": reps.WESampler(reps.WEData.from_text("1", "w")),
+    "we-maximal": reps.WESampler(reps.WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal")),
+    "tlms": reps.TLMSSampler(reps.TLMSData.from_text("1 + u^2", "2 - v", "u", "v^2")),
+    "bc": reps.BCSampler(reps.BCData.from_text("r + r^3", "sin(s)")),
+    "lift-scherk2": zmc.GraphLiftSampler(catalog.builtin_surface("scherk2")),
+    "lift-scherkBI": zmc.GraphLiftSampler(catalog.builtin_surface("scherkBI")),
+}
+# The typed errors of a sweep: a point outside the check's domain, a failing
+# quadrature or expression of a central-difference stencil, a degenerate metric.
+_PARAMETRIC_ERRORS = (DomainViolation, reps.SingularPath, reps.NoConvergence, EvalDomainError,
+                      DegenerateMetric)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(sorted(_PARAMETRIC_SAMPLERS)),
+       metric=st.sampled_from([EUCLID3, LORENTZ3, LORENTZ3_PRIME]), exact=st.booleans(),
+       u=_EXTREME_AXIS, v=_EXTREME_AXIS, shape=st.tuples(st.integers(2, 3), st.integers(2, 3)))
+# The stencil's differences of the lattice points at 1.7e308 overflow.
+@example(kind="lift-scherk2", metric=EUCLID3, exact=False, u=[0.0, 1.7e308], v=[0.0, 1.0],
+         shape=(2, 2))
+def test_parametric_sweeps_on_extreme_lattices_give_finite_reports_or_typed_errors(
+        kind, metric, exact, u, v, shape):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = _extreme_grid(u, v, shape)
+        if grid is None:
+            return
+        try:
+            report = zmc.parametric_sweep(_PARAMETRIC_SAMPLERS[kind], metric, grid,
+                                          use_exact_jet=exact)
+        except _PARAMETRIC_ERRORS:
+            return
+    assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)
+    assert report.points_checked == grid.nu * grid.nv
