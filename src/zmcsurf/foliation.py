@@ -29,6 +29,7 @@ from .zmc import GraphJet
 __all__ = [
     "ExcludedPoint",
     "TooManyBoundaries",
+    "UnplaceableProbes",
     "band_index",
     "leaf_height",
     "leaf_point",
@@ -47,6 +48,11 @@ class ExcludedPoint(DomainViolation):
 
 class TooManyBoundaries(ValueError):
     """The window holds more band boundaries than ``foliation_check`` visits."""
+
+
+class UnplaceableProbes(ValueError):
+    """The window holds band boundaries where doubles are more than
+    ``BOUNDARY_DELTA`` apart, so the probes cannot straddle a boundary."""
 
 
 def _band(x):
@@ -157,7 +163,9 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     nothing, and a window that yields fewer than ``n_random`` admissible points
     in ``DRAW_ROUNDS`` rounds of draws cannot be checked (EmptyGrid both).
     A window with more than ``MAX_BOUNDARIES`` band boundaries raises
-    TooManyBoundaries before anything is allocated.
+    TooManyBoundaries, and one with a band boundary where the spacing of
+    doubles at its wider end exceeds ``BOUNDARY_DELTA`` (|x| from about 5.4e8)
+    raises UnplaceableProbes, both before anything is allocated.
     """
     t_samples = list(t_samples)
     if not t_samples:
@@ -170,6 +178,11 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     if k_hi - k_lo + 1 > MAX_BOUNDARIES:  # Python ints: no array and no overflow however wide
         raise TooManyBoundaries(f"the window holds {k_hi - k_lo + 1} band boundaries, more than "
                                 f"the {MAX_BOUNDARIES} a foliation check visits")
+    reach = max(abs(grid.u_min), abs(grid.u_max))
+    if k_hi >= k_lo and math.ulp(reach) > BOUNDARY_DELTA:
+        raise UnplaceableProbes(f"the window reaches |x| = {reach:g}, where doubles are "
+                                f"{math.ulp(reach):g} apart: the band boundary probes cannot "
+                                f"be placed {BOUNDARY_DELTA:g} from a boundary")
     k = np.arange(k_lo, k_hi + 1)
     xb = (2 * k + 1) * math.pi
     xb = xb[(grid.u_min <= xb) & (xb <= grid.u_max)][:, None]

@@ -97,6 +97,23 @@ _MAX_NODES = 1 << 13
 _SHEET_MU = 0.5  # InvertedGraphSampler's bound on |full Newton step - edge| / |edge|
 
 
+# The 16-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
+# weights, with the bits of numpy's ``leggauss(16)``.  That rule is exactly
+# symmetric, so mirroring the halves gives its 16 nodes and weights in order.
+_GAUSS_HALF = (
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
+_GAUSS_NODES = np.array([-x for x, _ in reversed(_GAUSS_HALF)] + [x for x, _ in _GAUSS_HALF])
+_GAUSS_WEIGHTS = np.array([w for _, w in reversed(_GAUSS_HALF)] + [w for _, w in _GAUSS_HALF])
+
+
 @lru_cache(maxsize=None)
 def _level_rule(nseg: int):
     """Nodes t in (0, 1) and weights of the nseg-segment composite rule.
@@ -106,15 +123,11 @@ def _level_rule(nseg: int):
     boundaries k / nseg follow: they are evaluated only to detect a pole that
     the nodes, symmetric about it, would cancel into a principal value.
     """
-    # Imported here: numpy.polynomial costs milliseconds, and only quadrature needs it.
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, node_weights = leggauss(16)
     half = 0.5 / nseg
     mids = (np.arange(nseg) + 0.5) / nseg
-    gauss = (mids[:, None] + half * nodes[None, :]).reshape(-1)
+    gauss = (mids[:, None] + half * _GAUSS_NODES[None, :]).reshape(-1)
     t = np.concatenate([gauss, np.arange(1, nseg) / nseg])
-    weights = np.tile(node_weights * half, nseg)
+    weights = np.tile(_GAUSS_WEIGHTS * half, nseg)
     return t, weights
 
 

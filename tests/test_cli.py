@@ -369,6 +369,20 @@ def test_a_foliation_window_with_too_many_boundaries_is_refused_before_any_file(
                         r"10000 a foliation check visits\n", captured.err)
 
 
+def test_a_far_foliation_window_is_refused_before_any_file(tmp_path, capsys, monkeypatch):
+    # Doubles near 6.3e9 are 9.5e-7 apart: the band boundary probes cannot be
+    # placed 1e-7 from a boundary (the check printed PASS with boundary_max 0).
+    monkeypatch.chdir(tmp_path)
+    argv = ["foliate", "--t", "0", "--bands", "1000000000..1000000001",
+            "--nx", "3", "--ny", "3", "--out", "far", "--check"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert re.fullmatch(r"error: the window reaches \|x\| = \S+, where doubles are \S+ apart: "
+                        r"the band boundary probes cannot be placed 1e-07 from a boundary\n",
+                        captured.err)
+
+
 def test_reduced_r_mode_with_another_gauss_map_is_a_usage_error(capsys):
     argv = ["we", "eval", "--mode", "reduced-R", "--f", "1", "--zeta", "0.3"]
     assert main(argv + ["--g", "w^2"]) == 2

@@ -324,7 +324,7 @@ def test_level_rule_is_16_gauss_nodes_per_segment_then_the_boundary_probes():
         assert np.array_equal(t[weights.size:], np.arange(1, nseg) / nseg)
 
 
-@pytest.mark.parametrize("nseg", [1, 2])
+@pytest.mark.parametrize("nseg", [2 ** k for k in range(11)])  # every level up to 1024 segments
 def test_level_rule_has_the_bits_of_the_leggauss_rule(nseg):
     from zmcsurf.reps import _level_rule
     half = 0.5 / nseg
@@ -337,8 +337,13 @@ def test_level_rule_has_the_bits_of_the_leggauss_rule(nseg):
 
 
 def test_importing_the_package_leaves_numpy_polynomial_unloaded():
+    # Nor does quadrature load it: the Gauss rule is a table of constants.
     code = ("import sys\n"
             "import zmcsurf.catalog, zmcsurf.reps, zmcsurf.foliation, zmcsurf.cli\n"
+            "from zmcsurf.meshio import GridSpec, sample_patch\n"
+            "data = zmcsurf.reps.WEData.from_text('1', 'w')\n"
+            "zmcsurf.reps.integrate_segments(data.integrands, 0, [0.5 + 0.5j])\n"
+            "sample_patch(zmcsurf.reps.WESampler(data), GridSpec(-1, 1, -1, 1, 3, 3))\n"
             "print('numpy.polynomial' in sys.modules)\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,

@@ -20,6 +20,7 @@ from zmcsurf.foliation import (
     ExcludedPoint,
     LeafSurface,
     TooManyBoundaries,
+    UnplaceableProbes,
     band_index,
     foliation_check,
     leaf_height,
@@ -307,6 +308,32 @@ def test_a_window_with_too_many_band_boundaries_is_refused_before_it_is_built():
             foliation_check(GridSpec(-bound, bound, -1.0, 1.0, 3, 3), [0.0])
 
 
+def test_a_window_whose_boundary_probes_doubles_cannot_place_is_refused():
+    # Doubles near 1e8 are 1.5e-8 apart: the 16 boundaries of the window are checked.
+    near = GridSpec(1e8, 1e8 + 100, -1.0, 1.0, 3, 3)
+    assert foliation_check(near, [0.0]).parameters["boundary_pairs"] == 48
+    # Near 5.4e8 they are 1.2e-7 apart, more than BOUNDARY_DELTA.  At 6e19 the
+    # window holds about 1,300 boundaries that the check saw as none, and at
+    # 1e19 its probes rounded onto an excluded line.
+    for far in (GridSpec(5.4e8, 5.4e8 + 10, -1.0, 1.0, 3, 3),
+                GridSpec(-5.4e8 - 10, -5.4e8, -1.0, 1.0, 3, 3),
+                GridSpec(1e19, 1e19 * (1 + 2e-16), -1.0, 1.0, 3, 3),
+                GridSpec(6e19, 6e19 * (1 + 2e-16), -1.0, 1.0, 3, 3)):
+        assert math.ulp(max(abs(far.u_min), abs(far.u_max))) > foliation.BOUNDARY_DELTA
+        with pytest.raises(UnplaceableProbes, match=r"^the window reaches \|x\| = "):
+            foliation_check(far, [0.0])
+    # Near 5.3e8 doubles are 6e-8 apart: the check runs.
+    assert foliation_check(GridSpec(5.3e8, 5.3e8 + 10, -1.0, 1.0, 3, 3), [0.0],
+                           n_random=10).parameters["boundary_pairs"] == 3
+    # A far window without a boundary has no probes to place: it checks the roundtrip.
+    k = round(1e12 / TWO_PI)
+    inside = GridSpec(k * TWO_PI - 1.0, k * TWO_PI + 1.0, 0.5, 1.0, 3, 3)
+    assert foliation_check(inside, [0.0], n_random=10).parameters["boundary_pairs"] == 0
+    # The count check comes first.
+    with pytest.raises(TooManyBoundaries):
+        foliation_check(GridSpec(-1e15, 1e15, -1.0, 1.0, 3, 3), [0.0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(u=_EXTREME_AXIS, v=_EXTREME_AXIS, shape=st.tuples(st.integers(2, 4), st.integers(2, 4)),
        t=st.lists(_EXTREME_BOUNDS, min_size=1, max_size=3), n_random=st.integers(0, 20),
@@ -321,7 +348,7 @@ def test_foliation_checks_on_extreme_windows_give_finite_reports_or_typed_errors
             return
         try:
             report = foliation_check(grid, t, n_random=n_random, seed=seed)
-        except (DomainViolation, EmptyGrid, TooManyBoundaries):
+        except (DomainViolation, EmptyGrid, TooManyBoundaries, UnplaceableProbes):
             return
     assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)
     p = report.parameters

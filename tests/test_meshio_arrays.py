@@ -454,7 +454,11 @@ def test_read_csv_gives_the_reference_patch_or_names_a_row(tmp_path_factory, sha
                                f"{re.escape(repr(lines[k - 1].strip()))}$"):
                 read_csv(path)
         elif any(index != set(range(max(index) + 1)) for index in used):
-            with pytest.raises(ValueError, match=r"^bad CSV lattice in .*, row \d+: "):
+            # The first axis with a gap is named by its first row with the largest index.
+            axis = 0 if used[0] != set(range(max(used[0]) + 1)) else 1
+            k = 1 + [int(cells[axis]) for cells in rows].index(max(used[axis]))
+            with pytest.raises(ValueError, match=f"^bad CSV lattice in .*, row {k}: "
+                               f"{re.escape(repr(lines[k - 1].strip()))}: "):
                 read_csv(path)
         else:
             assert _same_patch(read_csv(path), reference_read_csv(path))
