@@ -143,7 +143,7 @@ class HeightSurface:
 
     ``height`` is the formula (real or complex, arrays or scalars); ``domain``
     the real-point validity predicate with a singularity margin; ``exact_jet``
-    the closed-form second-order jet (None when unavailable).  For kind !=
+    the closed-form second-order jet, which every surface has.  For kind !=
     generic the corresponding graph PDE residual vanishes on the default grid
     (tested, not assumed).  ``quiet`` says that ``height`` never emits numpy
     warnings, so ``evaluate`` need not silence them.
@@ -153,7 +153,7 @@ class HeightSurface:
     kind: str
     height: Callable
     domain: Callable
-    exact_jet: Optional[Callable]
+    exact_jet: Callable
     default_grid: GridSpec
     quiet: bool = False
 
@@ -422,10 +422,8 @@ def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
     def domain(x, y, margin):
         return surface.domain_ok((x - b) / a, (y - d) / a, margin)
 
-    inner_jet = surface.exact_jet
-
     def jet(x, y):
-        j = inner_jet((x - b) / a, (y - d) / a)
+        j = surface.exact_jet((x - b) / a, (y - d) / a)
         return GraphJet(scale * j.z, (scale / a) * j.z_x, (scale / a) * j.z_y,
                         (scale / a ** 2) * j.z_xx, (scale / a ** 2) * j.z_xy,
                         (scale / a ** 2) * j.z_yy)
@@ -435,13 +433,13 @@ def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
     lo_v, hi_v = sorted((a * g.v_min + d, a * g.v_max + d))
     return HeightSurface(
         f"{surface.id}~affine({a!r},{b!r},{d!r};{scale!r})",
-        surface.kind, height, domain, jet if inner_jet is not None else None,
+        surface.kind, height, domain, jet,
         GridSpec(lo_u, hi_u, lo_v, hi_v, g.nu, g.nv, g.margin),
     )
 
 
 def kind_equation(kind: str) -> Optional[str]:
-    """Graph PDE matching a surface kind (None for generic/timelike graphs)."""
+    """Graph PDE matching a surface kind (None for generic graphs)."""
     return {"minimal": "minimal", "maximal": "maximal", "bi-soliton": "bi-soliton"}.get(kind)
 
 
@@ -478,10 +476,11 @@ class IdentityInstance:
 
 def _log_ratio_decomp(name: str, n: int, params: dict) -> IdentityInstance:
     num, den, _, policy = _LOG_RATIO_FAMILY[name]
+    height = _log_ratio_surface(name).height
     cs = c_offsets(n)
     lhs = IdentityTerm(
         f"log({num.name}(y)/{den.name}(x))",
-        _log_ratio_surface(name).height,
+        height,
         lambda x, y, m: (den.zero_distance(x) >= m) & (num.zero_distance(y) >= m),
     )
     # Margins are measured in grid coordinates, so arguments scaled by 1/n get
@@ -490,7 +489,7 @@ def _log_ratio_decomp(name: str, n: int, params: dict) -> IdentityInstance:
     for m, c in enumerate(cs):
         terms.append(IdentityTerm(
             f"log({num.name}(y/{n}{num.shift_text}{m})/{den.name}(x/{n}{den.shift_text}{m}))",
-            lambda x, y, c=c: np.log(num.fn(num.shift(y / n, c)) / den.fn(den.shift(x / n, c))),
+            lambda x, y, c=c: height(den.shift(x / n, c), num.shift(y / n, c)),
             lambda x, y, mg, c=c: ((n * den.zero_distance(den.shift(x / n, c)) >= mg)
                                    & (n * num.zero_distance(num.shift(y / n, c)) >= mg)),
         ))
@@ -533,10 +532,6 @@ def _arctan_tanh_cot(a, b):
     return np.arctan(np.tanh(a) * np.cos(b) / _pole(np.sin(b)))
 
 
-def _arctan_ratio(num, den):
-    return np.arctan(num / _pole(den))
-
-
 def _shifted(x, m: int):
     """x + m*pi spelled as the terms are written: x itself at m = 0 and
     x - |m|*pi for m < 0, so complex points keep the same signed zeros."""
@@ -562,13 +557,13 @@ def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     def flat(m, s):  # -atan((y/n)/((x+m*pi)/n - s*pi))
         return IdentityTerm(
             f"-atan((y/{n})/((x+{m}*pi)/{n}{' - pi' if s else ''}))",
-            lambda x, y: -_arctan_ratio(y / n, _shifted(x, m) / n - s * PI),
+            lambda x, y: -_helicoid_height(_shifted(x, m) / n - s * PI, y / n),
             lambda x, y, mg: np.abs(_shifted(x, m) - s * n * PI) >= mg)
 
     def fan(m):  # +atan(y/(x+m*pi)), a helicoid translated by -m*pi
         return IdentityTerm(
             f"+atan(y/(x{m:+d}*pi))",
-            lambda x, y: _arctan_ratio(y, _shifted(x, m)),
+            lambda x, y: _helicoid_height(_shifted(x, m), y),
             lambda x, y, mg: np.abs(_shifted(x, m)) >= mg)
 
     ms = range(1, n)

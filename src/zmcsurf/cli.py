@@ -438,8 +438,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (reps.SingularPath, reps.NoConvergence, reps.NewtonDiverged,
-            reps.JacobianSingular, EvalDomainError, zmc.ExactUnavailable,
-            zmc.DegenerateMetric) as exc:
+            reps.JacobianSingular, EvalDomainError, zmc.DegenerateMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,6 +95,10 @@ class JacobianSingular(ArithmeticError):
 # enough that a chunk's complex128 temporaries stay in a 2 MiB L2 cache.
 _MAX_NODES = 1 << 13
 _SHEET_MU = 0.5  # InvertedGraphSampler's bound on |full Newton step - edge| / |edge|
+# Two levels of one integrand also agree where they differ by less than this
+# multiple of the level's magnitude: the rounding floor of a large integral,
+# which the absolute tolerance cannot reach (it exceeds 1e-10 above ~440).
+_ROUNDING_FLOOR = 1024 * np.finfo(float).eps
 
 
 # The 16-point Gauss-Legendre rule on [-1, 1]: the positive nodes and their
@@ -159,14 +163,15 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     NoConvergence that segment raises (its values are then 0).
 
     Composite rule: 16-node Gauss-Legendre panels on 1, 2, 4, ... equal
-    sub-segments, refined until two successive levels agree within ``tol`` in
-    every integrand (NoConvergence past ``max_segments``).  Singularities are
-    detected by sampling: a node or an interior panel boundary where an
-    integrand fails to evaluate finitely makes that segment's SingularPath (a
-    pole at a boundary would otherwise cancel into its principal value).  It
-    names the first failing node: a pass lays its levels' nodes side by side,
-    coarsest first, so that is the lowest failing column, then the lowest
-    integrand index.  A pole off the path, 1e-13 from its midpoint, is caught
+    sub-segments, refined until two successive levels agree in every
+    integrand, within ``tol`` or within ``_ROUNDING_FLOOR`` times that
+    integrand's own level value (NoConvergence past ``max_segments``).
+    Singularities are detected by sampling: a node or an interior panel
+    boundary where an integrand fails to evaluate finitely makes that
+    segment's SingularPath (a pole at a boundary would otherwise cancel into
+    its principal value).  It names the first failing node: a pass lays its
+    levels' nodes side by side, coarsest first, so that is the lowest failing
+    column, then the lowest integrand index.  A pole off the path, 1e-13 from its midpoint, is caught
     as NoConvergence (as measured for 1/w; at 8e-14 it cancels into its
     principal value undetected).  A segment with a non-finite end or length is a
     SingularPath before any node is built, and so is one whose level value
@@ -222,7 +227,11 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
             alive[row] = False
         for level_cur in cur:
             if prev is not None:
-                done = alive & (np.abs(level_cur - prev).max(axis=0) < tol)
+                diff = np.abs(level_cur - prev)
+                done = alive & (diff.max(axis=0) < tol)
+                if (done != alive).any():  # the floor, only once tol fails somewhere
+                    floor = np.maximum(tol, _ROUNDING_FLOOR * np.abs(level_cur))
+                    done = alive & (diff < floor).all(axis=0)
                 values[:, active[done]] = level_cur[:, done]
                 alive &= ~done
             prev = level_cur

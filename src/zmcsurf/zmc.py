@@ -8,8 +8,9 @@ The graph equations are evaluated with verbatim coefficient placement:
 
 Graph residuals are reported unnormalized (directly comparable across grids);
 the parametric mean-curvature numerator is normalized to be scale-comparable.
-There is no graph equation for timelike minimal surfaces here; those get only
-the parametric check with metric diag(1, 1, -1).
+A timelike minimal graph satisfies the maximal-form equation where
+|grad Z| > 1, but no surface kind or report checks that here; timelike
+minimal surfaces get the parametric check with metric diag(1, 1, -1).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "LORENTZ3",
     "LORENTZ3_PRIME",
     "EQUATIONS",
-    "ExactUnavailable",
     "DegenerateMetric",
     "graph_jet",
     "graph_jets",
@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 EQUATIONS = ("minimal", "maximal", "bi-soliton")
-
-
-class ExactUnavailable(RuntimeError):
-    """The surface has no closed-form jet; the caller must opt into central-diff."""
 
 
 class DegenerateMetric(ArithmeticError):
@@ -93,10 +89,19 @@ def _shifts(u, v, h):
     """The stencil as broadcast axes: the 5 shifts of u in shape (5, 1, *u.shape)
     and the 5 of v in shape (1, 5, *v.shape), u and v first brought to one ndim.
     Their broadcast, reshaped to (25, ...), has shift (di, dj) in row
-    5 * di + dj + 12; an unshifted coordinate keeps its own bits."""
+    5 * di + dj + 12; an unshifted coordinate keeps its own bits.
+
+    A coordinate whose shifted copies round to it raises DomainViolation,
+    naming the first such point (row-major): every difference there would be 0.
+    """
     ndim = max(np.ndim(u), np.ndim(v))
     u, v = (np.reshape(t, (1,) * (ndim - np.ndim(t)) + np.shape(t)) for t in (u, v))
     su, sv = (np.stack([t + d * h if d else t for d in range(-2, 3)]) for t in (u, v))
+    lost = (su[[0, 1, 3, 4]] == u).any(axis=0) | (sv[[0, 1, 3, 4]] == v).any(axis=0)
+    if lost.any():
+        k = np.flatnonzero(lost)[0]
+        point = tuple(np.broadcast_to(t + 0.0, lost.shape).flat[k].item() for t in (u, v))
+        raise DomainViolation(f"stencil step {h!r} is lost in rounding at {point!r}", [point])
     return su[:, None], sv[None]
 
 
@@ -131,21 +136,18 @@ def _central_jet(f, h):
 def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> GraphJet:
     """Second-order jets of a height surface at every point of the arrays x, y.
 
-    ``method="exact"`` uses the surface's closed-form/symbolic jet and raises
-    ExactUnavailable when there is none (no silent fallback: the caller
-    chooses).  ``method="central-diff"`` evaluates the 5-point stencil with step
-    h as one stack (one ``heights`` call) on the broadcast axes of ``_shifts``,
-    so work on one coordinate runs on its 5 shifts alone.  A coordinate whose
-    shifted copies round to it raises DomainViolation before any height is
-    evaluated, naming the first such point (row-major); a stencil point whose
-    height is not finite raises one with the first failing shift's first five
-    (di-major).  Entries are arrays that broadcast against
-    each other to the shape of x and y broadcast (scalars for scalar x, y): on
-    lattice axes, a jet entry that depends on x alone may keep x's shape.
+    ``method="exact"`` uses the surface's closed-form/symbolic jet.
+    ``method="central-diff"`` evaluates the 5-point stencil with step h as one
+    stack (one ``heights`` call) on the broadcast axes of ``_shifts``, so work
+    on one coordinate runs on its 5 shifts alone.  A step lost in rounding
+    raises ``_shifts``' DomainViolation before any height is evaluated; a
+    stencil point whose height is not finite raises one with the first
+    failing shift's first five (di-major).  Entries are arrays that broadcast
+    against each other to the shape of x and y broadcast (scalars for scalar
+    x, y): on lattice axes, a jet entry that depends on x alone may keep x's
+    shape.
     """
     if method == "exact":
-        if surface.exact_jet is None:
-            raise ExactUnavailable(f"surface {surface.id!r} has no exact jet")
         with np.errstate(all="ignore"):
             return surface.exact_jet(x, y)
     if method != "central-diff":
@@ -153,13 +155,6 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
 
     su, sv = _shifts(x, y, h)
     shape = np.broadcast_shapes(su.shape, sv.shape)
-    lost = ((su[[0, 1, 3, 4]] == su[2]).any(axis=0)[0]
-            | (sv[:, [0, 1, 3, 4]] == sv[:, 2:3]).any(axis=1)[0])
-    if lost.any():  # a shift that rounds to its centre would make its difference 0
-        k = np.flatnonzero(np.broadcast_to(lost, shape[2:]))[0]
-        point = tuple(np.broadcast_to(t + 0.0, shape[2:]).flat[k].item()
-                      for t in (su[2, 0], sv[0, 2]))
-        raise DomainViolation(f"stencil step {h!r} is lost in rounding at {point!r}", [point])
     f = np.broadcast_to(surface.heights(su, sv), shape).reshape(25, *shape[2:])
     bad = ~np.isfinite(f).reshape(25, -1)
     if bad.any():
@@ -254,17 +249,16 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
     """Normalized mean-curvature numerator E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N> at
     the points of the 1-d arrays u, v (or, as a float, at one point).
 
-    Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``
-    when it has one (and ``use_exact_jet``), otherwise 5-point central
-    differences of ``sampler.points``, called once on the flattened stencil.
+    Uses the sampler's exact jet ``jet(u, v) -> (X_u, X_v, X_uu, X_uv, X_vv)``,
+    or with ``use_exact_jet=False`` 5-point central differences of
+    ``sampler.points``, called once on the flattened stencil.
     Normalization by (|E|+|F|+|G|) * |N|_euclid makes values scale-comparable;
     a point where either factor overflows, or the jet has a pole, is NaN.
     """
     if not (np.ndim(u) or np.ndim(v)):
         return parametric_zmc_numerator(sampler, metric, np.array([float(u)]),
                                         np.array([float(v)]), use_exact_jet).item()
-    jet = None
-    if use_exact_jet and hasattr(sampler, "jet"):
+    if use_exact_jet:
         jet = sampler.jet(u, v)
     else:
         coords, errors = sampler.points(*(t.reshape(-1) for t in _stencil(u, v, FD_STEP)))
@@ -273,9 +267,7 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
         stack = np.array(coords, float).reshape(3, 25, -1).swapaxes(0, 1)
 
     with np.errstate(all="ignore"):  # an overflowing difference is a NaN point
-        if jet is None:
-            jet = (tuple(d) for d in _central_jet(stack, FD_STEP)[1:])
-        xu, xv, xuu, xuv, xvv = jet
+        xu, xv, xuu, xuv, xvv = jet if use_exact_jet else _central_jet(stack, FD_STEP)[1:]
         E = metric.inner(xu, xu)
         F = metric.inner(xu, xv)
         G = metric.inner(xv, xv)
@@ -360,17 +352,11 @@ def parametric_sweep(sampler, metric: SignatureMetric, grid, tolerance: float = 
 
 
 class GraphLiftSampler:
-    """Parametric view (x, y) -> (x, y, Z(x, y)) of a height surface.
-
-    The ``jet`` attribute is bound only when the surface has an exact jet;
-    otherwise the parametric checker falls back to central differences of
-    ``points``, as it does for every sampler with ``use_exact_jet=False``.
-    """
+    """Parametric view (x, y) -> (x, y, Z(x, y)) of a height surface, with the
+    surface's exact jet lifted to the parametric one."""
 
     def __init__(self, surface):
         self.surface = surface
-        if surface.exact_jet is not None:
-            self.jet = self._exact_jet
 
     def points(self, u, v):
         """(u, v, heights(u, v)); a non-finite height has ``height_at``'s error."""
@@ -382,7 +368,7 @@ class GraphLiftSampler:
     point = point_from(points)
 
     @array_jet
-    def _exact_jet(self, u, v):
+    def jet(self, u, v):
         j = graph_jets(self.surface, u, v)
         return ((1.0, 0.0, j.z_x), (0.0, 1.0, j.z_y),
                 (0.0, 0.0, j.z_xx), (0.0, 0.0, j.z_xy), (0.0, 0.0, j.z_yy))

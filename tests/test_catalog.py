@@ -412,6 +412,53 @@ def test_helicoid_decomposition_terms_come_in_their_order(n):
         assert got == pytest.approx([fn(x, y) for _, fn in want], abs=1e-14)
 
 
+def _same_bits(got, want):
+    got, want = np.broadcast_arrays(got, want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# The argument of each log-ratio factor in the m-th term: a - c_m for cos,
+# a + i*c_m for cosh.
+_LOG_RATIO_MAPS = {
+    "scherk2": (lambda a, c: a - c, lambda a, c: a - c),
+    "scherk2max": (lambda a, c: a + 1j * c, lambda a, c: a + 1j * c),
+    "scherkBI": (lambda a, c: a - c, lambda a, c: a + 1j * c),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOG_RATIO_MAPS))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_log_ratio_terms_are_the_family_height_at_mapped_points(name, n):
+    height = builtin_surface(name).height
+    map_x, map_y = _LOG_RATIO_MAPS[name]
+    u, v = GridSpec(-1, 1, -1, 1, 41, 41).axes()
+    px, py = (np.array(p) for p in zip(*_SUITE_PROBES))
+    terms = identity_terms(f"{name}-decomp", n).rhs_terms
+    for x, y in ((u.astype(complex), v.astype(complex)), (px, py)):
+        with np.errstate(all="ignore"):
+            for term, c in zip(terms, c_offsets(n)):
+                want = height(map_x(x / n, c), map_y(y / n, c))
+                assert _same_bits(term.fn(x, y), want), term.label
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_helicoid_fans_and_flats_are_helicoid_heights_at_mapped_points(n):
+    height = builtin_surface("helicoid").height
+    u, v = GridSpec(0.1, 2.9, -2, 2, 41, 41).axes()
+    x, y = u.astype(complex), v.astype(complex)
+    ms = range(1, n)
+    shifted = {m: x + m * PI for m in ms} | {-m: x - m * PI for m in ms}
+    want = ([None] * len(ms)  # the towers
+            + [-height(shifted[m] / n - 0.0, y / n) for m in ms] + [None]
+            + [-height(shifted[m] / n - PI, y / n) for m in ms]
+            + [height(shifted[m], y) for m in ms] + [height(shifted[-m], y) for m in ms])
+    terms = identity_terms("helicoid-decomp", n).rhs_terms
+    assert len(terms) == len(want)
+    for term, w in zip(terms, want):
+        if w is not None:
+            assert _same_bits(term.fn(x, y), w), term.label
+
+
 def test_tower_decomposition_windows():
     for n in (2, 3):
         for beta in (PI / 6, PI / 3):

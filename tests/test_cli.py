@@ -262,6 +262,13 @@ def test_residual_parametric():
     assert rc == 0
 
 
+def test_a_parametric_stencil_step_lost_in_rounding_is_a_usage_error(capsys):
+    rc = main(["residual", "parametric", "--source", "tlms", "--method", "central-diff",
+               "--metric", "l3", "--grid", "1e13:1.00000000000001e13:3,0:1:3"])
+    assert rc == 2
+    assert "lost in rounding at (10000000000000.0, 0.0)" in capsys.readouterr().err
+
+
 def test_residual_parametric_tlms_takes_the_tlms_mesh_defaults(capsys):
     rc = main(["residual", "parametric", "--source", "tlms", "--metric", "l3",
                "--grid", "0:0.8:5,0:0.8:5"])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from test_report import LoopStats
-from zmcsurf import catalog, expr, foliation, zmc
+from zmcsurf import catalog, expr, foliation, reps, zmc
 from zmcsurf.catalog import builtin_surface, identity_terms
 from zmcsurf.errors import DomainViolation
 from zmcsurf.foliation import LeafSurface
@@ -477,6 +477,19 @@ def test_a_residual_sweep_whose_stencil_collapses_fails_instead_of_passing():
     with pytest.raises(DomainViolation, match="lost in rounding"):
         zmc.residual_sweep(builtin_surface("helicoid"), "minimal",
                            GridSpec(1e300, 1.7e308, 1, 2, 3, 3), method="central-diff")
+
+
+@pytest.mark.parametrize("sampler, metric", [
+    (reps.TLMSSampler(reps.TLMSData.from_text("1", "1", "u", "v")), zmc.LORENTZ3),
+    (reps.BCSampler(reps.BCData.from_text("r", "s")), zmc.LORENTZ3_PRIME),
+], ids=["tlms", "bc"])
+def test_a_parametric_stencil_whose_shifts_round_to_its_centre_is_a_domain_violation(
+        sampler, metric):
+    # u = 1e13 has ulp 2^-9, so u + 1e-4 rounds back to u
+    grid = GridSpec(1e13, 1e13 * (1 + 1e-15), 0, 1, 3, 3)
+    with pytest.raises(DomainViolation, match="lost in rounding") as got:
+        zmc.parametric_sweep(sampler, metric, grid, use_exact_jet=False)
+    assert got.value.points == [(1e13, 0.0)]
 
 
 def test_foliation_check_equals_the_per_point_loop():

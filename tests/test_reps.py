@@ -14,7 +14,7 @@ from test_meshio_arrays import _EXTREME_BOUNDS
 from test_report import LoopStats
 from zmcsurf import catalog, reps, zmc
 from zmcsurf.errors import EmptyGrid
-from zmcsurf.expr import EvalDomainError
+from zmcsurf.expr import EvalDomainError, parse
 from zmcsurf.meshio import GridSpec, sample_patch
 from zmcsurf.reps import (
     BCData,
@@ -113,6 +113,27 @@ def test_near_pole_path_does_not_converge():
     data = WEData.from_text("1/w", "w", zeta0=complex(-1, 1e-9))
     with pytest.raises((NoConvergence, SingularPath)):
         we_point(data, complex(1, 1e-9))
+
+
+def test_a_far_point_converges_on_the_rounding_floor_of_its_integrals():
+    # Each level integrates the cubic exactly, but at |zeta| = 1000 two levels of
+    # the ~1e10 first integral differ by more than the absolute tolerance.
+    point = we_point(WEData.from_text("1 + 0.2*w", "0.4*w", mode="maximal"), 1000 + 0.3j)
+    w = 1000 + 0.3j
+    want = ((w + 0.1 * w**2 + 0.16 / 3 * w**3 + 0.008 * w**4).real,
+            (1j * (w + 0.1 * w**2 - 0.16 / 3 * w**3 - 0.008 * w**4)).real,
+            (-0.4 * w**2 - 0.16 / 3 * w**3).real)
+    assert point == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_the_rounding_floor_of_a_huge_integrand_does_not_excuse_a_small_one():
+    # exp(50w)/(w - 0.25) is about 1e20 on this path and converges on its own
+    # floor; 1/w passes 1e-4 from its pole and must still meet the tolerance.
+    huge, small = (parse(t) for t in ("exp(50*w)/(w-0.25)", "1/w"))
+    _, errors = reps.integrate_segments([huge], -1 + 1e-4j, 1 + 1e-4j)
+    assert errors == [None]
+    _, errors = reps.integrate_segments([huge, small], -1 + 1e-4j, 1 + 1e-4j)
+    assert isinstance(errors[0], NoConvergence)
 
 
 def test_reduced_mode_pins_g_to_identity():

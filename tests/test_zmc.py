@@ -20,7 +20,6 @@ from zmcsurf.zmc import (
     LORENTZ3,
     LORENTZ3_PRIME,
     DegenerateMetric,
-    ExactUnavailable,
     GraphJet,
     SignatureMetric,
     graph_jet,
@@ -73,8 +72,6 @@ def test_exact_jet_unavailable_is_not_silently_replaced():
     bare = catalog.HeightSurface(
         "bare", "generic", lambda x, y: (x + 0j) * y,
         lambda x, y, m: True, None, GridSpec(-1, 1, -1, 1, 11, 11))
-    with pytest.raises(ExactUnavailable):
-        graph_jet(bare, 0.1, 0.1, method="exact")
     jet = graph_jet(bare, 0.5, 0.25, method="central-diff")
     assert jet.z_xy == pytest.approx(1.0, abs=1e-8)
 
@@ -205,16 +202,18 @@ class _Creased(_Formula):
 
 def test_plane_numerator_is_exactly_zero():
     for metric in (EUCLID3, LORENTZ3, LORENTZ3_PRIME):
-        assert parametric_zmc_numerator(_Plane(), metric, 0.3, -0.8) == 0.0
+        assert parametric_zmc_numerator(_Plane(), metric, 0.3, -0.8,
+                                        use_exact_jet=False) == 0.0
 
 
 def test_sphere_is_a_negative_control():
-    assert abs(parametric_zmc_numerator(_Sphere(), EUCLID3, 0.3, 0.0)) > 0.5
+    assert abs(parametric_zmc_numerator(_Sphere(), EUCLID3, 0.3, 0.0,
+                                        use_exact_jet=False)) > 0.5
 
 
 def test_degenerate_first_fundamental_form():
     with pytest.raises(DegenerateMetric):
-        parametric_zmc_numerator(_Pinched(), EUCLID3, 0.1, 0.1)
+        parametric_zmc_numerator(_Pinched(), EUCLID3, 0.1, 0.1, use_exact_jet=False)
 
 
 def test_graph_lift_cross_validates_graph_residual():
@@ -372,9 +371,9 @@ def test_overflowing_parametric_point_is_non_finite():
 
 def test_degenerate_sweep_names_the_first_degenerate_lattice_point():
     with pytest.raises(DegenerateMetric, match=r"degenerate at \(-1\.0, -1\.0\)$"):
-        zmc.parametric_sweep(_Pinched(), EUCLID3, _SMALL)
+        zmc.parametric_sweep(_Pinched(), EUCLID3, _SMALL, use_exact_jet=False)
     with pytest.raises(DegenerateMetric, match=r"degenerate at \(0\.0, -1\.0\)$"):
-        zmc.parametric_sweep(_Creased(), EUCLID3, _SMALL)
+        zmc.parametric_sweep(_Creased(), EUCLID3, _SMALL, use_exact_jet=False)
 
 
 @pytest.mark.parametrize("sampler, metric, grid, poles", [
