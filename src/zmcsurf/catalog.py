@@ -60,11 +60,15 @@ PI = math.pi
 
 
 class UnknownSurface(KeyError):
-    """Surface id not in the registry."""
+    """Surface id not in the registry, or its parameters are malformed."""
+
+    __str__ = Exception.__str__  # the message, without KeyError's repr quotes
 
 
 class UnknownIdentity(KeyError):
     """Identity id not in the registry."""
+
+    __str__ = Exception.__str__
 
 
 class ParamDomainError(ValueError):
@@ -337,6 +341,14 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
+def _plane(rest) -> HeightSurface:
+    """``plane:a,b``; ``plane`` alone is z = 0."""
+    ab = rest.split(",") if rest else ("0", "0")
+    if len(ab) != 2:
+        raise ValueError(f"plane takes a,b, got {rest!r}")
+    return _plane_surface(*map(float, ab))
+
+
 def _expr_surface(text: str) -> HeightSurface:
     """A user graph: its tape on arrays of any size, its tree's scalar ``eval``
     at a 0-d point (complex values, nan where the walk raises; real points take
@@ -386,7 +398,7 @@ _SURFACES = {
     "helicoid": _fixed(_helicoid_surface),
     "scherk2max": _fixed(lambda: _log_ratio_surface("scherk2max")),
     "scherkBI": _fixed(lambda: _log_ratio_surface("scherkBI")),
-    "plane": lambda rest: _plane_surface(*(map(float, rest.split(",")) if rest else (0.0, 0.0))),
+    "plane": _plane,
 }
 
 BUILTIN_SURFACES = tuple(_SURFACES)
@@ -398,10 +410,10 @@ def builtin_surface(surface_id: str) -> HeightSurface:
         return _expr_surface(surface_id[len("expr:"):])
     name, colon, rest = surface_id.partition(":")
     if name not in _SURFACES:
-        raise UnknownSurface(surface_id)
+        raise UnknownSurface(f"unknown surface {surface_id!r}")
     try:
         return _SURFACES[name](rest if colon else None)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UnknownSurface(f"bad surface id {surface_id!r}: {exc}") from exc
 
 
@@ -645,14 +657,25 @@ _IDENTITY_BUILDERS = {
 
 IDENTITY_IDS = tuple(sorted(_IDENTITY_BUILDERS))
 
+# The parameters each identity takes; the others take none.
+_IDENTITY_PARAMS = {"kamien-decomp": ("beta",), "general-scaled": ("surface", "a", "b", "d", "c")}
+
 
 def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> IdentityInstance:
-    """Instantiate an identity from the registry with its default branch policy."""
+    """Instantiate an identity from the registry with its default branch policy.
+
+    A parameter the identity does not take is a ParamDomainError that names it
+    and the parameters the identity takes; so is a non-finite number.
+    """
     if identity_id not in _IDENTITY_BUILDERS:
-        raise UnknownIdentity(identity_id)
+        raise UnknownIdentity(f"unknown identity {identity_id!r}")
     if isinstance(n, bool) or not hasattr(type(n), "__index__") or operator.index(n) < 1:
         raise ParamDomainError(f"n must be a positive integer, got {n!r}")
+    accepted = _IDENTITY_PARAMS.get(identity_id, ())
     for name, value in (params or {}).items():
+        if name not in accepted:
+            raise ParamDomainError(f"{identity_id} has no parameter {name!r}; it takes "
+                                   f"{', '.join(accepted) or 'none'}")
         try:
             finite = np.isfinite(np.asarray(value, dtype=complex)).all()
         except (TypeError, ValueError):
@@ -669,6 +692,7 @@ def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> I
 BRANCH_POLICIES = ("principal", "mod-pi", "mod-2pi-i", "multiplicative")
 
 PROBE_MARGIN = 0.05
+PROBE_TOLERANCE = 1e-9
 
 _TWO_PI = 2 * PI
 
@@ -737,14 +761,13 @@ def verify_identity(inst: IdentityInstance, grid: GridSpec, tolerance: float = 1
     return _sweep(inst, u, v, BroadcastRows(u, v), policy, tolerance, grid, grid.margin)
 
 
-def verify_identity_at(inst: IdentityInstance, points, tolerance: float = 1e-9,
-                       policy: Optional[str] = None) -> VerificationReport:
+def verify_identity_at(inst: IdentityInstance, points) -> VerificationReport:
     """Verify at explicit probe points (real or complex pairs), which must clear
-    every term's singularity margin ``PROBE_MARGIN``."""
+    every term's singularity margin ``PROBE_MARGIN``, to ``PROBE_TOLERANCE``."""
     points = list(points)
     x = np.array([p[0] for p in points])
     y = np.array([p[1] for p in points])
-    return _sweep(inst, x, y, points, policy, tolerance, None, PROBE_MARGIN,
+    return _sweep(inst, x, y, points, None, PROBE_TOLERANCE, None, PROBE_MARGIN,
                   {"probes": len(points), "margin": PROBE_MARGIN})
 
 

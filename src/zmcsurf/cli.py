@@ -4,11 +4,11 @@ and the foliation, with machine-readable JSON reports.
 Every flag is declared once, in ``_FLAGS``, with its argparse keywords and
 the converter of its text (or ``--config`` value); each subcommand in
 ``_COMMANDS`` names its flags and the keywords it changes.  One pass after
-parsing converts every value, so a malformed or non-finite number is a
-one-line usage error that names its flag.  A flag that takes a value takes the
-next token if it starts with one ``-`` (``--zeta -i``).  A JSON config file
-may give any flag's value under its name without dashes (flags win); any
-other key is a usage error.
+parsing converts every value, so a malformed or non-finite number, or a
+negative ``--tol``, is a one-line usage error that names its flag.  A flag
+that takes a value takes the next token if it starts with one ``-``
+(``--zeta -i``).  A JSON config file may give any flag's value under its name
+without dashes (flags win); any other key is a usage error.
 
 Exit codes: 0 when every requested check passes, 1 on a failed check (the
 report is still written), 2 on usage errors.  Grid specs are written
@@ -54,6 +54,13 @@ def _number(value, flag: str) -> float:
         raise argparse.ArgumentTypeError(f"{flag} must be a number, got {value!r}") from None
     if not math.isfinite(number):
         raise argparse.ArgumentTypeError(f"{flag} must be finite, got {value!r}")
+    return number
+
+
+def _non_negative(value, flag: str) -> float:
+    number = _number(value, flag)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"{flag} must not be negative, got {value!r}")
     return number
 
 
@@ -277,7 +284,7 @@ _FLAGS = {
     "grid": {"default": "0:0.8:21,0:0.8:21",
              "convert": lambda value, flag: GridSpec.parse(str(value))},
     "policy": {"choices": list(catalog.BRANCH_POLICIES)},
-    "tol": {"convert": _number},
+    "tol": {"convert": _non_negative},
     "report": {},
     "equation": {"choices": ["minimal", "maximal", "bi"], "default": "minimal"},
     "surface": {"default": "scherk2"},

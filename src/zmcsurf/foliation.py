@@ -125,11 +125,12 @@ def LeafSurface(t: float = 0.0) -> HeightSurface:
 
 
 # Half-width of the pairs straddling a band boundary, the tolerances of the
-# two sub-checks of ``foliation_check``, its bound on rounds of random draws
-# and on the band boundaries of its window.
+# two sub-checks of ``foliation_check``, its count of random points, its bound
+# on rounds of random draws and on the band boundaries of its window.
 BOUNDARY_DELTA = 1e-7
 BOUNDARY_TOLERANCE = 1e-6
 ROUNDTRIP_TOLERANCE = 1e-12
+RANDOM_POINTS = 2000
 DRAW_ROUNDS = 1000
 MAX_BOUNDARIES = 10_000
 
@@ -143,25 +144,24 @@ def _uniforms(rng: random.Random, count: int) -> np.ndarray:
     return ((a >> 5) * 67108864.0 + (b >> 6)) / 2**53
 
 
-def foliation_check(grid, t_samples, n_random: int = 2000,
-                    seed: int = 20240901) -> VerificationReport:
+def foliation_check(grid, t_samples, seed: int = 20240901) -> VerificationReport:
     """Continuity, coverage, and disjointness checks for the leaf family.
 
     (a) band-boundary continuity: straddling pairs x = (2k+1)*pi +- delta for
         every boundary inside the grid window, max |F difference| = O(delta),
         against ``BOUNDARY_TOLERANCE``;
-    (b) disjointness/coverage: for random admissible points and every t in
-        ``t_samples``, recovering t from the embedded leaf point is exact, to
-        ``ROUNDTRIP_TOLERANCE``;
+    (b) disjointness/coverage: for ``RANDOM_POINTS`` random admissible points
+        and every t in ``t_samples``, recovering t from the embedded leaf
+        point is exact, to ``ROUNDTRIP_TOLERANCE``;
     (c) the graph property holds by construction (single-valued height).
 
     The report's max/mean error, tolerance and worst point are those of the
     sub-check with the larger max error / tolerance ratio (the roundtrip when
     the window holds no band boundary), so the report passes exactly when both
     sub-checks pass.  Both sub-checks' max and mean are also in the
-    parameters.  A window without boundaries and ``n_random=0`` checks
-    nothing, and a window that yields fewer than ``n_random`` admissible points
-    in ``DRAW_ROUNDS`` rounds of draws cannot be checked (EmptyGrid both).
+    parameters.  A window without boundaries and ``RANDOM_POINTS = 0`` checks
+    nothing, and a window that yields fewer than ``RANDOM_POINTS`` admissible
+    points in ``DRAW_ROUNDS`` rounds of draws cannot be checked (EmptyGrid both).
     A window with more than ``MAX_BOUNDARIES`` band boundaries raises
     TooManyBoundaries, and one with a band boundary where the spacing of
     doubles at its wider end exceeds ``BOUNDARY_DELTA`` (|x| from about 5.4e8)
@@ -196,14 +196,14 @@ def foliation_check(grid, t_samples, n_random: int = 2000,
     lo, hi = np.array([grid.u_min, grid.v_min]), np.array([grid.u_max, grid.v_max])
     x = y = np.empty(0)
     for _ in range(DRAW_ROUNDS):
-        m = n_random - x.size
+        m = RANDOM_POINTS - x.size
         if m <= 0:
             break
         draws = lo + (hi - lo) * _uniforms(rng, 2 * m).reshape(m, 2)
         keep = np.hypot(_band(draws[:, 0])[1], draws[:, 1]) > margin
         x, y = np.concatenate([x, draws[keep, 0]]), np.concatenate([y, draws[keep, 1]])
-    if x.size < n_random:
-        raise EmptyGrid(f"only {x.size} of {n_random} random points are admissible "
+    if x.size < RANDOM_POINTS:
+        raise EmptyGrid(f"only {x.size} of {RANDOM_POINTS} random points are admissible "
                         f"after {DRAW_ROUNDS} rounds of draws in the window")
     checked = x.size
     t = np.array(t_samples, dtype=float)

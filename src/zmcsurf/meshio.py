@@ -142,9 +142,6 @@ class SurfacePatch:
         self.points = np.asarray(self.points, dtype=float).reshape(self.nu * self.nv, 3)
         self.valid = np.asarray(self.valid, dtype=bool).reshape(self.nu * self.nv)
 
-    def index(self, i: int, j: int) -> int:
-        return i * self.nv + j
-
     def valid_count(self) -> int:
         return int(self.valid.sum())
 

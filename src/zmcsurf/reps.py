@@ -95,9 +95,11 @@ class JacobianSingular(ArithmeticError):
 # enough that a chunk's complex128 temporaries stay in a 2 MiB L2 cache.
 _MAX_NODES = 1 << 13
 _SHEET_MU = 0.5  # InvertedGraphSampler's bound on |full Newton step - edge| / |edge|
+_TOL = 1e-10  # two successive levels of a segment agree within it
+_MAX_SEGMENTS = 1024  # an endpoint that needs more sub-segments is NoConvergence
 # Two levels of one integrand also agree where they differ by less than this
 # multiple of the level's magnitude: the rounding floor of a large integral,
-# which the absolute tolerance cannot reach (it exceeds 1e-10 above ~440).
+# which the absolute tolerance cannot reach (it exceeds _TOL above ~440).
 _ROUNDING_FLOOR = 1024 * np.finfo(float).eps
 
 
@@ -153,7 +155,7 @@ def _singular(node, exc):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite length or sum is a SingularPath
-def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int = 1024):
+def integrate_segments(integrands, z0, z1):
     """Integrate each expression along every straight segment [z0[k], z1[k]].
 
     ``integrands`` is a ``Tape`` or a sequence of expressions in one variable.
@@ -164,8 +166,8 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
 
     Composite rule: 16-node Gauss-Legendre panels on 1, 2, 4, ... equal
     sub-segments, refined until two successive levels agree in every
-    integrand, within ``tol`` or within ``_ROUNDING_FLOOR`` times that
-    integrand's own level value (NoConvergence past ``max_segments``).
+    integrand, within ``_TOL`` or within ``_ROUNDING_FLOOR`` times that
+    integrand's own level value (NoConvergence past ``_MAX_SEGMENTS``).
     Singularities are detected by sampling: a node or an interior panel
     boundary where an integrand fails to evaluate finitely makes that
     segment's SingularPath (a pole at a boundary would otherwise cancel into
@@ -199,7 +201,7 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
     prev = None
     nseg = 1
     while active.size:
-        levels = (nseg,) if prev is not None or 2 * nseg > max_segments else (nseg, 2 * nseg)
+        levels = (nseg,) if prev is not None or 2 * nseg > _MAX_SEGMENTS else (nseg, 2 * nseg)
         t, starts, weights = _pass_rule(levels)
         cur = np.empty((len(levels), len(tape), active.size), dtype=complex)
         first = {}  # endpoint row -> (its lowest failing column, integrand, node, error)
@@ -228,19 +230,19 @@ def integrate_segments(integrands, z0, z1, tol: float = 1e-10, max_segments: int
         for level_cur in cur:
             if prev is not None:
                 diff = np.abs(level_cur - prev)
-                done = alive & (diff.max(axis=0) < tol)
-                if (done != alive).any():  # the floor, only once tol fails somewhere
-                    floor = np.maximum(tol, _ROUNDING_FLOOR * np.abs(level_cur))
+                done = alive & (diff.max(axis=0) < _TOL)
+                if (done != alive).any():  # the floor, only once _TOL fails somewhere
+                    floor = np.maximum(_TOL, _ROUNDING_FLOOR * np.abs(level_cur))
                     done = alive & (diff < floor).all(axis=0)
                 values[:, active[done]] = level_cur[:, done]
                 alive &= ~done
             prev = level_cur
             nseg *= 2
-            if nseg > max_segments:
+            if nseg > _MAX_SEGMENTS:
                 for k in active[alive].tolist():
                     errors[k] = NoConvergence(
                         f"quadrature on [{complex(z0[k])!r}, {complex(z1[k])!r}] did not "
-                        f"converge within {max_segments} segments")
+                        f"converge within {_MAX_SEGMENTS} segments")
                 alive[:] = False
                 break
         active, prev = active[alive], prev[:, alive]
@@ -454,7 +456,7 @@ def verify_split(data: WEData, weights: Sequence[float] = None, n_samples: int =
         phi = 2 * math.pi * rng.random()
         zetas.append(data.zeta0 + r * cmath.exp(1j * phi))
     # One quadrature over the integrand triples of the parent and every piece: a
-    # probe stops once all agree within tol, so each is refined as far as the
+    # probe stops once all agree within _TOL, so each is refined as far as the
     # slowest.  The first failing probe raises its first failing node (the
     # parent's first), else its NoConvergence or overflow.
     tape = Tape([e for d in (data, *split) for e in d.integrands])

@@ -85,7 +85,7 @@ FD_STEP = 1e-4
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 
 
-def _shifts(u, v, h):
+def _shifts(u, v):
     """The stencil as broadcast axes: the 5 shifts of u in shape (5, 1, *u.shape)
     and the 5 of v in shape (1, 5, *v.shape), u and v first brought to one ndim.
     Their broadcast, reshaped to (25, ...), has shift (di, dj) in row
@@ -96,19 +96,19 @@ def _shifts(u, v, h):
     """
     ndim = max(np.ndim(u), np.ndim(v))
     u, v = (np.reshape(t, (1,) * (ndim - np.ndim(t)) + np.shape(t)) for t in (u, v))
-    su, sv = (np.stack([t + d * h if d else t for d in range(-2, 3)]) for t in (u, v))
+    su, sv = (np.stack([t + d * FD_STEP if d else t for d in range(-2, 3)]) for t in (u, v))
     lost = (su[[0, 1, 3, 4]] == u).any(axis=0) | (sv[[0, 1, 3, 4]] == v).any(axis=0)
     if lost.any():
         k = np.flatnonzero(lost)[0]
         point = tuple(np.broadcast_to(t + 0.0, lost.shape).flat[k].item() for t in (u, v))
-        raise DomainViolation(f"stencil step {h!r} is lost in rounding at {point!r}", [point])
+        raise DomainViolation(f"stencil step {FD_STEP} is lost in rounding at {point!r}", [point])
     return su[:, None], sv[None]
 
 
-def _stencil(u, v, h):
+def _stencil(u, v):
     """The 25 shifted copies of (u, v), the broadcast of ``_shifts``, in shape
     (25, *shape)."""
-    su, sv = np.broadcast_arrays(*_shifts(u, v, h))
+    su, sv = np.broadcast_arrays(*_shifts(u, v))
     return su.reshape(25, *su.shape[2:]), sv.reshape(25, *sv.shape[2:])
 
 
@@ -118,12 +118,13 @@ _EVAL_ORDER = [5 * di + dj + 12 for di, dj in [(0, 0)] + [(d, 0) for d, _ in _D1
                + [(0, d) for d, _ in _D1] + [(di, dj) for di, _ in _D1 for dj, _ in _D1]]
 
 
-def _central_jet(f, h):
-    """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) with step h
-    from the values ``f`` at a ``_stencil``, an array of shape (25, ...)."""
+def _central_jet(f):
+    """5-point central-difference jet (f, f_u, f_v, f_uu, f_uv, f_vv) with step
+    ``FD_STEP`` from the values ``f`` at a ``_stencil``, an array of shape (25, ...)."""
     def at(di, dj):
         return f[5 * di + dj + 12]
 
+    h = FD_STEP
     z = at(0, 0)
     zu = sum(c * at(d, 0) for d, c in _D1) / (12 * h)
     zv = sum(c * at(0, d) for d, c in _D1) / (12 * h)
@@ -133,13 +134,13 @@ def _central_jet(f, h):
     return z, zu, zv, zuu, zuv, zvv
 
 
-def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> GraphJet:
+def graph_jets(surface, x, y, method: str = "exact") -> GraphJet:
     """Second-order jets of a height surface at every point of the arrays x, y.
 
     ``method="exact"`` uses the surface's closed-form/symbolic jet.
-    ``method="central-diff"`` evaluates the 5-point stencil with step h as one
-    stack (one ``heights`` call) on the broadcast axes of ``_shifts``, so work
-    on one coordinate runs on its 5 shifts alone.  A step lost in rounding
+    ``method="central-diff"`` evaluates the 5-point stencil with step ``FD_STEP``
+    as one stack (one ``heights`` call) on the broadcast axes of ``_shifts``, so
+    work on one coordinate runs on its 5 shifts alone.  A step lost in rounding
     raises ``_shifts``' DomainViolation before any height is evaluated; a
     stencil point whose height is not finite raises one with the first
     failing shift's first five (di-major).  Entries are arrays that broadcast
@@ -153,7 +154,7 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
     if method != "central-diff":
         raise ValueError(f"unknown jet method {method!r}")
 
-    su, sv = _shifts(x, y, h)
+    su, sv = _shifts(x, y)
     shape = np.broadcast_shapes(su.shape, sv.shape)
     f = np.broadcast_to(surface.heights(su, sv), shape).reshape(25, *shape[2:])
     bad = ~np.isfinite(f).reshape(25, -1)
@@ -164,7 +165,7 @@ def graph_jets(surface, x, y, method: str = "exact", h: float = FD_STEP) -> Grap
         raise DomainViolation(f"stencil leaves the domain of {surface.id!r}",
                               list(zip(pu, pv))[:5])
     with np.errstate(all="ignore"):
-        return GraphJet(*_central_jet(f, h))
+        return GraphJet(*_central_jet(f))
 
 
 def one_point(x, y):
@@ -178,10 +179,10 @@ def one_point(x, y):
     return x, y
 
 
-def graph_jet(surface, x: float, y: float, method: str = "exact", h: float = FD_STEP) -> GraphJet:
+def graph_jet(surface, x: float, y: float, method: str = "exact") -> GraphJet:
     """Second-order jet of a height surface at (x, y): the one-point case of
     ``graph_jets``."""
-    jet = graph_jets(surface, *one_point(x, y), method, h)
+    jet = graph_jets(surface, *one_point(x, y), method)
     return GraphJet(*(np.ravel(getattr(jet, name))[0].item() for name in _JET_FIELDS))
 
 
@@ -261,13 +262,13 @@ def parametric_zmc_numerator(sampler, metric: SignatureMetric, u, v,
     if use_exact_jet:
         jet = sampler.jet(u, v)
     else:
-        coords, errors = sampler.points(*(t.reshape(-1) for t in _stencil(u, v, FD_STEP)))
+        coords, errors = sampler.points(*(t.reshape(-1) for t in _stencil(u, v)))
         for failed in filter(None, np.array(errors, object).reshape(25, -1)[_EVAL_ORDER].flat):
             raise failed  # the first failing point of the first failing shift
         stack = np.array(coords, float).reshape(3, 25, -1).swapaxes(0, 1)
 
     with np.errstate(all="ignore"):  # an overflowing difference is a NaN point
-        xu, xv, xuu, xuv, xvv = jet if use_exact_jet else _central_jet(stack, FD_STEP)[1:]
+        xu, xv, xuu, xuv, xvv = jet if use_exact_jet else _central_jet(stack)[1:]
         E = metric.inner(xu, xu)
         F = metric.inner(xu, xv)
         G = metric.inner(xv, xv)

@@ -338,6 +338,33 @@ def test_a_non_finite_parameter_is_rejected_by_name(identity, params, name):
         identity_terms(identity, 2, params)
 
 
+@pytest.mark.parametrize("identity, params, accepted", [
+    ("kamien-decomp", {"bta": 0.5}, "beta"),
+    ("scherk2-decomp", {"c": 1.0}, "none"),
+    ("scherk2max-decomp", {"beta": 0.5}, "none"),
+    ("scherkBI-decomp", {"c": [0.0, 1.0]}, "none"),
+    ("helicoid-decomp", {"beta": 0.5}, "none"),
+    ("general-scaled", {"surface": "scherk2", "C_n": 1.0}, "surface, a, b, d, c"),
+], ids=["kamien", "scherk2", "scherk2max", "scherkBI", "helicoid", "general-scaled"])
+def test_an_unknown_parameter_is_rejected_by_name(identity, params, accepted):
+    name = list(params)[-1]
+    with pytest.raises(ParamDomainError) as got:
+        identity_terms(identity, 2, params)
+    assert str(got.value) == f"{identity} has no parameter {name!r}; it takes {accepted}"
+
+
+def test_registry_errors_print_their_message_without_quotes():
+    with pytest.raises(UnknownSurface) as got:
+        builtin_surface("nope")
+    assert isinstance(got.value, KeyError) and str(got.value) == "unknown surface 'nope'"
+    with pytest.raises(UnknownSurface) as got:
+        builtin_surface("plane:1,2,3")
+    assert str(got.value) == "bad surface id 'plane:1,2,3': plane takes a,b, got '1,2,3'"
+    with pytest.raises(UnknownIdentity) as got:
+        identity_terms("machin", 2)
+    assert isinstance(got.value, KeyError) and str(got.value) == "unknown identity 'machin'"
+
+
 def test_tower_identity_rejects_degenerate_angles():
     with pytest.raises(ParamDomainError):
         identity_terms("kamien-decomp", 2, {"beta": 0.0})

@@ -434,6 +434,39 @@ def test_an_output_that_cannot_be_written_is_a_one_line_usage_error(argv, target
     assert leftovers == [] and (tmp_path / "plain").read_text() == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["identity", "verify", "--identity", "kamien-decomp", "--n", "2", "--param", "bta=0.5",
+      "--grid=-2:2:5,0.4:5.88:5"],
+     "kamien-decomp has no parameter 'bta'; it takes beta"),
+    (["identity", "verify", "--identity", "scherk2-decomp", "--n", "2", "--param", "c=1",
+      "--grid=-1:1:5,-1:1:5"], "scherk2-decomp has no parameter 'c'; it takes none"),
+    (["surface", "eval", "--name", "nope", "--x", "0", "--y", "0"], "unknown surface 'nope'"),
+    (["surface", "eval", "--name", "plane:1,2,3", "--x", "0", "--y", "0"],
+     "bad surface id 'plane:1,2,3': plane takes a,b, got '1,2,3'"),
+    (["identity", "verify", "--identity", "helicoid-decomp", "--n", "2",
+      "--grid", "0.1:1:3,0:1:3", "--tol", "-1"], "--tol must not be negative, got '-1'"),
+], ids=["misspelled-parameter", "parameter-of-none", "unknown-surface", "plane-arity",
+        "negative-tol"])
+def test_an_unknown_name_or_a_negative_tol_is_a_one_line_usage_error(argv, message, tmp_path,
+                                                                     capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = ["--report", "r.json"] if argv[0] == "identity" else []
+    assert main(argv + report) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_negative_tol_from_a_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"tol": -1e-9}))
+    report = tmp_path / "r.json"
+    assert main(["--config", str(path), "identity", "verify", "--identity", "helicoid-decomp",
+                 "--n", "2", "--grid", "0.1:1:3,0:1:3", "--report", str(report)]) == 2
+    assert capsys.readouterr().err == "error: --tol must not be negative, got -1e-09\n"
+    assert not report.exists()
+
+
 def test_unknown_surface_is_a_usage_error(capsys):
     assert main(["surface", "eval", "--name", "gyroid", "--x", "0", "--y", "0"]) == 2
     assert "error" in capsys.readouterr().err

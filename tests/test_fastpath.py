@@ -22,7 +22,7 @@ import pytest
 from test_lattice import per_shift_central_jet
 from test_meshio_arrays import _POINT_ERRORS, _same_patch, reference_point, reference_sample
 
-from zmcsurf import catalog, zmc
+from zmcsurf import catalog, reps, zmc
 from zmcsurf.expr import (
     FUNCTIONS,
     Binary,
@@ -199,10 +199,10 @@ def _reference_outcome(integrands, z0, z1, max_segments):
     (WEData.from_text("1/w", "w", zeta0=1.0), [-1.0, -3.0, -0.5, 0.5 + 0.5j]),
     (WEData.from_text("1/(w - 0.3)", "w"), [0.3 + 0.0j, 0.2 + 0.2j, 0.6 - 0.1j]),
 ])
-def test_batched_quadrature_matches_per_point_reference(data, targets):
+def test_batched_quadrature_matches_per_point_reference(data, targets, monkeypatch):
     max_segments = 64
-    values, errors = integrate_segments(data.integrands, data.zeta0, targets,
-                                        max_segments=max_segments)
+    monkeypatch.setattr(reps, "_MAX_SEGMENTS", max_segments)
+    values, errors = integrate_segments(data.integrands, data.zeta0, targets)
     for k, target in enumerate(targets):
         want, want_error = _reference_outcome(data.integrands, data.zeta0, target,
                                               max_segments)
@@ -225,6 +225,14 @@ def test_single_segment_call_raises_the_batch_error():
     assert str(exc.value) == str(errors[0])
     near_pole = WEData.from_text("1/w", "w", zeta0=complex(-1, 1e-9))
     with pytest.raises(NoConvergence):
+        integrate_segment(near_pole.integrands, near_pole.zeta0, complex(1, 1e-9))
+
+
+def test_no_convergence_names_the_segment_cap(monkeypatch):
+    # The cap is read when the quadrature runs, and its error names it.
+    monkeypatch.setattr(reps, "_MAX_SEGMENTS", 8)
+    near_pole = WEData.from_text("1/w", "w", zeta0=complex(-1, 1e-9))
+    with pytest.raises(NoConvergence, match=r"did not converge within 8 segments$"):
         integrate_segment(near_pole.integrands, near_pole.zeta0, complex(1, 1e-9))
 
 
@@ -537,10 +545,11 @@ def _mp_integral(mp, e, z0, z1):
     # the pole at 1.1 lies 0.28 and 0.16 from the path ends
     (WEData.reduced("1/(w - 1.1)"), [0.9 + 0.2j, 0.95 - 0.05j]),
 ])
-def test_quadrature_meets_its_tolerance_against_mpmath(data, targets):
+def test_quadrature_meets_its_tolerance_against_mpmath(data, targets, monkeypatch):
     mp = pytest.importorskip("mpmath")
     tol = 1e-10
-    values, errors = integrate_segments(data.integrands, data.zeta0, targets, tol=tol)
+    monkeypatch.setattr(reps, "_TOL", tol)
+    values, errors = integrate_segments(data.integrands, data.zeta0, targets)
     assert errors == [None] * len(targets)
     for k, target in enumerate(targets):
         for e, got in zip(data.integrands, values[:, k]):

@@ -191,20 +191,22 @@ def test_foliation_check_needs_leaf_shifts():
         foliation_check(GridSpec(-3, 3, -3, 3, 11, 11), [])
 
 
-def test_foliation_check_that_checks_nothing_is_empty():
+def test_foliation_check_that_checks_nothing_is_empty(monkeypatch):
     # No band boundary lies in (0.1, 1) and no random point is drawn.
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 0)
     with pytest.raises(EmptyGrid):
-        foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0], n_random=0)
+        foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0])
 
 
 @pytest.mark.parametrize("grid", [
     GridSpec(-0.5, 0.5, -0.5, 0.5, 3, 3, 1.0),           # the margin covers the window
     GridSpec(-1e-300, 1e-300, -1e-300, 1e-300, 3, 3),  # the window is inside the margin
 ], ids=["margin", "tiny"])
-def test_a_window_without_admissible_points_is_empty_not_a_hang(grid):
+def test_a_window_without_admissible_points_is_empty_not_a_hang(grid, monkeypatch):
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 5)
     with pytest.raises(EmptyGrid, match=r"only 0 of 5 random points are admissible after "
                                         rf"{foliation.DRAW_ROUNDS} rounds"):
-        foliation_check(grid, [0.0], n_random=5)
+        foliation_check(grid, [0.0])
 
 
 def test_foliation_report_headline_is_one_sub_check():
@@ -221,9 +223,10 @@ def test_foliation_report_headline_is_one_sub_check():
     assert 0.0 <= p["roundtrip_mean"] <= p["roundtrip_max"]
 
 
-def test_window_without_boundaries_reports_the_roundtrip():
+def test_window_without_boundaries_reports_the_roundtrip(monkeypatch):
     # No band boundary lies in (0.1, 1): only roundtrip points are checked.
-    report = foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0], n_random=5)
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 5)
+    report = foliation_check(GridSpec(0.1, 1, -1, 1, 5, 5), [0.0])
     p = report.parameters
     assert p["boundary_pairs"] == 0 and report.points_checked == 5
     assert report.tolerance == ROUNDTRIP_TOLERANCE
@@ -238,8 +241,9 @@ def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch
     real = foliation.leaf_of_point
     monkeypatch.setattr(foliation, "leaf_of_point",
                         lambda x, y, z: real(x, y, z) + 1e-9 * (1.0 + abs(x)))
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 200)
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
-    report = foliation_check(grid, [-1.0, 0.0, 2.5], n_random=200)
+    report = foliation_check(grid, [-1.0, 0.0, 2.5])
     p = report.parameters
     assert not report.passed and not p["roundtrip_pass"]
     assert report.tolerance == p["roundtrip_tolerance"] == 1e-12
@@ -268,7 +272,8 @@ def test_nan_roundtrip_fails_the_report(monkeypatch):
         return out
 
     monkeypatch.setattr(foliation, "leaf_of_point", leaf_of_point_with_nans)
-    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 100)
+    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5])
     p = report.parameters
     assert report.passed is False and p["roundtrip_pass"] is False
     assert report.tolerance == p["roundtrip_tolerance"]
@@ -285,7 +290,8 @@ def test_nan_boundary_pair_fails_the_report(monkeypatch):
         return np.where(near < 1e-6, math.nan, real(x, y))
 
     monkeypatch.setattr(foliation, "leaf_height", leaf_height_nan_at_band_boundaries)
-    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5], n_random=100)
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 100)
+    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5])
     p = report.parameters
     assert report.passed is False and p["roundtrip_pass"] is True
     assert report.tolerance == p["boundary_tolerance"]
@@ -294,21 +300,21 @@ def test_nan_boundary_pair_fails_the_report(monkeypatch):
     assert report.worst_point["coords"] == [-3 * PI, -3.0]
 
 
-def test_a_window_with_too_many_band_boundaries_is_refused_before_it_is_built():
+def test_a_window_with_too_many_band_boundaries_is_refused_before_it_is_built(monkeypatch):
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 1)
     at_bound = GridSpec(0.0, TWO_PI * MAX_BOUNDARIES, -1.0, 1.0, 3, 3)
-    assert foliation_check(at_bound, [0.0], n_random=1).parameters["boundary_pairs"] == (
-        3 * MAX_BOUNDARIES)
+    assert foliation_check(at_bound, [0.0]).parameters["boundary_pairs"] == 3 * MAX_BOUNDARIES
     over = GridSpec(0.0, (2 * MAX_BOUNDARIES + 1) * PI + 1.0, -1.0, 1.0, 3, 3)
     with pytest.raises(TooManyBoundaries, match=rf"^the window holds {MAX_BOUNDARIES + 1} band "
                                                 rf"boundaries, more than the {MAX_BOUNDARIES} "):
-        foliation_check(over, [0.0], n_random=1)
+        foliation_check(over, [0.0])
     # About 3e16 and 3e299 boundaries: numpy could not allocate either.
     for bound in (1e17, 1e300):
         with pytest.raises(TooManyBoundaries, match=r"^the window holds \d{17,300} band "):
             foliation_check(GridSpec(-bound, bound, -1.0, 1.0, 3, 3), [0.0])
 
 
-def test_a_window_whose_boundary_probes_doubles_cannot_place_is_refused():
+def test_a_window_whose_boundary_probes_doubles_cannot_place_is_refused(monkeypatch):
     # Doubles near 1e8 are 1.5e-8 apart: the 16 boundaries of the window are checked.
     near = GridSpec(1e8, 1e8 + 100, -1.0, 1.0, 3, 3)
     assert foliation_check(near, [0.0]).parameters["boundary_pairs"] == 48
@@ -323,12 +329,13 @@ def test_a_window_whose_boundary_probes_doubles_cannot_place_is_refused():
         with pytest.raises(UnplaceableProbes, match=r"^the window reaches \|x\| = "):
             foliation_check(far, [0.0])
     # Near 5.3e8 doubles are 6e-8 apart: the check runs.
-    assert foliation_check(GridSpec(5.3e8, 5.3e8 + 10, -1.0, 1.0, 3, 3), [0.0],
-                           n_random=10).parameters["boundary_pairs"] == 3
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 10)
+    assert foliation_check(GridSpec(5.3e8, 5.3e8 + 10, -1.0, 1.0, 3, 3),
+                           [0.0]).parameters["boundary_pairs"] == 3
     # A far window without a boundary has no probes to place: it checks the roundtrip.
     k = round(1e12 / TWO_PI)
     inside = GridSpec(k * TWO_PI - 1.0, k * TWO_PI + 1.0, 0.5, 1.0, 3, 3)
-    assert foliation_check(inside, [0.0], n_random=10).parameters["boundary_pairs"] == 0
+    assert foliation_check(inside, [0.0]).parameters["boundary_pairs"] == 0
     # The count check comes first.
     with pytest.raises(TooManyBoundaries):
         foliation_check(GridSpec(-1e15, 1e15, -1.0, 1.0, 3, 3), [0.0])
@@ -347,7 +354,9 @@ def test_foliation_checks_on_extreme_windows_give_finite_reports_or_typed_errors
         except ValueError:
             return
         try:
-            report = foliation_check(grid, t, n_random=n_random, seed=seed)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(foliation, "RANDOM_POINTS", n_random)
+                report = foliation_check(grid, t, seed=seed)
         except (DomainViolation, EmptyGrid, TooManyBoundaries, UnplaceableProbes):
             return
     assert math.isfinite(report.max_abs_err) and math.isfinite(report.mean_abs_err)

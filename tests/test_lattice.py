@@ -297,7 +297,20 @@ def test_residual_sweep_equals_the_per_point_loop(surface, method):
     assert _report(zmc.residual_sweep(surface, eq, grid, method=method)) == want
 
 
-def test_lattice_stencil_evaluates_each_of_the_25_points_once():
+def test_a_central_difference_report_records_the_step_its_stencil_used(monkeypatch):
+    # The sweep reads FD_STEP when it runs, for its stencil and for the report's h.
+    monkeypatch.setattr(zmc, "FD_STEP", 1e-3)
+    surface, grid = builtin_surface("scherk2"), GridSpec(-0.8, 0.8, -0.6, 0.6, 9, 7)
+    report = zmc.residual_sweep(surface, "minimal", grid, method="central-diff")
+    r = zmc.graph_residual("minimal", per_shift_graph_jets(surface, *grid.lattice(), h=1e-3))
+    values = [(abs(v), v, 0.0) for v in r.tolist()]
+    points = [xy for _, xy in grid.points()]
+    assert report.parameters["h"] == 1e-3
+    assert _report(report) == _loop_report(points, values, "residual:minimal:scherk2")
+
+
+def test_lattice_stencil_evaluates_each_of_the_25_points_once(monkeypatch):
+    monkeypatch.setattr(zmc, "FD_STEP", 1e-3)
     calls = []
 
     def f(u, v):
@@ -305,15 +318,15 @@ def test_lattice_stencil_evaluates_each_of_the_25_points_once():
         return np.sin(u) * np.cos(2 * v)
 
     u, v = np.linspace(0.1, 0.9, 6), np.linspace(-0.4, 0.3, 6)
-    su, sv = zmc._stencil(u, v, 1e-3)
+    su, sv = zmc._stencil(u, v)
     assert su.shape == sv.shape == (25, 6)
-    lattice = zmc._central_jet(f(su, sv), 1e-3)
+    lattice = zmc._central_jet(f(su, sv))
     assert len(calls) == 1
     want = per_shift_central_jet(f, u, v, 1e-3)
     assert len(calls) == 26
     assert [a.tobytes() for a in lattice] == [b.tobytes() for b in want]
     for k in range(u.size):
-        one = zmc._central_jet(f(*zmc._stencil(float(u[k]), float(v[k]), 1e-3)), 1e-3)
+        one = zmc._central_jet(f(*zmc._stencil(float(u[k]), float(v[k]))))
         assert [repr(float(a)) for a in one] == [repr(float(b[k])) for b in lattice]
 
 
@@ -492,10 +505,11 @@ def test_a_parametric_stencil_whose_shifts_round_to_its_centre_is_a_domain_viola
     assert got.value.points == [(1e13, 0.0)]
 
 
-def test_foliation_check_equals_the_per_point_loop():
+def test_foliation_check_equals_the_per_point_loop(monkeypatch):
     grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
     t_samples = [-1.0, 0.0, 2.5]
-    report = foliation.foliation_check(grid, t_samples, n_random=300, seed=11)
+    monkeypatch.setattr(foliation, "RANDOM_POINTS", 300)
+    report = foliation.foliation_check(grid, t_samples, seed=11)
     boundary, roundtrip = LoopStats(), LoopStats()
     for xb in (-3 * PI, -PI, PI, 3 * PI):
         for y in grid.v_values().tolist():

@@ -92,7 +92,7 @@ def test_grid_axes_broadcast_to_the_lattice():
 def test_sample_height_surface():
     patch = sample_patch(catalog.builtin_surface("scherk2"), GridSpec(-1, 1, -1, 1, 3, 3))
     assert patch.valid_count() == 9
-    center = patch.points[patch.index(1, 1)]
+    center = patch.points[1 * patch.nv + 1]
     assert tuple(center) == (0.0, 0.0, 0.0)
 
 
@@ -103,7 +103,7 @@ def test_sampling_masks_points_outside_the_domain():
     assert 0 < patch.valid_count() < 21 * 5
     for (i, j), (u, v) in GridSpec(0.0, 2.0, -0.5, 0.5, 21, 5).points():
         expected = catalog.builtin_surface("scherk2").domain_ok(u, v, 0.05)
-        assert bool(patch.valid[patch.index(i, j)]) == expected
+        assert bool(patch.valid[i * patch.nv + j]) == expected
 
 
 def test_all_invalid_grid_raises():

@@ -60,8 +60,8 @@ def reference_obj(patch):
             lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
     for i in range(patch.nu - 1):
         for j in range(patch.nv - 1):
-            corners = (patch.index(i, j), patch.index(i + 1, j),
-                       patch.index(i + 1, j + 1), patch.index(i, j + 1))
+            corners = (i * patch.nv + j, (i + 1) * patch.nv + j,
+                       (i + 1) * patch.nv + j + 1, i * patch.nv + j + 1)
             if all(patch.valid[c] for c in corners):
                 a, b, c, d = (vertex_number[c] for c in corners)
                 lines.append(f"f {a} {b} {c} {d}")
@@ -72,7 +72,7 @@ def reference_csv(patch):
     lines = ["u_index,v_index,x,y,z,valid"]
     for i in range(patch.nu):
         for j in range(patch.nv):
-            k = patch.index(i, j)
+            k = i * patch.nv + j
             x, y, z = patch.points[k]
             flag = 1 if patch.valid[k] else 0
             lines.append(f"{i},{j},{_fmt(x)},{_fmt(y)},{_fmt(z)},{flag}")

@@ -244,16 +244,15 @@ _QUADRATURE_CASES = [
 ]
 
 
-def test_joint_levels_are_the_level_by_level_reference():
+def test_joint_levels_are_the_level_by_level_reference(monkeypatch):
     outcomes = set()
     for data, targets, max_segments in _QUADRATURE_CASES:
-        values, errors = integrate_segments(data.integrand_tape, data.zeta0, targets,
-                                            max_segments=max_segments)
+        monkeypatch.setattr(reps, "_MAX_SEGMENTS", max_segments)
+        values, errors = integrate_segments(data.integrand_tape, data.zeta0, targets)
         for k, target in enumerate(targets):
             want, want_error, level = _level_by_level(data.integrands, data.zeta0, target,
                                                       max_segments=max_segments)
-            alone, alone_errors = integrate_segments(data.integrand_tape, data.zeta0, target,
-                                                     max_segments=max_segments)
+            alone, alone_errors = integrate_segments(data.integrand_tape, data.zeta0, target)
             for got, got_error in ((values[:, k], errors[k]), (alone[:, 0], alone_errors[0])):
                 if want_error is None:
                     assert got_error is None

@@ -76,10 +76,11 @@ def test_exact_jet_unavailable_is_not_silently_replaced():
     assert jet.z_xy == pytest.approx(1.0, abs=1e-8)
 
 
-def test_central_difference_stencil_respects_domain():
+def test_central_difference_stencil_respects_domain(monkeypatch):
+    monkeypatch.setattr(zmc, "FD_STEP", 1e-4)
     surf = catalog.builtin_surface("scherk2")
     with pytest.raises(DomainViolation):
-        graph_jet(surf, PI / 2 - 1e-5, 0.0, method="central-diff", h=1e-4)
+        graph_jet(surf, PI / 2 - 1e-5, 0.0, method="central-diff")
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +323,22 @@ def test_parametric_check_is_local_where_the_path_is_singular():
 
 @pytest.mark.parametrize("surface_id", ["scherk2", "helicoid", "scherkBI",
                                         "expr:log(cos(y)/cos(x))"])
-def test_graph_and_parametric_central_differences_share_one_stencil(surface_id):
+def test_graph_and_parametric_central_differences_share_one_stencil(surface_id, monkeypatch):
     # The parametric stencil of the lift (x, y, Z(x, y)), one point and one
     # shift at a time, evaluates Z at the same points as the stacked graph
     # stencil, so its z entries agree bit for bit (an expr: surface runs its
     # tape on the one-element arrays of ``point`` as on the stack).
+    monkeypatch.setattr(zmc, "FD_STEP", 1e-3)
     surf = catalog.builtin_surface(surface_id)
     lift = zmc.GraphLiftSampler(surf)
     for x, y in ((0.3, -0.2), (-0.45, 0.61), (0.05, 0.4)):
-        graph = zmc.graph_jet(surf, x, y, method="central-diff", h=1e-3)
+        graph = zmc.graph_jet(surf, x, y, method="central-diff")
         parametric = per_shift_central_jet(lambda u, v: np.asarray(lift.point(u, v)), x, y, 1e-3)
         assert [entry[2] for entry in parametric] == [
             graph.z, graph.z_x, graph.z_y, graph.z_xx, graph.z_xy, graph.z_yy]
     # On a lattice the per-shift stencil evaluates each shift as one array.
     x, y = GridSpec(0.05, 0.9, 0.1, 0.85, 9, 7).lattice()
-    graph = zmc.graph_jets(surf, x, y, method="central-diff", h=1e-3)
+    graph = zmc.graph_jets(surf, x, y, method="central-diff")
     parametric = per_shift_central_jet(lambda u, v: np.array(lift.points(u, v)[0]), x, y, 1e-3)
     for entry, name in zip(parametric, ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")):
         assert entry[2].tobytes() == getattr(graph, name).tobytes(), name
