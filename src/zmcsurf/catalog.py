@@ -2,7 +2,8 @@
 
 Surfaces live in a registry keyed by stable string ids (``scherk2``,
 ``scherk1[:alpha]``, ``helicoid``, ``scherk2max``, ``scherkBI``,
-``plane[:a,b]``, ``expr:<text>``).  Identities are instantiated as explicit
+``plane[:a,b]``, ``expr:<text>``), each declaring its parameters once, as
+identities do.  Identities are instantiated as explicit
 term lists and verified at every point of a lattice (one numpy call per
 term for the whole lattice) under a branch policy, because arctan/log
 identities are only true modulo their periods:
@@ -22,6 +23,7 @@ import cmath
 import contextlib
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -296,7 +298,7 @@ def _scherk_first_height(x, y, alpha: float):
 
 def _scherk1_surface(alpha: float) -> HeightSurface:
     if math.cos(alpha / 2.0) == 0 or math.sin(alpha) == 0 or math.sin(alpha / 2.0) == 0:
-        raise UnknownSurface(f"scherk1 is degenerate at alpha={alpha}")
+        raise ParamDomainError(f"scherk1 is degenerate at alpha={alpha}")
     s1 = math.sin(alpha) / 2.0
     s2 = math.sin(alpha / 2.0)
     sec = 1.0 / math.cos(alpha / 2.0)
@@ -341,14 +343,6 @@ def _plane_surface(a: float, b: float) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41))
 
 
-def _plane(rest) -> HeightSurface:
-    """``plane:a,b``; ``plane`` alone is z = 0."""
-    ab = rest.split(",") if rest else ("0", "0")
-    if len(ab) != 2:
-        raise ValueError(f"plane takes a,b, got {rest!r}")
-    return _plane_surface(*map(float, ab))
-
-
 def _expr_surface(text: str) -> HeightSurface:
     """A user graph: its tape on arrays of any size, its tree's scalar ``eval``
     at a 0-d point (complex values, nan where the walk raises; real points take
@@ -382,37 +376,75 @@ def _expr_surface(text: str) -> HeightSurface:
                          GridSpec(-1.0, 1.0, -1.0, 1.0, 41, 41), quiet=True)
 
 
-def _fixed(build: Callable) -> Callable:
-    """The registry entry of a surface without parameters: it takes no suffix."""
-    def parse(rest):
-        if rest is not None:
-            raise ValueError(f"takes no parameters, got {rest!r}")
-        return build()
-    return parse
+# Registry parameters: each entry declares its own, name -> (kind, default),
+# where a callable default is a function of n.  A kind, called as
+# kind(name, value, n), converts a Python or numpy number, a sequence or array,
+# or command-line text (lists written ``v1:v2:...``), or raises a
+# ParamDomainError that names the parameter.
+
+def _number(name: str, value, n=None) -> float:
+    """One finite real number."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParamDomainError(f"parameter {name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ParamDomainError(f"parameter {name!r} must be finite, got {value!r}")
+    return number
 
 
-# id -> builder of the text after "id:" (None when the id has no colon).
+def _numbers(name: str, value, n: int) -> list:
+    """n finite real numbers; a bare value is one number."""
+    items = value.split(":") if isinstance(value, str) else value if np.iterable(value) else [value]
+    values = [_number(name, item) for item in items]
+    if len(values) != n:
+        raise ParamDomainError(f"parameter {name!r} must have length n = {n}")
+    return values
+
+
+def _surface_id(name: str, value, n=None) -> str:
+    """The id of a registry surface."""
+    try:
+        builtin_surface(str(value))
+    except (UnknownSurface, ValueError) as exc:  # ValueError: the text of an expr: id
+        raise ParamDomainError(f"parameter {name!r} must be a surface id: {exc}") from exc
+    return str(value)
+
+
+def _values(declared: dict, given: dict, n=None) -> dict:
+    """Each declared parameter's given value, or else its default, by its kind."""
+    return {name: kind(name, given[name] if name in given else default(n) if callable(default)
+                       else default, n) for name, (kind, default) in declared.items()}
+
+
+# id -> (builder of the parameter values, declared parameters).
 _SURFACES = {
-    "scherk2": _fixed(lambda: _log_ratio_surface("scherk2")),
-    "scherk1": lambda rest: _scherk1_surface(float(rest) if rest else PI / 2),
-    "helicoid": _fixed(_helicoid_surface),
-    "scherk2max": _fixed(lambda: _log_ratio_surface("scherk2max")),
-    "scherkBI": _fixed(lambda: _log_ratio_surface("scherkBI")),
-    "plane": _plane,
+    **{name: (functools.partial(_log_ratio_surface, name), {}) for name in _LOG_RATIO_FAMILY},
+    "scherk1": (_scherk1_surface, {"alpha": (_number, PI / 2)}),
+    "helicoid": (_helicoid_surface, {}),
+    "plane": (_plane_surface, {"a": (_number, 0.0), "b": (_number, 0.0)}),
 }
 
 BUILTIN_SURFACES = tuple(_SURFACES)
 
 
 def builtin_surface(surface_id: str) -> HeightSurface:
-    """Look up (and parameterize) a surface by its registry id."""
+    """Look up a surface by its registry id, which gives all of its parameter
+    values after a colon, comma-separated (``plane:a,b``), or none."""
     if surface_id.startswith("expr:"):
         return _expr_surface(surface_id[len("expr:"):])
     name, colon, rest = surface_id.partition(":")
     if name not in _SURFACES:
         raise UnknownSurface(f"unknown surface {surface_id!r}")
+    build, declared = _SURFACES[name]
+    texts = rest.split(",") if rest else []
+    if (colon and not declared) or len(texts) not in (0, len(declared)):
+        raise UnknownSurface(f"bad surface id {surface_id!r}: {name} takes "
+                             f"{','.join(declared) or 'no parameters'}, got {rest!r}")
     try:
-        return _SURFACES[name](rest if colon else None)
+        return build(**_values(declared, dict(zip(declared, texts))))
     except ValueError as exc:
         raise UnknownSurface(f"bad surface id {surface_id!r}: {exc}") from exc
 
@@ -486,7 +518,7 @@ class IdentityInstance:
     branch_policy: str
 
 
-def _log_ratio_decomp(name: str, n: int, params: dict) -> IdentityInstance:
+def _log_ratio_decomp(name: str, n: int) -> IdentityInstance:
     num, den, _, policy = _LOG_RATIO_FAMILY[name]
     height = _log_ratio_surface(name).height
     cs = c_offsets(n)
@@ -508,11 +540,10 @@ def _log_ratio_decomp(name: str, n: int, params: dict) -> IdentityInstance:
     return IdentityInstance(f"{name}-decomp", n, {"c": cs}, lhs, tuple(terms), policy)
 
 
-def _kamien_decomp(n: int, params: dict) -> IdentityInstance:
-    beta = float(params.get("beta", PI / 6))
+def _kamien_decomp(n: int, beta: float) -> IdentityInstance:
+    if not math.isfinite(2 * beta):
+        raise ParamDomainError(f"parameter 'beta' must have a finite 2*beta, got {beta!r}")
     sin_b = math.sin(beta)
-    if abs(sin_b) > n:
-        raise ParamDomainError(f"|sin(beta)| = {abs(sin_b)} exceeds n = {n}")
     if abs(sin_b) < 1e-12 or abs(math.cos(beta)) < 1e-12:
         raise ParamDomainError("beta must avoid multiples of pi/2 for the tower family")
     beta_t = beta if n == 1 else math.asin(sin_b / n)
@@ -550,7 +581,7 @@ def _shifted(x, m: int):
     return x + m * PI if m > 0 else x - -m * PI if m else x
 
 
-def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
+def _helicoid_decomp(n: int) -> IdentityInstance:
     lhs = IdentityTerm(
         "atan(tanh(y)*cot(x))",
         lambda x, y: _arctan_tanh_cot(y, x),
@@ -584,20 +615,9 @@ def _helicoid_decomp(n: int, params: dict) -> IdentityInstance:
     return IdentityInstance("helicoid-decomp", n, {}, lhs, tuple(terms), "mod-pi")
 
 
-def _general_scaled(n: int, params: dict) -> IdentityInstance:
-    surface_id = str(params.get("surface", "scherk2"))
-    base = builtin_surface(surface_id)
-
-    def floats(name, default):  # a bare number is one value
-        return [float(v) for v in np.atleast_1d(params.get(name, default))]
-
-    a = floats("a", [1.0] * n)
-    b = floats("b", [0.0] * n)
-    d = floats("d", [0.0] * n)
-    c = floats("c", [float(m) for m in range(1, n + 1)])
-    for name, values in (("a", a), ("b", b), ("d", d), ("c", c)):
-        if len(values) != n:
-            raise ParamDomainError(f"parameter {name!r} must have length n = {n}")
+def _general_scaled(n: int, surface: str, a: list, b: list, d: list,
+                    c: list) -> IdentityInstance:
+    base = builtin_surface(surface)
     if any(v == 0 for v in a):
         raise ParamDomainError("all scale factors a_m must be nonzero")
     if any(v == 0 for v in c):
@@ -607,7 +627,7 @@ def _general_scaled(n: int, params: dict) -> IdentityInstance:
         raise ParamDomainError("the weight sum C_n must be nonzero")
 
     lhs = IdentityTerm(
-        f"{surface_id}(x, y)",
+        f"{surface}(x, y)",
         lambda x, y: base.height(x, y),
         lambda x, y, m: (True if np.iscomplexobj(x) or np.iscomplexobj(y)
                          else base.domain_ok(x, y, m)),
@@ -624,11 +644,11 @@ def _general_scaled(n: int, params: dict) -> IdentityInstance:
             return base.height((xx - bm) / am, (yy - dm) / am) / (cm * c_total)
 
         terms.append(IdentityTerm(
-            f"(1/(C_n*c_{m})) * {surface_id}(((a_{m}x+b_{m})-b_{m})/a_{m}, ...)",
+            f"(1/(C_n*c_{m})) * {surface}(((a_{m}x+b_{m})-b_{m})/a_{m}, ...)",
             term_fn, lhs.guard))
     return IdentityInstance(
         "general-scaled", n,
-        {"surface": surface_id, "a": a, "b": b, "d": d, "c": c, "C_n": c_total},
+        {"surface": surface, "a": a, "b": b, "d": d, "c": c, "C_n": c_total},
         lhs, tuple(terms), "principal")
 
 
@@ -648,41 +668,41 @@ def rescaled_component(inst: IdentityInstance, m: int) -> HeightSurface:
     return affine_rescaled(base, a, inst.params["b"][m], inst.params["d"][m], a)
 
 
-_IDENTITY_BUILDERS = {
-    **{f"{name}-decomp": functools.partial(_log_ratio_decomp, name) for name in _LOG_RATIO_FAMILY},
-    "kamien-decomp": _kamien_decomp,
-    "helicoid-decomp": _helicoid_decomp,
-    "general-scaled": _general_scaled,
+# id -> (builder of n and the parameter values, declared parameters).
+_IDENTITIES = {
+    **{f"{name}-decomp": (functools.partial(_log_ratio_decomp, name), {})
+       for name in _LOG_RATIO_FAMILY},
+    "kamien-decomp": (_kamien_decomp, {"beta": (_number, PI / 6)}),
+    "helicoid-decomp": (_helicoid_decomp, {}),
+    "general-scaled": (_general_scaled, {
+        "surface": (_surface_id, "scherk2"),
+        "a": (_numbers, lambda n: [1.0] * n),
+        "b": (_numbers, lambda n: [0.0] * n),
+        "d": (_numbers, lambda n: [0.0] * n),
+        "c": (_numbers, lambda n: [float(m) for m in range(1, n + 1)]),
+    }),
 }
 
-IDENTITY_IDS = tuple(sorted(_IDENTITY_BUILDERS))
-
-# The parameters each identity takes; the others take none.
-_IDENTITY_PARAMS = {"kamien-decomp": ("beta",), "general-scaled": ("surface", "a", "b", "d", "c")}
+IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
 
 def identity_terms(identity_id: str, n: int, params: Optional[dict] = None) -> IdentityInstance:
     """Instantiate an identity from the registry with its default branch policy.
 
     A parameter the identity does not take is a ParamDomainError that names it
-    and the parameters the identity takes; so is a non-finite number.
+    and the parameters the identity takes; so is a value its kind refuses.
     """
-    if identity_id not in _IDENTITY_BUILDERS:
+    if identity_id not in _IDENTITIES:
         raise UnknownIdentity(f"unknown identity {identity_id!r}")
     if isinstance(n, bool) or not hasattr(type(n), "__index__") or operator.index(n) < 1:
         raise ParamDomainError(f"n must be a positive integer, got {n!r}")
-    accepted = _IDENTITY_PARAMS.get(identity_id, ())
-    for name, value in (params or {}).items():
-        if name not in accepted:
+    n = operator.index(n)
+    build, declared = _IDENTITIES[identity_id]
+    for name in params or {}:
+        if name not in declared:
             raise ParamDomainError(f"{identity_id} has no parameter {name!r}; it takes "
-                                   f"{', '.join(accepted) or 'none'}")
-        try:
-            finite = np.isfinite(np.asarray(value, dtype=complex)).all()
-        except (TypeError, ValueError):
-            continue  # text, such as a surface id, is its builder's to check
-        if not finite:
-            raise ParamDomainError(f"parameter {name!r} must be finite, got {value!r}")
-    return _IDENTITY_BUILDERS[identity_id](operator.index(n), dict(params or {}))
+                                   f"{', '.join(declared) or 'none'}")
+    return build(n, **_values(declared, params or {}, n))
 
 
 # ---------------------------------------------------------------------------

@@ -96,17 +96,13 @@ def _bands(value, flag: str) -> tuple:
 
 
 def _params(items, flag: str) -> dict:
-    """``k=v`` items; v may be a float, a colon-separated float list, or text."""
+    """``k=v`` items, each value the text that its identity converts."""
     params = {}
     for item in [items] if isinstance(items, str) else items:
-        key, sep, raw = str(item).partition("=")
+        key, sep, value = str(item).partition("=")
         if not sep:
             raise argparse.ArgumentTypeError(f"{flag} must be k=v, got {item!r}")
-        parts = raw.split(":")
-        try:
-            params[key] = [float(p) for p in parts] if len(parts) > 1 else float(raw)
-        except ValueError:
-            params[key] = raw
+        params[key] = value
     return params
 
 

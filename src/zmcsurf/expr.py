@@ -10,6 +10,13 @@ stays closed over the grammar; general powers must be spelled
 
 Operator precedence, tightest first: ``^``, unary ``-``, ``* /``, ``+ -``.
 Binary operators associate to the left; ``name(arg)`` is a function call.
+Text may nest parenthesised groups, function arguments and signs at most
+``MAX_NESTING`` (100) levels deep, and its tree may be at most ``MAX_DEPTH``
+(1000) operations deep, a sum of 1001 terms; deeper text is an
+``ExprSyntaxError`` when it is parsed.  Every walk of a tree (evaluation,
+differentiation, folding, printing, compiling) is the loop ``_bottom_up``,
+which visits each node object once: a tree's depth costs no stack, and a
+subtree that several derivatives share is walked once.
 
 Expressions are evaluated by a ``Tape``: a set of expressions in the same
 variables, compiled once into one straight-line list of instructions that
@@ -57,6 +64,9 @@ __all__ = [
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "atan", "sinh", "cosh", "tanh", "sqrt")
 
+MAX_NESTING = 100  # parenthesised groups, function arguments and signs inside each other
+MAX_DEPTH = 1000   # operations on the longest path from the root to a leaf
+
 
 # ---------------------------------------------------------------------------
 # errors
@@ -86,7 +96,7 @@ class EvalDomainError(ArithmeticError):
     """
 
     def __init__(self, reason: str, subexpr, value):
-        super().__init__(f"{reason} in {_to_source_node(subexpr)} at {value!r}")
+        super().__init__(f"{reason} in {_to_source_node(subexpr, 200)} at {value!r}")
         self.reason = reason
         self.subexpr = subexpr
         self.value = value
@@ -126,6 +136,37 @@ class Power:
 
 
 Node = Union[Const, Var, Unary, Binary, Power]
+
+
+def _bottom_up(root, visit, done=None):
+    """``visit(node, *values of its children)`` at every node under ``root``,
+    children first and left to right, once per node object; ``done`` maps
+    ``id(node)`` to its value and may be shared between calls.  A loop, not
+    recursion, so a tree's height costs no stack: every walk of a tree
+    (evaluation, differentiation, folding, printing, compiling) goes through
+    here.  A node waits on the stack under its children until they are done."""
+    done = {} if done is None else done
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in done:
+            continue
+        if isinstance(node, Binary):
+            left, right = node.left, node.right
+            if id(left) in done and id(right) in done:
+                done[key] = visit(node, done[id(left)], done[id(right)])
+            else:
+                stack += (node, right, left)
+        elif isinstance(node, (Unary, Power)):
+            arg = node.arg if isinstance(node, Unary) else node.base
+            if id(arg) in done:
+                done[key] = visit(node, done[id(arg)])
+            else:
+                stack += (node, arg)
+        else:
+            done[key] = visit(node)
+    return done[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +210,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.varnames = tuple(varnames)
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -189,6 +231,20 @@ class _Parser:
         kind, _, offset = self.peek()
         if kind != "end":
             raise ExprSyntaxError("unexpected trailing input", offset)
+        # Each node takes a token of its own, so only a long text can be too deep.
+        if (len(self.tokens) > MAX_DEPTH
+                and _bottom_up(node, lambda _, *heights: 1 + max(heights, default=-1)) > MAX_DEPTH):
+            raise ExprSyntaxError(f"expression deeper than {MAX_DEPTH} operations", 0)
+        return node
+
+    def nested(self, parse):
+        """``parse()`` one level deeper, refused past ``MAX_NESTING`` levels."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels",
+                                  self.tokens[self.pos - 1][2])
+        node = parse()
+        self.nesting -= 1
         return node
 
     def expression(self) -> Node:
@@ -217,10 +273,10 @@ class _Parser:
         kind, text, _ = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return Unary("neg", self.unary())
+            return Unary("neg", self.nested(self.unary))
         if kind == "op" and text == "+":
             self.advance()
-            return self.unary()
+            return self.nested(self.unary)
         return self.power()
 
     def power(self) -> Node:
@@ -237,7 +293,7 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "op" and text == "(":
             self.advance()
-            k = self.exponent()
+            k = self.nested(self.exponent)
             self.expect_op(")")
             return k
         sign = 1
@@ -261,12 +317,12 @@ class _Parser:
                 return Var(text)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expression()
+                arg = self.nested(self.expression)
                 self.expect_op(")")
                 return Unary(text, arg)
             raise UnknownIdentifier(text, offset)
         if kind == "op" and text == "(":
-            node = self.expression()
+            node = self.nested(self.expression)
             self.expect_op(")")
             return node
         raise ExprSyntaxError("expected a value", offset)
@@ -305,13 +361,13 @@ def _check_finite(value: complex, node: Node, at) -> complex:
     return value
 
 
-def _eval_node(node: Node, env: dict) -> complex:
+def _eval_step(env: dict, node: Node, *args) -> complex:
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Unary):
-        v = _eval_node(node.arg, env)
+        (v,) = args
         if node.op == "neg":
             return -v
         if node.op == "log" and v == 0:
@@ -322,13 +378,12 @@ def _eval_node(node: Node, env: dict) -> complex:
             raise EvalDomainError(str(exc) or "domain error", node, v) from None
         return _check_finite(out, node, v)
     if isinstance(node, Binary):
-        a = _eval_node(node.left, env)
-        b = _eval_node(node.right, env)
+        a, b = args
         if node.op == "div" and b == 0:
             raise EvalDomainError("division by zero", node, b)
         return _check_finite(_SCALAR_FN[node.op](a, b), node, (a, b))
     if isinstance(node, Power):
-        base = _eval_node(node.base, env)
+        (base,) = args
         if base == 0 and node.exponent < 0:
             raise EvalDomainError("zero to a negative power", node, base)
         try:
@@ -337,6 +392,12 @@ def _eval_node(node: Node, env: dict) -> complex:
             raise EvalDomainError(str(exc) or "power overflow", node, base) from None
         return _check_finite(out, node, base)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _eval_node(node: Node, env: dict) -> complex:
+    """The tree walk: the value at the point ``env``, or EvalDomainError at the
+    first node (children first, left to right) where it fails."""
+    return _bottom_up(node, partial(_eval_step, env))
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +473,17 @@ class Tape:
         keys = {("var", name): -1 - k for k, name in enumerate(self.varnames)}
         seen, consts, code = {}, [], []
 
-        def ref(node):
-            """Where a node's value is: leaf -1, -2, ... (the variables first) or
-            instruction 0, 1, ..."""
-            got = seen.get(id(node))
-            if got is not None:
-                return got
+        def ref(node, *args):
+            """Where a node's value is, from where its children's are: leaf -1,
+            -2, ... (the variables first) or instruction 0, 1, ..."""
             if isinstance(node, Var):
                 key = ("var", node.name)
             elif isinstance(node, Const):
                 key = ("const", np.complex128(node.value).tobytes())
-            elif isinstance(node, Unary):
-                key = (node.op, ref(node.arg))
-            elif isinstance(node, Binary):
-                key = (node.op, ref(node.left), ref(node.right))
+            elif isinstance(node, (Unary, Binary)):
+                key = (node.op, *args)
             elif isinstance(node, Power):  # (exponent, base): an int where the others have a name
-                key = (node.exponent, ref(node.base))
+                key = (node.exponent, *args)
             else:
                 raise TypeError(f"not an expression node: {node!r}")
             got = keys.get(key)
@@ -441,10 +497,9 @@ class Tape:
                     code.append(key)
                     got = len(code) - 1
                 keys[key] = got
-            seen[id(node)] = got
             return got
 
-        refs = [ref(e.root) for e in self.exprs]
+        refs = [_bottom_up(e.root, ref, seen) for e in self.exprs]
         nleaves = nvars + len(consts)
         roots = set(refs)  # kept until the run writes them out
         last = {}  # other instruction -> the instruction after which its value is dropped
@@ -550,13 +605,14 @@ class Tape:
 # differentiation (exact within the grammar, constant folding only)
 # ---------------------------------------------------------------------------
 
-def _d(node: Node, name: str) -> Node:
+def _d_step(name: str, node: Node, *ds) -> Node:
+    """The derivative of ``node`` from the derivatives ``ds`` of its children."""
     if isinstance(node, Const):
         return Const(0j)
     if isinstance(node, Var):
         return Const(1 + 0j) if node.name == name else Const(0j)
     if isinstance(node, Unary):
-        u, du = node.arg, _d(node.arg, name)
+        u, (du,) = node.arg, ds
         op = node.op
         if op == "neg":
             return Unary("neg", du)
@@ -585,7 +641,7 @@ def _d(node: Node, name: str) -> Node:
         raise ValueError(f"unknown unary op {op!r}")
     if isinstance(node, Binary):
         a, b = node.left, node.right
-        da, db = _d(a, name), _d(b, name)
+        da, db = ds
         if node.op == "add":
             return Binary("add", da, db)
         if node.op == "sub":
@@ -598,12 +654,16 @@ def _d(node: Node, name: str) -> Node:
         k = node.exponent
         if k == 0:
             return Const(0j)
-        dbase = _d(node.base, name)
+        (dbase,) = ds
         if k == 1:
             return dbase
         scaled = Binary("mul", Const(complex(k)), Power(node.base, k - 1))
         return Binary("mul", scaled, dbase)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _d(node: Node, name: str) -> Node:
+    return _bottom_up(node, partial(_d_step, name))
 
 
 def _folded(node: Node) -> Node:
@@ -614,17 +674,16 @@ def _folded(node: Node) -> Node:
         return node
 
 
-def _fold(node: Node) -> Node:
-    """Constant folding plus identity-element elision; never drops singularities."""
+def _fold_step(node: Node, *args) -> Node:
+    """``node`` over its folded children ``args``, folded."""
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Unary):
-        arg = _fold(node.arg)
+        (arg,) = args
         out = Unary(node.op, arg)
         return _folded(out) if isinstance(arg, Const) else out
     if isinstance(node, Binary):
-        left = _fold(node.left)
-        right = _fold(node.right)
+        left, right = args
         out = Binary(node.op, left, right)
         if isinstance(left, Const) and isinstance(right, Const):
             return _folded(out)
@@ -646,7 +705,7 @@ def _fold(node: Node) -> Node:
                 return left
         return out
     if isinstance(node, Power):
-        base = _fold(node.base)
+        (base,) = args
         if node.exponent == 1:
             return base
         if node.exponent == 0 and isinstance(base, (Const, Var)):
@@ -654,6 +713,11 @@ def _fold(node: Node) -> Node:
         out = Power(base, node.exponent)
         return _folded(out) if isinstance(base, Const) else out
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _fold(node: Node) -> Node:
+    """Constant folding plus identity-element elision; never drops singularities."""
+    return _bottom_up(node, _fold_step)
 
 
 # ---------------------------------------------------------------------------
@@ -673,21 +737,25 @@ def _format_const(c: complex) -> str:
 _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
-def _to_source_node(node: Node) -> str:
+def _source_step(limit, node: Node, *texts) -> str:
+    texts = ["..." if len(t) > limit else t for t in texts]
     if isinstance(node, Const):
         return _format_const(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Unary):
-        inner = _to_source_node(node.arg)
-        if node.op == "neg":
-            return f"(-{inner})"
-        return f"{node.op}({inner})"
+        return f"(-{texts[0]})" if node.op == "neg" else f"{node.op}({texts[0]})"
     if isinstance(node, Binary):
-        return f"({_to_source_node(node.left)} {_BINARY_SYMBOL[node.op]} {_to_source_node(node.right)})"
+        return f"({texts[0]} {_BINARY_SYMBOL[node.op]} {texts[1]})"
     if isinstance(node, Power):
-        return f"({_to_source_node(node.base)}^{node.exponent})"
+        return f"({texts[0]}^{node.exponent})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _to_source_node(node: Node, limit=cmath.inf) -> str:
+    """The text of ``node``, where a subexpression longer than ``limit``
+    characters reads ``...``."""
+    return _bottom_up(node, partial(_source_step, limit))
 
 
 # ---------------------------------------------------------------------------

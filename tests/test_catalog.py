@@ -372,6 +372,93 @@ def test_tower_identity_rejects_degenerate_angles():
         identity_terms("kamien-decomp", 2, {"beta": PI / 2})
 
 
+@pytest.mark.parametrize("beta", [1e308, -1e308, "9e307"])
+def test_a_kamien_beta_whose_double_overflows_is_rejected_by_name(beta):
+    with pytest.raises(ParamDomainError, match=r"parameter 'beta' must have a finite 2\*beta"):
+        identity_terms("kamien-decomp", 2, {"beta": beta})
+
+
+@pytest.mark.parametrize("identity, params, message", [
+    ("kamien-decomp", {"beta": [0.5, 0.6]}, "parameter 'beta' must be a number, got [0.5, 0.6]"),
+    ("kamien-decomp", {"beta": "0.5:0.6"}, "parameter 'beta' must be a number, got '0.5:0.6'"),
+    ("kamien-decomp", {"beta": True}, "parameter 'beta' must be a number, got True"),
+    ("kamien-decomp", {"beta": 0.5j}, "parameter 'beta' must be a number, got 0.5j"),
+    ("kamien-decomp", {"beta": 10 ** 400}, "parameter 'beta' must be a number, got 1" + "0" * 400),
+    ("general-scaled", {"a": "x"}, "parameter 'a' must be a number, got 'x'"),
+    ("general-scaled", {"a": np.array(["1", "x"])}, "parameter 'a' must be a number, got np.str_('x')"),
+    ("general-scaled", {"c": [1.0, [2.0]]}, "parameter 'c' must be a number, got [2.0]"),
+    ("general-scaled", {"b": "1:2:3"}, "parameter 'b' must have length n = 2"),
+    ("general-scaled", {"surface": 3}, "parameter 'surface' must be a surface id: unknown surface '3'"),
+    ("general-scaled", {"surface": "3"},
+     "parameter 'surface' must be a surface id: unknown surface '3'"),
+    ("general-scaled", {"surface": "expr:x+"},
+     "parameter 'surface' must be a surface id: expected a value (offset 2)"),
+], ids=["list", "list-text", "bool", "complex", "huge-int", "text", "text-array", "nested",
+        "long-text", "number-surface", "unknown-surface", "bad-expr"])
+def test_a_parameter_value_of_the_wrong_kind_is_rejected_by_name(identity, params, message):
+    with pytest.raises(ParamDomainError) as got:
+        identity_terms(identity, 2, params)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("params, want", [
+    ({"a": "2:0.5", "c": np.array([1, 3])}, {"a": [2.0, 0.5], "c": [1.0, 3.0]}),
+    ({"a": (np.float32(0.5), 2), "b": "0.25:-1e3"}, {"a": [0.5, 2.0], "b": [0.25, -1000.0]}),
+    ({"surface": "plane:1,2", "d": [0, -0.5]}, {"surface": "plane:1,2", "d": [0.0, -0.5]}),
+], ids=["text-and-array", "tuple-and-text", "surface"])
+def test_general_scaled_parameters_are_python_floats_of_any_given_shape(params, want):
+    got = identity_terms("general-scaled", 2, params).params
+    for name, value in want.items():
+        assert got[name] == value and all(type(v) is float for v in got[name] if name != "surface")
+
+
+@pytest.mark.parametrize("surface_id, message", [
+    ("plane:nan,1", "bad surface id 'plane:nan,1': parameter 'a' must be finite, got 'nan'"),
+    ("plane:1,x", "bad surface id 'plane:1,x': parameter 'b' must be a number, got 'x'"),
+    ("scherk1:inf", "bad surface id 'scherk1:inf': parameter 'alpha' must be finite, got 'inf'"),
+    ("scherk1:1,2", "bad surface id 'scherk1:1,2': scherk1 takes alpha, got '1,2'"),
+], ids=["plane-nan", "plane-text", "scherk1-inf", "scherk1-arity"])
+def test_a_surface_parameter_is_converted_by_its_kind(surface_id, message):
+    with pytest.raises(UnknownSurface) as got:
+        builtin_surface(surface_id)
+    assert str(got.value) == message
+
+
+_NUMBER_TEXT = st.floats().map(repr) | st.sampled_from(["nan", "-inf", "1e999", "", " 2 ", "1_0"])
+_PARAM_VALUE = st.recursive(
+    st.floats() | st.integers() | st.booleans() | st.complex_numbers() | st.none()
+    | st.text(max_size=8) | _NUMBER_TEXT | st.lists(_NUMBER_TEXT, max_size=4).map(":".join)
+    | st.sampled_from(["scherk2", "scherk1:0.7", "plane", "plane:1", "expr:x*y", "expr:(", "gyroid"])
+    | st.lists(st.floats(), max_size=4).map(np.array)
+    | st.lists(st.text(max_size=3), max_size=3).map(np.array),
+    lambda items: st.lists(items, max_size=4) | st.tuples(items),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(identity=st.sampled_from(catalog.IDENTITY_IDS), n=st.integers(1, 4),
+       params=st.dictionaries(st.sampled_from(["beta", "surface", "a", "b", "d", "c"]),
+                              _PARAM_VALUE, max_size=3))
+def test_any_parameter_value_gives_an_instance_or_a_typed_error(identity, n, params):
+    try:
+        inst = identity_terms(identity, n, params)
+    except (ParamDomainError, UnknownSurface):
+        return
+    assert isinstance(inst, catalog.IdentityInstance) and inst.n == n
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(catalog.BUILTIN_SURFACES),
+       suffix=st.none() | st.text(max_size=12)
+       | st.lists(_NUMBER_TEXT | st.text(max_size=4), max_size=3).map(",".join))
+def test_any_suffix_gives_a_surface_or_unknown_surface(name, suffix):
+    try:
+        surface = builtin_surface(name if suffix is None else f"{name}:{suffix}")
+    except UnknownSurface:
+        return
+    assert isinstance(surface, catalog.HeightSurface)
+
+
 # ---------------------------------------------------------------------------
 # verification sweeps
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from zmcsurf import catalog, reps, zmc
+from zmcsurf import catalog, expr, reps, zmc
 from zmcsurf.cli import _preprocess_argv, main, parse_complex
 
 
@@ -137,6 +137,22 @@ def test_a_value_after_its_flag_may_start_with_a_dash_and_a_letter(joined, space
      "--bands must give a finite x window"),
     (["foliate", "--t", "0", "--bands", f"0..{3 * 10 ** 307}", "--out", "leaves"],
      "--bands must give a finite x window"),   # a float k_hi, an infinite window
+    (["identity", "verify", "--identity", "kamien-decomp", "--n", "2", "--param", "beta=0.5:0.6",
+      "--grid=-2:2:5,0.4:5.88:5"], "parameter 'beta' must be a number, got '0.5:0.6'"),
+    (["identity", "verify", "--identity", "kamien-decomp", "--n", "2", "--param", "beta=abc",
+      "--grid=-2:2:5,0.4:5.88:5"], "parameter 'beta' must be a number, got 'abc'"),
+    (["identity", "verify", "--identity", "kamien-decomp", "--n", "2", "--param", "beta=1e308",
+      "--grid=-2:2:5,0.4:5.88:5"], "parameter 'beta' must have a finite 2*beta, got 1e+308"),
+    (["identity", "verify", "--identity", "general-scaled", "--n", "2", "--param", "a=x",
+      "--grid", "0:1:3,0.5:1:3"], "parameter 'a' must be a number, got 'x'"),
+    (["identity", "verify", "--identity", "general-scaled", "--n", "2", "--param", "surface=3",
+      "--grid", "0:1:3,0.5:1:3"], "parameter 'surface' must be a surface id: unknown surface '3'"),
+    (["residual", "--surface", "plane:nan,1", "--grid", "0:1:3,0:1:3"],
+     "bad surface id 'plane:nan,1': parameter 'a' must be finite, got 'nan'"),
+    (["we", "eval", "--f", "(" * 400 + "1" + ")" * 400, "--zeta", "0.3"],
+     "nesting deeper than 100 levels (offset 100)"),
+    (["surface", "eval", "--name", "expr:" + "+".join(["x"] * 1500), "--x", "0.1", "--y", "0.2"],
+     "expression deeper than 1000 operations (offset 0)"),
 ])
 def test_a_malformed_value_is_a_one_line_usage_error_naming_its_flag(argv, message, tmp_path,
                                                                       capsys, monkeypatch):
@@ -145,6 +161,18 @@ def test_a_malformed_value_is_a_one_line_usage_error_naming_its_flag(argv, messa
     captured = capsys.readouterr()
     assert captured.out == "" and list(tmp_path.iterdir()) == []
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "+".join(["x*y"] * 300),
+    "/".join(["(1+x*y)"] * (expr.MAX_DEPTH - 1)),  # the quotient rule deepens jets the most
+], ids=["sum", "quotient"])
+def test_graph_and_we_jets_of_an_expression_at_the_depth_bound_build(text, capsys):
+    grid = ["--grid", "0.1:0.2:2,0.1:0.2:2", "--tol", "1e300"]
+    assert main(["residual", "--surface", f"expr:{text}", *grid]) == 0
+    we = text.replace("x", "w").replace("y", "w")
+    assert main(["residual", "parametric", "--source", "we", "--g", we, *grid]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_config_keys_are_flag_names(tmp_path, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from zmcsurf.expr import (
     FUNCTIONS,
+    MAX_DEPTH,
+    MAX_NESTING,
     AnalyticExpr,
     Binary,
     Const,
@@ -68,6 +70,32 @@ def test_negative_integer_exponent():
 def test_fractional_exponent_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("w^2.5", "w")
+
+
+@pytest.mark.parametrize("make, offset", [
+    (lambda k: "(" * k + "w" + ")" * k, MAX_NESTING),
+    (lambda k: "sin(" * k + "w" + ")" * k, 4 * MAX_NESTING + 3),
+    (lambda k: "-" * k + "w", MAX_NESTING),
+    (lambda k: "w^" + "(" * k + "2" + ")" * k, MAX_NESTING + 2),
+], ids=["parentheses", "calls", "signs", "exponent"])
+def test_nesting_past_the_bound_is_a_syntax_error_at_its_opening_token(make, offset):
+    parse(make(MAX_NESTING), "w").derivative().derivative()
+    with pytest.raises(ExprSyntaxError, match=f"nesting deeper than {MAX_NESTING} levels") as err:
+        parse(make(MAX_NESTING + 1), "w")
+    assert err.value.offset == offset
+
+
+def test_an_expression_deeper_than_the_bound_is_a_syntax_error():
+    assert parse_xy("+".join(["x"] * (MAX_DEPTH + 1))).eval(1, 0) == MAX_DEPTH + 1
+    with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} operations"):
+        parse_xy("+".join(["x"] * (MAX_DEPTH + 2)))
+
+
+def test_a_domain_error_elides_long_subexpressions():
+    e = parse("(" + "+".join(["w"] * 300) + ")/(w-w)", "w")
+    with pytest.raises(EvalDomainError) as err:
+        e.eval(0.5)
+    assert str(err.value) == "division by zero in ((... + w) / (w - w)) at 0j"
 
 
 def test_scientific_literals():
