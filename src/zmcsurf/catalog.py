@@ -404,13 +404,12 @@ def _numbers(name: str, value, n: int) -> list:
     return values
 
 
-def _surface_id(name: str, value, n=None) -> str:
-    """The id of a registry surface."""
+def _surface_id(name: str, value, n=None) -> tuple:
+    """The id of a registry surface and the surface it names."""
     try:
-        builtin_surface(str(value))
+        return str(value), builtin_surface(str(value))
     except (UnknownSurface, ValueError) as exc:  # ValueError: the text of an expr: id
         raise ParamDomainError(f"parameter {name!r} must be a surface id: {exc}") from exc
-    return str(value)
 
 
 def _values(declared: dict, given: dict, n=None) -> dict:
@@ -615,9 +614,9 @@ def _helicoid_decomp(n: int) -> IdentityInstance:
     return IdentityInstance("helicoid-decomp", n, {}, lhs, tuple(terms), "mod-pi")
 
 
-def _general_scaled(n: int, surface: str, a: list, b: list, d: list,
+def _general_scaled(n: int, surface: tuple, a: list, b: list, d: list,
                     c: list) -> IdentityInstance:
-    base = builtin_surface(surface)
+    surface, base = surface
     if any(v == 0 for v in a):
         raise ParamDomainError("all scale factors a_m must be nonzero")
     if any(v == 0 for v in c):

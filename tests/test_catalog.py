@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_meshio_arrays import _EXTREME_BOUNDS
+from test_verification_suite import suite
 from zmcsurf import catalog, expr, zmc
 from zmcsurf.catalog import (
     ParamDomainError,
@@ -463,13 +464,6 @@ def test_any_suffix_gives_a_surface_or_unknown_surface(name, suffix):
 # verification sweeps
 # ---------------------------------------------------------------------------
 
-def test_scherk_second_decomposition_on_default_window():
-    inst = identity_terms("scherk2-decomp", 3)
-    report = verify_identity(inst, GridSpec(-1, 1, -1, 1, 41, 41))
-    assert report.passed and report.max_abs_err < 1e-9
-    assert report.points_checked == 41 * 41
-
-
 def test_scherk_second_decomposition_principal_on_safe_box():
     for n in (2, 3):
         inst = identity_terms("scherk2-decomp", n)
@@ -492,13 +486,6 @@ def test_multiplicative_form_is_branch_free():
         for c in cs:
             rhs *= math.cos(y / n - c) / math.cos(x / n - c)
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-
-def test_helicoid_decomposition_mod_pi():
-    inst = identity_terms("helicoid-decomp", 2)
-    report = verify_identity(inst, GridSpec(0.1, 2.9, -2, 2, 41, 41))
-    assert report.passed and report.max_abs_err < 1e-9
-    assert report.policy == "mod-pi"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -545,8 +532,8 @@ _LOG_RATIO_MAPS = {
 def test_log_ratio_terms_are_the_family_height_at_mapped_points(name, n):
     height = builtin_surface(name).height
     map_x, map_y = _LOG_RATIO_MAPS[name]
-    u, v = GridSpec(-1, 1, -1, 1, 41, 41).axes()
-    px, py = (np.array(p) for p in zip(*_SUITE_PROBES))
+    u, v = suite.SCHERK_WINDOW.axes()
+    px, py = (np.array(p) for p in zip(*suite.PROBES))
     terms = identity_terms(f"{name}-decomp", n).rhs_terms
     for x, y in ((u.astype(complex), v.astype(complex)), (px, py)):
         with np.errstate(all="ignore"):
@@ -558,7 +545,7 @@ def test_log_ratio_terms_are_the_family_height_at_mapped_points(name, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_helicoid_fans_and_flats_are_helicoid_heights_at_mapped_points(n):
     height = builtin_surface("helicoid").height
-    u, v = GridSpec(0.1, 2.9, -2, 2, 41, 41).axes()
+    u, v = suite.HELICOID_WINDOW.axes()
     x, y = u.astype(complex), v.astype(complex)
     ms = range(1, n)
     shifted = {m: x + m * PI for m in ms} | {-m: x - m * PI for m in ms}
@@ -571,16 +558,6 @@ def test_helicoid_fans_and_flats_are_helicoid_heights_at_mapped_points(n):
     for term, w in zip(terms, want):
         if w is not None:
             assert _same_bits(term.fn(x, y), w), term.label
-
-
-def test_tower_decomposition_windows():
-    for n in (2, 3):
-        for beta in (PI / 6, PI / 3):
-            inst = identity_terms("kamien-decomp", n, {"beta": beta})
-            sb = math.sin(beta)
-            grid = GridSpec(-2, 2, 0.2 / sb, (PI - 0.2) / sb, 31, 31)
-            report = verify_identity(inst, grid)
-            assert report.passed, (n, beta, report.max_abs_err)
 
 
 def test_complexified_decompositions_at_spec_probes():
@@ -604,18 +581,11 @@ def test_bi_soliton_decomposition_complex_probes():
         assert report.passed
 
 
-_SUITE_PROBES = [(complex(r.uniform(-1, 1), r.uniform(-0.45, 0.45)),
-                  complex(r.uniform(-1, 1), r.uniform(-0.45, 0.45)))
-                 for r in [random.Random(20240815)] for _ in range(50)]
-
-
 @pytest.mark.parametrize("identity_id, params, grid", [
-    ("scherk2-decomp", {}, GridSpec(-1, 1, -1, 1, 41, 41)),
-    ("helicoid-decomp", {}, GridSpec(0.1, 2.9, -2, 2, 41, 41)),
-    ("kamien-decomp", {"beta": PI / 6},
-     GridSpec(-2, 2, 0.2 / math.sin(PI / 6), (PI - 0.2) / math.sin(PI / 6), 31, 31)),
-    ("kamien-decomp", {"beta": PI / 3},
-     GridSpec(-2, 2, 0.2 / math.sin(PI / 3), (PI - 0.2) / math.sin(PI / 3), 31, 31)),
+    ("scherk2-decomp", {}, suite.SCHERK_WINDOW),
+    ("helicoid-decomp", {}, suite.HELICOID_WINDOW),
+    *[("kamien-decomp", {"beta": beta}, suite.kamien_window(beta))
+      for beta in suite.KAMIEN_BETAS],
     ("scherk2max-decomp", {}, None),
     ("scherkBI-decomp", {}, None),
 ])
@@ -625,7 +595,7 @@ def test_decomposition_error_grows_at_most_linearly_in_n(identity_id, params, gr
     # 0.02 to 0.64 of the bound for n = 2 to 1024.
     inst = identity_terms(identity_id, n, params)
     report = (verify_identity(inst, grid) if grid is not None
-              else verify_identity_at(inst, _SUITE_PROBES))
+              else verify_identity_at(inst, suite.PROBES))
     assert report.max_abs_err <= 5e-15 * n
 
 
@@ -640,12 +610,12 @@ def test_empty_probe_list_rejected():
         verify_identity_at(identity_terms("scherk2-decomp", 2), [])
 
 
-def test_general_scaled_reproduces_height_function():
-    inst = identity_terms("general-scaled", 2, {
-        "surface": "scherk2", "a": [1.3, 0.8], "b": [0.1, -0.2],
-        "d": [0.05, 0.3], "c": [2.0, -0.5]})
-    report = verify_identity(inst, GridSpec(-1, 1, -1, 1, 41, 41), tolerance=1e-12)
-    assert report.passed
+def test_general_scaled_builds_its_base_surface_once(monkeypatch):
+    builds, build = [], catalog._expr_surface
+    monkeypatch.setattr(catalog, "_expr_surface", lambda text: builds.append(text) or build(text))
+    inst = identity_terms("general-scaled", 2, {"surface": "expr:log(cos(y)/cos(x))"})
+    assert builds == ["log(cos(y)/cos(x))"]
+    assert inst.params["surface"] == "expr:log(cos(y)/cos(x))"
 
 
 def test_general_scaled_pointwise_cancellation():
@@ -810,8 +780,8 @@ def _mp_branch_error(mp, policy, lhs, rhs):
 
 
 @pytest.mark.parametrize("identity_id, n, grid, mp_sides", [
-    ("scherk2-decomp", 3, GridSpec(-1, 1, -1, 1, 41, 41), _mp_scherk2_sides),
-    ("helicoid-decomp", 2, GridSpec(0.1, 2.9, -2, 2, 41, 41), _mp_helicoid_sides),
+    ("scherk2-decomp", 3, suite.SCHERK_WINDOW, _mp_scherk2_sides),
+    ("helicoid-decomp", 2, suite.HELICOID_WINDOW, _mp_helicoid_sides),
 ])
 def test_decomposition_matches_a_50_digit_oracle(identity_id, n, grid, mp_sides):
     mp = pytest.importorskip("mpmath").mp

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_meshio_arrays import _EXTREME_BOUNDS
+from test_verification_suite import suite
 
 from zmcsurf import foliation, zmc
 from zmcsurf.catalog import HeightSurface
@@ -169,8 +170,7 @@ def test_a_leaf_stencil_on_an_excluded_line_is_a_domain_violation():
 
 
 def test_foliation_check_report():
-    grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
-    report = foliation_check(grid, [-1.0, 0.0, 2.5])
+    report = foliation_check(suite.FOLIATION_WINDOW, suite.FOLIATION_SHIFTS)
     assert report.passed
     assert report.parameters["boundary_max"] < 1e-6
     assert report.parameters["roundtrip_max"] <= 1e-12
@@ -210,8 +210,7 @@ def test_a_window_without_admissible_points_is_empty_not_a_hang(grid, monkeypatc
 
 
 def test_foliation_report_headline_is_one_sub_check():
-    grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
-    report = foliation_check(grid, [-1.0, 0.0, 2.5])
+    report = foliation_check(suite.FOLIATION_WINDOW, suite.FOLIATION_SHIFTS)
     p = report.parameters
     ratios = {"boundary": p["boundary_max"] / p["boundary_tolerance"],
               "roundtrip": p["roundtrip_max"] / p["roundtrip_tolerance"]}
@@ -242,8 +241,7 @@ def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch
     monkeypatch.setattr(foliation, "leaf_of_point",
                         lambda x, y, z: real(x, y, z) + 1e-9 * (1.0 + abs(x)))
     monkeypatch.setattr(foliation, "RANDOM_POINTS", 200)
-    grid = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
-    report = foliation_check(grid, [-1.0, 0.0, 2.5])
+    report = foliation_check(suite.FOLIATION_WINDOW, suite.FOLIATION_SHIFTS)
     p = report.parameters
     assert not report.passed and not p["roundtrip_pass"]
     assert report.tolerance == p["roundtrip_tolerance"] == 1e-12
@@ -254,9 +252,6 @@ def test_failed_roundtrip_fails_the_report_without_an_invented_error(monkeypatch
     assert abs(worst["lhs"] - worst["rhs"]) == report.max_abs_err
     assert p["boundary_max"] < p["boundary_tolerance"]
     assert report.points_checked == p["boundary_pairs"] + 200 * 3
-
-
-_WINDOW = GridSpec(-3 * PI, 3 * PI, -3.0, 3.0, 41, 41)
 
 
 def test_nan_roundtrip_fails_the_report(monkeypatch):
@@ -273,7 +268,7 @@ def test_nan_roundtrip_fails_the_report(monkeypatch):
 
     monkeypatch.setattr(foliation, "leaf_of_point", leaf_of_point_with_nans)
     monkeypatch.setattr(foliation, "RANDOM_POINTS", 100)
-    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5])
+    report = foliation_check(suite.FOLIATION_WINDOW, suite.FOLIATION_SHIFTS)
     p = report.parameters
     assert report.passed is False and p["roundtrip_pass"] is False
     assert report.tolerance == p["roundtrip_tolerance"]
@@ -291,7 +286,7 @@ def test_nan_boundary_pair_fails_the_report(monkeypatch):
 
     monkeypatch.setattr(foliation, "leaf_height", leaf_height_nan_at_band_boundaries)
     monkeypatch.setattr(foliation, "RANDOM_POINTS", 100)
-    report = foliation_check(_WINDOW, [-1.0, 0.0, 2.5])
+    report = foliation_check(suite.FOLIATION_WINDOW, suite.FOLIATION_SHIFTS)
     p = report.parameters
     assert report.passed is False and p["roundtrip_pass"] is True
     assert report.tolerance == p["boundary_tolerance"]

@@ -200,12 +200,6 @@ def test_split_halves_share_the_height():
 
 
 @pytest.mark.parametrize("weights", [(0.5, 0.5), (2.0, -1.0), (1 / 3, 1 / 3, 1 / 3)])
-def test_split_heights_sum_to_parent(weights):
-    report = verify_split(WEData.reduced("1"), weights, n_samples=20)
-    assert report.passed and report.max_abs_err < 1e-10
-
-
-@pytest.mark.parametrize("weights", [(0.5, 0.5), (2.0, -1.0), (1 / 3, 1 / 3, 1 / 3)])
 def test_joint_split_heights_have_the_bits_of_per_piece_calls(weights, monkeypatch):
     data, calls, original = WEData.reduced("1"), [], reps.integrate_segments
 

@@ -110,15 +110,6 @@ def test_unknown_equation():
         graph_residual("euler", jet)
 
 
-@pytest.mark.parametrize("surface_id", ["scherk2", "scherk1", "helicoid",
-                                        "scherk2max", "scherkBI"])
-def test_catalog_surfaces_satisfy_their_equation_on_default_grids(surface_id):
-    surf = catalog.builtin_surface(surface_id)
-    eq = catalog.kind_equation(surf.kind)
-    report = residual_sweep(surf, eq, surf.default_grid, tolerance=1e-10)
-    assert report.passed, (surface_id, report.max_abs_err)
-
-
 def test_plane_satisfies_all_three_equations():
     surf = catalog.builtin_surface("plane:0.3,-0.2")
     for eq in ("minimal", "maximal", "bi-soliton"):
