@@ -3,7 +3,7 @@
 Modules:
     expr       complex-analytic expression ASTs (parse/eval/differentiate)
     catalog    closed-form surfaces, decomposition identities, series oracles
-    zmc        graph jets, the three graph ZMC residuals, parametric check
+    zmc        graph jets, one graph ZMC residual in three metrics, parametric check
     reps       integral representations (minimal/maximal/timelike/Born-Infeld)
     foliation  shifted-helicoid leaves of 3-space minus lines
     meshio     structured patches, deterministic OBJ/CSV export

@@ -34,7 +34,7 @@ from . import expr as _expr
 from .errors import DomainViolation, reject
 from .meshio import GridSpec
 from .report import BroadcastRows, VerificationReport
-from .zmc import GraphJet, one_point
+from .zmc import EQUATION_METRICS, GraphJet, one_point
 
 __all__ = [
     "HeightSurface",
@@ -483,7 +483,7 @@ def affine_rescaled(surface: HeightSurface, a: float, b: float, d: float,
 
 def kind_equation(kind: str) -> Optional[str]:
     """Graph PDE matching a surface kind (None for generic graphs)."""
-    return {"minimal": "minimal", "maximal": "maximal", "bi-soliton": "bi-soliton"}.get(kind)
+    return kind if kind in EQUATION_METRICS else None
 
 
 # ---------------------------------------------------------------------------

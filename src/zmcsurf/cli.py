@@ -8,7 +8,7 @@ parsing converts every value, so a malformed or non-finite number, or a
 negative ``--tol``, is a one-line usage error that names its flag.  A flag
 that takes a value takes the next token if it starts with one ``-``
 (``--zeta -i``).  A JSON config file may give any flag's value under its name
-without dashes (flags win); any other key is a usage error.
+without dashes (flags win; null is the default); any other key is a usage error.
 
 Exit codes: 0 when every requested check passes, 1 on a failed check (the
 report is still written), 2 on usage errors.  Grid specs are written
@@ -397,6 +397,7 @@ def _read_config(path: str) -> dict:
     if unknown:
         raise argparse.ArgumentTypeError(f"config {path!r} has unknown key {unknown[0]!r} "
                                          "(keys are flag names without dashes)")
+    config = {name: value for name, value in config.items() if value is not None}
     # argparse appends a repeated flag to its default and takes any default of a switch.
     for name, value in config.items():
         action = _FLAGS[name].get("action")

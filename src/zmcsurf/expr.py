@@ -106,31 +106,37 @@ class EvalDomainError(ArithmeticError):
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
+class _Printed:
+    def __repr__(self) -> str:
+        """``<Type text>``, a subexpression over 200 characters as ``...``."""
+        return f"<{type(self).__name__} {_to_source_node(getattr(self, 'root', self), 200)}>"
+
+
+@dataclass(frozen=True, repr=False)
+class Const(_Printed):
     value: complex
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, repr=False)
+class Var(_Printed):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+@dataclass(frozen=True, repr=False)
+class Unary(_Printed):
     op: str  # "neg" or a FUNCTIONS member
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Binary:
+@dataclass(frozen=True, repr=False)
+class Binary(_Printed):
     op: str  # "add" | "sub" | "mul" | "div"
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Power:
+@dataclass(frozen=True, repr=False)
+class Power(_Printed):
     base: "Node"
     exponent: int
 
@@ -164,8 +170,10 @@ def _bottom_up(root, visit, done=None):
                 done[key] = visit(node, done[id(arg)])
             else:
                 stack += (node, arg)
-        else:
+        elif isinstance(node, (Const, Var)):
             done[key] = visit(node)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
     return done[id(root)]
 
 
@@ -391,7 +399,6 @@ def _eval_step(env: dict, node: Node, *args) -> complex:
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalDomainError(str(exc) or "power overflow", node, base) from None
         return _check_finite(out, node, base)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _eval_node(node: Node, env: dict) -> complex:
@@ -482,10 +489,8 @@ class Tape:
                 key = ("const", np.complex128(node.value).tobytes())
             elif isinstance(node, (Unary, Binary)):
                 key = (node.op, *args)
-            elif isinstance(node, Power):  # (exponent, base): an int where the others have a name
+            else:  # a Power, (exponent, base): an int where the others have a name
                 key = (node.exponent, *args)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
             got = keys.get(key)
             if got is None:
                 if isinstance(node, Var):
@@ -659,7 +664,6 @@ def _d_step(name: str, node: Node, *ds) -> Node:
             return dbase
         scaled = Binary("mul", Const(complex(k)), Power(node.base, k - 1))
         return Binary("mul", scaled, dbase)
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _d(node: Node, name: str) -> Node:
@@ -712,7 +716,6 @@ def _fold_step(node: Node, *args) -> Node:
             return Const(1 + 0j)
         out = Power(base, node.exponent)
         return _folded(out) if isinstance(base, Const) else out
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _fold(node: Node) -> Node:
@@ -749,7 +752,6 @@ def _source_step(limit, node: Node, *texts) -> str:
         return f"({texts[0]} {_BINARY_SYMBOL[node.op]} {texts[1]})"
     if isinstance(node, Power):
         return f"({texts[0]}^{node.exponent})"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _to_source_node(node: Node, limit=cmath.inf) -> str:
@@ -762,8 +764,8 @@ def _to_source_node(node: Node, limit=cmath.inf) -> str:
 # public wrappers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalyticExpr:
+@dataclass(frozen=True, repr=False)
+class AnalyticExpr(_Printed):
     """A parsed expression in the free variables ``varnames``: one for the
     holomorphic data of the representations, ``("x", "y")`` for a graph
     z = Z(x, y)."""

@@ -1,10 +1,11 @@
-"""Graph jets, the three graph ZMC residuals, and a signature-aware parametric check.
+"""Graph jets, the graph ZMC residual, and a signature-aware parametric check.
 
-The graph equations are evaluated with verbatim coefficient placement:
+A graph equation is E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N> = 0 on the lift
+(1, 0, z_x), (0, 1, z_y) in the metric diag(s0, s1, s2) that ``EQUATION_METRICS``
+gives it: minimal diag(1, 1, 1), maximal diag(1, 1, -1), bi-soliton diag(1, -1, 1)
+(minus the earlier bi-soliton form (1 - z_y^2) z_xx + ... - (1 + z_x^2) z_yy):
 
-    minimal     (1 + z_x^2) z_yy - 2 z_x z_y z_xy + (1 + z_y^2) z_xx = 0
-    maximal     (1 - z_x^2) z_yy + 2 z_x z_y z_xy + (1 - z_y^2) z_xx = 0
-    bi-soliton  (1 - z_y^2) z_xx + 2 z_x z_y z_xy - (1 + z_x^2) z_yy = 0
+    (s0 + s2 z_x^2) z_yy - 2 s2 z_x z_y z_xy + (s1 + s2 z_y^2) z_xx = 0.
 
 Graph residuals are reported unnormalized (directly comparable across grids);
 the parametric mean-curvature numerator is normalized to be scale-comparable.
@@ -29,6 +30,7 @@ __all__ = [
     "LORENTZ3",
     "LORENTZ3_PRIME",
     "EQUATIONS",
+    "EQUATION_METRICS",
     "DegenerateMetric",
     "graph_jet",
     "graph_jets",
@@ -39,9 +41,6 @@ __all__ = [
     "parametric_sweep",
     "GraphLiftSampler",
 ]
-
-EQUATIONS = ("minimal", "maximal", "bi-soliton")
-
 
 class DegenerateMetric(ArithmeticError):
     """First fundamental form numerically degenerate (|EG - F^2| ~ 0)."""
@@ -63,20 +62,14 @@ class GraphJet:
     z_yy: complex
 
 
-_JET_FIELDS = ("z", "z_x", "z_y", "z_xx", "z_xy", "z_yy")
-
-
 def graph_residual(eq: str, jet: GraphJet):
-    """Left-hand side of the selected graph ZMC equation at the jet."""
+    """Left-hand side of the graph ZMC equation ``eq`` at the jet (see above)."""
+    if eq not in EQUATION_METRICS:
+        raise ValueError(f"unknown equation {eq!r}; expected one of {EQUATIONS}")
+    s0, s1, s2 = EQUATION_METRICS[eq].signs
     zx, zy = jet.z_x, jet.z_y
-    zxx, zxy, zyy = jet.z_xx, jet.z_xy, jet.z_yy
-    if eq == "minimal":
-        return (1 + zx * zx) * zyy - 2 * zx * zy * zxy + (1 + zy * zy) * zxx
-    if eq == "maximal":
-        return (1 - zx * zx) * zyy + 2 * zx * zy * zxy + (1 - zy * zy) * zxx
-    if eq == "bi-soliton":
-        return (1 - zy * zy) * zxx + 2 * zx * zy * zxy - (1 + zx * zx) * zyy
-    raise ValueError(f"unknown equation {eq!r}; expected one of {EQUATIONS}")
+    return ((s0 + s2 * zx * zx) * jet.z_yy - 2 * s2 * zx * zy * jet.z_xy
+            + (s1 + s2 * zy * zy) * jet.z_xx)
 
 
 # The central-difference step of every sweep, and the 5-point coefficients
@@ -183,7 +176,7 @@ def graph_jet(surface, x: float, y: float, method: str = "exact") -> GraphJet:
     """Second-order jet of a height surface at (x, y): the one-point case of
     ``graph_jets``."""
     jet = graph_jets(surface, *one_point(x, y), method)
-    return GraphJet(*(np.ravel(getattr(jet, name))[0].item() for name in _JET_FIELDS))
+    return GraphJet(*(np.ravel(entry)[0].item() for entry in vars(jet).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +196,7 @@ class SignatureMetric:
         if tuple(self.signs) not in _ALLOWED_SIGNS:
             raise ValueError(f"unsupported metric signature {self.signs!r}")
 
-    def inner(self, a, b) -> float:
+    def inner(self, a, b):
         s = self.signs
         return s[0] * a[0] * b[0] + s[1] * a[1] * b[1] + s[2] * a[2] * b[2]
 
@@ -221,6 +214,9 @@ LORENTZ3 = SignatureMetric((1, 1, -1))
 LORENTZ3_PRIME = SignatureMetric((1, -1, 1))
 
 METRIC_NAMES = {"euclid": EUCLID3, "l3": LORENTZ3, "l3p": LORENTZ3_PRIME}
+
+EQUATION_METRICS = {"minimal": EUCLID3, "maximal": LORENTZ3, "bi-soliton": LORENTZ3_PRIME}
+EQUATIONS = tuple(EQUATION_METRICS)
 
 
 def array_jet(jet):

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from zmcsurf import catalog, expr, reps, zmc
+from zmcsurf import catalog, cli, expr, reps, zmc
 from zmcsurf.cli import _preprocess_argv, main, parse_complex
 
 
@@ -601,9 +601,7 @@ _SPLIT = ["we", "split", "--f", "1", "--mode", "reduced-R", "--weights", "0.5,0.
     ({"param": "beta=0.5"}, _KAMIEN, "must be a list, got 'beta=0.5'"),
     ({"verify": "no"}, _SPLIT, "must be true or false, got 'no'"),
     ({"verify": 1}, _SPLIT, "must be true or false, got 1"),
-    ({"check": None}, ["foliate", "--t", "0", "--out", "leaves"],
-     "must be true or false, got None"),
-], ids=["append-with-flag", "append", "switch-text", "switch-number", "switch-null"])
+], ids=["append-with-flag", "append", "switch-text", "switch-number"])
 def test_a_config_value_of_the_wrong_json_type_is_a_one_line_usage_error(
         config, argv, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -616,6 +614,30 @@ def test_a_config_value_of_the_wrong_json_type_is_a_one_line_usage_error(
     assert captured.out == ""
     assert captured.err == f"error: config {path!r} key {key!r} {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["we", "mesh", "--f", "1", "--g", "w"],
+    ["we", "eval", "--f", "1", "--g", "w", "--zeta", "0.3"],
+    ["foliate", "--t", "0", "--nx", "5", "--ny", "3", "--out", "leaves"],
+    _KAMIEN,
+    _SPLIT,
+    ["residual", "--grid", "0:0.8:5,0:0.8:5"],
+], ids=["we-mesh", "we-eval", "foliate", "identity", "split", "residual"])
+def test_a_null_config_value_is_the_flags_own_default(argv, tmp_path, capsys, monkeypatch):
+    # A null key, alone or with every other key null, keeps the flag's own (or
+    # its command's) default, as without the config: switches and repeatable
+    # flags included.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    path = tmp_path / "c.json"
+    one_null = [{name: None} for name in cli._command_flags(argv[0])]
+    for config in [dict.fromkeys(cli._FLAGS)] + one_null:
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path)] + argv) == 0, config
+        assert capsys.readouterr() == plain, config
+    assert not (tmp_path / "leaves" / "foliation_check.json").exists()
 
 
 def test_config_lists_and_switches_are_defaults(tmp_path, capsys):

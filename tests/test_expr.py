@@ -30,6 +30,7 @@ from zmcsurf.expr import (
     parse,
     parse_xy,
 )
+from zmcsurf.reps import WEData
 
 
 def test_polynomial_arithmetic():
@@ -96,6 +97,28 @@ def test_a_domain_error_elides_long_subexpressions():
     with pytest.raises(EvalDomainError) as err:
         e.eval(0.5)
     assert str(err.value) == "division by zero in ((... + w) / (w - w)) at 0j"
+
+
+def test_repr_of_a_deep_expression_is_bounded_text():
+    # A 600-term sum, WE data holding one, and a derivative DAG whose tree is
+    # far larger than its node count all print, eliding long subexpressions.
+    deep = "+".join(["x"] * 600)
+    quotient = parse_xy("/".join(["(1+x*y)"] * 80)).derivative("x").derivative("y")
+    assert repr(parse_xy(deep)) == "<TwoVarExpr ((((... + x) + x) + x) + x)>"
+    assert repr(parse_xy(deep).root.right) == "<Var x>"
+    assert repr(WEData.from_text(deep.replace("x", "w"), "w")).startswith(
+        "WEData(f=<AnalyticExpr ((((... + w) + w) + w) + w)>, g=<AnalyticExpr w>, ")
+    assert len(repr(quotient)) < 1000 and repr(quotient.root).startswith("<Binary (")
+    assert repr(parse("1 - 2*w")) == "<AnalyticExpr (1.0 - (2.0 * w))>"
+
+
+@pytest.mark.parametrize("walk", [
+    lambda node: _eval_node(node, {"w": 1j}), lambda node: _d(node, "w"), _fold, repr,
+    lambda node: Tape((AnalyticExpr(node, ("w",)),)),
+], ids=["eval", "derivative", "fold", "print", "tape"])
+def test_a_tree_walk_refuses_what_is_not_a_node(walk):
+    with pytest.raises(TypeError, match="not an expression node: 3"):
+        walk(Binary("add", Var("w"), 3))
 
 
 def test_scientific_literals():

@@ -139,7 +139,7 @@ def test_residual_linear_in_second_derivatives(zx, zy, a1, a2, a3, b1, b2, b3):
 
 def test_complexified_minimal_equation_maps_to_bi_soliton():
     # Substituting y -> i*y in the complexified log(cos y / cos x) surface turns
-    # the minimal residual into the bi-soliton residual of log(cosh y / cos x).
+    # the minimal residual into minus the bi-soliton residual of log(cosh y / cos x).
     complexified = catalog.builtin_surface("expr:log(cos(y)/cos(x))")
     bi = catalog.builtin_surface("scherkBI")
     rng = random.Random(11)
@@ -148,7 +148,66 @@ def test_complexified_minimal_equation_maps_to_bi_soliton():
         y = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.3, 0.3))
         r_minimal = graph_residual("minimal", complexified.exact_jet(x, 1j * y))
         r_bi = graph_residual("bi-soliton", bi.exact_jet(x, y))
-        assert abs(r_minimal - r_bi) < 1e-9
+        assert abs(r_minimal + r_bi) < 1e-9
+
+
+# Each equation with its own coefficients, as graph_residual wrote them before it
+# was one formula over the equation's metric: minimal and maximal keep their
+# bits, and bi-soliton is minus this form.
+_VERBATIM = {
+    "minimal": lambda zx, zy, zxx, zxy, zyy:
+        (1 + zx * zx) * zyy - 2 * zx * zy * zxy + (1 + zy * zy) * zxx,
+    "maximal": lambda zx, zy, zxx, zxy, zyy:
+        (1 - zx * zx) * zyy + 2 * zx * zy * zxy + (1 - zy * zy) * zxx,
+    "bi-soliton": lambda zx, zy, zxx, zxy, zyy:
+        (1 - zy * zy) * zxx + 2 * zx * zy * zxy - (1 + zx * zx) * zyy,
+}
+
+
+def _random_jets(kind, size=3000, seed=20):
+    """Real or complex jets, each entry scaled by a power of ten from 1e-3 to 1e2."""
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(6, size)) * 10.0 ** rng.integers(-3, 3, size=(6, size))
+    if kind == "complex":
+        entries = entries + 1j * rng.normal(size=(6, size))
+    return GraphJet(*entries)
+
+
+def _lift_numerator(metric, jet):
+    """E<X_vv,N> - 2F<X_uv,N> + G<X_uu,N> of the graph lift X_u = (1, 0, z_x),
+    X_v = (0, 1, z_y) from the metric's inner product and pseudo-normal, with
+    the sum of its three terms' absolute values."""
+    xu, xv = (1.0, 0.0, jet.z_x), (0.0, 1.0, jet.z_y)
+    n = metric.pseudo_normal(xu, xv)
+    terms = (metric.inner(xu, xu) * metric.inner((0.0, 0.0, jet.z_yy), n),
+             -2 * metric.inner(xu, xv) * metric.inner((0.0, 0.0, jet.z_xy), n),
+             metric.inner(xv, xv) * metric.inner((0.0, 0.0, jet.z_xx), n))
+    return sum(terms), sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("eq", zmc.EQUATIONS)
+def test_graph_residual_is_the_lift_numerator_of_its_metric(eq, kind):
+    jet = _random_jets(kind)
+    lift, size = _lift_numerator(zmc.EQUATION_METRICS[eq], jet)
+    assert np.all(np.abs(graph_residual(eq, jet) - lift) <= 1e-13 * (1 + size))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("eq", zmc.EQUATIONS)
+def test_graph_residual_keeps_the_verbatim_branches(eq, kind):
+    jet = _random_jets(kind)
+    fields = (jet.z_x, jet.z_y, jet.z_xx, jet.z_xy, jet.z_yy)
+    # On arrays, and at single points as Python numbers (their own arithmetic).
+    cases = [(graph_residual(eq, jet), _VERBATIM[eq](*fields))]
+    for k in range(100):
+        point = [f[k].item() for f in fields]
+        cases.append((graph_residual(eq, GraphJet(0.0, *point)), _VERBATIM[eq](*point)))
+    for r, old in cases:
+        if eq == "bi-soliton":
+            assert np.all(np.abs(r + old) <= 1e-13 * (1 + np.abs(old)))
+        else:
+            assert np.asarray(r).tobytes() == np.asarray(old).tobytes()
 
 
 # ---------------------------------------------------------------------------
