@@ -20,7 +20,6 @@ provided as independent oracles for the closed forms.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 import numbers
@@ -140,9 +139,6 @@ def _real_part(value):
 # complex arguments complex arithmetic; exact poles give nan (``_pole``).  A
 # stencil point is usable where its height is finite (``zmc.graph_jets``).
 
-_AS_IS = contextlib.nullcontext()
-
-
 @dataclass(frozen=True)
 class HeightSurface:
     """A named graph surface z = Z(x, y).
@@ -152,7 +148,7 @@ class HeightSurface:
     the closed-form second-order jet, which every surface has.  For kind !=
     generic the corresponding graph PDE residual vanishes on the default grid
     (tested, not assumed).  ``quiet`` says that ``height`` never emits numpy
-    warnings, so ``evaluate`` need not silence them.
+    warnings, so ``evaluate`` calls it at a real point as it is.
     """
 
     id: str
@@ -172,8 +168,11 @@ class HeightSurface:
         when a real point has no real height.
         """
         real = not (isinstance(x, complex) or isinstance(y, complex))
-        with _AS_IS if self.quiet else np.errstate(all="ignore"):
-            h = self.height(*one_point(x, y))
+        if real and self.quiet:  # one_point(x, y) is (x, y) at a real point
+            h = self.height(x, y)
+        else:
+            with np.errstate(all="ignore"):
+                h = self.height(*one_point(x, y))
         if real:  # _real_part without its array call, which costs more than the height
             value = complex(h)
             value = value.real if _negligible_imag(value) else math.nan
@@ -358,7 +357,8 @@ def _expr_surface(text: str) -> HeightSurface:
         return _expr.Tape(trees)
 
     def height(x, y):
-        if getattr(x, "ndim", 0) or getattr(y, "ndim", 0):
+        scalar = isinstance(x, float) and isinstance(y, float)
+        if not scalar and (getattr(x, "ndim", 0) or getattr(y, "ndim", 0)):
             return e.eval_array(x, y)[0]
         try:
             return e.eval(x, y)
@@ -742,8 +742,11 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
 
     ``x`` and ``y`` broadcast against each other to the points (lattice axes,
     or two 1-d arrays), and ``points`` are their coordinates in row-major
-    order; the guards see them as given, the terms in complex arithmetic.
-    ``policy`` defaults to the identity's own.
+    order; the guards see them as given.  Real points run the terms in real
+    arithmetic, and the whole sweep runs again in complex arithmetic if some
+    value of either side is not finite there (a log of a negative ratio);
+    complex points run in complex arithmetic.  ``policy`` defaults to the
+    identity's own.
     """
     policy = policy or inst.branch_policy
     if policy not in BRANCH_POLICIES:
@@ -755,12 +758,20 @@ def _sweep(inst: IdentityInstance, x, y, points, policy: Optional[str], toleranc
             ok = ok & t.guard(x, y, margin)
     reject(~np.broadcast_to(ok, shape), points,
            f"probe points violate the {inst.id} singularity margin {margin}")
-    zx, zy = x.astype(complex), y.astype(complex)
+
+    def sides(x, y):
+        lhs = np.broadcast_to(inst.lhs.fn(x, y), shape).reshape(-1)
+        rhs = np.broadcast_to(sum(t.fn(x, y) for t in inst.rhs_terms), shape).reshape(-1)
+        return lhs, rhs, np.isfinite(lhs) & np.isfinite(rhs)
+
+    real = not (np.iscomplexobj(x) or np.iscomplexobj(y))
     with np.errstate(all="ignore"):
-        lhs = np.broadcast_to(inst.lhs.fn(zx, zy), shape).reshape(-1)
-        rhs = np.broadcast_to(sum(t.fn(zx, zy) for t in inst.rhs_terms), shape).reshape(-1)
-        reject(~(np.isfinite(lhs) & np.isfinite(rhs)), points,
-               f"probe points give non-finite {inst.id} terms")
+        if real:
+            lhs, rhs, finite = sides(x, y)
+        if not real or not finite.all():
+            lhs, rhs, finite = sides(x.astype(complex), y.astype(complex))
+        reject(~finite, points, f"probe points give non-finite {inst.id} terms")
+        lhs, rhs = lhs.astype(complex, copy=False), rhs.astype(complex, copy=False)
         err = branch_error(policy, lhs, rhs)
     return VerificationReport.of(
         err, points, lhs, rhs, subject=f"identity:{inst.id}",

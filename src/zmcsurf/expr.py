@@ -528,6 +528,11 @@ class Tape:
     def __len__(self):
         return len(self.exprs)
 
+    @cached_property
+    def _scalar_code(self):
+        """The scalar run's program, (fn, a, b) per instruction, built on first use."""
+        return [(fn, a, b) for _, fn, a, b, _ in self._code]
+
     def scalar(self, *values):
         """The program at one point on Python complex numbers: ``complex``
         converts each value first, then each instruction runs the operation of
@@ -540,7 +545,7 @@ class Tape:
         s = [*map(complex, values), *self._values]
         total = 0
         try:
-            for _, fn, a, b, _ in self._code:
+            for fn, a, b in self._scalar_code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
                 total += v
                 s.append(v)

@@ -103,11 +103,10 @@ class GridSpec:
 
     def points(self):
         """Row-major lattice iterator: ((i, j), (u, v))."""
-        us = self.u_values()
-        vs = self.v_values()
-        for i in range(self.nu):
-            for j in range(self.nv):
-                yield (i, j), (float(us[i]), float(vs[j]))
+        vs = self.v_values().tolist()
+        for i, u in enumerate(self.u_values().tolist()):
+            for j, v in enumerate(vs):
+                yield (i, j), (u, v)
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

@@ -170,6 +170,14 @@ def test_evaluate_without_a_finite_value_raises_domain_violation(surface_id, x, 
     ("expr:1/x", complex(0.0), 0.2),    # the tape's
     ("expr:exp(x)*y", 800.0, 1.0),
     ("expr:log(x*y)", 0.0, 1.0),
+    # cos(PI / 2) is 6.1e-17, so the pole x = pi/2 of a log ratio is written exactly.
+    ("expr:log(cos(y)/(x - 1.5707963267948966))", PI / 2, 0.2),
+    ("expr:log(cos(y)/cos(x))", 2.0, 0.2),                        # a negative ratio
+    ("expr:log(cos(y)/cos(x))", math.nextafter(PI / 2, 2.0), 0.2),
+    ("expr:log(cos(y)/cos(x))", math.inf, 0.2),
+    ("expr:log(cos(y)/cos(x))", 0.2, -math.inf),
+    ("expr:log(cos(y)/cos(x))", math.nan, 0.2),
+    ("expr:log(cos(y)/cos(x))", 0.2, np.float64(math.nan)),
 ])
 def test_height_without_a_finite_value_raises_no_warning(surface_id, x, y):
     surface = builtin_surface(surface_id)
@@ -180,6 +188,25 @@ def test_height_without_a_finite_value_raises_no_warning(surface_id, x, y):
                 surface.evaluate(x, y)
             else:
                 surface.height_at(x, y)
+
+
+def test_real_expr_heights_are_the_tree_walk_at_every_default_grid_point():
+    surface = builtin_surface("expr:log(cos(y)/cos(x))")
+    root = expr.parse_xy("log(cos(y)/cos(x))").root
+    for _, (x, y) in surface.default_grid.points():
+        want = expr._eval_node(root, {"x": complex(x), "y": complex(y)})
+        assert repr(surface.height_at(x, y)) == repr(want.real)
+
+
+@pytest.mark.parametrize("text", ["x", "y", "-x", "x*y", "atan(x) - y"])
+def test_real_expr_heights_keep_signed_zeros(text):
+    surface = builtin_surface(f"expr:{text}")
+    root = expr.parse_xy(text).root
+    for x, y in ((-0.0, 0.2), (0.2, -0.0), (-0.0, -0.0), (0.0, -0.0)):
+        want = repr(expr._eval_node(root, {"x": complex(x), "y": complex(y)}).real)
+        assert repr(surface.height_at(x, y)) == want
+        assert repr(surface.height_at(np.float64(x), np.float64(y))) == want
+    assert repr(builtin_surface("expr:x").height_at(-0.0, 1.0)) == "-0.0"
 
 
 def test_surface_domain_masks_cos_zero():

@@ -21,6 +21,7 @@ from zmcsurf.catalog import builtin_surface, identity_terms
 from zmcsurf.errors import DomainViolation
 from zmcsurf.foliation import LeafSurface
 from zmcsurf.meshio import GridSpec
+from zmcsurf.report import BroadcastRows
 
 PI = math.pi
 SURFACES = ("scherk2", "scherk1", "scherk1:1.1", "helicoid", "scherk2max", "scherkBI",
@@ -177,25 +178,83 @@ def _report(report):
             "subject": report.subject}
 
 
+_IDENTITY_GRIDS = {"scherk2-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
+                   "scherk2max-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
+                   "scherkBI-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
+                   "kamien-decomp": GridSpec(-2, 2, 0.3, 3.0, 13, 11),
+                   "helicoid-decomp": GridSpec(0.1, 2.9, -2, 2, 13, 11),
+                   "general-scaled": GridSpec(-1, 1, -1, 1, 13, 11)}
+
+
+def _one_point_sides(inst, x, y):
+    """An identity's two sides at one point, as complex numbers."""
+    lhs = inst.lhs.fn(x, y)
+    rhs = sum(t.fn(x, y) for t in inst.rhs_terms)
+    return complex(np.ravel(lhs)[0]), complex(np.ravel(rhs)[0])
+
+
 # The log-ratio decompositions go last, so the other cases keep their ids.
+# The sweep keeps its real values where both sides are finite at every point,
+# and otherwise runs every point in complex arithmetic; so does the loop.
 @pytest.mark.parametrize("identity_id, n, params", _IDENTITIES[:3] + _IDENTITIES[5:]
                          + _IDENTITIES[3:5])
 def test_identity_sweep_equals_the_per_point_loop(identity_id, n, params):
     inst = identity_terms(identity_id, n, params)
-    grid = {"scherk2-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
-            "scherk2max-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
-            "scherkBI-decomp": GridSpec(-1, 1, -1, 1, 13, 11),
-            "kamien-decomp": GridSpec(-2, 2, 0.3, 3.0, 13, 11),
-            "helicoid-decomp": GridSpec(0.1, 2.9, -2, 2, 13, 11),
-            "general-scaled": GridSpec(-1, 1, -1, 1, 13, 11)}[identity_id]
-    values = []
-    for _, (x, y) in grid.points():
-        zx, zy = np.array([x], dtype=complex), np.array([y], dtype=complex)
-        lhs = complex(inst.lhs.fn(zx, zy)[0])
-        rhs = complex(sum(t.fn(zx, zy) for t in inst.rhs_terms)[0])
-        values.append((float(catalog.branch_error(inst.branch_policy, lhs, rhs)), lhs, rhs))
-    want = _loop_report([xy for _, xy in grid.points()], values, f"identity:{inst.id}")
+    grid = _IDENTITY_GRIDS[identity_id]
+    points = [xy for _, xy in grid.points()]
+    sides = [_one_point_sides(inst, x, y) for x, y in points]
+    if not all(cmath.isfinite(side) for pair in sides for side in pair):
+        sides = [_one_point_sides(inst, np.array([x], dtype=complex), np.array([y], dtype=complex))
+                 for x, y in points]
+    values = [(float(catalog.branch_error(inst.branch_policy, lhs, rhs)), lhs, rhs)
+              for lhs, rhs in sides]
+    want = _loop_report(points, values, f"identity:{inst.id}")
     assert _report(catalog.verify_identity(inst, grid)) == want
+
+
+def _complex_sweep(inst, grid):
+    """``verify_identity`` with every lattice point in complex arithmetic."""
+    u, v = grid.axes()
+    return catalog._sweep(inst, u.astype(complex), v.astype(complex), BroadcastRows(u, v),
+                          None, 1e-9, grid, grid.margin)
+
+
+# The scherk2-decomp n = 2 terms log(cos(y/2 -+ pi/4)/cos(x/2 -+ pi/4)) have a
+# negative ratio at every point of this window, and its lhs a positive one.
+_NEGATIVE_RATIOS = GridSpec(-2.25, -1.75, 1.75, 2.25, 5, 5)
+
+
+def test_a_lattice_with_a_side_that_is_not_finite_in_real_arithmetic_runs_in_complex():
+    inst = identity_terms("scherk2-decomp", 2)
+    u, v = _NEGATIVE_RATIOS.axes()
+    with np.errstate(invalid="ignore"):
+        assert np.isfinite(inst.lhs.fn(u, v)).all()
+        assert all(np.isnan(t.fn(u, v)).all() for t in inst.rhs_terms)
+    report = catalog.verify_identity(inst, _NEGATIVE_RATIOS)
+    assert report.passed
+    assert report.to_json(False) == _complex_sweep(inst, _NEGATIVE_RATIOS).to_json(False)
+
+
+def test_real_probes_with_a_side_that_is_not_finite_in_real_arithmetic_run_in_complex():
+    inst = identity_terms("scherk2-decomp", 2)
+    probes = [(0.3, 0.2), (-0.7, 0.5), (-2.0, 2.0)]   # the last one has negative ratios
+    with np.errstate(invalid="ignore"):
+        assert math.isnan(sum(t.fn(*probes[-1]) for t in inst.rhs_terms))
+    real = catalog.verify_identity_at(inst, probes).to_dict(False)
+    cplx = catalog.verify_identity_at(inst, [(complex(x), complex(y)) for x, y in probes])
+    want = cplx.to_dict(False)
+    assert real["pass"] and want["worst_point"]["coords"] == [
+        {"re": x, "im": 0.0} for x in real["worst_point"]["coords"]]
+    want["worst_point"]["coords"] = real["worst_point"]["coords"]
+    assert real == want
+
+
+@pytest.mark.parametrize("identity_id, n, params", _IDENTITIES)
+def test_real_and_complex_lattice_sweeps_both_pass_to_rounding(identity_id, n, params):
+    inst = identity_terms(identity_id, n, params)
+    grid = _IDENTITY_GRIDS[identity_id]
+    for report in (catalog.verify_identity(inst, grid), _complex_sweep(inst, grid)):
+        assert report.passed and report.max_abs_err < 1e-14
 
 
 def _bad_points(grid, ok):

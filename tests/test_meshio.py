@@ -277,6 +277,12 @@ def test_lattice_has_the_bits_of_the_meshgrid_ravel(grid):
     for g, w in zip(got, want):
         assert g.shape == (grid.nu * grid.nv,) and g.tobytes() == w.tobytes()
         assert g.flags.writeable
+    # points() yields Python floats with the same bits, in the same order.
+    points = list(grid.points())
+    assert [ij for ij, _ in points] == [(i, j) for i in range(grid.nu) for j in range(grid.nv)]
+    for (_, xy), u, v in zip(points, *got):
+        assert list(map(type, xy)) == [float, float]
+        assert list(map(repr, xy)) == [repr(float(u)), repr(float(v))]
     # Fresh arrays: writing to one lattice changes neither the next nor the axes.
     got[0][:] = 9.0
     assert grid.lattice()[0].tobytes() == want[0].tobytes()
