@@ -136,8 +136,13 @@ def _real_part(value):
 # real-point ``expr:`` height: it runs the tape at one point with ``cmath``
 # (``Tape.scalar``) and has those bits, which may differ in the last place from
 # the tape's lattice entry.  Real arguments give real arithmetic (nan off the real domain),
-# complex arguments complex arithmetic; exact poles give nan (``_pole``).  A
-# stencil point is usable where its height is finite (``zmc.graph_jets``).
+# complex arguments complex arithmetic; exact poles give nan (``_pole``).  An
+# ``expr:`` surface's tape follows the same rule point by point: on real
+# arrays an expression keeps its float64 value where all of its operations are
+# finite, and takes its complex value (its real part, if negligibly complex)
+# elsewhere.  The tape's running sum guards only the values that can hide a
+# non-finite operand (``expr.Tape``).  A stencil point is usable where its
+# height is finite (``zmc.graph_jets``).
 
 @dataclass(frozen=True)
 class HeightSurface:
@@ -167,21 +172,22 @@ class HeightSurface:
         Raises DomainViolation when an input or the value is not finite, or
         when a real point has no real height.
         """
-        real = not (isinstance(x, complex) or isinstance(y, complex))
-        if real and self.quiet:  # one_point(x, y) is (x, y) at a real point
-            h = self.height(x, y)
-        else:
+        if isinstance(x, complex) or isinstance(y, complex):
             with np.errstate(all="ignore"):
-                h = self.height(*one_point(x, y))
-        if real:  # _real_part without its array call, which costs more than the height
-            value = complex(h)
-            value = value.real if _negligible_imag(value) else math.nan
+                h = complex(self.height(*one_point(x, y))[0])
+            what = "value"
         else:
-            value = complex(h[0])
-        if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(value)):
-            what = "real value" if real else "value"
-            raise DomainViolation(f"{self.id} has no finite {what} at ({x}, {y})", [(x, y)])
-        return value
+            if self.quiet:  # one_point(x, y) is (x, y) at a real point; h is a complex
+                h = self.height(x, y)
+            else:
+                with np.errstate(all="ignore"):
+                    h = complex(self.height(*one_point(x, y)))
+            # _real_part without its array call, which costs more than the height
+            h = h.real if _negligible_imag(h) else math.nan
+            what = "real value"
+        if cmath.isfinite(h) and cmath.isfinite(x) and cmath.isfinite(y):
+            return h
+        raise DomainViolation(f"{self.id} has no finite {what} at ({x}, {y})", [(x, y)])
 
     def height_at(self, x: float, y: float) -> float:
         return self.evaluate(float(x), float(y))

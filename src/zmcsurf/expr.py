@@ -20,15 +20,16 @@ subtree that several derivatives share is walked once.
 
 Expressions are evaluated by a ``Tape``: a set of expressions in the same
 variables, compiled once into one straight-line list of instructions that
-runs each distinct subtree of the set once, with numpy over ``complex128``
-arrays or with ``cmath`` at one point.  ``eval_array`` is the array run of
-one expression's tape.  Points where one of an expression's own values is
-non-finite are evaluated again by the scalar tree walk ``_eval_node``, so a
-pole, branch point or overflow still raises ``EvalDomainError`` naming the
-node at fault.  Scalar ``eval`` runs the same instructions on Python complex
-numbers with ``cmath`` (``Tape.scalar``); where that gives None it runs the
-tree walk, so values and errors are the walk's, and the walk is the test
-oracle for both.
+runs each distinct subtree of the set once, with numpy over ``float64``
+(real inputs) or ``complex128`` arrays, or with ``cmath`` at one point.
+``eval_array`` is the array run of one expression's tape.  Points where one
+of an expression's own float64 values is non-finite run again in complex,
+and points where one of its complex values is non-finite are evaluated by
+the scalar tree walk ``_eval_node``, so a pole, branch point or overflow
+still raises ``EvalDomainError`` naming the node at fault.  Scalar ``eval``
+runs the same instructions on Python complex numbers with ``cmath``
+(``Tape.scalar``); where that gives None it runs the tree walk, so values and
+errors are the walk's, and the walk is the test oracle for both.
 
 There is no simplifier beyond constant folding (applied to derivatives):
 callers compare values, not tree shapes.
@@ -411,11 +412,12 @@ def _eval_node(node: Node, env: dict) -> complex:
 # tape evaluation: one program per set of expressions, run on arrays or at one point
 # ---------------------------------------------------------------------------
 
-def _power(base, exp: int):
+def _power(base, exp: int, one=1 + 0j):
     """base**exp by the square-and-multiply order of CPython's complex power, in
-    ufuncs: numpy's scalar ``*`` rounds a 0-d complex product unlike an array's."""
+    ufuncs: numpy's scalar ``*`` rounds a 0-d complex product unlike an array's.
+    ``one`` is the run's own one, 1.0 in a float64 run."""
     n = abs(exp)
-    out = 1 + 0j
+    out = one
     while n:
         if n & 1:
             out = np.multiply(out, base)
@@ -445,15 +447,21 @@ _NUMPY_FN: dict[str, Callable] = {
 }
 
 
-def _bind(table, op):
+def _bind(table, op, **one):
     """The function of an instruction's op; a Power's op is its exponent."""
-    return table[op] if isinstance(op, str) else partial(table["pow"], exp=op)
+    return table[op] if isinstance(op, str) else partial(table["pow"], exp=op, **one)
+
+
+# Ops whose value can be finite at a non-finite operand (exp(-inf) = 0,
+# tanh(inf) = 1, atan(inf) = pi/2, tan at a complex infinity); a divisor or the
+# base of a power with exponent <= 0 can hide one too (1/inf = 0, inf^0 = 1).
+_HIDING = frozenset(("exp", "tan", "tanh", "atan"))
 
 
 class Tape:
     """Expressions in the same variables, compiled together once into one
-    straight-line program, run over complex128 arrays (``__call__``) or at
-    one point (``scalar``).
+    straight-line program, run over arrays (``__call__``) or at one point
+    (``scalar``).
 
     Each structurally distinct subtree of the set is one instruction, run once
     per evaluation; constants are told apart by their bits, since
@@ -461,14 +469,27 @@ class Tape:
     last use, except the roots: they stay until the run writes them out at
     its end.
 
-    Every instruction's value is added into one running sum.  IEEE sums keep
-    inf and nan, so the sum is non-finite wherever some value is; it can also
-    overflow where every value is finite, as for ``(w*1.5) - (w*1.4)`` at
-    1e308.  So its non-finite points are only suspects: there the program
-    runs again, and each expression with a non-finite value among its own
-    instructions is evaluated by the scalar tree walk ``_eval_node``.  A pole, branch point or
-    overflow thus still raises ``EvalDomainError`` naming the node at fault,
-    and no expression's values or errors depend on the rest of the set.
+    Real inputs run in float64, other inputs in complex128; values are
+    complex128 either way.  On real inputs an expression with a non-real
+    constant runs in complex128 (a set of both kinds runs as two tapes,
+    ``_parts``).  An expression keeps its float64 value at a point where
+    every one of its own instructions is finite there.  Elsewhere it takes
+    the complex run's value and error at that point: the complex program
+    runs again on those points only.
+
+    An array run adds into one running sum only the values that can hide a
+    non-finite operand: the roots, the operands of exp, tan, tanh and atan,
+    divisors and the bases of powers with exponent <= 0.  Every other
+    operation is non-finite wherever an operand is, and every value that is
+    not a root has a consumer, so the sum is non-finite wherever some value
+    is.  It can also overflow where every value is finite, as for
+    ``tanh(w*1.5) + w*1.5`` at 1e308.  So its non-finite points are only
+    suspects: there the program runs again, and each expression with a
+    non-finite value among its own instructions is evaluated by the complex
+    run, whose suspects go to the scalar tree walk ``_eval_node``.  A pole,
+    branch point or overflow thus still raises ``EvalDomainError`` naming the
+    node at fault, and no expression's values or errors depend on the rest of
+    the set or of the points.
     """
 
     def __init__(self, exprs):
@@ -517,13 +538,23 @@ class Tape:
 
         for a, j in last.items():
             drops[j].append(at(a))
+        guarded = set(refs)  # the values an array run adds into its running sum
+        for op, *args in code:
+            if op in _HIDING or (isinstance(op, int) and op <= 0):
+                guarded.add(args[0])
+            elif op == "div":
+                guarded.add(args[1])
+        self._ops = [(op, *map(at, args), *(None,) * (2 - len(args)), tuple(drops[j]), j in guarded)
+                     for j, (op, *args) in enumerate(code)]
         self._values = consts  # the Const values themselves, for the scalar run
         self._consts = [np.complex128(c) for c in consts]
         self._roots = [at(r) for r in refs]
         self._pick_roots = operator.itemgetter(*self._roots)
-        self._code = [(_bind(_NUMPY_FN, op), _bind(_SCALAR_FN, op), *map(at, args),
-                       *(None,) * (2 - len(args)), tuple(drops[j]))
-                      for j, (op, *args) in enumerate(code)]
+        self._code = [(_bind(_NUMPY_FN, op), *rest) for op, *rest in self._ops]
+        self._real_code = None  # a float64 run needs real constants
+        if all(c.imag == 0 for c in consts):
+            self._real_code = [(_bind(_NUMPY_FN, op, one=1.0), *rest) for op, *rest in self._ops]
+            self._real_consts = [np.float64(c.real) for c in consts]
 
     def __len__(self):
         return len(self.exprs)
@@ -531,7 +562,20 @@ class Tape:
     @cached_property
     def _scalar_code(self):
         """The scalar run's program, (fn, a, b) per instruction, built on first use."""
-        return [(fn, a, b) for _, fn, a, b, _ in self._code]
+        return [(_bind(_SCALAR_FN, op), a, b) for op, a, b, _, _ in self._ops]
+
+    @cached_property
+    def _parts(self):
+        """For real inputs to a set with a non-real constant: (indices, tape) of
+        the expressions whose constants are all real, whose tape runs in
+        float64, then of the others; None where every expression has a
+        non-real constant."""
+        real = [_bottom_up(e.root, lambda node, *kids: all(kids) and not (
+                    isinstance(node, Const) and node.value.imag)) for e in self.exprs]
+        if not any(real):
+            return None
+        return [([i for i, r in enumerate(real) if r is keep],
+                 Tape(e for e, r in zip(self.exprs, real) if r is keep)) for keep in (True, False)]
 
     def scalar(self, *values):
         """The program at one point on Python complex numbers: ``complex``
@@ -565,16 +609,25 @@ class Tape:
         that shape) of each point where its scalar tree walk raises to that
         ``EvalDomainError`` (its value is nan there).
         """
-        arrays = [np.asarray(a, dtype=complex) for a in arrays]
+        arrays = [np.asarray(a) for a in arrays]
+        real = all(a.dtype.kind in "biuf" for a in arrays)
+        if real and self._real_code is None and self._parts:
+            return self._joined(arrays)
+        if real and self._real_code is not None:
+            dtype, code, s = float, self._real_code, self._real_consts
+        else:
+            dtype, code, s = complex, self._code, self._consts
+        arrays = [np.asarray(a, dtype=dtype) for a in arrays]
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
         values = np.empty((len(self.exprs), *shape), dtype=complex)
-        total = np.zeros(shape, dtype=complex)
-        s = [*arrays, *self._consts]
+        total = np.zeros(shape, dtype=dtype)
+        s = [*arrays, *s]
         add = np.add
         with np.errstate(all="ignore"):
-            for fn, _, a, b, drop in self._code:
+            for fn, a, b, drop, guard in code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
-                add(total, v, total)
+                if guard:
+                    add(total, v, total)
                 s.append(v)
                 for k in drop:
                     s[k] = None
@@ -588,27 +641,49 @@ class Tape:
                 self._walk_suspects(arrays, suspects, values, errors)
         return values, errors
 
+    def _joined(self, arrays):
+        """Each part's run (``_parts``), in the order of the set."""
+        values, errors = None, [None] * len(self.exprs)
+        for where, tape in self._parts:
+            part_values, part_errors = tape(*arrays)
+            if values is None:
+                values = np.empty((len(self.exprs), *part_values.shape[1:]), dtype=complex)
+            values[where] = part_values
+            for i, e in zip(where, part_errors):
+                errors[i] = e
+        return values, errors
+
     def _walk_suspects(self, arrays, suspects, values, errors):
-        """Run the program again at the suspect flat indices, and evaluate each
-        expression by ``_eval_node`` where one of its instructions is not finite."""
+        """Run the program again at the suspect flat indices, and give each
+        expression with a non-finite value among its own instructions there the
+        complex run's value and error: a float64 run takes them from a complex
+        run at the suspects, a complex run from the tree walk ``_eval_node``."""
+        real = arrays[0].dtype.kind == "f"
         flat = [np.ravel(a) for a in np.broadcast_arrays(*arrays)]
-        s = [*(f[suspects] for f in flat), *self._consts]
+        points = [f[suspects] for f in flat]
+        s = [*points, *(self._real_consts if real else self._consts)]
         bad = [False] * len(s)  # per value: is it or an instruction below it not finite
         with np.errstate(all="ignore"):
-            for fn, _, a, b, _ in self._code:
+            for fn, a, b, _, _ in self._real_code if real else self._code:
                 v = fn(s[a]) if b is None else fn(s[a], s[b])
                 s.append(v)
                 bad.append(~np.isfinite(v) | bad[a] | (b is not None and bad[b]))
+        hits = [np.broadcast_to(bad[root], suspects.shape) for root in self._roots]
+        if real and any(hit.any() for hit in hits):
+            complex_values, complex_errors = self(*(p.astype(complex) for p in points))
         flat_values = values.reshape(len(self.exprs), -1)
-        for i, (e, root) in enumerate(zip(self.exprs, self._roots)):
-            hit = np.broadcast_to(bad[root], suspects.shape)
-            for k in suspects[hit].tolist():
-                env = {name: complex(f[k]) for name, f in zip(self.varnames, flat)}
-                try:
-                    flat_values[i, k] = _eval_node(e.root, env)
-                except EvalDomainError as exc:
-                    flat_values[i, k] = complex("nan")
-                    errors[i][k] = exc
+        for i, (e, hit) in enumerate(zip(self.exprs, hits)):
+            if real and hit.any():
+                flat_values[i, suspects[hit]] = complex_values[i, hit]
+                errors[i] = {int(suspects[j]): exc for j, exc in complex_errors[i].items() if hit[j]}
+            elif not real:
+                for k in suspects[hit].tolist():
+                    env = {name: complex(f[k]) for name, f in zip(self.varnames, flat)}
+                    try:
+                        flat_values[i, k] = _eval_node(e.root, env)
+                    except EvalDomainError as exc:
+                        flat_values[i, k] = complex("nan")
+                        errors[i][k] = exc
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +872,9 @@ class AnalyticExpr(_Printed):
 
         Returns ``(values, errors)``: a complex128 array of the broadcast shape,
         and a dict from the flat index of each point where the scalar evaluator
-        raises to its ``EvalDomainError`` (``values`` holds nan there).
+        raises to its ``EvalDomainError`` (``values`` holds nan there).  Real
+        arrays run in float64 where every operation is finite, and in complex
+        arithmetic elsewhere (``Tape``).
         """
         values, errors = self._tape(*arrays)
         return values[0], errors[0]

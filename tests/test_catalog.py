@@ -190,6 +190,21 @@ def test_height_without_a_finite_value_raises_no_warning(surface_id, x, y):
                 surface.height_at(x, y)
 
 
+@pytest.mark.parametrize("surface_id", ["scherk2", "expr:log(cos(y)/cos(x))"])
+@pytest.mark.parametrize("x, y", [
+    (np.float64(math.inf), 0.2),
+    (0.2, np.float64(math.nan)),
+    (np.complex128(complex(math.inf, 0.0)), 0.2),
+    (0.2, np.complex128(complex(0.1, math.nan))),
+])
+def test_evaluate_at_a_non_finite_numpy_scalar_raises_no_warning(surface_id, x, y):
+    # evaluate takes the point as given (height_at converts to float first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainViolation, match="has no finite"):
+            builtin_surface(surface_id).evaluate(x, y)
+
+
 def test_real_expr_heights_are_the_tree_walk_at_every_default_grid_point():
     surface = builtin_surface("expr:log(cos(y)/cos(x))")
     root = expr.parse_xy("log(cos(y)/cos(x))").root

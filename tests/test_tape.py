@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zmcsurf import catalog, reps
+from zmcsurf import expr as _expr
 from zmcsurf.expr import AnalyticExpr, Binary, Const, Power, Tape, Unary, Var, parse, parse_xy
 from zmcsurf.errors import EmptyGrid
 from zmcsurf.meshio import GridSpec, sample_patch
@@ -147,7 +148,9 @@ def test_signed_zero_constants_stay_apart():
 
 @pytest.mark.parametrize("source, at, suspects", [
     ("(w*1.5) - (w*1.5)", 1e308, []),    # one distinct product: the sum stays finite
-    ("(w*1.5) - (w*1.4)", 1e308, [0]),   # two finite products whose sum overflows
+    # Two guarded values, the operand of tanh and the root, finite at 1e308:
+    # their sum overflows.
+    ("tanh(w*1.5) + w*1.5", 1e308, [0]),
 ])
 def test_an_overflowing_running_sum_keeps_the_value_of_eval(source, at, suspects, monkeypatch):
     seen = []
@@ -189,6 +192,113 @@ def test_tape_rejects_mixed_or_unknown_variables():
         Tape([parse("u", "u"), parse("v", "v")])
     with pytest.raises(ValueError, match="not one of"):
         Tape([AnalyticExpr(Var("z"), ("w",))])
+
+
+# ---------------------------------------------------------------------------
+# float64 runs of real inputs, and the finiteness guard of an array run
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = [np.inf, -np.inf, np.nan]
+_NON_FINITE_COMPLEX = [complex(a, b) for a in (*_NON_FINITE, 0.0, -1.0, 2.0)
+                       for b in (*_NON_FINITE, 0.0, -0.0, 1.0) if not np.isfinite(complex(a, b))]
+_FINITE = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -1e300]
+_FINITE_COMPLEX = [*_FINITE, 1j, -1j, complex(1.0, -1.0), complex(-0.0, 0.0), complex(1e300, 1e-300)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_unguarded_operations_keep_a_non_finite_operand_non_finite(dtype):
+    # An array run adds only the values that can hide a non-finite operand into
+    # its running sum: the roots, the operands of expr._HIDING, divisors and the
+    # bases of powers with exponent <= 0.  That is sound while every other
+    # operation is non-finite wherever an operand is; this table pins it.
+    bad = np.array(_NON_FINITE if dtype is float else _NON_FINITE_COMPLEX, dtype=dtype)
+    good = np.array(_FINITE if dtype is float else _FINITE_COMPLEX, dtype=dtype)
+    one = dtype(1)
+    pairs = {"bad, good": (bad[:, None], good[None, :]), "good, bad": (good[:, None], bad[None, :]),
+             "bad, bad": (bad[:, None], bad[None, :])}
+    with np.errstate(all="ignore"):
+        cases = {f"{op}(bad)": _expr._NUMPY_FN[op](bad)
+                 for op in ("neg", *_expr.FUNCTIONS) if op not in _expr._HIDING}
+        cases.update((f"bad^{k}", _expr._power(bad, k, one)) for k in range(1, 6))
+        cases.update((f"{op}({n})", _expr._NUMPY_FN[op](a, b)) for op in ("add", "sub", "mul")
+                     for n, (a, b) in pairs.items())
+        cases.update((f"div({n})", np.divide(a, b)) for n, (a, b) in pairs.items()
+                     if n.startswith("bad"))  # a non-finite numerator
+        hidden = [name for name, v in cases.items() if np.isfinite(v).any()]
+        assert hidden == []
+        # The guarded operations do hide one: tan only at a complex infinity, a
+        # negative power only at a real one.
+        hiding = _expr._HIDING - ({"tan"} if dtype is float else set())
+        assert all(np.isfinite(_expr._NUMPY_FN[op](bad)).any() for op in hiding)
+        assert np.isfinite(np.divide(good[:, None], bad[None, :])).any()
+        assert np.isfinite(_expr._power(bad, 0, one))
+        assert np.isfinite(_expr._power(bad, -1, one)).any() == (dtype is float)
+
+
+# Branch cuts and poles on the axes, and a pole each guarded value hides (exp,
+# a divisor, the base of a power with exponent <= 0).
+_CUTS = ["log(x*y)", "sqrt(x) + y", "1/x", "atan(y/x)", "log(cos(y)/cos(x))",
+         "exp(1/x) - y", "y/(1/x)", "(1/y)^-2 + x", "(1/x)^0 + y", "exp(i*x) + log(y)"]
+_AXIS = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.pi / 2, -1e-300]),
+                           st.floats(-3.0, 3.0)), min_size=1, max_size=5)
+
+
+def _float64_walk(e, x, y):
+    """An expression's tree walked over whole arrays in float64, and where every
+    one of its operations is finite."""
+    finite = np.ones(np.broadcast_shapes(x.shape, y.shape), dtype=bool)
+    env = {"x": x, "y": y}
+
+    def visit(node, *args):
+        nonlocal finite
+        if isinstance(node, Const):
+            if node.value.imag:  # an expression with a non-real constant runs in complex
+                finite = np.zeros_like(finite)
+            return np.float64(node.value.real)
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Power):
+            value = _expr._power(*args, node.exponent, 1.0)
+        else:
+            value = _expr._NUMPY_FN[node.op](*args)
+        finite = finite & np.isfinite(value)
+        return value
+
+    with np.errstate(all="ignore"):
+        value = _expr._bottom_up(e.root, visit)
+    return np.broadcast_to(value, finite.shape), finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(_CUTS), min_size=1, max_size=4, unique=True), _AXIS, _AXIS)
+def test_real_points_keep_their_float64_value_where_every_operation_is_finite(sources, xs, ys):
+    # Each point and each expression on its own: the float64 value where all of
+    # the expression's operations are finite, else the complex run's value and
+    # error at that point.
+    x, y = np.array(xs)[:, None], np.array(ys)[None, :]
+    tape = Tape([parse_xy(s) for s in sources])
+    values, errors = _assert_joint_is_alone(tape, x, y)
+    complex_values, complex_errors = tape(x.astype(complex), y.astype(complex))
+    for e, got, got_errors, other, other_errors in zip(
+            tape.exprs, values, errors, complex_values, complex_errors):
+        real, finite = _float64_walk(e, x, y)
+        want = np.where(finite, real, other)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got.imag[finite]).any()
+        want_errors = {k: exc for k, exc in other_errors.items() if not finite.flat[k]}
+        assert list(got_errors) == list(want_errors)
+        assert [str(x) for x in got_errors.values()] == [str(x) for x in want_errors.values()]
+
+
+def test_a_non_real_constant_runs_its_own_expression_in_complex():
+    x, y = np.linspace(0.1, 3.0, 40)[:, None], np.linspace(-2.0, 2.0, 40)[None, :]
+    mixed = Tape([parse_xy(s) for s in ("tanh(x*y)", "x*y + i*0", "exp(i*x)", "log(x) + y")])
+    assert mixed._real_code is None and [where for where, _ in mixed._parts] == [[0, 3], [1, 2]]
+    values, _ = _assert_joint_is_alone(mixed, x, y)
+    complex_values = mixed(x.astype(complex), y.astype(complex))[0]
+    assert values[1:3].tobytes() == complex_values[1:3].tobytes()
+    # tanh and log round differently in float64 and complex arithmetic
+    assert (values[0] != complex_values[0]).any() and (values[3] != complex_values[3]).any()
 
 
 # ---------------------------------------------------------------------------
