@@ -599,7 +599,8 @@ class Tape:
 
     def __call__(self, *arrays):
         """Evaluate every expression at every point of ``arrays``, one per
-        variable in ``varnames`` order, broadcast against each other.
+        variable in ``varnames`` order (else ``TypeError``, as in ``scalar``),
+        broadcast against each other.
 
         The leaves are not broadcast: each instruction runs at the broadcast
         shape of its own operands, so on lattice axes ((n, 1) against (1, m))
@@ -609,6 +610,8 @@ class Tape:
         that shape) of each point where its scalar tree walk raises to that
         ``EvalDomainError`` (its value is nan there).
         """
+        if len(arrays) != len(self.varnames):
+            raise TypeError(f"expected {len(self.varnames)} values, got {len(arrays)}")
         arrays = [np.asarray(a) for a in arrays]
         real = all(a.dtype.kind in "biuf" for a in arrays)
         if real and self._real_code is None and self._parts:
@@ -617,8 +620,8 @@ class Tape:
             dtype, code, s = float, self._real_code, self._real_consts
         else:
             dtype, code, s = complex, self._code, self._consts
-        arrays = [np.asarray(a, dtype=dtype) for a in arrays]
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        arrays = [a if a.dtype == dtype else a.astype(dtype) for a in arrays]
+        shape = arrays[0].shape if len(arrays) == 1 else np.broadcast_shapes(*map(np.shape, arrays))
         values = np.empty((len(self.exprs), *shape), dtype=complex)
         total = np.zeros(shape, dtype=dtype)
         s = [*arrays, *s]

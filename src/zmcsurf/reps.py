@@ -139,11 +139,14 @@ def _level_rule(nseg: int):
 
 @lru_cache(maxsize=None)
 def _pass_rule(levels: tuple):
-    """The nodes of several levels side by side: (nodes, first column of each
-    level and one past the last, weights of each level)."""
+    """The nodes of several levels side by side, each level's span (first and
+    one past the last column) of Gauss nodes, and every column's weight (0 at
+    a boundary probe)."""
     rules = [_level_rule(nseg) for nseg in levels]
     starts = np.cumsum([0] + [t.size for t, _ in rules]).tolist()
-    return np.concatenate([t for t, _ in rules]), starts, [w for _, w in rules]
+    spans = [(start, start + w.size) for start, (_, w) in zip(starts, rules)]
+    weights = np.concatenate([np.pad(w, (0, t.size - w.size)) for t, w in rules])
+    return np.concatenate([t for t, _ in rules]), spans, weights
 
 
 def _singular(node, exc):
@@ -183,53 +186,71 @@ def integrate_segments(integrands, z0, z1):
     nodes of all still-active segments in one tape call; no segment can stop
     before level 2, so the first pass takes levels 1 and 2 and the probe at
     t = 1/2 together, 16 + 32 + 1 = 49 nodes.
+
+    A chunk weights its nodes in one product and sums each level over its own
+    columns.  Per-endpoint work runs only where a summary test fails: the
+    non-finite ends' errors where the lengths' sum is not finite, the
+    finiteness mask where a node failed or a level's sum is not finite, the
+    per-endpoint test and floor where some difference reaches ``_TOL``.
+    Otherwise the pass writes its last level in one assignment.
     """
     tape = integrands if isinstance(integrands, Tape) else Tape(integrands)
-    z0, z1 = np.broadcast_arrays(np.asarray(z0, dtype=complex).reshape(-1),
-                                 np.asarray(z1, dtype=complex).reshape(-1))
-    npts = z1.size
-    values = np.zeros((len(tape), npts), dtype=complex)
-    errors = [None] * npts
+    z0 = np.asarray(z0, dtype=complex)
+    z0 = z0.reshape(() if z0.size == 1 else -1)  # one start stays a scalar
+    z1 = np.asarray(z1, dtype=complex).reshape(-1)
     delta = z1 - z0
-    finite = np.isfinite(delta)
-    for k in np.flatnonzero(~finite).tolist():
-        ends = complex(z0[k]), complex(z1[k])
-        errors[k] = SingularPath(f"segment [{ends[0]!r}, {ends[1]!r}] has a non-finite "
-                                 + ("length" if np.isfinite(ends).all() else "endpoint"))
-    z0, delta = np.where(finite, z0, 0), np.where(finite, delta, 0)  # empty: never active
+    values = np.zeros((len(tape), delta.size), dtype=complex)
+    errors = [None] * delta.size
+
+    def ends(k):  # segment k's endpoints, for its error message
+        return [complex(np.broadcast_to(z, delta.shape)[k]) for z in (z0, z1)]
+
+    if not np.isfinite(delta.sum()):  # some end or length is not finite
+        finite = np.isfinite(delta)
+        for k in np.flatnonzero(~finite).tolist():
+            a, b = ends(k)
+            errors[k] = SingularPath(f"segment [{a!r}, {b!r}] has a non-finite "
+                                     + ("length" if np.isfinite((a, b)).all() else "endpoint"))
+        delta = np.where(finite, delta, 0)  # empty: never active
     active = np.flatnonzero(delta)
     prev = None
     nseg = 1
     while active.size:
         levels = (nseg,) if prev is not None or 2 * nseg > _MAX_SEGMENTS else (nseg, 2 * nseg)
-        t, starts, weights = _pass_rule(levels)
+        t, spans, weights = _pass_rule(levels)
         cur = np.empty((len(levels), len(tape), active.size), dtype=complex)
         first = {}  # endpoint row -> (its lowest failing column, integrand, node, error)
         chunk = max(1, _MAX_NODES // t.size)
         for lo in range(0, active.size, chunk):
             pts = active[lo:lo + chunk]
             length = delta[pts]
-            w = z0[pts, None] + t[None, :] * length[:, None]
+            w = (z0 if z0.ndim == 0 else z0[pts, None]) + t * length[:, None]
             vals, errs = tape(w)
-            for level, (start, wts) in enumerate(zip(starts, weights)):
-                cur[level, :, lo:lo + pts.size] = length * (
-                    vals[:, :, start:start + wts.size] * wts).sum(axis=2)
+            vals *= weights
+            for level, (start, stop) in enumerate(spans):
+                cur[level, :, lo:lo + pts.size] = length * vals[:, :, start:stop].sum(axis=2)
             for idx, errs_i in enumerate(errs):
                 for flat, exc in errs_i.items():
                     row, col = divmod(flat, t.size)
                     got = first.get(lo + row)
                     if got is None or (col, idx) < got[:2]:
                         first[lo + row] = col, idx, w[row, col], exc
-        alive = np.isfinite(cur).all(axis=(0, 1))  # a failing node outranks an overflow
-        for k in active[~alive].tolist():
-            errors[k] = SingularPath(
-                f"the integral over [{complex(z0[k])!r}, {complex(z1[k])!r}] overflows")
-        for row, (_, _, node, exc) in first.items():
-            errors[active[row]] = _singular(node, exc)
-            alive[row] = False
+        # Every endpoint is alive unless a node failed or a level value is not finite.
+        clean = not first and np.isfinite(cur.sum())
+        alive = np.ones(active.size, dtype=bool) if clean else np.isfinite(cur).all(axis=(0, 1))
+        if not clean:
+            for k in active[~alive].tolist():  # a failing node outranks an overflow
+                a, b = ends(k)
+                errors[k] = SingularPath(f"the integral over [{a!r}, {b!r}] overflows")
+            for row, (_, _, node, exc) in first.items():
+                errors[active[row]] = _singular(node, exc)
+                alive[row] = False
         for level_cur in cur:
             if prev is not None:
                 diff = np.abs(level_cur - prev)
+                if clean and diff.max() < _TOL:  # every endpoint done at this level
+                    values[:, active] = level_cur
+                    return values, errors
                 done = alive & (diff.max(axis=0) < _TOL)
                 if (done != alive).any():  # the floor, only once _TOL fails somewhere
                     floor = np.maximum(_TOL, _ROUNDING_FLOOR * np.abs(level_cur))
@@ -240,9 +261,9 @@ def integrate_segments(integrands, z0, z1):
             nseg *= 2
             if nseg > _MAX_SEGMENTS:
                 for k in active[alive].tolist():
-                    errors[k] = NoConvergence(
-                        f"quadrature on [{complex(z0[k])!r}, {complex(z1[k])!r}] did not "
-                        f"converge within {_MAX_SEGMENTS} segments")
+                    a, b = ends(k)
+                    errors[k] = NoConvergence(f"quadrature on [{a!r}, {b!r}] did not "
+                                              f"converge within {_MAX_SEGMENTS} segments")
                 alive[:] = False
                 break
         active, prev = active[alive], prev[:, alive]

@@ -404,3 +404,15 @@ def test_the_scalar_tape_run_takes_one_value_per_variable():
         with pytest.raises(TypeError, match="expected 2 values"):
             tape.scalar(*values)
 
+
+def test_the_array_tape_run_takes_one_array_per_variable():
+    # An array too many took the first constant's slot, and none at all
+    # indexed past the leaves.
+    one, two = parse("w + 2"), parse_xy("x*y")
+    a = np.array([1.0])
+    for e, wrong in ((one, (a, np.array([10.0]))), (one, ()), (two, (a,)), (two, (a, a, a))):
+        for run in (e._tape, e.eval_array):
+            with pytest.raises(TypeError, match=f"^expected {len(e.varnames)} values, got "
+                                                f"{len(wrong)}$"):
+                run(*wrong)
+

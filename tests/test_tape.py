@@ -5,6 +5,8 @@
   set the samplers and ``expr:`` surfaces evaluate;
 * quadrature that takes levels 1 and 2 in one pass against a level-by-level
   reference, and that fails a segment or integral that overflows;
+* a batch of several chunks and every exceptional kind gives each endpoint
+  the value and error of its own call;
 * the inverted sampler integrates no endpoint twice in one round, and no
   surface point it already has;
 * extreme finite endpoints give finite values or a typed error, no warning.
@@ -426,6 +428,41 @@ def test_an_overflowing_segment_is_a_singular_path_without_a_warning(z0, z1, wha
     assert type(errors[0]) is SingularPath and str(errors[0]).endswith(what)
     assert errors[1] is None and not values[:, 0].any()
     assert values[:, 1].tobytes() == alone[:, 0].tobytes()
+
+
+def _outcome(values, errors, k):
+    """Endpoint k's value bits, its error's type and its error's text."""
+    return values[:, k].tobytes(), type(errors[k]), str(errors[k])
+
+
+def test_a_batch_gives_each_endpoint_the_outcome_of_its_own_call(monkeypatch):
+    # 196 endpoints that converge, some after several levels, and one of each
+    # exceptional kind, spread over both chunks of the first pass (at most
+    # 167 endpoints of 49 nodes each).
+    monkeypatch.setattr(reps, "_MAX_SEGMENTS", 64)
+    tape = Tape([parse("1/w"), parse("w")])
+    u, v = np.meshgrid(np.linspace(0.2, 2, 14), np.linspace(-1, 1, 14))
+    ends = (u + 1j * v).ravel().tolist()
+    exceptional = [  # (index in the batch, end, the start or end of its error's text)
+        (5, float("inf"), "has a non-finite endpoint"),
+        (60, 1.0, "None"),  # zero length: no error, values 0
+        (100, 1e200, "overflows"),  # the integral of w
+        (120, complex("nan"), "has a non-finite endpoint"),
+        (180, -1.0, "integrand singular at node 0j"),  # level 2's boundary t = 1/2
+        (200, complex(-1, 2e-9), "within 64 segments"),  # 1e-9 from the pole: NoConvergence
+    ]
+    for k, end, _ in exceptional:
+        ends.insert(k, end)
+    assert len(ends) - 3 > reps._MAX_NODES // 49  # the endpoints with nodes
+    values, errors = integrate_segments(tape, 1, ends)
+    for k, end in enumerate(ends):
+        assert _outcome(values, errors, k) == _outcome(*integrate_segments(tape, 1, end), 0)
+    for k, _, text in exceptional:
+        assert str(errors[k]).startswith(text) or str(errors[k]).endswith(text)
+    assert sum(e is None for e in errors) == 197 and not values[:, 60].any()
+    # An array of equal starts gives the outcome of one scalar start.
+    starts = integrate_segments(tape, np.full(len(ends), 1 + 0j), ends)
+    assert all(_outcome(*starts, k) == _outcome(values, errors, k) for k in range(len(ends)))
 
 
 @pytest.mark.parametrize("sampler, grid", [
